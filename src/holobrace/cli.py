@@ -12,7 +12,7 @@ import os
 import sys
 
 from .abelian import parse_group
-from .brace import brace_from_subgroup, verify_brace, ybe_solution
+from .brace import brace_from_subgroup, ybe_solution
 from .counts import (
     CountReport,
     census,
@@ -72,20 +72,10 @@ def _cmd_census(args) -> int:
         "r": res.r,
         "h": res.h,
         "method": res.method,
-        "classes": [
-            {"orbit": size, "stabilizer": _stabilizer(group, size)} for size in res.class_sizes
-        ],
+        "classes": [{"orbit": orbit, "stabilizer": stab} for orbit, stab in res.classes],
     }
     _emit(_dump(payload))
     return EXIT_OK
-
-
-def _stabilizer(group, orbit_size: int) -> int:
-    from .endo import aut_order as group_aut_order
-
-    total = group_aut_order(group)
-    stab, rem = divmod(total, orbit_size)
-    return stab if not rem else 0
 
 
 def _cmd_spectrum(args) -> int:
@@ -181,10 +171,11 @@ def _cmd_ybe_check(args) -> int:
     group, kind, reps = _class_braces(args)
     checked = []
     for rep in reps:
-        bt = brace_from_subgroup(rep)
-        if not verify_brace(bt):
-            raise HolobraceError("brace axioms failed")
-        sol = ybe_solution(bt)  # raises on braid/involutivity failure
+        try:
+            # verifies the brace axioms, then involutivity and the braid relation
+            sol = ybe_solution(brace_from_subgroup(rep))
+        except InvalidInputError as exc:
+            raise HolobraceError("brace axioms failed") from exc
         checked.append(
             {"left_nondegenerate": sol.left_bijective, "right_nondegenerate": sol.right_bijective}
         )

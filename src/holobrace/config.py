@@ -2,8 +2,11 @@
 
 import os
 
-# Candidates examined per prime block when enumerating Aut(N).  The largest
-# block needed by the shipped tables is 2^16 (binary 4x4 matrices).
+from .errors import InvalidInputError
+
+# Candidates examined per prime block when automorphisms are enumerated in
+# full, which only the element pools and `spectrum --dump-aut` need; orders
+# and generators of Aut(N) come from closed forms.
 DEFAULT_AUT_CANDIDATE_CAP = 1 << 21
 
 # Above this many elements Hol(N) is not scanned in full; searches fall back
@@ -16,9 +19,12 @@ def _env_int(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw, 0)
+        value = int(raw, 0)
     except ValueError:
-        return default
+        raise InvalidInputError(f"{name}={raw!r} is not an integer") from None
+    if value <= 0:
+        raise InvalidInputError(f"{name}={raw!r} must be positive")
+    return value
 
 
 def aut_candidate_cap() -> int:

@@ -26,7 +26,7 @@ from .presentations import (
     admissible_types,
     aut_order,
 )
-from .regular import search_regular
+from .regular import SearchResult, search_regular
 from .structured import solve_family
 
 
@@ -78,8 +78,24 @@ class CensusResult:
     c: int
     r: int
     h: int
-    class_sizes: tuple[int, ...]
+    classes: tuple[tuple[int, int], ...]  # (orbit size, stabilizer order) per class
     method: str
+
+
+def _result(group: GroupSpec, kind: TargetKind, r: int, orbits, method: str) -> CensusResult:
+    """A census from its class orbit sizes; each must divide |Aut(N)|."""
+    total = group_aut_order(group)
+    classes = []
+    for orbit in orbits:
+        stab, rem = divmod(total, orbit)
+        if rem:
+            raise InternalConsistencyError(f"orbit size {orbit} does not divide |Aut({group})| = {total}")
+        classes.append((orbit, stab))
+    return CensusResult(group, kind, len(classes), r, hgs_count(kind, group, r), tuple(classes), method)
+
+
+def _from_search(res: SearchResult, method: str) -> CensusResult:
+    return _result(res.group, res.kind, res.r, (c.orbit_size for c in res.classes), method)
 
 
 def _cyclic_2group(n: int) -> GroupSpec:
@@ -91,12 +107,13 @@ def _rank2_2group(n: int) -> GroupSpec:
 
 
 @lru_cache(maxsize=None)
-def two_power_census(group: GroupSpec, family: str):
+def two_power_census(group: GroupSpec, family: str) -> CensusResult:
     """Complete census for a 2-group: search, family solver, or theorem zero.
 
     Types outside the admissible list, and admissible non-family types with
     n >= 6, are zero by the nonexistence results (search-verified at n = 5,
-    where scanning is still cheap).
+    where scanning is still cheap).  A search that scanned all of Hol(N)
+    reports "direct", one that took the Sylow path "sylow".
     """
     n = group.two_adic
     if group.odd_order != 1:
@@ -104,56 +121,21 @@ def two_power_census(group: GroupSpec, family: str):
     kind = TargetKind(family, n, 1)
     if n >= 5 and group in (_cyclic_2group(n), _rank2_2group(n)):
         solved = solve_family(group, family)
-        return _StructuredAsSearch(group, kind, solved)
+        return _result(group, kind, solved.r, solved.class_sizes, "structured")
     if group not in admissible_types(n):
-        return _ZeroCensus(group, kind, "type-theorem")
+        return _result(group, kind, 0, (), "type-theorem")
     if n >= 6:
-        return _ZeroCensus(group, kind, "zero-family")
-    return search_regular(group, kind)
-
-
-@dataclass(frozen=True)
-class _StructuredAsSearch:
-    """Adapter exposing a StructuredCensus with the SearchResult surface."""
-
-    group: GroupSpec
-    kind: TargetKind
-    solved: object
-
-    @property
-    def r(self) -> int:
-        return self.solved.r
-
-    @property
-    def c(self) -> int:
-        return self.solved.c
-
-    @property
-    def classes(self):
-        sizes = self.solved.class_sizes
-        return tuple(_FakeClass(sz) for sz in sizes)
-
-
-@dataclass(frozen=True)
-class _FakeClass:
-    orbit_size: int
-
-
-@dataclass(frozen=True)
-class _ZeroCensus:
-    group: GroupSpec
-    kind: TargetKind
-    method: str
-    r: int = 0
-    c: int = 0
-    classes: tuple = ()
+        return _result(group, kind, 0, (), "zero-family")
+    res = search_regular(group, kind)
+    return _from_search(res, "direct" if res.method == "full" else "sylow")
 
 
 def census(group: GroupSpec, kind: TargetKind, method: str = "auto", cross_check: bool = False) -> CensusResult:
     """(c, r, h) for the pair (N, kind), choosing the cheapest sound path.
 
     method: auto | direct | sylow | structured | reduction.  With
-    cross_check=True a second independent path runs and must agree.
+    cross_check=True a second path that shares no search with the first
+    runs and must agree.
     """
     if kind.order != group.order:
         raise InvalidInputError(
@@ -165,20 +147,25 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto", cross_check
         raise InvalidInputError("quaternion/dihedral targets need 4 | |N|")
     result = _census_by_method(group, kind, method, odd, two)
     if cross_check:
-        alt = _cross_method(group, kind, method, odd)
+        alt = _cross_method(group, result.method)
         if alt is not None:
             other = _census_by_method(group, kind, alt, odd, two)
             if (other.c, other.r, other.h) != (result.c, result.r, result.h):
                 raise InternalConsistencyError(
-                    f"{alt} path gives (c={other.c}, r={other.r}, h={other.h}); "
-                    f"{result.method} gives (c={result.c}, r={result.r}, h={result.h})"
+                    f"cross-check: the {result.method} path gives (c={result.c}, r={result.r}, h={result.h}) "
+                    f"but the {other.method} path gives (c={other.c}, r={other.r}, h={other.h})"
                 )
     return result
 
 
-def _cross_method(group, kind, method, odd):
-    if method in ("direct", "sylow"):
-        return None
+def _cross_method(group: GroupSpec, method: str):
+    """The census method of a second path independent of `method`'s answer.
+
+    A full scan is checked by the Sylow path; every other answer by a full
+    scan, when Hol(N) fits the scan cap and the byte kernel.
+    """
+    if method in ("direct", "full"):
+        return "sylow"
     try:
         from .kernel import get_kernel
 
@@ -192,20 +179,17 @@ def _cross_method(group, kind, method, odd):
 def _census_by_method(group: GroupSpec, kind: TargetKind, method: str, odd: GroupSpec, two: GroupSpec) -> CensusResult:
     if method in ("direct", "sylow"):
         res = search_regular(group, kind, "auto" if method == "direct" else "sylow")
-        sizes = tuple(c.orbit_size for c in res.classes)
-        return CensusResult(group, kind, res.c, res.r, hgs_count(kind, group, res.r), sizes, res.method)
+        return _from_search(res, res.method)
     if method == "structured":
         if odd.order != 1:
             raise InvalidInputError("structured solvers cover 2-groups only")
         solved = solve_family(group, kind.family)
-        return CensusResult(
-            group, kind, solved.c, solved.r, hgs_count(kind, group, solved.r), solved.class_sizes, "structured"
-        )
+        return _result(group, kind, solved.r, solved.class_sizes, "structured")
     if method == "reduction":
         if odd.order < 3:
             raise InvalidInputError("reduction needs an odd part s >= 3")
-        r, c, sizes = reduce_counts(group, kind)
-        return CensusResult(group, kind, c, r, hgs_count(kind, group, r), sizes, "reduction")
+        r, _, sizes = reduce_counts(group, kind)
+        return _result(group, kind, r, sizes, "reduction")
     if method == "auto":
         return _census_auto(group, kind, odd, two)
     raise InvalidInputError(f"unknown census method {method!r}")
@@ -213,28 +197,18 @@ def _census_by_method(group: GroupSpec, kind: TargetKind, method: str, odd: Grou
 
 def _census_auto(group: GroupSpec, kind: TargetKind, odd: GroupSpec, two: GroupSpec) -> CensusResult:
     if odd.order == 1:
-        base = two_power_census(group, kind.family)
-        if isinstance(base, _ZeroCensus):
-            return CensusResult(group, kind, 0, 0, 0, (), base.method)
-        method = "structured" if isinstance(base, _StructuredAsSearch) else "direct"
-        sizes = tuple(c.orbit_size for c in base.classes)
-        return CensusResult(group, kind, base.c, base.r, hgs_count(kind, group, base.r), sizes, method)
+        return two_power_census(group, kind.family)
     if not odd.is_cyclic():
-        return CensusResult(group, kind, 0, 0, 0, (), "odd-noncyclic")
+        return _result(group, kind, 0, (), "odd-noncyclic")
     return _census_by_method(group, kind, "reduction", odd, two)
 
 
 def hgs_reduce(group: GroupSpec, kind: TargetKind) -> int:
     """h(N, J) = h(N_2, J_2) * s; with s = 1 this is the direct count."""
     odd, two, _ = sylow_decompose(group)
-    s = odd.order
-    if s == 1:
-        base = two_power_census(two, kind.family)
-        return hgs_count(kind.sylow2(), two, base.r)
     if not odd.is_cyclic():
         return 0
-    base = two_power_census(two, kind.family)
-    return hgs_count(kind.sylow2(), two, base.r) * s
+    return two_power_census(two, kind.family).h * odd.order
 
 
 def q_computed(order: int) -> int:

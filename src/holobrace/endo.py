@@ -14,7 +14,7 @@ from itertools import product as _product
 from math import prod
 
 from . import config
-from .abelian import Element, GroupSpec
+from .abelian import Element, GroupSpec, _factorize
 from .errors import CapacityError, InternalConsistencyError, InvalidInputError
 
 
@@ -214,56 +214,8 @@ class AutGroup:
             return iter([()])
         return _product(*self.blocks)
 
-    def identity(self) -> Aut:
-        return tuple(identity_endo(b[0].p, b[0].exponents) for b in self.blocks)
-
     def generators(self) -> tuple[Aut, ...]:
-        """A small generating set, greedily extracted in canonical order."""
-        gens: list[Aut] = []
-        for k, block in enumerate(self.blocks):
-            for m in _block_generators(block):
-                aut = list(self.identity())
-                aut[k] = m
-                gens.append(tuple(aut))
-        return tuple(gens)
-
-    def verify(self, stride: int = 101) -> bool:
-        """Spot-check closure under composition and inverses."""
-        for block in self.blocks:
-            members = set(block)
-            picks = block[::stride] if len(block) > stride else block
-            for m in picks:
-                if invert(m) not in members:
-                    return False
-                for m2 in picks:
-                    if endo_compose(m, m2) not in members:
-                        return False
-        return True
-
-
-def _block_generators(block: tuple[EndoMatrix, ...]) -> list[EndoMatrix]:
-    """Greedy generators for one unit block (deterministic candidate order)."""
-    if len(block) == 1:
-        return []
-    ident = identity_endo(block[0].p, block[0].exponents)
-    gens: list[EndoMatrix] = []
-    closure = {ident}
-    for cand in block:
-        if cand in closure:
-            continue
-        gens.append(cand)
-        frontier = [cand]
-        closure.add(cand)
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                for nxt in (endo_compose(cur, g), endo_compose(g, cur)):
-                    if nxt not in closure:
-                        closure.add(nxt)
-                        frontier.append(nxt)
-        if len(closure) == len(block):
-            break
-    return gens
+        return aut_generators(self.group)
 
 
 @lru_cache(maxsize=None)
@@ -280,17 +232,62 @@ def enumerate_aut(group: GroupSpec, cap: int | None = None) -> AutGroup:
     return _enumerate_aut_cached(group, cap if cap is not None else config.aut_candidate_cap())
 
 
-def aut_order(group: GroupSpec, cap: int | None = None) -> int:
-    """|Aut(N)|; odd cyclic blocks use phi directly, others are enumerated."""
+def _block_order(p: int, exps: tuple[int, ...]) -> int:
+    """|Aut| of one p-block by Hillar & Rhea, Thm 4.1 (exps nondecreasing)."""
+    r = len(exps)
     total = 1
-    for p in group.primes:
-        comp = group.component(p)
-        exps = comp.exponents(p)
-        if len(exps) == 1:
-            total *= p ** exps[0] - p ** (exps[0] - 1)
-        else:
-            total *= len(_enumerate_aut_cached(comp, cap or config.aut_candidate_cap()).blocks[0])
+    for k, e in enumerate(exps):
+        d = max(l for l in range(1, r + 1) if exps[l - 1] == e)
+        c = min(l for l in range(1, r + 1) if exps[l - 1] == e)
+        total *= (p**d - p**k) * p ** (e * (r - d)) * p ** ((e - 1) * (r - c + 1))
     return total
+
+
+def aut_order(group: GroupSpec) -> int:
+    """|Aut(N)|, the product of the closed-form orders of the prime blocks."""
+    return prod(_block_order(p, group.exponents(p)) for p in group.primes)
+
+
+def _unit_generators(p: int, a: int) -> list[int]:
+    """Generators of the unit group (Z/p^a)^x."""
+    if p == 2:
+        return [] if a == 1 else [3] if a == 2 else [2**a - 1, 5]
+    q = p - 1
+    g = next(g for g in range(2, p) if all(pow(g, q // f, p) != 1 for f, _ in _factorize(q)))
+    if a > 1 and pow(g, q, p * p) == 1:
+        g += p  # a primitive root mod p^2 is one mod every p^a
+    return [g]
+
+
+def _hillar_rhea_generators(p: int, exps: tuple[int, ...]) -> list[EndoMatrix]:
+    """Adjacent transvections I + p^{max(0, a_i - a_j)} E_ij, |i - j| = 1, and
+    per-factor diagonal units: together they generate the unit block."""
+    r = len(exps)
+    out = []
+
+    def bump(i: int, j: int, value: int) -> EndoMatrix:
+        rows = [[int(a == b) for b in range(r)] for a in range(r)]
+        rows[i][j] = value
+        return make_endo(p, exps, rows)
+
+    for i in range(r):
+        for j in (i - 1, i + 1):
+            if 0 <= j < r:
+                out.append(bump(i, j, p ** max(0, exps[i] - exps[j])))
+    for i, a in enumerate(exps):
+        out.extend(bump(i, i, u) for u in _unit_generators(p, a))
+    return out
+
+
+@lru_cache(maxsize=None)
+def aut_generators(group: GroupSpec) -> tuple[Aut, ...]:
+    """Explicit generators of Aut(N), each acting on one prime block."""
+    ident = identity_aut(group)
+    gens = []
+    for k, p in enumerate(group.primes):
+        for m in _hillar_rhea_generators(p, group.exponents(p)):
+            gens.append(ident[:k] + (m,) + ident[k + 1 :])
+    return tuple(gens)
 
 
 def sylow_p_aut(group: GroupSpec, p: int, cap: int | None = None) -> tuple[EndoMatrix, ...]:

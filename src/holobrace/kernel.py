@@ -16,8 +16,9 @@ from . import config
 from .abelian import Element, GroupSpec
 from .endo import (
     Aut,
-    AutGroup,
     EndoMatrix,
+    aut_generators,
+    aut_order,
     endo_apply,
     enumerate_aut,
     make_endo,
@@ -201,6 +202,21 @@ class HolKernel:
     def code(self, x: KernelElement) -> bytes:
         return b"".join(x)
 
+    def closure(self, gens, cap: int | None = None) -> set[KernelElement]:
+        """Subgroup generated by `gens`; CapacityError once it passes cap."""
+        out = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                nxt = self.compose(cur, g)
+                if nxt not in out:
+                    if cap is not None and len(out) >= cap:
+                        raise CapacityError(f"closure exceeded cap {cap}", cap=cap)
+                    out.add(nxt)
+                    frontier.append(nxt)
+        return out
+
     def power_list(self, x: KernelElement, count: int) -> list[KernelElement]:
         out = [self.identity]
         cur = self.identity
@@ -271,21 +287,14 @@ class HolKernel:
 
     # -- pools ---------------------------------------------------------------------
 
-    def aut_group(self, cap: int | None = None) -> AutGroup:
-        return enumerate_aut(self.group, cap)
-
     def aut_perm_tuple(self, aut: Aut) -> KernelElement:
         return tuple(sp.aut_perm(m) for sp, m in zip(self.spaces, aut))
 
-    def aut_perm_tuples(self, cap: int | None = None):
-        for aut in self.aut_group(cap):
-            yield self.aut_perm_tuple(aut)
-
-    def aut_generator_tuples(self, cap: int | None = None) -> list[KernelElement]:
-        return [self.aut_perm_tuple(a) for a in self.aut_group(cap).generators()]
+    def aut_generator_tuples(self) -> list[KernelElement]:
+        return [self.aut_perm_tuple(a) for a in aut_generators(self.group)]
 
     def hol_order(self) -> int:
-        return self.group.order * self.aut_group().order
+        return self.group.order * aut_order(self.group)
 
     def full_pool(self, cap: int | None = None) -> list[KernelElement]:
         """Every element of Hol(N), as the product of per-component pools."""

@@ -49,17 +49,7 @@ def _index2_subgroups(sub: RegularSubgroup) -> list[frozenset[bytes]]:
         for b in elems:
             comm = kern.compose(kern.compose(a, b), kern.compose(inv[kern.code(a)], inv[kern.code(b)]))
             gens.add(kern.code(comm))
-    phi = {kern.code(kern.identity)}
-    frontier = [kern.identity]
-    gen_elems = [codes[c] for c in gens if c in codes]
-    while frontier:
-        cur = frontier.pop()
-        for g in gen_elems:
-            nxt = kern.compose(cur, g)
-            c = kern.code(nxt)
-            if c not in phi:
-                phi.add(c)
-                frontier.append(nxt)
+    phi = {kern.code(e) for e in kern.closure([codes[c] for c in gens])}
     # cosets of Phi
     cosets: list[frozenset[bytes]] = []
     assigned: set[bytes] = set()
@@ -222,7 +212,7 @@ def reduce_counts(group: GroupSpec, kind: TargetKind):
 
     base = two_power_census(two, kind.family)
     if not is_exceptional(kind):
-        return base.r, base.c, tuple(c.orbit_size for c in base.classes)
+        return base.r, base.c, tuple(orbit for orbit, _ in base.classes)
     if base.r == 0:
         return 0, 0, ()
     exceptional = _base_case_census(two, kind.family, kind.n)

@@ -18,12 +18,11 @@ from typing import Iterable, Optional
 
 from . import config
 from .abelian import GroupSpec
-from .errors import CapacityError, InternalConsistencyError, InvalidInputError
+from .endo import aut_order
+from .errors import InternalConsistencyError, InvalidInputError
 from .holomorph import HolElement, exponent_bound, from_kernel, to_kernel
 from .kernel import HolKernel, KernelElement, get_kernel
 from .presentations import QUATERNION, TargetKind, _classify_kernel
-
-EXHAUSTIVE_CLASSIFY_MAX = 1 << 15  # beyond this, conjugacy uses generator BFS
 
 SubgroupKey = tuple[bytes, ...]
 
@@ -84,19 +83,7 @@ def generate_closure(gens: Iterable[HolElement], cap: int) -> set[HolElement]:
     if not gens:
         raise InvalidInputError("need at least one generator")
     group = gens[0].group
-    kern = get_kernel(group)
-    kgens = [to_kernel(g) for g in gens]
-    closure = {kern.identity}
-    frontier = [kern.identity]
-    while frontier:
-        cur = frontier.pop()
-        for g in kgens:
-            nxt = kern.compose(cur, g)
-            if nxt not in closure:
-                if len(closure) >= cap:
-                    raise CapacityError(f"closure exceeded cap {cap}", cap=cap)
-                closure.add(nxt)
-                frontier.append(nxt)
+    closure = get_kernel(group).closure([to_kernel(g) for g in gens], cap)
     return {from_kernel(group, e) for e in closure}
 
 
@@ -159,13 +146,16 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Iterable[KernelElement
     return found
 
 
-def _expand_orbits(kern: HolKernel, seeds: dict, aut_order: int, gens: list[KernelElement]):
-    """Aut(N)-orbit closure of the seed subgroups.
+def _expand_orbits(kern: HolKernel, seeds: dict):
+    """Aut(N)-orbit closure of the seed subgroups, by conjugating with the
+    generators of Aut(N); brace classes are exactly these orbits.
 
     Returns (all_subgroups: dict key -> elements, classes: list of
-    (rep_key, orbit_size, stabilizer_order)).
+    (rep_key, orbit_size, stabilizer_order)) with classes in the order of
+    their least seed key.
     """
-    conjs = [kern.conjugator(g) for g in gens]
+    total = aut_order(kern.group)
+    conjs = [kern.conjugator(g) for g in kern.aut_generator_tuples()]
     visited: dict[SubgroupKey, tuple] = {}
     classes = []
     for seed_key in sorted(seeds):
@@ -182,7 +172,7 @@ def _expand_orbits(kern: HolKernel, seeds: dict, aut_order: int, gens: list[Kern
                 if nk not in orbit:
                     orbit[nk] = nels
                     frontier.append(nels)
-        stab, rem = divmod(aut_order, len(orbit))
+        stab, rem = divmod(total, len(orbit))
         if rem:
             raise InternalConsistencyError("orbit size does not divide |Aut(N)|")
         rep_key = min(orbit)
@@ -237,29 +227,15 @@ def search_regular(group: GroupSpec, kind: TargetKind, method: str = "auto", cap
 def _search_cached(group: GroupSpec, kind: TargetKind, method: str, cap: int) -> SearchResult:
     kern = get_kernel(group)
     seeds = _seed_search(kern, kind, _pool_for(kern, method, cap))
-    aut = kern.aut_group()
-    if method == "sylow":
-        gens = kern.aut_generator_tuples()
-        all_subs, raw_classes = _expand_orbits(kern, seeds, aut.order, gens)
-        subgroups = tuple(
-            _subgroup(kern, kind, all_subs[k], (seeds[k][1], seeds[k][2]) if k in seeds else None)
-            for k in sorted(all_subs)
-        )
-        by_key = {s.key: s for s in subgroups}
-        classes = tuple(
-            ConjugacyClass(by_key[rk], size, stab) for rk, size, stab in raw_classes
-        )
-    else:
-        subgroups = tuple(
-            _subgroup(kern, kind, elems, (x, y)) for key, (elems, x, y) in sorted(seeds.items())
-        )
-        classes = classify(subgroups)
-    total = sum(c.orbit_size for c in classes)
-    if total != len(subgroups):
-        raise InternalConsistencyError(
-            f"classes cover {total} subgroups but {len(subgroups)} were found"
-        )
-    return SearchResult(group, kind, subgroups, tuple(classes), method)
+    found, raw_classes = _expand_orbits(kern, seeds)
+    if method == "full" and len(found) != len(seeds):
+        raise InternalConsistencyError("the full scan missed conjugates of what it found")
+    subgroups = tuple(
+        _subgroup(kern, kind, found[k], seeds[k][1:] if k in seeds else None) for k in sorted(found)
+    )
+    by_key = {s.key: s for s in subgroups}
+    classes = tuple(ConjugacyClass(by_key[rk], size, stab) for rk, size, stab in raw_classes)
+    return SearchResult(group, kind, subgroups, classes, method)
 
 
 def find_regular(group: GroupSpec, kind: TargetKind, method: str = "auto", cap: int | None = None) -> tuple[RegularSubgroup, ...]:
@@ -272,7 +248,7 @@ def find_regular_sylow(group: GroupSpec, kind: TargetKind, cap: int | None = Non
     return search_regular(group, kind, "sylow", cap)
 
 
-def classify(subgroups: Iterable[RegularSubgroup], aut_group=None) -> tuple[ConjugacyClass, ...]:
+def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]:
     """Partition a complete list of subgroups into Aut(N)-conjugacy orbits."""
     subgroups = list(subgroups)
     if not subgroups:
@@ -280,36 +256,8 @@ def classify(subgroups: Iterable[RegularSubgroup], aut_group=None) -> tuple[Conj
     group = subgroups[0].group
     if any(s.group != group for s in subgroups):
         raise InvalidInputError("subgroups over different N")
-    kern = get_kernel(group)
-    aut = aut_group if aut_group is not None else kern.aut_group()
     by_key = {s.key: s for s in subgroups}
-    classes = []
-    visited: set[SubgroupKey] = set()
-    for sub in sorted(subgroups, key=lambda s: s.key):
-        if sub.key in visited:
-            continue
-        if aut.order <= EXHAUSTIVE_CLASSIFY_MAX:
-            orbit_keys = set()
-            stab = 0
-            for a in aut:
-                at = kern.aut_perm_tuple(a)
-                conj = kern.conjugator(at)
-                nk = tuple(sorted(kern.code(conj(e)) for e in sub.elements))
-                orbit_keys.add(nk)
-                if nk == sub.key:
-                    stab += 1
-            if stab * len(orbit_keys) != aut.order:
-                raise InternalConsistencyError("orbit-stabilizer identity failed")
-        else:
-            gens = [kern.aut_perm_tuple(a) for a in aut.generators()]
-            seed = {sub.key: (sub.elements,)}
-            orbit, raw = _expand_orbits(kern, seed, aut.order, gens)
-            orbit_keys = set(orbit)
-            stab = raw[0][2]
-        rep_key = min(orbit_keys)
-        rep = by_key.get(rep_key)
-        if rep is None:
-            raise InvalidInputError("input list is not closed under conjugation")
-        classes.append(ConjugacyClass(rep, len(orbit_keys), stab))
-        visited.update(orbit_keys)
-    return tuple(classes)
+    found, raw_classes = _expand_orbits(get_kernel(group), {k: (s.elements,) for k, s in by_key.items()})
+    if len(found) != len(by_key):
+        raise InvalidInputError("input list is not closed under conjugation")
+    return tuple(ConjugacyClass(by_key[rk], size, stab) for rk, size, stab in raw_classes)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import GroupSpec, make_group
-from .endo import make_endo
+from .endo import aut_generators, make_endo
 from .errors import HolobraceError, InternalConsistencyError, InvalidInputError
 from .holomorph import HolElement, hol_compose, hol_identity, hol_invert
 from .presentations import DIHEDRAL, QUATERNION, TargetKind
@@ -171,17 +171,9 @@ def solve_cyclic(n: int, family: str) -> StructuredCensus:
 def _rank2_aut_conjugators(n: int) -> list[tuple[HolElement, HolElement]]:
     """Generators of Aut(C_2 x C_{2^{n-1}}) as holomorph elements, with inverses."""
     grp = make_group([2, 1 << (n - 1)])
-    mod = 1 << (n - 1)
-    half = 1 << (n - 2)
-    mats = [
-        [[1, 1], [0, 1]],
-        [[1, 0], [half, 1]],
-        [[1, 0], [0, 3 % mod]],
-        [[1, 0], [0, mod - 1]],
-    ]
     out = []
-    for rows in mats:
-        g = HolElement(grp, (make_endo(2, (1, n - 1), rows),), (0, 0))
+    for aut in aut_generators(grp):
+        g = HolElement(grp, aut, (0, 0))
         out.append((g, hol_invert(g)))
     return out
 

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from holobrace.cli import EXIT_CAPACITY, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 GOLDEN = Path(__file__).parent / "golden" / "table1.txt"
@@ -124,3 +126,42 @@ def test_spectrum_workers_deterministic(capsys):
     a = run(capsys, "spectrum", "--N", "c2xc8", "--workers", "1")
     b = run(capsys, "spectrum", "--N", "c2xc8", "--workers", "2")
     assert json.loads(a[1]) == json.loads(b[1])
+
+
+def test_census_reports_the_sylow_path(capsys):
+    # |Hol(C2^4)| = 322560 is past the full-scan cap, so the auto path takes
+    # the Sylow-restricted search
+    code, out, _ = run(capsys, "census", "--N", "c2xc2xc2xc2", "--G", "q16")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["method"] == "sylow"
+    assert (payload["c"], payload["r"], payload["h"]) == (1, 5040, 8)
+    assert payload["classes"] == [{"orbit": 5040, "stabilizer": 4}]
+
+
+def test_ybe_check_verifies_each_brace_once(capsys, monkeypatch):
+    import holobrace.brace as brace
+
+    calls = []
+    real = brace.brace_violation
+    monkeypatch.setattr(brace, "brace_violation", lambda bt: calls.append(bt) or real(bt))
+    code, out, _ = run(capsys, "ybe-check", "--N", "c2xc4", "--G", "d8")
+    assert code == EXIT_OK
+    assert len(calls) == json.loads(out)["braces_checked"] == 5
+    monkeypatch.setattr(brace, "brace_violation", lambda bt: ("associativity", 0, 0, 0))
+    code, _, err = run(capsys, "ybe-check", "--N", "c2xc4", "--G", "d8")
+    assert code == EXIT_MISMATCH
+    assert "brace axioms failed" in err
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("HOLOBRACE_CAP", "2M"), ("HOLOBRACE_CAP", "0"), ("HOLOBRACE_HOL_CAP", "2M"), ("HOLOBRACE_HOL_CAP", "-1")],
+)
+def test_malformed_env_caps_are_input_errors(capsys, monkeypatch, tmp_path, name, value):
+    monkeypatch.setenv(name, value)
+    code, _, err = run(
+        capsys, "spectrum", "--N", "c2xc4", "--workers", "1", "--dump-aut", str(tmp_path / "aut.json")
+    )
+    assert code == EXIT_USAGE
+    assert name in err

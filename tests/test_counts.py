@@ -202,3 +202,33 @@ def test_table4_quaternion_total_n5():
     n5 = [r for r in rep.rows if r[1] == 5]
     assert sum(r[3] for r in n5) == 72
     assert sum(r[4] for r in n5) == 72
+
+
+def test_cross_check_runs_the_full_scan_and_the_sylow_path(monkeypatch):
+    """A full-scan answer is crossed with the Sylow path, and a fault in that
+    path is reported with both paths named."""
+    from dataclasses import replace
+
+    import holobrace.counts as counts
+    from holobrace.regular import search_regular
+
+    ran = []
+
+    def spy(group, kind, method="auto", cap=None):
+        res = search_regular(group, kind, method, cap)
+        ran.append(res.method)
+        return res
+
+    monkeypatch.setattr(counts, "search_regular", spy)
+    counts.two_power_census.cache_clear()
+    res = census(parse_group("c2xc4"), parse_kind("d8"), cross_check=True)
+    assert (res.c, res.r, res.method) == (5, 14, "direct")
+    assert ran == ["full", "sylow"]
+
+    def broken(group, kind, method="auto", cap=None):
+        res = search_regular(group, kind, method, cap)
+        return replace(res, classes=res.classes[1:]) if res.method == "sylow" else res
+
+    monkeypatch.setattr(counts, "search_regular", broken)
+    with pytest.raises(InternalConsistencyError, match="direct path .* sylow path"):
+        census(parse_group("c2xc4"), parse_kind("d8"), cross_check=True)

@@ -1,9 +1,11 @@
+import functools
 import itertools
 
 import pytest
 
 from holobrace.abelian import make_group
 from holobrace.endo import (
+    aut_generators,
     endo_apply,
     endo_compose,
     enumerate_aut,
@@ -16,33 +18,37 @@ from holobrace.endo import (
     aut_order,
 )
 from holobrace.errors import CapacityError, InvalidInputError
+from holobrace.kernel import get_kernel
 
 
 def gl_count_oracle(r, p=2):
-    """Brute-force count of invertible r x r matrices over F_p."""
+    """Count of invertible r x r matrices over F_p, row by row.
 
-    def rank(rows):
-        m = [list(row) for row in rows]
-        rk = 0
-        for col in range(r):
-            piv = next((i for i in range(rk, r) if m[i][col] % p), None)
-            if piv is None:
+    A matrix is invertible iff each row lies outside the span of the rows
+    above it.  Every row is tried over all p^r vectors; the number of ways
+    to finish depends only on the span so far, so it is memoized on that
+    span (a set of vectors, built by brute force).
+    """
+    vectors = list(itertools.product(range(p), repeat=r))
+
+    def add(u, v):
+        return tuple((a + b) % p for a, b in zip(u, v))
+
+    @functools.lru_cache(maxsize=None)
+    def completions(span):
+        if len(span) == p**r:
+            return 1
+        total = 0
+        for v in vectors:
+            if v in span:
                 continue
-            m[rk], m[piv] = m[piv], m[rk]
-            inv = pow(m[rk][col], -1, p)
-            for i in range(r):
-                if i != rk and m[i][col]:
-                    f = (m[i][col] * inv) % p
-                    m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rk])]
-            rk += 1
-        return rk
+            grown = span
+            for _ in range(p - 1):
+                grown = grown | {add(u, v) for u in grown}
+            total += completions(grown)
+        return total
 
-    count = 0
-    for flat in itertools.product(range(p), repeat=r * r):
-        rows = [flat[i * r : (i + 1) * r] for i in range(r)]
-        if rank(rows) == r:
-            count += 1
-    return count
+    return completions(frozenset([(0,) * r]))
 
 
 def test_endo_apply_identity_and_zero():
@@ -227,17 +233,53 @@ def test_unit_criterion_matches_bijectivity(orders):
         assert is_unit(m) == (len(images) == len(elems))
 
 
-def test_autgroup_closure_spotcheck():
-    assert enumerate_aut(make_group([2, 4])).verify()
-    assert enumerate_aut(make_group([2, 2, 2])).verify()
+def _shapes(p, max_order):
+    """Every abelian p-group of order <= max_order, as factor lists."""
+
+    def partitions(n, largest):
+        if n == 0:
+            yield ()
+        for k in range(min(n, largest), 0, -1):
+            for rest in partitions(n - k, k):
+                yield (k,) + rest
+
+    n = 1
+    while p ** n <= max_order:
+        yield from ([p**e for e in part] for part in partitions(n, n))
+        n += 1
+
+
+AUT_SHAPES = [
+    orders
+    for orders in (
+        list(_shapes(2, 64))
+        + list(_shapes(3, 81))
+        + [[25], [5, 5], [49], [7, 7], [3, 8], [5, 2, 8], [3, 2, 2, 4]]
+    )
+    if aut_order(make_group(orders)) <= 1 << 18
+]
+
+
+@pytest.mark.parametrize("orders", AUT_SHAPES, ids=lambda o: "x".join(map(str, o)))
+def test_aut_generators_generate_aut(orders):
+    """The closure of the explicit generators is all of Aut(N)."""
+    g = make_group(orders)
+    kern = get_kernel(g)
+    size = len(kern.closure(kern.aut_generator_tuples()))
+    assert size == aut_order(g) == enumerate_aut(g).order
+
+
+@pytest.mark.parametrize("p,max_rank", [(2, 6), (3, 4), (5, 3)])
+def test_aut_order_matches_gl_oracle(p, max_rank):
+    for r in range(1, max_rank + 1):
+        assert aut_order(make_group([p] * r)) == gl_count_oracle(r, p)
 
 
 def test_autgroup_generators_generate():
     g = make_group([2, 2, 2])
-    autgroup = enumerate_aut(g)
-    gens = autgroup.generators()
+    gens = aut_generators(g)
     assert gens
-    block = set(autgroup.blocks[0])
+    block = set(enumerate_aut(g).blocks[0])
     closure = {identity_endo(2, (1, 1, 1))}
     frontier = list(closure)
     while frontier:
