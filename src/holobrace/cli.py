@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .abelian import parse_group
@@ -216,8 +215,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--workers",
         type=int,
-        default=os.cpu_count() or 1,
-        help="parallel workers for the order census (results are identical)",
+        default=1,
+        help="parallel workers for the order census; each rebuilds the pool (results are identical)",
     )
     p.set_defaults(func=_cmd_spectrum)
 
@@ -258,7 +257,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_USAGE
     except CapacityError as exc:
-        sys.stderr.write(f"capacity exceeded: {exc}\n")
+        detail = "" if None in (exc.needed, exc.cap) else f" (needed {exc.needed}, cap {exc.cap})"
+        sys.stderr.write(f"capacity exceeded: {exc}{detail}\n")
         return EXIT_CAPACITY
     except HolobraceError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -5,16 +5,21 @@ relations collapse to small congruence systems; solving them directly gives
 the regular subgroups without scanning Hol(N).  Counts are produced by
 materializing the solved subgroups and expanding Aut(N)-orbits, so the
 returned (r, c) are computed rather than quoted.
+
+The loops run on plain-integer affine maps in the form of `HolElement.encode()`
+(row i reduced mod the i-th factor); only `instantiate` builds `HolElement`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import config
 from .abelian import GroupSpec, make_group
-from .endo import aut_generators, make_endo
-from .errors import HolobraceError, InternalConsistencyError, InvalidInputError
-from .holomorph import HolElement, hol_compose, hol_identity, hol_invert
+from .endo import aut_generators, aut_order, make_endo
+from .errors import CapacityError, HolobraceError, InternalConsistencyError, InvalidInputError
+from .holomorph import HolElement, to_kernel
+from .kernel import get_kernel
 from .presentations import DIHEDRAL, QUATERNION, TargetKind
 
 CYCLIC = "cyclic"
@@ -35,24 +40,20 @@ class StructuredGeneratorPair:
     params: tuple[int, ...]  # cyclic: (alpha, v, beta, w); rank2: (a,b,r,s,alpha,beta,v1,v2,w1,w2)
 
     def group(self) -> GroupSpec:
-        if self.family == CYCLIC:
-            return make_group([1 << self.n])
-        return make_group([2, 1 << (self.n - 1)])
+        return make_group([1 << self.n] if self.family == CYCLIC else [2, 1 << (self.n - 1)])
 
-    def instantiate(self) -> tuple[HolElement, HolElement]:
-        grp = self.group()
+    def affine(self) -> tuple[tuple, tuple]:
+        """(X, Y) as plain-integer encodings, equal to `instantiate()`'s."""
         if self.family == CYCLIC:
             alpha, v, beta, w = self.params
-            exps = (self.n,)
-            x = HolElement(grp, (make_endo(2, exps, [[alpha]]),), (v,))
-            y = HolElement(grp, (make_endo(2, exps, [[beta]]),), (w,))
-            return x, y
+            return ((alpha,), (v,)), ((beta,), (w,))
         a, b, r, s, alpha, beta, v1, v2, w1, w2 = self.params
-        exps = (1, self.n - 1)
         half = 1 << (self.n - 2)
-        x = HolElement(grp, (make_endo(2, exps, [[1, a], [half * b, alpha]]),), (v1, v2))
-        y = HolElement(grp, (make_endo(2, exps, [[1, r], [half * s, beta]]),), (w1, w2))
-        return x, y
+        return ((1, a, half * b, alpha), (v1, v2)), ((1, r, half * s, beta), (w1, w2))
+
+    def instantiate(self) -> tuple[HolElement, HolElement]:
+        """(X, Y) as validated holomorph elements."""
+        return tuple(_element_from_encoding(self.group(), e) for e in self.affine())
 
 
 @dataclass(frozen=True)
@@ -70,38 +71,54 @@ class StructuredCensus:
         return self.pairs[0].group()
 
 
-# -- small algebraic subgroup helpers ------------------------------------------
+# -- plain-integer affine maps --------------------------------------------------
 
 
-def _closure(gens: list[HolElement], bound: int) -> dict:
-    """Encoding -> element map of the generated subgroup; error above bound."""
-    ident = hol_identity(gens[0].group)
-    seen = {ident.encode(): ident}
-    frontier = [ident]
+def _compose(x, y, mods: tuple[int, ...]):
+    """(A, v)(B, w) = (AB, A(w) + v) on encodings of rank 1 or 2."""
+    if len(mods) == 1:
+        ((a,), (v,)), ((b,), (w,)), (m,) = x, y, mods
+        return ((a * b % m,), ((a * w + v) % m,))
+    ((a0, a1, a2, a3), (v0, v1)), ((b0, b1, b2, b3), (w0, w1)), (lo, hi) = x, y, mods
+    return (
+        ((a0 * b0 + a1 * b2) % lo, (a0 * b1 + a1 * b3) % lo, (a2 * b0 + a3 * b2) % hi, (a2 * b1 + a3 * b3) % hi),
+        ((a0 * w0 + a1 * w1 + v0) % lo, (a2 * w0 + a3 * w1 + v1) % hi),
+    )
+
+
+def _reach(start, moves, step, bound: int) -> frozenset:
+    """Everything reachable from `start` by `step(cur, move)`; error above bound."""
+    seen = {start}
+    frontier = [start]
     while frontier:
         cur = frontier.pop()
-        for g in gens:
-            nxt = hol_compose(cur, g)
-            enc = nxt.encode()
-            if enc not in seen:
+        for move in moves:
+            nxt = step(cur, move)
+            if nxt not in seen:
                 if len(seen) >= bound:
-                    raise InvalidInputError("closure exceeded expected subgroup order")
-                seen[enc] = nxt
+                    raise InvalidInputError(f"closure exceeded its expected size {bound}")
+                seen.add(nxt)
                 frontier.append(nxt)
-    return seen
+    return frozenset(seen)
+
+
+def _closure(gens, mods: tuple[int, ...], bound: int) -> frozenset:
+    """Encodings of the subgroup generated by `gens`; error above bound."""
+    ident = ((1,), (0,)) if len(mods) == 1 else ((1, 0, 0, 1), (0, 0))
+    return _reach(ident, gens, lambda e, g: _compose(e, g, mods), bound)
+
+
+def _is_regular(elems: frozenset, order: int) -> bool:
+    return len(elems) == order and len({e[1] for e in elems}) == order
 
 
 def subgroup_elements(pair: StructuredGeneratorPair) -> frozenset:
-    """Encodings of the subgroup generated by the instantiated pair."""
-    return frozenset(_closure(list(pair.instantiate()), 2 * pair.kind.order))
+    """Encodings of the subgroup generated by the solved pair."""
+    return _closure(pair.affine(), pair.group().factors, 2 * pair.kind.order)
 
 
 def instantiated_is_regular(pair: StructuredGeneratorPair) -> bool:
-    elems = subgroup_elements(pair)
-    return (
-        len(elems) == pair.kind.order
-        and len({enc[1] for enc in elems}) == pair.kind.order
-    )
+    return _is_regular(subgroup_elements(pair), pair.kind.order)
 
 
 # -- C_{2^n} --------------------------------------------------------------------
@@ -120,13 +137,15 @@ def solve_cyclic(n: int, family: str) -> StructuredCensus:
 
     Enumerates every solution of the reduced congruence system over
     (alpha, v, beta, w) mod 2^n, keeps the regular ones, and groups them into
-    subgroups.
+    subgroups.  The |X| * |Y| candidate pairs are bounded by
+    `config.aut_candidate_cap()`.
     """
     if n < 4:
         raise StructuredRangeError(f"cyclic solver needs n >= 4, got {n}")
     if family not in (QUATERNION, DIHEDRAL):
         raise InvalidInputError(f"unknown family {family!r}")
     mod = 1 << n
+    mods = (mod,)
     half = mod >> 1
     quarter = mod >> 3  # 2^{n-3}, the coefficient of the order-exactness test
     kind = TargetKind(family, n, 1)
@@ -142,22 +161,27 @@ def solve_cyclic(n: int, family: str) -> StructuredCensus:
     y_sols = [
         (beta, w) for beta in roots for w in range(mod) if ((1 + beta) * w) % mod == rhs
     ]
+    needed, cap = len(x_sols) * len(y_sols), config.aut_candidate_cap()
+    if needed > cap:
+        raise CapacityError(f"cyclic family solver at n={n}: too many (X, Y) pairs", needed=needed, cap=cap)
     subgroups: dict[frozenset, StructuredGeneratorPair] = {}
     for alpha, v in x_sols:
         x_enc = ((alpha,), (v,))
+        # Translations of the powers of X.  A Y sharing one with some X^i
+        # fails the order check (Y = X^i) or the regularity check.
+        x_trans, t = {0}, v
+        while t:
+            x_trans.add(t)
+            t = (alpha * t + v) % mod
         for beta, w in y_sols:
-            if ((alpha + beta) * v) % mod != ((alpha - 1) * w) % mod:
+            if w in x_trans or ((alpha + beta) * v) % mod != ((alpha - 1) * w) % mod:
                 continue
             y_enc = ((beta,), (w,))
             if any(x_enc in key and y_enc in key for key in subgroups):
                 continue
-            pair = StructuredGeneratorPair(CYCLIC, n, kind, (alpha, v, beta, w))
-            elems = subgroup_elements(pair)
-            if len(elems) != kind.order:
-                continue
-            if len({e[1] for e in elems}) != kind.order:
-                continue  # not regular
-            subgroups.setdefault(elems, pair)
+            elems = _closure((x_enc, y_enc), mods, 2 * kind.order)
+            if _is_regular(elems, kind.order):
+                subgroups.setdefault(elems, StructuredGeneratorPair(CYCLIC, n, kind, (alpha, v, beta, w)))
     pairs = tuple(subgroups[k] for k in sorted(subgroups, key=sorted))
     r = len(pairs)
     if r != 1:
@@ -166,16 +190,6 @@ def solve_cyclic(n: int, family: str) -> StructuredCensus:
 
 
 # -- C_2 x C_{2^{n-1}} -------------------------------------------------------------
-
-
-def _rank2_aut_conjugators(n: int) -> list[tuple[HolElement, HolElement]]:
-    """Generators of Aut(C_2 x C_{2^{n-1}}) as holomorph elements, with inverses."""
-    grp = make_group([2, 1 << (n - 1)])
-    out = []
-    for aut in aut_generators(grp):
-        g = HolElement(grp, aut, (0, 0))
-        out.append((g, hol_invert(g)))
-    return out
 
 
 def solve_rank2(n: int, family: str) -> StructuredCensus:
@@ -206,35 +220,39 @@ def solve_rank2(n: int, family: str) -> StructuredCensus:
                 )
     if len(fundamentals) != 8:
         raise InternalConsistencyError(f"expected 8 fundamental solutions, got {len(fundamentals)}")
-    subs: dict[frozenset, tuple] = {}
+    mods = (2, mod)
+    subs: dict[frozenset, StructuredGeneratorPair] = {}
     for pair in fundamentals:
-        x, y = pair.instantiate()
-        members = _closure([x, y], 2 * kind.order)
-        if len(members) != kind.order or len({e[1] for e in members}) != kind.order:
+        members = _closure(pair.affine(), mods, 2 * kind.order)
+        if not _is_regular(members, kind.order):
             raise InternalConsistencyError(f"fundamental pair {pair.params} is not regular")
-        subs[frozenset(members)] = (tuple(members.values()), pair)
+        subs[members] = pair
     if len(subs) != 8:
         raise InternalConsistencyError("fundamental subgroups are not distinct")
-    conjugators = _rank2_aut_conjugators(n)
-    orbits: list[set[frozenset]] = []
+    conjugators = []  # (A, A^{-1}) per generator of Aut(N), A^{-1} = det(A)^{-1} adj(A)
+    for (aut,) in aut_generators(make_group(mods)):
+        m00, m01, m10, m11 = aut.flat()
+        u = pow(m00 * m11 - m01 * m10, -1, mod)
+        inverse = (m11 * u % 2, -m01 * u % 2, -m10 * u % mod, m00 * u % mod)
+        conjugators.append(((aut.flat(), (0, 0)), (inverse, (0, 0))))
+    gens = {key: pair.affine() for key, pair in subs.items()}  # generators of each known subgroup
+
+    def conjugate(sub, g):
+        # g<X, Y>g^{-1} = <gXg^{-1}, gYg^{-1}>, so a known subgroup holding both is it
+        x, y = (_compose(_compose(g[0], e, mods), g[1], mods) for e in gens[sub])
+        known = next((k for k in gens if x in k and y in k), None)
+        if known is None:
+            known = _closure((x, y), mods, 2 * kind.order)
+            gens[known] = (x, y)
+        return known
+
+    orbits: list[frozenset] = []
     seen: set[frozenset] = set()
     for key in sorted(subs, key=sorted):
-        if key in seen:
-            continue
-        elems = subs[key][0]
-        orbit = {key}
-        frontier = [elems]
-        while frontier:
-            cur = frontier.pop()
-            for g, ginv in conjugators:
-                nxt = tuple(hol_compose(hol_compose(g, e), ginv) for e in cur)
-                nkey = frozenset(e.encode() for e in nxt)
-                if nkey not in orbit:
-                    orbit.add(nkey)
-                    frontier.append(nxt)
-        orbits.append(orbit)
-        seen |= orbit
-    pairs = tuple(subs[k][1] for k in sorted(subs, key=sorted))
+        if key not in seen:
+            orbits.append(_reach(key, conjugators, conjugate, aut_order(make_group(mods))))
+            seen |= orbits[-1]
+    pairs = tuple(subs[k] for k in sorted(subs, key=sorted))
     sizes = tuple(sorted(len(o) for o in orbits))
     all_sets = tuple(sorted(seen, key=sorted))
     return StructuredCensus(RANK2, n, kind, pairs, len(seen), len(orbits), sizes, all_sets)
@@ -253,26 +271,17 @@ def solve_family(group: GroupSpec, family: str) -> StructuredCensus:
 
 
 def _element_from_encoding(group: GroupSpec, enc) -> HolElement:
-    flat, trans = enc
-    p = group.primes[0]
-    exps = group.exponents(p)
+    """The validated holomorph element behind an encoding of a 2-group's Hol."""
+    (flat, trans), exps = enc, group.exponents(2)
     r = len(exps)
-    rows = [list(flat[i * r : (i + 1) * r]) for i in range(r)]
-    return HolElement(group, (make_endo(p, exps, rows),), trans)
+    return HolElement(group, (make_endo(2, exps, [flat[i * r : (i + 1) * r] for i in range(r)]),), trans)
 
 
 def census_kernel_keys(census: StructuredCensus) -> frozenset:
     """Subgroup canonical keys in the generic engine's representation."""
-    from .holomorph import to_kernel
-    from .kernel import get_kernel
-
     grp = census.group()
     kern = get_kernel(grp)
-    keys = set()
-    for enc_set in census.subgroup_encodings:
-        keys.add(
-            tuple(
-                sorted(kern.code(to_kernel(_element_from_encoding(grp, e))) for e in enc_set)
-            )
-        )
-    return frozenset(keys)
+    return frozenset(
+        tuple(sorted(kern.code(to_kernel(_element_from_encoding(grp, e))) for e in enc_set))
+        for enc_set in census.subgroup_encodings
+    )

@@ -122,6 +122,45 @@ def test_capacity_exit_code(capsys, monkeypatch):
     assert "capacity" in err.lower() or "cap" in err
 
 
+def test_capacity_error_details_on_stderr(capsys, monkeypatch):
+    import holobrace.cli as cli
+    from holobrace.errors import CapacityError
+
+    monkeypatch.setenv("HOLOBRACE_HOL_CAP", "64")
+    code, out, err = run(capsys, "census", "--N", "c4xc4", "--G", "q16", "--direct")
+    assert code == EXIT_CAPACITY and out == ""
+    assert err.startswith("capacity exceeded: ") and err.endswith(", cap 64)\n")
+    assert "(needed " in err
+
+    def refuse(*args, **kwargs):
+        raise CapacityError("no sizes known")
+
+    monkeypatch.setattr(cli, "census", refuse)
+    code, out, err = run(capsys, "census", "--N", "c2xc4", "--G", "d8")
+    assert (code, out, err) == (EXIT_CAPACITY, "", "capacity exceeded: no sizes known\n")
+
+
+def test_cyclic_family_budget_exit_code(capsys, monkeypatch):
+    from holobrace.counts import two_power_census
+
+    # C64 D64: 32 X candidates times 100 Y candidates, past a cap of 1000
+    monkeypatch.setenv("HOLOBRACE_CAP", "1000")
+    two_power_census.cache_clear()  # the census cache does not key on the cap
+    code, out, err = run(capsys, "census", "--N", "c64", "--G", "d64")
+    assert code == EXIT_CAPACITY and out == ""
+    assert err.endswith("(needed 3200, cap 1000)\n")
+    monkeypatch.delenv("HOLOBRACE_CAP")
+    code, out, _ = run(capsys, "census", "--N", "c64", "--G", "d64")
+    assert code == EXIT_OK and (json.loads(out)["c"], json.loads(out)["r"]) == (1, 1)
+
+
+def test_spectrum_workers_default_to_one():
+    from holobrace.cli import build_parser
+
+    assert build_parser().parse_args(["spectrum", "--N", "c2xc8"]).workers == 1
+    assert build_parser().parse_args(["spectrum", "--N", "c2xc8", "--workers", "2"]).workers == 2
+
+
 def test_spectrum_workers_deterministic(capsys):
     a = run(capsys, "spectrum", "--N", "c2xc8", "--workers", "1")
     b = run(capsys, "spectrum", "--N", "c2xc8", "--workers", "2")

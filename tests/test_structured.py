@@ -1,10 +1,13 @@
 import pytest
 
 from holobrace.abelian import make_group
-from holobrace.errors import InvalidInputError
-from holobrace.presentations import DIHEDRAL, QUATERNION
+from holobrace.errors import CapacityError, InvalidInputError
+from holobrace.holomorph import hol_compose, hol_identity
+from holobrace.presentations import DIHEDRAL, QUATERNION, TargetKind
 from holobrace.regular import search_regular
 from holobrace.structured import (
+    CYCLIC,
+    StructuredGeneratorPair,
     StructuredRangeError,
     canonical_cyclic_pair,
     census_kernel_keys,
@@ -16,6 +19,47 @@ from holobrace.structured import (
 )
 
 FAMILIES = (QUATERNION, DIHEDRAL)
+
+
+def hol_closure(gens, bound):
+    """Reference closure through validated HolElements: encoding -> element."""
+    ident = hol_identity(gens[0].group)
+    seen = {ident.encode(): ident}
+    frontier = [ident]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = hol_compose(cur, g)
+            if nxt.encode() not in seen:
+                assert len(seen) < bound, "closure exceeded expected subgroup order"
+                seen[nxt.encode()] = nxt
+                frontier.append(nxt)
+    return seen
+
+
+def unpruned_cyclic_pairs(n, family):
+    """solve_cyclic's search without the translation prune: subgroup -> first pair."""
+    mod = 1 << n
+    kind = TargetKind(family, n, 1)
+    roots = [a for a in range(1, mod, 2) if a * a % mod == 1]
+    rhs = mod >> 1 if family == QUATERNION else 0
+    x_sols = [
+        (alpha, v)
+        for alpha in roots
+        for v in range(mod)
+        if ((1 + alpha) * v) % 8 == 4 and ((mod >> 3) * (1 + alpha) * v) % mod != 0
+    ]
+    y_sols = [(beta, w) for beta in roots for w in range(mod) if ((1 + beta) * w) % mod == rhs]
+    found = {}
+    for alpha, v in x_sols:
+        for beta, w in y_sols:
+            if ((alpha + beta) * v) % mod != ((alpha - 1) * w) % mod:
+                continue
+            pair = StructuredGeneratorPair(CYCLIC, n, kind, (alpha, v, beta, w))
+            elems = subgroup_elements(pair)
+            if len(elems) == kind.order and len({e[1] for e in elems}) == kind.order:
+                found.setdefault(elems, pair)
+    return found
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -94,13 +138,47 @@ def test_instantiation_property_up_to_bound(family, bound=12):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_pairs_classify_correctly(family):
     from holobrace.presentations import classify_subgroup
-    from holobrace.structured import _closure
 
     for n in (5, 6):
         res = solve_rank2(n, family)
         pair = res.pairs[0]
-        elems = list(_closure(list(pair.instantiate()), 2 * pair.kind.order).values())
+        elems = list(hol_closure(pair.instantiate(), 2 * pair.kind.order).values())
         assert classify_subgroup(elems) == pair.kind
+
+
+@pytest.mark.parametrize("solver", [solve_cyclic, solve_rank2])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [5, 6])
+def test_integer_closure_matches_holelement_closure(n, family, solver):
+    res = solver(n, family)
+    for pair in res.pairs:
+        x, y = pair.instantiate()
+        assert (x.encode(), y.encode()) == pair.affine()
+        reference = hol_closure([x, y], 2 * pair.kind.order)
+        assert subgroup_elements(pair) == frozenset(reference)
+    assert set(res.subgroup_encodings) >= {subgroup_elements(p) for p in res.pairs}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_pruned_cyclic_search_matches_unpruned(n, family):
+    found = unpruned_cyclic_pairs(n, family)
+    res = solve_cyclic(n, family)
+    assert res.subgroup_encodings == tuple(found)
+    assert res.pairs == tuple(found.values())
+
+
+def test_cyclic_pair_budget(monkeypatch):
+    monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
+    # (11, dihedral): 2^10 X candidates times 3076 Y candidates > 2^21
+    with pytest.raises(CapacityError) as err:
+        solve_cyclic(11, DIHEDRAL)
+    assert (err.value.needed, err.value.cap) == (1024 * 3076, 1 << 21)
+    monkeypatch.setenv("HOLOBRACE_CAP", str(32 * 100 - 1))
+    with pytest.raises(CapacityError):
+        solve_cyclic(6, DIHEDRAL)
+    monkeypatch.setenv("HOLOBRACE_CAP", str(32 * 100))
+    assert solve_cyclic(6, DIHEDRAL).r == 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)
