@@ -215,8 +215,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="parallel workers for the order census; each rebuilds the pool (results are identical)",
+        help="parallel workers for the order census (default: one per CPU, at most one per"
+        " 8192 elements of Hol(N); results are identical)",
     )
     p.set_defaults(func=_cmd_spectrum)
 

@@ -6,6 +6,7 @@ the block-matrix convention (A, v)(B, w) = (AB, A(w) + v).
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -112,15 +113,31 @@ def exponent_bound(group: GroupSpec, p: int) -> int:
     return p ** (t + d - 1)
 
 
-def order_spectrum(group: GroupSpec, cap: int | None = None, workers: int = 1) -> dict[int, int]:
-    """Exact census of element orders of Hol(N)."""
+# Pool elements per worker process below which a worker costs more than it
+# saves.  On 2 CPUs: |Hol(N)| = 4096 (C4 x C8) takes 0.25 s serial and 0.29 s
+# with 2 workers; 49152 (C2 x C2 x C16) 1.1 s and 0.84 s; 65536 (C4 x C32)
+# 2.0 s and 1.5 s.
+SPECTRUM_CHUNK = 1 << 13
+
+
+def order_spectrum(
+    group: GroupSpec, cap: int | None = None, workers: int | None = None
+) -> dict[int, int]:
+    """Exact census of element orders of Hol(N).
+
+    `workers=None` runs one process per CPU, but no more than one per
+    SPECTRUM_CHUNK elements of Hol(N).
+    """
     kern = get_kernel(group)
     cap = cap if cap is not None else config.full_hol_cap()
+    pool = kern.full_pool(cap)
+    if workers is None:
+        workers = max(1, min(os.cpu_count() or 1, len(pool) // SPECTRUM_CHUNK))
     counts: Counter[int] = Counter()
     if workers > 1:
         counts.update(_spectrum_parallel(group, workers, cap))
     else:
-        for x in kern.full_pool(cap):
+        for x in pool:
             counts[kern.order(x)] += 1
     return dict(sorted(counts.items()))
 

@@ -98,6 +98,14 @@ class PrimeSpace:
         memo[p] = result
         return result
 
+    def cycle_through(self, p: bytes, i: int) -> int:
+        length = 1
+        cur = p[i]
+        while cur != i:
+            cur = p[cur]
+            length += 1
+        return length
+
     # -- affine maps ----------------------------------------------------------
 
     def linear_perm(self, col_idx: list[int]) -> bytes:
@@ -216,6 +224,9 @@ class HolKernel:
             cur = self.compose(x, cur)
             out.append(cur)
         return out
+
+    def merge_index(self, comp_idx) -> int:
+        return sum(i * s for i, s in zip(comp_idx, self.strides))
 
     def trans_index(self, x: KernelElement) -> int:
         return sum(a[0] * s for a, s in zip(x, self.strides))

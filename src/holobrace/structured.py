@@ -40,7 +40,9 @@ class StructuredGeneratorPair:
     params: tuple[int, ...]  # cyclic: (alpha, v, beta, w); rank2: (a,b,r,s,alpha,beta,v1,v2,w1,w2)
 
     def group(self) -> GroupSpec:
-        return make_group([1 << self.n] if self.family == CYCLIC else [2, 1 << (self.n - 1)])
+        if self.family == CYCLIC:
+            return make_group([1 << self.n])
+        return make_group([2, 1 << (self.n - 1)])
 
     def affine(self) -> tuple[tuple, tuple]:
         """(X, Y) as plain-integer encodings, equal to `instantiate()`'s."""
@@ -80,10 +82,13 @@ def _compose(x, y, mods: tuple[int, ...]):
         ((a,), (v,)), ((b,), (w,)), (m,) = x, y, mods
         return ((a * b % m,), ((a * w + v) % m,))
     ((a0, a1, a2, a3), (v0, v1)), ((b0, b1, b2, b3), (w0, w1)), (lo, hi) = x, y, mods
-    return (
-        ((a0 * b0 + a1 * b2) % lo, (a0 * b1 + a1 * b3) % lo, (a2 * b0 + a3 * b2) % hi, (a2 * b1 + a3 * b3) % hi),
-        ((a0 * w0 + a1 * w1 + v0) % lo, (a2 * w0 + a3 * w1 + v1) % hi),
+    matrix = (
+        (a0 * b0 + a1 * b2) % lo,
+        (a0 * b1 + a1 * b3) % lo,
+        (a2 * b0 + a3 * b2) % hi,
+        (a2 * b1 + a3 * b3) % hi,
     )
+    return matrix, ((a0 * w0 + a1 * w1 + v0) % lo, (a2 * w0 + a3 * w1 + v1) % hi)
 
 
 def _reach(start, moves, step, bound: int) -> frozenset:
@@ -115,10 +120,6 @@ def _is_regular(elems: frozenset, order: int) -> bool:
 def subgroup_elements(pair: StructuredGeneratorPair) -> frozenset:
     """Encodings of the subgroup generated by the solved pair."""
     return _closure(pair.affine(), pair.group().factors, 2 * pair.kind.order)
-
-
-def instantiated_is_regular(pair: StructuredGeneratorPair) -> bool:
-    return _is_regular(subgroup_elements(pair), pair.kind.order)
 
 
 # -- C_{2^n} --------------------------------------------------------------------
@@ -163,7 +164,9 @@ def solve_cyclic(n: int, family: str) -> StructuredCensus:
     ]
     needed, cap = len(x_sols) * len(y_sols), config.aut_candidate_cap()
     if needed > cap:
-        raise CapacityError(f"cyclic family solver at n={n}: too many (X, Y) pairs", needed=needed, cap=cap)
+        raise CapacityError(
+            f"cyclic family solver at n={n}: too many (X, Y) pairs", needed=needed, cap=cap
+        )
     subgroups: dict[frozenset, StructuredGeneratorPair] = {}
     for alpha, v in x_sols:
         x_enc = ((alpha,), (v,))
@@ -180,8 +183,10 @@ def solve_cyclic(n: int, family: str) -> StructuredCensus:
             if any(x_enc in key and y_enc in key for key in subgroups):
                 continue
             elems = _closure((x_enc, y_enc), mods, 2 * kind.order)
-            if _is_regular(elems, kind.order):
-                subgroups.setdefault(elems, StructuredGeneratorPair(CYCLIC, n, kind, (alpha, v, beta, w)))
+            if not _is_regular(elems, kind.order):
+                continue
+            pair = StructuredGeneratorPair(CYCLIC, n, kind, (alpha, v, beta, w))
+            subgroups.setdefault(elems, pair)
     pairs = tuple(subgroups[k] for k in sorted(subgroups, key=sorted))
     r = len(pairs)
     if r != 1:
@@ -271,17 +276,23 @@ def solve_family(group: GroupSpec, family: str) -> StructuredCensus:
 
 
 def _element_from_encoding(group: GroupSpec, enc) -> HolElement:
-    """The validated holomorph element behind an encoding of a 2-group's Hol."""
-    (flat, trans), exps = enc, group.exponents(2)
+    flat, trans = enc
+    p = group.primes[0]
+    exps = group.exponents(p)
     r = len(exps)
-    return HolElement(group, (make_endo(2, exps, [flat[i * r : (i + 1) * r] for i in range(r)]),), trans)
+    rows = [list(flat[i * r : (i + 1) * r]) for i in range(r)]
+    return HolElement(group, (make_endo(p, exps, rows),), trans)
 
 
 def census_kernel_keys(census: StructuredCensus) -> frozenset:
     """Subgroup canonical keys in the generic engine's representation."""
     grp = census.group()
     kern = get_kernel(grp)
-    return frozenset(
-        tuple(sorted(kern.code(to_kernel(_element_from_encoding(grp, e))) for e in enc_set))
-        for enc_set in census.subgroup_encodings
-    )
+    keys = set()
+    for enc_set in census.subgroup_encodings:
+        keys.add(
+            tuple(
+                sorted(kern.code(to_kernel(_element_from_encoding(grp, e))) for e in enc_set)
+            )
+        )
+    return frozenset(keys)

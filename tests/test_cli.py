@@ -154,13 +154,6 @@ def test_cyclic_family_budget_exit_code(capsys, monkeypatch):
     assert code == EXIT_OK and (json.loads(out)["c"], json.loads(out)["r"]) == (1, 1)
 
 
-def test_spectrum_workers_default_to_one():
-    from holobrace.cli import build_parser
-
-    assert build_parser().parse_args(["spectrum", "--N", "c2xc8"]).workers == 1
-    assert build_parser().parse_args(["spectrum", "--N", "c2xc8", "--workers", "2"]).workers == 2
-
-
 def test_spectrum_workers_deterministic(capsys):
     a = run(capsys, "spectrum", "--N", "c2xc8", "--workers", "1")
     b = run(capsys, "spectrum", "--N", "c2xc8", "--workers", "2")

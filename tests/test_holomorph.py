@@ -1,3 +1,4 @@
+from collections import Counter
 from math import gcd, lcm
 
 import pytest
@@ -136,6 +137,30 @@ def test_order_spectrum_cyclic_oracle_wider():
 def test_spectrum_workers_agree():
     base = order_spectrum(make_group([2, 8]))
     assert order_spectrum(make_group([2, 8]), workers=2) == base
+
+
+def test_spectrum_workers_follow_pool_size(monkeypatch):
+    import holobrace.holomorph as holomorph
+
+    used = []
+
+    def spy(group, workers, cap):
+        used.append(workers)
+        return Counter()
+
+    monkeypatch.setattr(holomorph, "_spectrum_parallel", spy)
+    monkeypatch.setattr(holomorph.os, "cpu_count", lambda: 64)
+    order_spectrum(make_group([4, 8]))  # |Hol| = 4096: serial
+    assert used == []
+    order_spectrum(make_group([2, 64]))  # |Hol| = 16384: two chunks of 8192
+    order_spectrum(make_group([2, 64]), workers=3)
+    monkeypatch.setattr(holomorph.os, "cpu_count", lambda: 1)
+    order_spectrum(make_group([2, 64]))
+    assert used == [2, 3]
+
+    from holobrace.cli import build_parser
+
+    assert build_parser().parse_args(["spectrum", "--N", "c2xc8"]).workers is None
 
 
 def test_power_formula():

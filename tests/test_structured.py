@@ -2,7 +2,7 @@ import pytest
 
 from holobrace.abelian import make_group
 from holobrace.errors import CapacityError, InvalidInputError
-from holobrace.holomorph import hol_compose, hol_identity
+from holobrace.holomorph import hol_apply, hol_compose, hol_identity, hol_invert, hol_power
 from holobrace.presentations import DIHEDRAL, QUATERNION, TargetKind
 from holobrace.regular import search_regular
 from holobrace.structured import (
@@ -11,7 +11,6 @@ from holobrace.structured import (
     StructuredRangeError,
     canonical_cyclic_pair,
     census_kernel_keys,
-    instantiated_is_regular,
     solve_cyclic,
     solve_family,
     solve_rank2,
@@ -35,6 +34,40 @@ def hol_closure(gens, bound):
                 seen[nxt.encode()] = nxt
                 frontier.append(nxt)
     return seen
+
+
+def holelement_subgroup(pair):
+    """The pair's subgroup closed through validated HolElements, checked regular."""
+    x, y = pair.instantiate()
+    assert (x.encode(), y.encode()) == pair.affine()
+    elems = frozenset(hol_closure([x, y], 2 * pair.kind.order))
+    assert len(elems) == pair.kind.order
+    assert len({enc[1] for enc in elems}) == pair.kind.order
+    return elems
+
+
+def assert_regular_of_its_kind(pair):
+    """Check through validated HolElements, without closing the subgroup, that
+    the pair generates a regular subgroup of its kind.
+
+    X and Y satisfy the presentation of Q or D of order 2^n, so <X, Y> is
+    {X^i Y^e} with at most 2^n elements; these move 0 to 2^n distinct points,
+    so the action is regular and <X, Y> is the full quotient, Q or D itself.
+    """
+    x, y = pair.instantiate()
+    assert (x.encode(), y.encode()) == pair.affine()
+    half_x = pair.kind.order // 4  # X has order 2^{n-1}; X^{2^{n-2}} is central
+    ident = hol_identity(x.group)
+    assert hol_power(x, 2 * half_x).encode() == ident.encode()
+    y_squared = hol_power(x, half_x) if pair.kind.family == QUATERNION else ident
+    assert hol_compose(y, y).encode() == y_squared.encode()
+    assert hol_compose(hol_compose(y, x), hol_invert(y)).encode() == hol_invert(x).encode()
+    points = set()
+    for point in (ident.trans, y.trans):
+        for _ in range(2 * half_x):
+            points.add(point)
+            point = hol_apply(x, point)
+    assert len(points) == pair.kind.order
 
 
 def unpruned_cyclic_pairs(n, family):
@@ -93,7 +126,7 @@ def test_range_guards(family):
 def test_canonical_pair_matches_solution(family):
     for n in (4, 5, 6):
         pair = canonical_cyclic_pair(n, family)
-        assert instantiated_is_regular(pair)
+        assert holelement_subgroup(pair) == subgroup_elements(pair)
         solved = solve_cyclic(n, family)
         assert subgroup_elements(pair) == subgroup_elements(solved.pairs[0])
 
@@ -125,14 +158,22 @@ def test_rank2_oracle_at_n6(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_instantiation_property_up_to_bound(family, bound=12):
-    """Every solved pair generates a regular subgroup of the right kind."""
+    """Every solved pair generates a regular subgroup of the right kind.
+
+    Checked through validated HolElements, independently of the solvers'
+    integer arithmetic.  Where closing the subgroup that way is cheap, it must
+    also equal the solvers' closure.
+    """
     for n in range(4, bound + 1):
         pair = canonical_cyclic_pair(n, family)
-        assert instantiated_is_regular(pair)
+        assert_regular_of_its_kind(pair)
+        assert holelement_subgroup(pair) == subgroup_elements(pair)
     for n in range(5, bound + 1):
         res = solve_rank2(n, family)
         for pair in res.pairs:
-            assert instantiated_is_regular(pair)
+            assert_regular_of_its_kind(pair)
+            if n <= 8:
+                assert holelement_subgroup(pair) == subgroup_elements(pair)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -152,10 +193,7 @@ def test_pairs_classify_correctly(family):
 def test_integer_closure_matches_holelement_closure(n, family, solver):
     res = solver(n, family)
     for pair in res.pairs:
-        x, y = pair.instantiate()
-        assert (x.encode(), y.encode()) == pair.affine()
-        reference = hol_closure([x, y], 2 * pair.kind.order)
-        assert subgroup_elements(pair) == frozenset(reference)
+        assert holelement_subgroup(pair) == subgroup_elements(pair)
     assert set(res.subgroup_encodings) >= {subgroup_elements(p) for p in res.pairs}
 
 
