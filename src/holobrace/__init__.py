@@ -17,7 +17,7 @@ from .counts import (
     table3_report,
     table4_report,
 )
-from .endo import AutGroup, EndoMatrix, enumerate_aut, sylow_p_aut
+from .endo import AutGroup, EndoMatrix, enumerate_aut
 from .errors import (
     CapacityError,
     HolobraceError,

@@ -14,9 +14,26 @@ from itertools import product as _product
 from math import gcd, lcm, prod
 from typing import Iterator
 
-from .errors import InvalidInputError
+from .errors import CapacityError, InvalidInputError
 
 Element = tuple[int, ...]
+
+
+def reach(start, moves, step, bound: int) -> frozenset:
+    """Everything reachable from `start` by `step(cur, move)`: a subgroup from
+    its generators, an orbit from a point.  CapacityError past `bound` nodes."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        for move in moves:
+            nxt = step(cur, move)
+            if nxt not in seen:
+                if len(seen) >= bound:
+                    raise CapacityError(f"closure exceeded its bound {bound}", cap=bound)
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -116,10 +133,6 @@ class GroupSpec:
 
     def sub(self, g: Element, h: Element) -> Element:
         return self.add(g, self.neg(h))
-
-    def scale(self, k: int, g: Element) -> Element:
-        self.check_element(g)
-        return tuple((k * a) % q for a, q in zip(g, self.factors))
 
     def element_order(self, g: Element) -> int:
         """Least k >= 1 with k*g = 0; the lcm of per-factor residue orders."""

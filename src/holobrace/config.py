@@ -4,9 +4,10 @@ import os
 
 from .errors import InvalidInputError
 
-# Candidates examined per prime block when automorphisms are enumerated in
-# full, which only the element pools and `spectrum --dump-aut` need; orders
-# and generators of Aut(N) come from closed forms.
+# Automorphisms per prime block when a block of Aut(N) or its Sylow subgroup
+# is built (element pools, `spectrum --dump-aut`), checked against the closed
+# form before building; also the cyclic family solver's (X, Y) pairs and the
+# rank-2 family solver's subgroup encodings.
 DEFAULT_AUT_CANDIDATE_CAP = 1 << 21
 
 # Above this many elements Hol(N) is not scanned in full; searches fall back

@@ -23,6 +23,7 @@ from .presentations import (
     DIHEDRAL,
     QUATERNION,
     TargetKind,
+    _kind_of_order,
     admissible_types,
     aut_order,
 )
@@ -106,15 +107,20 @@ def _rank2_2group(n: int) -> GroupSpec:
     return make_group([2, 1 << (n - 1)])
 
 
-@lru_cache(maxsize=None)
 def two_power_census(group: GroupSpec, family: str) -> CensusResult:
     """Complete census for a 2-group: search, family solver, or theorem zero.
 
     Types outside the admissible list, and admissible non-family types with
     n >= 6, are zero by the nonexistence results (search-verified at n = 5,
     where scanning is still cheap).  A search that scanned all of Hol(N)
-    reports "direct", one that took the Sylow path "sylow".
+    reports "direct", one that took the Sylow path "sylow".  Answers are
+    cached per budget, so a budget lowered later still fires.
     """
+    return _two_power_census(group, family, config.aut_candidate_cap(), config.full_hol_cap())
+
+
+@lru_cache(maxsize=None)
+def _two_power_census(group: GroupSpec, family: str, aut_cap: int, hol_cap: int) -> CensusResult:
     n = group.two_adic
     if group.odd_order != 1:
         raise InvalidInputError(f"{group} is not a 2-group")
@@ -126,7 +132,7 @@ def two_power_census(group: GroupSpec, family: str) -> CensusResult:
         return _result(group, kind, 0, (), "type-theorem")
     if n >= 6:
         return _result(group, kind, 0, (), "zero-family")
-    res = search_regular(group, kind)
+    res = search_regular(group, kind, cap=hol_cap)
     return _from_search(res, "direct" if res.method == "full" else "sylow")
 
 
@@ -221,22 +227,12 @@ def d_computed(order: int) -> int:
 
 
 def _family_total(order: int, family: str) -> int:
-    kind = TargetKind(family, *_split_order(order))
+    kind = _kind_of_order(family, order)
     total = 0
     for two_type in admissible_types(kind.n):
         group = make_group((kind.s,) + two_type.factors) if kind.s > 1 else two_type
         total += census(group, kind).c
     return total
-
-
-def _split_order(order: int):
-    n, s = 0, order
-    while s % 2 == 0:
-        s //= 2
-        n += 1
-    if n < 2:
-        raise InvalidInputError(f"order {order} is not 4m")
-    return n, s
 
 
 # -- tables ------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from math import prod
 
 from . import config
 from .abelian import Element, GroupSpec, _factorize
-from .errors import CapacityError, InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,6 @@ def endo_compose(m1: EndoMatrix, m2: EndoMatrix) -> EndoMatrix:
     return make_endo(m1.p, m1.exponents, rows)
 
 
-def endo_add(m1: EndoMatrix, m2: EndoMatrix) -> EndoMatrix:
-    if (m1.p, m1.exponents) != (m2.p, m2.exponents):
-        raise InvalidInputError("matrices live over different p-groups")
-    rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(m1.rows, m2.rows)]
-    return make_endo(m1.p, m1.exponents, rows)
-
-
 def _invertible_mod_p(rows, p: int, r: int) -> bool:
     """Gaussian elimination over F_p."""
     m = [[v % p for v in row] for row in rows]
@@ -159,42 +152,6 @@ def invert(m: EndoMatrix) -> EndoMatrix:
     return out
 
 
-# -- enumeration -------------------------------------------------------------
-
-
-def _column_pool(spec: GroupSpec, j: int) -> list[Element]:
-    """Elements of order dividing p^{a_j}: the legal j-th columns."""
-    p = spec.primes[0]
-    a_j = spec.exponents(p)[j]
-    pool = []
-    for g in spec.elements():
-        if all(v * p**a_j % q == 0 for v, q in zip(g, spec.factors)):
-            pool.append(g)
-    return pool
-
-
-def _unit_block(spec: GroupSpec, cap: int) -> tuple[EndoMatrix, ...]:
-    """All units of End(N_p), canonically sorted."""
-    p = spec.primes[0]
-    exps = spec.exponents(p)
-    r = len(exps)
-    pools = [_column_pool(spec, j) for j in range(r)]
-    n_cand = prod(len(pool) for pool in pools)
-    if n_cand > cap:
-        raise CapacityError(
-            f"prime block p={p}, exponents {exps}: {n_cand} candidates exceed cap {cap}",
-            needed=n_cand,
-            cap=cap,
-        )
-    units = []
-    for cols in _product(*pools):
-        rows = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-        if _invertible_mod_p(rows, p, r):
-            units.append(EndoMatrix(p, exps, rows))
-    units.sort(key=lambda m: m.flat())
-    return tuple(units)
-
-
 # An automorphism of a general N is a tuple of per-prime blocks, aligned with
 # GroupSpec.primes.
 Aut = tuple[EndoMatrix, ...]
@@ -220,12 +177,19 @@ class AutGroup:
 
 @lru_cache(maxsize=None)
 def _enumerate_aut_cached(group: GroupSpec, cap: int) -> AutGroup:
-    blocks = tuple(_unit_block(group.component(p), cap) for p in group.primes)
-    return AutGroup(group, blocks)
+    from .kernel import _prime_space  # deferred; kernel imports this module
+
+    blocks = []
+    for p in group.primes:
+        space = _prime_space(group.component(p))
+        mats = (space.decode(perm)[0] for perm in space.aut_perms(cap))
+        blocks.append(tuple(sorted(mats, key=EndoMatrix.flat)))
+    return AutGroup(group, tuple(blocks))
 
 
 def enumerate_aut(group: GroupSpec, cap: int | None = None) -> AutGroup:
-    """Exhaustive Aut(N), one canonical representative per unit.
+    """Every element of Aut(N) as matrices, sorted by entries; at most `cap`
+    per prime block.
 
     Mixed-order groups get one block per prime; iteration yields the product.
     """
@@ -241,6 +205,15 @@ def _block_order(p: int, exps: tuple[int, ...]) -> int:
         c = min(l for l in range(1, r + 1) if exps[l - 1] == e)
         total *= (p**d - p**k) * p ** (e * (r - d)) * p ** ((e - 1) * (r - c + 1))
     return total
+
+
+def sylow_order(p: int, exps: tuple[int, ...]) -> int:
+    """|P|, the p-part of the block order."""
+    total, out = _block_order(p, exps), 1
+    while total % p == 0:
+        total //= p
+        out *= p
+    return out
 
 
 def aut_order(group: GroupSpec) -> int:
@@ -259,23 +232,43 @@ def _unit_generators(p: int, a: int) -> list[int]:
     return [g]
 
 
+def _bump(p: int, exps: tuple[int, ...], i: int, j: int, value: int) -> EndoMatrix:
+    """The identity matrix with entry (i, j) set to `value`."""
+    r = len(exps)
+    rows = [[int(a == b) for b in range(r)] for a in range(r)]
+    rows[i][j] = value
+    return make_endo(p, exps, rows)
+
+
 def _hillar_rhea_generators(p: int, exps: tuple[int, ...]) -> list[EndoMatrix]:
     """Adjacent transvections I + p^{max(0, a_i - a_j)} E_ij, |i - j| = 1, and
     per-factor diagonal units: together they generate the unit block."""
     r = len(exps)
     out = []
-
-    def bump(i: int, j: int, value: int) -> EndoMatrix:
-        rows = [[int(a == b) for b in range(r)] for a in range(r)]
-        rows[i][j] = value
-        return make_endo(p, exps, rows)
-
     for i in range(r):
         for j in (i - 1, i + 1):
             if 0 <= j < r:
-                out.append(bump(i, j, p ** max(0, exps[i] - exps[j])))
+                out.append(_bump(p, exps, i, j, p ** max(0, exps[i] - exps[j])))
     for i, a in enumerate(exps):
-        out.extend(bump(i, i, u) for u in _unit_generators(p, a))
+        out.extend(_bump(p, exps, i, i, u) for u in _unit_generators(p, a))
+    return out
+
+
+def sylow_generators(p: int, exps: tuple[int, ...]) -> list[EndoMatrix]:
+    """Generators of the distinguished Sylow p-subgroup of the unit block, the
+    units whose mod-p reduction is unipotent upper triangular: I + E_ij above
+    the diagonal, I + p^{max(1, a_i - a_j)} E_ij below it, and the diagonal
+    units of p-power order."""
+    r = len(exps)
+    out = [
+        _bump(p, exps, i, j, 1 if i < j else p ** max(1, exps[i] - exps[j]))
+        for i in range(r)
+        for j in range(r)
+        if i != j
+    ]
+    for i, a in enumerate(exps):
+        units = _unit_generators(p, a) if p == 2 else [1 + p] if a > 1 else []
+        out.extend(_bump(p, exps, i, i, u) for u in units)
     return out
 
 
@@ -288,38 +281,6 @@ def aut_generators(group: GroupSpec) -> tuple[Aut, ...]:
         for m in _hillar_rhea_generators(p, group.exponents(p)):
             gens.append(ident[:k] + (m,) + ident[k + 1 :])
     return tuple(gens)
-
-
-def sylow_p_aut(group: GroupSpec, p: int, cap: int | None = None) -> tuple[EndoMatrix, ...]:
-    """The distinguished Sylow p-subgroup of Aut(N): units whose mod-p
-    reduction is unipotent upper triangular."""
-    if group.primes != (p,):
-        raise InvalidInputError(f"{group} is not a {p}-group")
-    cap = cap if cap is not None else config.aut_candidate_cap()
-    exps = group.exponents(p)
-    r = len(exps)
-    ranges = []
-    for i in range(r):
-        for j in range(r):
-            mod = p ** exps[i]
-            if i == j:
-                ranges.append(range(1, mod, p))  # diagonal: 1 mod p
-            elif i > j:
-                step = p ** max(1, exps[i] - exps[j])  # below: 0 mod p and divisible
-                ranges.append(range(0, mod, step))
-            else:
-                ranges.append(range(mod))  # above: free (a_i <= a_j)
-    n_cand = prod(len(rg) for rg in ranges)
-    if n_cand > cap:
-        raise CapacityError(
-            f"Sylow block p={p}: {n_cand} candidates exceed cap {cap}", needed=n_cand, cap=cap
-        )
-    out = []
-    for flat in _product(*ranges):
-        rows = tuple(tuple(flat[i * r + j] for j in range(r)) for i in range(r))
-        out.append(EndoMatrix(p, exps, rows))
-    out.sort(key=lambda m: m.flat())
-    return tuple(out)
 
 
 # -- automorphisms of the whole group ----------------------------------------

@@ -13,18 +13,18 @@ from functools import lru_cache
 from math import lcm, prod
 
 from . import config
-from .abelian import Element, GroupSpec
+from .abelian import Element, GroupSpec, reach
 from .endo import (
     Aut,
     EndoMatrix,
     aut_generators,
     aut_order,
     endo_apply,
-    enumerate_aut,
     make_endo,
-    sylow_p_aut,
+    sylow_generators,
+    sylow_order,
 )
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, InternalConsistencyError, InvalidInputError
 
 KernelElement = tuple[bytes, ...]
 
@@ -65,6 +65,10 @@ class PrimeSpace:
         self._which = which
         self._order_memo: dict[bytes, int] = {}
         self._aut_perm_memo: dict[EndoMatrix, bytes] = {}
+        self._blocks: dict[str, list[bytes]] = {}
+        self.p = spec.primes[0]
+        self.aut_size = aut_order(spec)
+        self.sylow_size = sylow_order(self.p, spec.exponents(self.p))
 
     # -- permutation algebra -------------------------------------------------
 
@@ -98,14 +102,6 @@ class PrimeSpace:
         memo[p] = result
         return result
 
-    def cycle_through(self, p: bytes, i: int) -> int:
-        length = 1
-        cur = p[i]
-        while cur != i:
-            cur = p[cur]
-            length += 1
-        return length
-
     # -- affine maps ----------------------------------------------------------
 
     def linear_perm(self, col_idx: list[int]) -> bytes:
@@ -135,23 +131,45 @@ class PrimeSpace:
         cols = [lin[b] for b in self._basis_idx]
         if self.linear_perm(cols) != lin:
             return None
-        exps = self.spec.exponents(self.spec.primes[0]) if self.spec.factors else ()
         r = len(self.spec.factors)
         rows = tuple(tuple(self.elems[cols[j]][i] for j in range(r)) for i in range(r))
-        mat = make_endo(self.spec.primes[0], exps, rows) if r else None
-        return mat, self.elems[v_idx]
+        return make_endo(self.p, self.spec.exponents(self.p), rows), self.elems[v_idx]
 
     # -- element pools ---------------------------------------------------------
 
     def aut_perms(self, cap: int | None = None) -> list[bytes]:
-        block = enumerate_aut(self.spec, cap).blocks[0] if self.spec.factors else ()
-        return [self.aut_perm(m) for m in block] or [self.identity]
+        """Aut(N_p), closed from the Hillar-Rhea generators, sorted."""
+        gens = [block for (block,) in aut_generators(self.spec)]
+        return self._closed_block("full", self.aut_size, gens, cap)
 
     def sylow_aut_perms(self, cap: int | None = None) -> list[bytes]:
-        if not self.spec.factors:
-            return [self.identity]
-        mats = sylow_p_aut(self.spec, self.spec.primes[0], cap)
-        return [self.aut_perm(m) for m in mats]
+        """The unipotent upper triangular Sylow p-subgroup of Aut(N_p), sorted."""
+        gens = sylow_generators(self.p, self.spec.exponents(self.p))
+        return self._closed_block("Sylow", self.sylow_size, gens, cap)
+
+    def _closed_block(self, name: str, size: int, gens: list[EndoMatrix], cap: int | None):
+        """The sorted closure of `gens`, which must have exactly `size`
+        elements; CapacityError before building when `size` exceeds the cap."""
+        cap = cap if cap is not None else config.aut_candidate_cap()
+        if size > cap:
+            raise CapacityError(
+                f"{name} block of Aut({self.spec}) has {size} elements, cap {cap}",
+                needed=size,
+                cap=cap,
+            )
+        block = self._blocks.get(name)
+        if block is None:
+            perms = [self.aut_perm(m) for m in gens]
+            try:
+                block = sorted(reach(self.identity, perms, self.compose, size))
+            except CapacityError:
+                block = []
+            if len(block) != size:
+                raise InternalConsistencyError(
+                    f"{name} generators of Aut({self.spec}) do not close to {size} elements"
+                )
+            self._blocks[name] = block
+        return block
 
     def hol_elements(self, aut_list: list[bytes]) -> list[bytes]:
         return [self.hol_perm(a, v) for a in aut_list for v in range(self.m)]
@@ -202,20 +220,9 @@ class HolKernel:
     def code(self, x: KernelElement) -> bytes:
         return b"".join(x)
 
-    def closure(self, gens, cap: int | None = None) -> set[KernelElement]:
-        """Subgroup generated by `gens`; CapacityError once it passes cap."""
-        out = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.compose(cur, g)
-                if nxt not in out:
-                    if cap is not None and len(out) >= cap:
-                        raise CapacityError(f"closure exceeded cap {cap}", cap=cap)
-                    out.add(nxt)
-                    frontier.append(nxt)
-        return out
+    def closure(self, gens, bound: int) -> frozenset[KernelElement]:
+        """Subgroup generated by `gens`; CapacityError once it passes bound."""
+        return reach(self.identity, gens, self.compose, bound)
 
     def power_list(self, x: KernelElement, count: int) -> list[KernelElement]:
         out = [self.identity]
@@ -224,9 +231,6 @@ class HolKernel:
             cur = self.compose(x, cur)
             out.append(cur)
         return out
-
-    def merge_index(self, comp_idx) -> int:
-        return sum(i * s for i, s in zip(comp_idx, self.strides))
 
     def trans_index(self, x: KernelElement) -> int:
         return sum(a[0] * s for a, s in zip(x, self.strides))
@@ -313,22 +317,18 @@ class HolKernel:
     def sylow_pool(self, cap: int | None = None) -> list[KernelElement]:
         """Odd components in full, 2-component restricted to N_2 x P."""
         cap = cap if cap is not None else config.full_hol_cap()
-        cached = self._pool_cache.get(("sylow", cap))
-        if cached is not None:
-            return cached
-        lists = []
-        for p, sp in zip(self.primes, self.spaces):
-            auts = sp.sylow_aut_perms() if p == 2 else sp.aut_perms()
-            lists.append(sp.hol_elements(auts))
-        total = prod(len(l) for l in lists)
+        total = prod(sp.m * (sp.sylow_size if sp.p == 2 else sp.aut_size) for sp in self.spaces)
         if total > cap:
             raise CapacityError(
                 f"Sylow-restricted pool for {self.group} has {total} elements, cap {cap}",
                 needed=total,
                 cap=cap,
             )
-        cached = self._pool(lists)
-        self._pool_cache[("sylow", cap)] = cached
+        cached = self._pool_cache.get(("sylow", cap))
+        if cached is None:
+            auts = [sp.sylow_aut_perms() if sp.p == 2 else sp.aut_perms() for sp in self.spaces]
+            cached = self._pool([sp.hol_elements(a) for sp, a in zip(self.spaces, auts)])
+            self._pool_cache[("sylow", cap)] = cached
         return cached
 
     @staticmethod

@@ -28,9 +28,6 @@ class TauMap:
     subgroup: RegularSubgroup
     kernel_codes: frozenset[bytes]
 
-    def inverts(self, code: bytes) -> bool:
-        return code not in self.kernel_codes
-
 
 def _index2_subgroups(sub: RegularSubgroup) -> list[frozenset[bytes]]:
     """All index-2 subgroups of H, via the quotient by <commutators, squares>.
@@ -49,7 +46,7 @@ def _index2_subgroups(sub: RegularSubgroup) -> list[frozenset[bytes]]:
         for b in elems:
             comm = kern.compose(kern.compose(a, b), kern.compose(inv[kern.code(a)], inv[kern.code(b)]))
             gens.add(kern.code(comm))
-    phi = {kern.code(e) for e in kern.closure([codes[c] for c in gens])}
+    phi = {kern.code(e) for e in kern.closure([codes[c] for c in gens], len(elems))}
     # cosets of Phi
     cosets: list[frozenset[bytes]] = []
     assigned: set[bytes] = set()

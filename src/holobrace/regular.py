@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from . import config
-from .abelian import GroupSpec
+from .abelian import GroupSpec, reach
 from .endo import aut_order
 from .errors import InternalConsistencyError, InvalidInputError
 from .holomorph import HolElement, exponent_bound, from_kernel, to_kernel
@@ -156,22 +156,17 @@ def _expand_orbits(kern: HolKernel, seeds: dict):
     """
     total = aut_order(kern.group)
     conjs = [kern.conjugator(g) for g in kern.aut_generator_tuples()]
+
+    def conjugate(els: tuple, conj) -> tuple:  # orbit nodes: elements sorted by code
+        return tuple(sorted(map(conj, els), key=kern.code))
+
     visited: dict[SubgroupKey, tuple] = {}
     classes = []
     for seed_key in sorted(seeds):
         if seed_key in visited:
             continue
-        elements = seeds[seed_key][0]
-        orbit: dict[SubgroupKey, tuple] = {seed_key: elements}
-        frontier = [elements]
-        while frontier:
-            els = frontier.pop()
-            for conj in conjs:
-                nels = tuple(conj(e) for e in els)
-                nk = tuple(sorted(kern.code(e) for e in nels))
-                if nk not in orbit:
-                    orbit[nk] = nels
-                    frontier.append(nels)
+        start = tuple(sorted(seeds[seed_key][0], key=kern.code))
+        orbit = {tuple(map(kern.code, els)): els for els in reach(start, conjs, conjugate, total)}
         stab, rem = divmod(total, len(orbit))
         if rem:
             raise InternalConsistencyError("orbit size does not divide |Aut(N)|")

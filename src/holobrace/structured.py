@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
-from .abelian import GroupSpec, make_group
+from .abelian import GroupSpec, make_group, reach
 from .endo import aut_generators, aut_order, make_endo
 from .errors import CapacityError, HolobraceError, InternalConsistencyError, InvalidInputError
 from .holomorph import HolElement, to_kernel
@@ -91,26 +91,10 @@ def _compose(x, y, mods: tuple[int, ...]):
     return matrix, ((a0 * w0 + a1 * w1 + v0) % lo, (a2 * w0 + a3 * w1 + v1) % hi)
 
 
-def _reach(start, moves, step, bound: int) -> frozenset:
-    """Everything reachable from `start` by `step(cur, move)`; error above bound."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for move in moves:
-            nxt = step(cur, move)
-            if nxt not in seen:
-                if len(seen) >= bound:
-                    raise InvalidInputError(f"closure exceeded its expected size {bound}")
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
-
-
 def _closure(gens, mods: tuple[int, ...], bound: int) -> frozenset:
-    """Encodings of the subgroup generated by `gens`; error above bound."""
+    """Encodings of the subgroup generated by `gens`; CapacityError above bound."""
     ident = ((1,), (0,)) if len(mods) == 1 else ((1, 0, 0, 1), (0, 0))
-    return _reach(ident, gens, lambda e, g: _compose(e, g, mods), bound)
+    return reach(ident, gens, lambda e, g: _compose(e, g, mods), bound)
 
 
 def _is_regular(elems: frozenset, order: int) -> bool:
@@ -202,12 +186,18 @@ def solve_rank2(n: int, family: str) -> StructuredCensus:
 
     Solves the normal-form system (v = (0,1), w = (1,0), r = a, s fixed by
     the family) for the eight fundamental subgroups, then expands their
-    Aut(N)-orbits to recover the full census.
+    Aut(N)-orbits to recover the full census.  The 16 * 2^n encodings of the
+    subgroups it holds are bounded by `config.aut_candidate_cap()`.
     """
     if n < 5:
         raise StructuredRangeError(f"rank-2 solver needs n >= 5, got {n}")
     if family not in (QUATERNION, DIHEDRAL):
         raise InvalidInputError(f"unknown family {family!r}")
+    needed, cap = 1 << (n + 4), config.aut_candidate_cap()  # 16 subgroups of 2^n encodings
+    if needed > cap:
+        raise CapacityError(
+            f"rank-2 family solver at n={n}: too many subgroup encodings", needed=needed, cap=cap
+        )
     mod = 1 << (n - 1)
     half = 1 << (n - 2)
     kind = TargetKind(family, n, 1)
@@ -255,7 +245,7 @@ def solve_rank2(n: int, family: str) -> StructuredCensus:
     seen: set[frozenset] = set()
     for key in sorted(subs, key=sorted):
         if key not in seen:
-            orbits.append(_reach(key, conjugators, conjugate, aut_order(make_group(mods))))
+            orbits.append(reach(key, conjugators, conjugate, aut_order(make_group(mods))))
             seen |= orbits[-1]
     pairs = tuple(subs[k] for k in sorted(subs, key=sorted))
     sizes = tuple(sorted(len(o) for o in orbits))

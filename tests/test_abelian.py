@@ -4,9 +4,10 @@ from hypothesis import given, strategies as st
 from holobrace.abelian import (
     make_group,
     parse_group,
+    reach,
     sylow_decompose,
 )
-from holobrace.errors import InvalidInputError
+from holobrace.errors import CapacityError, InvalidInputError
 
 
 def naive_order(group, g):
@@ -167,3 +168,11 @@ def test_cyclic_order_formula_matches_oracle(m, k):
     e = tuple(k % q for q in g.factors)  # CRT image of k in prod C_{q_i}
     assert g.element_order(e) == naive_order(g, e)
     assert g.element_order(e) == m // gcd(k % m, m)  # classical cyclic-order formula
+
+
+def test_reach_closes_and_respects_its_bound():
+    # the subgroup of Z/12 generated by 8 and 6 is 2Z/12
+    assert reach(0, (8, 6), lambda a, b: (a + b) % 12, 6) == frozenset(range(0, 12, 2))
+    with pytest.raises(CapacityError) as err:
+        reach(0, (8, 6), lambda a, b: (a + b) % 12, 5)
+    assert err.value.cap == 5

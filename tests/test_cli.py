@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -141,17 +142,49 @@ def test_capacity_error_details_on_stderr(capsys, monkeypatch):
 
 
 def test_cyclic_family_budget_exit_code(capsys, monkeypatch):
-    from holobrace.counts import two_power_census
-
     # C64 D64: 32 X candidates times 100 Y candidates, past a cap of 1000
     monkeypatch.setenv("HOLOBRACE_CAP", "1000")
-    two_power_census.cache_clear()  # the census cache does not key on the cap
     code, out, err = run(capsys, "census", "--N", "c64", "--G", "d64")
     assert code == EXIT_CAPACITY and out == ""
     assert err.endswith("(needed 3200, cap 1000)\n")
     monkeypatch.delenv("HOLOBRACE_CAP")
     code, out, _ = run(capsys, "census", "--N", "c64", "--G", "d64")
     assert code == EXIT_OK and (json.loads(out)["c"], json.loads(out)["r"]) == (1, 1)
+
+
+def test_cached_census_still_meets_a_lowered_budget(capsys, monkeypatch):
+    code, out, _ = run(capsys, "census", "--N", "c64", "--G", "d64")
+    assert code == EXIT_OK and json.loads(out)["c"] == 1
+    monkeypatch.setenv("HOLOBRACE_CAP", "1000")
+    code, out, err = run(capsys, "census", "--N", "c64", "--G", "d64")
+    assert code == EXIT_CAPACITY and out == ""
+    assert err.endswith("(needed 3200, cap 1000)\n")
+
+
+def test_rank2_family_budget_exit_code(capsys, monkeypatch):
+    # the rank-2 solver holds 16 subgroups of 2^n encodings: 2^10 at n = 6
+    monkeypatch.setenv("HOLOBRACE_CAP", "1000")
+    code, out, err = run(capsys, "census", "--N", "c2xc32", "--G", "q64")
+    assert code == EXIT_CAPACITY and out == ""
+    assert err.endswith("(needed 1024, cap 1000)\n")
+    code, out, _ = run(capsys, "census", "--N", "c2xc16", "--G", "q32")
+    assert code == EXIT_OK and json.loads(out)["c"] == 6
+
+
+@pytest.mark.parametrize(
+    "group,digest",
+    [
+        ("c4xc8", "67880f075f11d291b8d56c4f6150e0a367d616f8e44ddeb5b0e15c4e8f3623f2"),
+        ("c2xc2xc2", "c9453d2aaf73c8be1094a0cbcb9dd3a0da733f67ef1686c6a82a424176996d78"),
+        ("c3xc2xc4", "99cbdee109d70f717596d633427cd7712966ae4bbfaa2a86dabaa05f99fe7662"),
+        ("c3xc3xc4", "5d53354a2ca2e43f621737439bbd24457efda57b82c427ed835cb1ab4c90f9c8"),
+    ],
+)
+def test_dump_aut_bytes_are_pinned(capsys, tmp_path, group, digest):
+    path = tmp_path / "aut.json"
+    code, _, _ = run(capsys, "spectrum", "--N", group, "--workers", "1", "--dump-aut", str(path))
+    assert code == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_spectrum_workers_deterministic(capsys):

@@ -220,7 +220,7 @@ def test_cross_check_runs_the_full_scan_and_the_sylow_path(monkeypatch):
         return res
 
     monkeypatch.setattr(counts, "search_regular", spy)
-    counts.two_power_census.cache_clear()
+    counts._two_power_census.cache_clear()
     res = census(parse_group("c2xc4"), parse_kind("d8"), cross_check=True)
     assert (res.c, res.r, res.method) == (5, 14, "direct")
     assert ran == ["full", "sylow"]

@@ -5,6 +5,8 @@ import pytest
 
 from holobrace.abelian import make_group
 from holobrace.endo import (
+    EndoMatrix,
+    _invertible_mod_p,
     aut_generators,
     endo_apply,
     endo_compose,
@@ -13,12 +15,12 @@ from holobrace.endo import (
     invert,
     is_unit,
     make_endo,
-    sylow_p_aut,
+    sylow_generators,
     zero_endo,
     aut_order,
 )
-from holobrace.errors import CapacityError, InvalidInputError
-from holobrace.kernel import get_kernel
+from holobrace.errors import CapacityError, InternalConsistencyError, InvalidInputError
+from holobrace.kernel import PrimeSpace, get_kernel
 
 
 def gl_count_oracle(r, p=2):
@@ -49,6 +51,68 @@ def gl_count_oracle(r, p=2):
         return total
 
     return completions(frozenset([(0,) * r]))
+
+
+def unit_filter_reference(group):
+    """Every unit of End(N_p), by filtering all candidate matrices.
+
+    Column j ranges over the elements of order dividing p^{a_j}; a candidate
+    is kept when its mod-p reduction is invertible.
+    """
+    p = group.primes[0]
+    exps = group.exponents(p)
+    r = len(exps)
+    pools = [
+        [g for g in group.elements() if all(v * p**a % q == 0 for v, q in zip(g, group.factors))]
+        for a in exps
+    ]
+    units = set()
+    for cols in itertools.product(*pools):
+        rows = tuple(zip(*cols))
+        if _invertible_mod_p(rows, p, r):
+            units.add(EndoMatrix(p, exps, rows))
+    return units
+
+
+def sylow_range_reference(group):
+    """The units of End(N_p) whose mod-p reduction is unipotent upper
+    triangular, listed entry by entry: 1 mod p on the diagonal, free above
+    it, 0 mod p (and divisible as End(N_p) requires) below it."""
+    p = group.primes[0]
+    exps = group.exponents(p)
+    r = len(exps)
+    ranges = []
+    for i in range(r):
+        for j in range(r):
+            mod = p ** exps[i]
+            if i == j:
+                ranges.append(range(1, mod, p))
+            elif i > j:
+                ranges.append(range(0, mod, p ** max(1, exps[i] - exps[j])))
+            else:
+                ranges.append(range(mod))
+    return {
+        EndoMatrix(p, exps, tuple(tuple(flat[i * r + j] for j in range(r)) for i in range(r)))
+        for flat in itertools.product(*ranges)
+    }
+
+
+def p_part(n, p):
+    out = 1
+    while n % p == 0:
+        n //= p
+        out *= p
+    return out
+
+
+def block_matrices(space, perms):
+    """The matrices of linear permutations, read off the images of the basis."""
+    exps = space.spec.exponents(space.p)
+    r = len(exps)
+    basis = [space.index[tuple(int(k == j) for k in range(r))] for j in range(r)]
+    return {
+        EndoMatrix(space.p, exps, tuple(zip(*(space.elems[a[b]] for b in basis)))) for a in perms
+    }
 
 
 def test_endo_apply_identity_and_zero():
@@ -129,35 +193,6 @@ def test_aut_order_uses_phi_for_odd_cyclic():
     assert aut_order(make_group([9])) == 6
     assert aut_order(make_group([3, 8])) == 2 * 4
     assert aut_order(make_group([5, 2, 8])) == 4 * 16
-
-
-def test_sylow_p_aut_counts():
-    # C2^4: unitriangular binary matrices, 2^6 of them
-    p4 = sylow_p_aut(make_group([2, 2, 2, 2]), 2)
-    assert len(p4) == 64
-    # C16 (rank 1): every unit is 1 mod 2
-    p1 = sylow_p_aut(make_group([16]), 2)
-    assert len(p1) == 8
-    # C2 x C8: |Aut| = 16 is a 2-group, so P is everything
-    p2 = sylow_p_aut(make_group([2, 8]), 2)
-    assert len(p2) == 16
-    assert {m for m in p2} == set(enumerate_aut(make_group([2, 8])).blocks[0])
-
-
-def test_sylow_p_aut_is_exact_p_part():
-    for orders in ([2, 2], [2, 4], [2, 2, 2], [4, 4], [2, 2, 4], [16]):
-        g = make_group(orders)
-        total = enumerate_aut(g).order
-        p_part = 1
-        while total % 2 == 0:
-            total //= 2
-            p_part *= 2
-        assert len(sylow_p_aut(g, 2)) == p_part
-
-
-def test_sylow_p_aut_members_are_units():
-    for m in sylow_p_aut(make_group([2, 2, 4]), 2):
-        assert is_unit(m)
 
 
 def test_invert_examples():
@@ -260,13 +295,81 @@ AUT_SHAPES = [
 ]
 
 
+def sylow_space(orders):
+    return get_kernel(make_group(orders)).spaces[0]
+
+
+def test_sylow_aut_perms_counts():
+    # C2^4: unitriangular binary matrices, 2^6 of them
+    assert len(sylow_space([2, 2, 2, 2]).sylow_aut_perms()) == 64
+    # C16 (rank 1): every unit is 1 mod 2
+    assert len(sylow_space([16]).sylow_aut_perms()) == 8
+    # C2 x C8: |Aut| = 16 is a 2-group, so P is everything
+    space = sylow_space([2, 8])
+    assert len(space.sylow_aut_perms()) == 16
+    assert space.sylow_aut_perms() == space.aut_perms()
+    assert block_matrices(space, space.aut_perms()) == unit_filter_reference(make_group([2, 8]))
+
+
+def test_sylow_aut_perms_is_exact_p_part():
+    for orders in _shapes(2, 64):
+        size = p_part(aut_order(make_group(orders)), 2)
+        assert len(sylow_space(orders).sylow_aut_perms()) == size
+
+
+def test_sylow_aut_perms_members_are_units():
+    space = sylow_space([2, 2, 4])
+    for m in block_matrices(space, space.sylow_aut_perms()):
+        assert is_unit(m)
+        # unipotent upper triangular mod 2: 1 on the diagonal, 0 below it
+        for i, row in enumerate(m.rows):
+            assert [v % 2 for v in row[: i + 1]] == [0] * i + [1]
+
+
 @pytest.mark.parametrize("orders", AUT_SHAPES, ids=lambda o: "x".join(map(str, o)))
 def test_aut_generators_generate_aut(orders):
     """The closure of the explicit generators is all of Aut(N)."""
     g = make_group(orders)
-    kern = get_kernel(g)
-    size = len(kern.closure(kern.aut_generator_tuples()))
-    assert size == aut_order(g) == enumerate_aut(g).order
+    for p, space in zip(g.primes, get_kernel(g).spaces):
+        block = block_matrices(space, space.aut_perms())
+        assert block == unit_filter_reference(g.component(p))
+        assert len(block) == aut_order(g.component(p))
+
+
+@pytest.mark.parametrize("orders", AUT_SHAPES, ids=lambda o: "x".join(map(str, o)))
+def test_sylow_generators_generate_sylow(orders):
+    """The closure of the Sylow generators is the unipotent upper triangular block."""
+    g = make_group(orders)
+    for p, space in zip(g.primes, get_kernel(g).spaces):
+        block = block_matrices(space, space.sylow_aut_perms())
+        assert block == sylow_range_reference(g.component(p))
+        assert len(block) == p_part(aut_order(g.component(p)), p)
+
+
+def test_blocks_check_their_size():
+    space = PrimeSpace(make_group([2, 2, 2]))
+    gens = [m for (m,) in aut_generators(make_group([2, 2, 2]))]
+    for dropped in range(len(gens)):
+        with pytest.raises(InternalConsistencyError):
+            space._closed_block("full", 168, gens[:dropped] + gens[dropped + 1 :], None)
+    sylow = sylow_generators(2, (1, 1, 1))
+    with pytest.raises(InternalConsistencyError):
+        space._closed_block("Sylow", 8, sylow[1:], None)
+    with pytest.raises(InternalConsistencyError):
+        space._closed_block("Sylow", 4, sylow, None)  # more than the formula allows
+    assert len(space.aut_perms()) == 168 and len(space.sylow_aut_perms()) == 8
+
+
+def test_block_cap_is_checked_before_building():
+    space = PrimeSpace(make_group([2, 2, 2, 2]))
+    with pytest.raises(CapacityError) as err:
+        space.aut_perms(cap=20159)
+    assert (err.value.needed, err.value.cap) == (20160, 20159)
+    with pytest.raises(CapacityError) as err:
+        space.sylow_aut_perms(cap=63)
+    assert (err.value.needed, err.value.cap) == (64, 63)
+    assert not space._blocks
+    assert len(space.sylow_aut_perms(cap=64)) == 64
 
 
 @pytest.mark.parametrize("p,max_rank", [(2, 6), (3, 4), (5, 3)])
@@ -279,7 +382,7 @@ def test_autgroup_generators_generate():
     g = make_group([2, 2, 2])
     gens = aut_generators(g)
     assert gens
-    block = set(enumerate_aut(g).blocks[0])
+    block = unit_filter_reference(g)
     closure = {identity_endo(2, (1, 1, 1))}
     frontier = list(closure)
     while frontier:

@@ -219,6 +219,19 @@ def test_cyclic_pair_budget(monkeypatch):
     assert solve_cyclic(6, DIHEDRAL).r == 1
 
 
+def test_rank2_encoding_budget(monkeypatch):
+    monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
+    # 16 subgroups of 2^n encodings: n = 17 fits the default 2^21, n = 18 does not
+    with pytest.raises(CapacityError) as err:
+        solve_rank2(18, QUATERNION)
+    assert (err.value.needed, err.value.cap) == (1 << 22, 1 << 21)
+    monkeypatch.setenv("HOLOBRACE_CAP", str((1 << 9) - 1))
+    with pytest.raises(CapacityError):
+        solve_rank2(5, DIHEDRAL)
+    monkeypatch.setenv("HOLOBRACE_CAP", str(1 << 9))
+    assert solve_rank2(5, DIHEDRAL).c == 6
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_y_uniqueness(family):
     """For each solved X there is exactly one subgroup: solving over all Y
