@@ -52,17 +52,7 @@ def _emit(text: str) -> None:
 def _cmd_census(args) -> int:
     group = parse_group(args.N)
     kind = parse_kind(args.G)
-    if args.structured:
-        method = "structured"
-    elif args.via_reduction:
-        method = "reduction"
-    elif args.sylow:
-        method = "sylow"
-    elif args.direct:
-        method = "direct"
-    else:
-        method = "auto"
-    res = census(group, kind, method=method, cross_check=args.cross_check)
+    res = census(group, kind, method=args.method, cross_check=args.cross_check)
     payload = {
         "schema": "v1",
         "N": group.display_name(),
@@ -201,12 +191,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("census", help="count regular subgroups / braces / HGS for (N, G)")
     p.add_argument("--N", required=True, help='additive group, e.g. "c2xc8" or "[3,2,8]"')
     p.add_argument("--G", required=True, help='target kind, e.g. "q16" or "d32"')
-    p.add_argument("--structured", action="store_true", help="use the closed-form family solver")
-    p.add_argument("--via-reduction", action="store_true", help="use the odd-part reduction")
-    p.add_argument("--direct", action="store_true", help="force the generic search")
-    p.add_argument("--sylow", action="store_true", help="force the Sylow-restricted search")
+    paths = p.add_mutually_exclusive_group()
+    for flag, method, text in (
+        ("--structured", "structured", "use the closed-form family solver"),
+        ("--via-reduction", "reduction", "use the odd-part reduction"),
+        ("--direct", "direct", "force the generic search"),
+        ("--sylow", "sylow", "force the Sylow-restricted search"),
+    ):
+        paths.add_argument(flag, dest="method", action="store_const", const=method, help=text)
     p.add_argument("--cross-check", action="store_true", help="also run a second path and compare")
-    p.set_defaults(func=_cmd_census)
+    p.set_defaults(func=_cmd_census, method="auto")
 
     p = sub.add_parser("spectrum", help="element-order census of Hol(N)")
     p.add_argument("--N", required=True)
@@ -215,8 +209,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--workers",
         type=int,
-        help="parallel workers for the order census (default: one per CPU, at most one per"
-        " 8192 elements of Hol(N); results are identical)",
+        help="parallel workers for the order census, 1 to the CPU count (default: one per"
+        " CPU, at most one per 8192 elements of Hol(N); results are identical)",
     )
     p.set_defaults(func=_cmd_spectrum)
 

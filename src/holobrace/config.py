@@ -1,17 +1,23 @@
-"""Enumeration budgets, overridable through the environment."""
+"""Enumeration budgets, overridable through the environment.
+
+Every budget bounds a closed-form size of the input and is read, on every
+call, by the one place that checks it.  Memos sit behind those checks and
+are keyed on the mathematics alone, so a budget changed mid-process applies
+at once.
+"""
 
 import os
 
 from .errors import InvalidInputError
 
-# Automorphisms per prime block when a block of Aut(N) or its Sylow subgroup
-# is built (element pools, `spectrum --dump-aut`), checked against the closed
-# form before building; also the cyclic family solver's (X, Y) pairs and the
-# rank-2 family solver's subgroup encodings.
+# Automorphisms per prime block of Aut(N) or of its Sylow subgroup (element
+# pools, `spectrum --dump-aut`), compared with the closed-form size before the
+# block is built or looked up; also the cyclic family solver's (X, Y) pairs
+# and the rank-2 family solver's subgroup encodings.
 DEFAULT_AUT_CANDIDATE_CAP = 1 << 21
 
 # Above this many elements Hol(N) is not scanned in full; searches fall back
-# to the Sylow-restricted path.
+# to the Sylow-restricted path, whose pool this also bounds.
 DEFAULT_FULL_HOL_CAP = 1 << 16
 
 

@@ -12,12 +12,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
-from . import config
 from .abelian import GroupSpec, make_group, sylow_decompose
 from .endo import aut_order as group_aut_order
-from .errors import CapacityError, InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError
 from .oddpart import reduce_counts
 from .presentations import (
     DIHEDRAL,
@@ -27,7 +25,7 @@ from .presentations import (
     admissible_types,
     aut_order,
 )
-from .regular import SearchResult, search_regular
+from .regular import SearchResult, fits_full_scan, search_regular
 from .structured import solve_family
 
 
@@ -113,14 +111,8 @@ def two_power_census(group: GroupSpec, family: str) -> CensusResult:
     Types outside the admissible list, and admissible non-family types with
     n >= 6, are zero by the nonexistence results (search-verified at n = 5,
     where scanning is still cheap).  A search that scanned all of Hol(N)
-    reports "direct", one that took the Sylow path "sylow".  Answers are
-    cached per budget, so a budget lowered later still fires.
+    reports "direct", one that took the Sylow path "sylow".
     """
-    return _two_power_census(group, family, config.aut_candidate_cap(), config.full_hol_cap())
-
-
-@lru_cache(maxsize=None)
-def _two_power_census(group: GroupSpec, family: str, aut_cap: int, hol_cap: int) -> CensusResult:
     n = group.two_adic
     if group.odd_order != 1:
         raise InvalidInputError(f"{group} is not a 2-group")
@@ -132,7 +124,7 @@ def _two_power_census(group: GroupSpec, family: str, aut_cap: int, hol_cap: int)
         return _result(group, kind, 0, (), "type-theorem")
     if n >= 6:
         return _result(group, kind, 0, (), "zero-family")
-    res = search_regular(group, kind, cap=hol_cap)
+    res = search_regular(group, kind)
     return _from_search(res, "direct" if res.method == "full" else "sylow")
 
 
@@ -172,14 +164,7 @@ def _cross_method(group: GroupSpec, method: str):
     """
     if method in ("direct", "full"):
         return "sylow"
-    try:
-        from .kernel import get_kernel
-
-        if get_kernel(group).hol_order() <= config.full_hol_cap():
-            return "direct"
-    except CapacityError:
-        pass
-    return None
+    return "direct" if fits_full_scan(group) else None
 
 
 def _census_by_method(group: GroupSpec, kind: TargetKind, method: str, odd: GroupSpec, two: GroupSpec) -> CensusResult:
@@ -236,15 +221,6 @@ def _family_total(order: int, family: str) -> int:
 
 
 # -- tables ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountRow:
-    group: GroupSpec
-    kind: TargetKind
-    c: int
-    r: int
-    h: int
 
 
 @dataclass(frozen=True)

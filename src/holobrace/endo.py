@@ -13,7 +13,6 @@ from functools import lru_cache
 from itertools import product as _product
 from math import prod
 
-from . import config
 from .abelian import Element, GroupSpec, _factorize
 from .errors import InternalConsistencyError, InvalidInputError
 
@@ -175,25 +174,20 @@ class AutGroup:
         return aut_generators(self.group)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_aut_cached(group: GroupSpec, cap: int) -> AutGroup:
+def enumerate_aut(group: GroupSpec) -> AutGroup:
+    """Every element of Aut(N) as matrices, sorted by entries; each prime
+    block is held to the `HOLOBRACE_CAP` budget.
+
+    Mixed-order groups get one block per prime; iteration yields the product.
+    """
     from .kernel import _prime_space  # deferred; kernel imports this module
 
     blocks = []
     for p in group.primes:
         space = _prime_space(group.component(p))
-        mats = (space.decode(perm)[0] for perm in space.aut_perms(cap))
+        mats = (space.decode(perm)[0] for perm in space.aut_perms())
         blocks.append(tuple(sorted(mats, key=EndoMatrix.flat)))
     return AutGroup(group, tuple(blocks))
-
-
-def enumerate_aut(group: GroupSpec, cap: int | None = None) -> AutGroup:
-    """Every element of Aut(N) as matrices, sorted by entries; at most `cap`
-    per prime block.
-
-    Mixed-order groups get one block per prime; iteration yields the product.
-    """
-    return _enumerate_aut_cached(group, cap if cap is not None else config.aut_candidate_cap())
 
 
 def _block_order(p: int, exps: tuple[int, ...]) -> int:

@@ -10,7 +10,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 
-from . import config
 from .abelian import Element, GroupSpec
 from .endo import (
     Aut,
@@ -120,22 +119,23 @@ def exponent_bound(group: GroupSpec, p: int) -> int:
 SPECTRUM_CHUNK = 1 << 13
 
 
-def order_spectrum(
-    group: GroupSpec, cap: int | None = None, workers: int | None = None
-) -> dict[int, int]:
+def order_spectrum(group: GroupSpec, workers: int | None = None) -> dict[int, int]:
     """Exact census of element orders of Hol(N).
 
     `workers=None` runs one process per CPU, but no more than one per
-    SPECTRUM_CHUNK elements of Hol(N).
+    SPECTRUM_CHUNK elements of Hol(N); otherwise `workers` must lie in
+    1..os.cpu_count().
     """
+    cpus = os.cpu_count() or 1
+    if workers is not None and not 1 <= workers <= cpus:
+        raise InvalidInputError(f"workers must lie in 1..{cpus}, got {workers}")
     kern = get_kernel(group)
-    cap = cap if cap is not None else config.full_hol_cap()
-    pool = kern.full_pool(cap)
+    pool = kern.full_pool()
     if workers is None:
-        workers = max(1, min(os.cpu_count() or 1, len(pool) // SPECTRUM_CHUNK))
+        workers = max(1, min(cpus, len(pool) // SPECTRUM_CHUNK))
     counts: Counter[int] = Counter()
     if workers > 1:
-        counts.update(_spectrum_parallel(group, workers, cap))
+        counts.update(_spectrum_parallel(group, workers))
     else:
         for x in pool:
             counts[kern.order(x)] += 1
@@ -143,22 +143,21 @@ def order_spectrum(
 
 
 def _spectrum_chunk(args) -> Counter:
-    factors, lo, hi, cap = args
+    factors, lo, hi = args
     kern = get_kernel(GroupSpec(factors))
-    pool = kern.full_pool(cap)
+    pool = kern.full_pool()
     out: Counter[int] = Counter()
     for x in pool[lo:hi]:
         out[kern.order(x)] += 1
     return out
 
 
-def _spectrum_parallel(group: GroupSpec, workers: int, cap: int) -> Counter:
+def _spectrum_parallel(group: GroupSpec, workers: int) -> Counter:
     from multiprocessing import Pool
 
-    kern = get_kernel(group)
-    total = len(kern.full_pool(cap))
+    total = len(get_kernel(group).full_pool())
     step = -(-total // workers)
-    chunks = [(group.factors, lo, min(lo + step, total), cap) for lo in range(0, total, step)]
+    chunks = [(group.factors, lo, min(lo + step, total)) for lo in range(0, total, step)]
     with Pool(workers) as pool:
         parts = pool.map(_spectrum_chunk, chunks)
     out: Counter[int] = Counter()

@@ -9,6 +9,7 @@ orders, conjugation) on C-speed bytes operations.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 from math import lcm, prod
 
@@ -137,20 +138,23 @@ class PrimeSpace:
 
     # -- element pools ---------------------------------------------------------
 
-    def aut_perms(self, cap: int | None = None) -> list[bytes]:
+    def aut_perms(self) -> list[bytes]:
         """Aut(N_p), closed from the Hillar-Rhea generators, sorted."""
-        gens = [block for (block,) in aut_generators(self.spec)]
-        return self._closed_block("full", self.aut_size, gens, cap)
+        return self._closed_block(
+            "full", self.aut_size, lambda: [m for (m,) in aut_generators(self.spec)]
+        )
 
-    def sylow_aut_perms(self, cap: int | None = None) -> list[bytes]:
+    def sylow_aut_perms(self) -> list[bytes]:
         """The unipotent upper triangular Sylow p-subgroup of Aut(N_p), sorted."""
-        gens = sylow_generators(self.p, self.spec.exponents(self.p))
-        return self._closed_block("Sylow", self.sylow_size, gens, cap)
+        return self._closed_block(
+            "Sylow", self.sylow_size, lambda: sylow_generators(self.p, self.spec.exponents(self.p))
+        )
 
-    def _closed_block(self, name: str, size: int, gens: list[EndoMatrix], cap: int | None):
-        """The sorted closure of `gens`, which must have exactly `size`
-        elements; CapacityError before building when `size` exceeds the cap."""
-        cap = cap if cap is not None else config.aut_candidate_cap()
+    def _closed_block(self, name: str, size: int, gens: Callable[[], list[EndoMatrix]]) -> list[bytes]:
+        """The sorted closure of `gens()`, which must have exactly `size`
+        elements.  The cap is checked on every call, before the memo; the
+        generators are built only on a memo miss."""
+        cap = config.aut_candidate_cap()
         if size > cap:
             raise CapacityError(
                 f"{name} block of Aut({self.spec}) has {size} elements, cap {cap}",
@@ -159,7 +163,7 @@ class PrimeSpace:
             )
         block = self._blocks.get(name)
         if block is None:
-            perms = [self.aut_perm(m) for m in gens]
+            perms = [self.aut_perm(m) for m in gens()]
             try:
                 block = sorted(reach(self.identity, perms, self.compose, size))
             except CapacityError:
@@ -204,7 +208,7 @@ class HolKernel:
         # lexicographic order: components are contiguous prime slices, so the
         # combined index is the mixed-radix mix of component indices.
         self.identity: KernelElement = tuple(sp.identity for sp in self.spaces)
-        self._pool_cache: dict[tuple[str, int], list[KernelElement]] = {}
+        self._pools: dict[str, list[KernelElement]] = {}
 
     # -- algebra ----------------------------------------------------------------
 
@@ -300,42 +304,30 @@ class HolKernel:
     def hol_order(self) -> int:
         return self.group.order * aut_order(self.group)
 
-    def full_pool(self, cap: int | None = None) -> list[KernelElement]:
+    def full_pool(self) -> list[KernelElement]:
         """Every element of Hol(N), as the product of per-component pools."""
-        cap = cap if cap is not None else config.full_hol_cap()
         total = self.hol_order()
-        if total > cap:
-            raise CapacityError(
-                f"|Hol({self.group})| = {total} exceeds cap {cap}", needed=total, cap=cap
-            )
-        cached = self._pool_cache.get(("full", cap))
-        if cached is None:
-            cached = self._pool([sp.hol_elements(sp.aut_perms()) for sp in self.spaces])
-            self._pool_cache[("full", cap)] = cached
-        return cached
+        _check_scan(total, f"|Hol({self.group})| = {total} exceeds cap")
+        return self._pool("full", [sp.aut_perms() for sp in self.spaces])
 
-    def sylow_pool(self, cap: int | None = None) -> list[KernelElement]:
+    def sylow_pool(self) -> list[KernelElement]:
         """Odd components in full, 2-component restricted to N_2 x P."""
-        cap = cap if cap is not None else config.full_hol_cap()
         total = prod(sp.m * (sp.sylow_size if sp.p == 2 else sp.aut_size) for sp in self.spaces)
-        if total > cap:
-            raise CapacityError(
-                f"Sylow-restricted pool for {self.group} has {total} elements, cap {cap}",
-                needed=total,
-                cap=cap,
-            )
-        cached = self._pool_cache.get(("sylow", cap))
-        if cached is None:
-            auts = [sp.sylow_aut_perms() if sp.p == 2 else sp.aut_perms() for sp in self.spaces]
-            cached = self._pool([sp.hol_elements(a) for sp, a in zip(self.spaces, auts)])
-            self._pool_cache[("sylow", cap)] = cached
-        return cached
+        _check_scan(total, f"Sylow-restricted pool for {self.group} has {total} elements, cap")
+        return self._pool(
+            "sylow", [sp.sylow_aut_perms() if sp.p == 2 else sp.aut_perms() for sp in self.spaces]
+        )
 
-    @staticmethod
-    def _pool(lists: list[list[bytes]]) -> list[KernelElement]:
-        out = [()]
-        for lst in lists:
-            out = [prefix + (p,) for prefix in out for p in lst]
+    def _pool(self, name: str, auts: list[list[bytes]]) -> list[KernelElement]:
+        """Translations times `auts`, per component, multiplied out; memoized
+        by `name` once the caller has checked every budget."""
+        out = self._pools.get(name)
+        if out is None:
+            out = [()]
+            for sp, aut_list in zip(self.spaces, auts):
+                lst = sp.hol_elements(aut_list)
+                out = [prefix + (p,) for prefix in out for p in lst]
+            self._pools[name] = out
         return out
 
     # -- conjugation -------------------------------------------------------------
@@ -358,6 +350,13 @@ class HolKernel:
             return tuple(out)
 
         return conj
+
+
+def _check_scan(total: int, what: str) -> None:
+    """CapacityError when a pool of `total` elements exceeds the scan cap."""
+    cap = config.full_hol_cap()
+    if total > cap:
+        raise CapacityError(f"{what} {cap}", needed=total, cap=cap)
 
 
 @lru_cache(maxsize=None)

@@ -11,14 +11,13 @@ three kernels and the class counts come from the s = 3 base case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .abelian import GroupSpec, make_group, sylow_decompose
 from .errors import InvalidInputError
 from .kernel import KernelElement, get_kernel
 from .presentations import DIHEDRAL, QUATERNION, TargetKind, _classify_kernel
-from .regular import RegularSubgroup, SearchResult, _subgroup, search_regular
+from .regular import RegularSubgroup, _subgroup, search_regular
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def _semidirect_elements(h_sub: RegularSubgroup, kernel_codes: frozenset[bytes],
         neg_perm = bytes(sp.neg_idx)
         odd_invs.append(neg_perm)
     elems: list[KernelElement] = []
-    odd_translations = _odd_translation_tuples(kern)
+    odd_translations = list(product(*(range(sp.m) for sp in odd_spaces)))
     for h in h_sub.elements:
         h2 = h[0]  # H lives over the pure 2-group: single component
         inverting = kernel_codes is not None and kern2.code(h) not in kernel_codes
@@ -120,20 +119,6 @@ def _semidirect_elements(h_sub: RegularSubgroup, kernel_codes: frozenset[bytes],
                 comps.append(sp.hol_perm(aut, odd_tr[k]))
             elems.append(tuple(comps))
     return group, kern, elems
-
-
-@lru_cache(maxsize=None)
-def _odd_translation_tuples_cached(group: GroupSpec) -> tuple:
-    kern = get_kernel(group)
-    sizes = [sp.m for sp in kern.spaces[1:]]
-    out = [()]
-    for m in sizes:
-        out = [pre + (v,) for pre in out for v in range(m)]
-    return tuple(out)
-
-
-def _odd_translation_tuples(kern) -> tuple:
-    return _odd_translation_tuples_cached(kern.group)
 
 
 def semidirect_subgroup(h_sub: RegularSubgroup, tau: TauMap, odd: GroupSpec) -> RegularSubgroup:
@@ -185,13 +170,6 @@ def is_exceptional(kind: TargetKind) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def _base_case_census(two_part: GroupSpec, family: str, n: int) -> SearchResult:
-    """Direct enumeration over C_3 x N_2, the s = 3 base of the exceptional cases."""
-    base_group = make_group((3,) + two_part.factors)
-    return search_regular(base_group, TargetKind(family, n, 3))
-
-
 def reduce_counts(group: GroupSpec, kind: TargetKind):
     """(r, c, class_sizes) for odd s >= 3, transferred from the 2-part.
 
@@ -212,5 +190,6 @@ def reduce_counts(group: GroupSpec, kind: TargetKind):
         return base.r, base.c, tuple(orbit for orbit, _ in base.classes)
     if base.r == 0:
         return 0, 0, ()
-    exceptional = _base_case_census(two, kind.family, kind.n)
+    # direct enumeration over C_3 x N_2, the s = 3 base of the exceptional cases
+    exceptional = search_regular(make_group((3,) + two.factors), TargetKind(kind.family, kind.n, 3))
     return 3 * base.r, exceptional.c, tuple(c.orbit_size for c in exceptional.classes)

@@ -62,6 +62,8 @@ def dihedral_kind(order: int) -> TargetKind:
 
 
 def _kind_of_order(family: str, order: int) -> TargetKind:
+    if order <= 0:
+        raise InvalidInputError(f"order {order} is not positive")
     n = 0
     s = order
     while s % 2 == 0:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from . import config
 from .abelian import GroupSpec, reach
 from .endo import aut_order
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import CapacityError, InternalConsistencyError, InvalidInputError
 from .holomorph import HolElement, exponent_bound, from_kernel, to_kernel
 from .kernel import HolKernel, KernelElement, get_kernel
 from .presentations import QUATERNION, TargetKind, _classify_kernel
@@ -176,17 +176,20 @@ def _expand_orbits(kern: HolKernel, seeds: dict):
     return visited, classes
 
 
-def _pool_for(kern: HolKernel, method: str, cap: int | None):
+def _pool_for(kern: HolKernel, method: str):
     if method == "full":
-        return kern.full_pool(cap)
+        return kern.full_pool()
     if method == "sylow":
-        return kern.sylow_pool(cap)
+        return kern.sylow_pool()
     raise InvalidInputError(f"unknown search method {method!r}")
 
 
-def _auto_method(kern: HolKernel, cap: int | None) -> str:
-    cap = cap if cap is not None else config.full_hol_cap()
-    return "full" if kern.hol_order() <= cap else "sylow"
+def fits_full_scan(group: GroupSpec) -> bool:
+    """True when Hol(N) fits the byte kernel and the full-scan cap."""
+    try:
+        return get_kernel(group).hol_order() <= config.full_hol_cap()
+    except CapacityError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -210,18 +213,23 @@ class SearchResult:
         return frozenset(s.key for s in self.subgroups)
 
 
-def search_regular(group: GroupSpec, kind: TargetKind, method: str = "auto", cap: int | None = None) -> SearchResult:
-    """Complete census of regular `kind` subgroups with conjugacy classes."""
+def search_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> SearchResult:
+    """Complete census of regular `kind` subgroups with conjugacy classes.
+
+    The pool's budgets are checked on every call, before the memoized search
+    answers, so a cap lowered later in the process still fires.
+    """
     kern = get_kernel(group)
     if method == "auto":
-        method = _auto_method(kern, cap)
-    return _search_cached(group, kind, method, cap if cap is not None else config.full_hol_cap())
+        method = "full" if fits_full_scan(group) else "sylow"
+    _pool_for(kern, method)
+    return _search_cached(group, kind, method)
 
 
 @lru_cache(maxsize=None)
-def _search_cached(group: GroupSpec, kind: TargetKind, method: str, cap: int) -> SearchResult:
+def _search_cached(group: GroupSpec, kind: TargetKind, method: str) -> SearchResult:
     kern = get_kernel(group)
-    seeds = _seed_search(kern, kind, _pool_for(kern, method, cap))
+    seeds = _seed_search(kern, kind, _pool_for(kern, method))
     found, raw_classes = _expand_orbits(kern, seeds)
     if method == "full" and len(found) != len(seeds):
         raise InternalConsistencyError("the full scan missed conjugates of what it found")
@@ -233,14 +241,14 @@ def _search_cached(group: GroupSpec, kind: TargetKind, method: str, cap: int) ->
     return SearchResult(group, kind, subgroups, classes, method)
 
 
-def find_regular(group: GroupSpec, kind: TargetKind, method: str = "auto", cap: int | None = None) -> tuple[RegularSubgroup, ...]:
+def find_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> tuple[RegularSubgroup, ...]:
     """The complete, duplicate-free list of regular `kind` subgroups of Hol(N)."""
-    return search_regular(group, kind, method, cap).subgroups
+    return search_regular(group, kind, method).subgroups
 
 
-def find_regular_sylow(group: GroupSpec, kind: TargetKind, cap: int | None = None) -> SearchResult:
+def find_regular_sylow(group: GroupSpec, kind: TargetKind) -> SearchResult:
     """Sylow-restricted search plus orbit expansion; complete by conjugacy."""
-    return search_regular(group, kind, "sylow", cap)
+    return search_regular(group, kind, "sylow")
 
 
 def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]:

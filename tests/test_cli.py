@@ -1,9 +1,14 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from holobrace.abelian import make_group
 from holobrace.cli import EXIT_CAPACITY, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 GOLDEN = Path(__file__).parent / "golden" / "table1.txt"
@@ -113,6 +118,34 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, err = run(capsys, "census", "--N", "c2xc8", "--G", "q8")
     assert code == EXIT_USAGE  # order mismatch is an input error
+    for target in ("q0", "d0", "d00"):  # an order-0 target must fail, not loop
+        code, out, err = run(capsys, "census", "--N", "c4", "--G", target)
+        assert (code, out) == (EXIT_USAGE, "") and "not positive" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [("--direct", "--sylow"), ("--structured", "--via-reduction"), ("--sylow", "--structured")]
+)
+def test_census_method_flags_are_exclusive(capsys, flags):
+    code, out, err = run(capsys, "census", "--N", "c2xc16", "--G", "q32", *flags)
+    assert code == EXIT_USAGE and out == ""
+    assert "not allowed with" in err
+
+
+def test_census_method_flags_name_one_method():
+    from holobrace.cli import build_parser
+
+    base = ["census", "--N", "c2xc16", "--G", "q32", "--cross-check"]
+    methods = {
+        (): "auto",
+        ("--structured",): "structured",
+        ("--via-reduction",): "reduction",
+        ("--direct",): "direct",
+        ("--sylow",): "sylow",
+    }
+    for flags, method in methods.items():
+        args = build_parser().parse_args(base + list(flags))
+        assert (args.method, args.cross_check) == (method, True)
 
 
 def test_capacity_exit_code(capsys, monkeypatch):
@@ -161,6 +194,22 @@ def test_cached_census_still_meets_a_lowered_budget(capsys, monkeypatch):
     assert err.endswith("(needed 3200, cap 1000)\n")
 
 
+def test_warm_search_still_meets_a_lowered_block_budget(capsys, monkeypatch):
+    # Aut(C2^3) = GL(3, 2) has 168 elements; every path over the warm search
+    # checks that block again
+    pair = ("--N", "c2xc2xc2", "--G", "d8")
+    code, out, _ = run(capsys, "census", *pair)
+    assert code == EXIT_OK and json.loads(out)["c"] == 2
+    monkeypatch.setenv("HOLOBRACE_CAP", "100")
+    for argv in (("census", *pair), ("census", *pair, "--direct"), ("ybe-check", *pair)):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CAPACITY and out == ""
+        assert err.endswith("(needed 168, cap 100)\n")
+    monkeypatch.delenv("HOLOBRACE_CAP")
+    code, out, _ = run(capsys, "census", *pair)
+    assert code == EXIT_OK and json.loads(out)["c"] == 2
+
+
 def test_rank2_family_budget_exit_code(capsys, monkeypatch):
     # the rank-2 solver holds 16 subgroups of 2^n encodings: 2^10 at n = 6
     monkeypatch.setenv("HOLOBRACE_CAP", "1000")
@@ -187,10 +236,26 @@ def test_dump_aut_bytes_are_pinned(capsys, tmp_path, group, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_spectrum_workers_deterministic(capsys):
+def test_spectrum_workers_deterministic(capsys, monkeypatch):
+    import holobrace.holomorph as holomorph
+
+    monkeypatch.setattr(holomorph.os, "cpu_count", lambda: 2)  # two workers on any host
     a = run(capsys, "spectrum", "--N", "c2xc8", "--workers", "1")
     b = run(capsys, "spectrum", "--N", "c2xc8", "--workers", "2")
     assert json.loads(a[1]) == json.loads(b[1])
+
+
+def test_spectrum_workers_range_is_a_usage_error(capsys, monkeypatch):
+    import holobrace.holomorph as holomorph
+
+    used = []
+    monkeypatch.setattr(holomorph, "_spectrum_parallel", lambda group, workers: used.append(workers))
+    monkeypatch.setattr(holomorph.os, "cpu_count", lambda: 2)
+    for workers in ("0", "-2", "3", "100000"):
+        code, out, err = run(capsys, "spectrum", "--N", "c2xc8", "--workers", workers)
+        assert code == EXIT_USAGE and out == ""
+        assert "1..2" in err
+    assert used == []
 
 
 def test_census_reports_the_sylow_path(capsys):
@@ -230,3 +295,55 @@ def test_malformed_env_caps_are_input_errors(capsys, monkeypatch, tmp_path, name
     )
     assert code == EXIT_USAGE
     assert name in err
+
+
+# -- fuzzing ----------------------------------------------------------------------
+
+# Left out of the fuzz to keep it short: the two costliest cold searches up to
+# order 32 (C2^4 Q16 about 0.7 s, C2^3 x C4 Q32 about 0.3 s).
+_SLOW_GROUPS = {make_group([2, 2, 2, 2]), make_group([2, 2, 2, 4])}
+
+
+def _cheap_factors(orders):
+    return prod(orders) <= 32 and make_group(orders) not in _SLOW_GROUPS
+
+
+_CHEAP_ORDERS = st.lists(
+    st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 32]), min_size=1, max_size=5
+).filter(_cheap_factors)
+_BAD_GROUPS = st.one_of(
+    st.sampled_from(["", "c", "c0", "c1", "c-4", "c2x", "[2,", "[0]", "[[4]]", "c4,c4", "g8"]),
+    st.text(alphabet="cCx[],-0123456789 ", max_size=8),  # too short to spell either slow group
+)
+_BAD_TARGETS = st.sampled_from(["", "q", "d", "x8", "q-8", "d 8", "q8x", "qq8", "q1e3", "q0x10"])
+_CAPS = st.sampled_from([None, "", "0", "-5", "2M", "0x40", "1", "100"])
+
+
+@st.composite
+def _census_argv(draw):
+    """A census call: a valid or malformed --N, and a --G that often matches |N|."""
+    orders = draw(_CHEAP_ORDERS)
+    group = draw(
+        st.one_of(
+            st.sampled_from(["x".join(f"c{k}" for k in orders), "[" + ",".join(map(str, orders)) + "]"]),
+            _BAD_GROUPS,
+        )
+    )
+    order = draw(st.one_of(st.just(prod(orders)), st.integers(min_value=0, max_value=64)))
+    target = draw(st.one_of(st.sampled_from([f"q{order}", f"d{order}", f"D{order}"]), _BAD_TARGETS))
+    return ["census", "--N", group, "--G", target]
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(_census_argv(), _CAPS, _CAPS)
+def test_census_fuzz_exits_with_a_documented_code(argv, cap, hol_cap):
+    """Any spec, target and cap values end in exit 0, 1 or 3; nothing escapes main."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (("HOLOBRACE_CAP", cap), ("HOLOBRACE_HOL_CAP", hol_cap)):
+            if value is None:
+                mp.delenv(name, raising=False)
+            else:
+                mp.setenv(name, value)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAPACITY), (argv, cap, hol_cap)

@@ -214,19 +214,18 @@ def test_cross_check_runs_the_full_scan_and_the_sylow_path(monkeypatch):
 
     ran = []
 
-    def spy(group, kind, method="auto", cap=None):
-        res = search_regular(group, kind, method, cap)
+    def spy(group, kind, method="auto"):
+        res = search_regular(group, kind, method)
         ran.append(res.method)
         return res
 
     monkeypatch.setattr(counts, "search_regular", spy)
-    counts._two_power_census.cache_clear()
     res = census(parse_group("c2xc4"), parse_kind("d8"), cross_check=True)
     assert (res.c, res.r, res.method) == (5, 14, "direct")
     assert ran == ["full", "sylow"]
 
-    def broken(group, kind, method="auto", cap=None):
-        res = search_regular(group, kind, method, cap)
+    def broken(group, kind, method="auto"):
+        res = search_regular(group, kind, method)
         return replace(res, classes=res.classes[1:]) if res.method == "sylow" else res
 
     monkeypatch.setattr(counts, "search_regular", broken)

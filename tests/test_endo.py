@@ -183,9 +183,10 @@ def test_enumerate_aut_orders_table():
     assert enumerate_aut(make_group([4, 8])).order == 128
 
 
-def test_enumerate_aut_cap():
+def test_enumerate_aut_cap(monkeypatch):
+    monkeypatch.setenv("HOLOBRACE_CAP", "1000")
     with pytest.raises(CapacityError):
-        enumerate_aut(make_group([2, 2, 2, 2]), cap=1000)
+        enumerate_aut(make_group([2, 2, 2, 2]))
 
 
 def test_aut_order_uses_phi_for_odd_cyclic():
@@ -351,25 +352,31 @@ def test_blocks_check_their_size():
     gens = [m for (m,) in aut_generators(make_group([2, 2, 2]))]
     for dropped in range(len(gens)):
         with pytest.raises(InternalConsistencyError):
-            space._closed_block("full", 168, gens[:dropped] + gens[dropped + 1 :], None)
+            space._closed_block("full", 168, lambda: gens[:dropped] + gens[dropped + 1 :])
     sylow = sylow_generators(2, (1, 1, 1))
     with pytest.raises(InternalConsistencyError):
-        space._closed_block("Sylow", 8, sylow[1:], None)
+        space._closed_block("Sylow", 8, lambda: sylow[1:])
     with pytest.raises(InternalConsistencyError):
-        space._closed_block("Sylow", 4, sylow, None)  # more than the formula allows
+        space._closed_block("Sylow", 4, lambda: sylow)  # more than the formula allows
     assert len(space.aut_perms()) == 168 and len(space.sylow_aut_perms()) == 8
 
 
-def test_block_cap_is_checked_before_building():
+def test_block_cap_is_checked_before_building(monkeypatch):
     space = PrimeSpace(make_group([2, 2, 2, 2]))
+    monkeypatch.setenv("HOLOBRACE_CAP", "20159")
     with pytest.raises(CapacityError) as err:
-        space.aut_perms(cap=20159)
+        space.aut_perms()
     assert (err.value.needed, err.value.cap) == (20160, 20159)
+    monkeypatch.setenv("HOLOBRACE_CAP", "63")
     with pytest.raises(CapacityError) as err:
-        space.sylow_aut_perms(cap=63)
+        space.sylow_aut_perms()
     assert (err.value.needed, err.value.cap) == (64, 63)
     assert not space._blocks
-    assert len(space.sylow_aut_perms(cap=64)) == 64
+    monkeypatch.setenv("HOLOBRACE_CAP", "64")
+    assert len(space.sylow_aut_perms()) == 64
+    monkeypatch.setenv("HOLOBRACE_CAP", "63")  # a built block is checked again
+    with pytest.raises(CapacityError):
+        space.sylow_aut_perms()
 
 
 @pytest.mark.parametrize("p,max_rank", [(2, 6), (3, 4), (5, 3)])

@@ -134,7 +134,10 @@ def test_order_spectrum_cyclic_oracle_wider():
         assert order_spectrum(make_group([m])) == affine_spectrum_oracle(m)
 
 
-def test_spectrum_workers_agree():
+def test_spectrum_workers_agree(monkeypatch):
+    import holobrace.holomorph as holomorph
+
+    monkeypatch.setattr(holomorph.os, "cpu_count", lambda: 2)  # two workers on any host
     base = order_spectrum(make_group([2, 8]))
     assert order_spectrum(make_group([2, 8]), workers=2) == base
 
@@ -144,7 +147,7 @@ def test_spectrum_workers_follow_pool_size(monkeypatch):
 
     used = []
 
-    def spy(group, workers, cap):
+    def spy(group, workers):
         used.append(workers)
         return Counter()
 
@@ -156,6 +159,9 @@ def test_spectrum_workers_follow_pool_size(monkeypatch):
     order_spectrum(make_group([2, 64]), workers=3)
     monkeypatch.setattr(holomorph.os, "cpu_count", lambda: 1)
     order_spectrum(make_group([2, 64]))
+    for workers in (0, -1, 2, 1 << 20):  # outside 1..cpu_count: refused before any pool
+        with pytest.raises(InvalidInputError, match=r"1\.\.1"):
+            order_spectrum(make_group([2, 64]), workers=workers)
     assert used == [2, 3]
 
     from holobrace.cli import build_parser

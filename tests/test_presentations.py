@@ -89,7 +89,7 @@ def test_parse_kind():
     assert parse_kind("d32") == TargetKind(DIHEDRAL, 5, 1)
     assert parse_kind("q24") == TargetKind(QUATERNION, 3, 3)
     assert parse_kind("D12") == TargetKind(DIHEDRAL, 2, 3)
-    for bad in ("x8", "q", "q6", "q2"):
+    for bad in ("x8", "q", "q6", "q2", "q0", "d0", "d00"):  # order 0 must fail, not loop
         with pytest.raises(InvalidInputError):
             parse_kind(bad)
 

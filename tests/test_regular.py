@@ -170,13 +170,31 @@ def test_sylow_path_matches_full_path(orders, kind):
     )
 
 
+def test_warm_search_meets_lowered_budgets(monkeypatch):
+    # a memoized search still checks its pool's budgets on every call
+    g, k = make_group([2, 2, 2]), parse_kind("d8")
+    assert search_regular(g, k).method == "full"
+    monkeypatch.setenv("HOLOBRACE_CAP", "100")  # |Aut(C2^3)| = |GL(3, 2)| = 168
+    with pytest.raises(CapacityError) as err:
+        search_regular(g, k)
+    assert (err.value.needed, err.value.cap) == (168, 100)
+    monkeypatch.delenv("HOLOBRACE_CAP")
+    monkeypatch.setenv("HOLOBRACE_HOL_CAP", "1000")  # |Hol(C2^3)| = 8 * 168 = 1344
+    with pytest.raises(CapacityError) as err:
+        search_regular(g, k, "full")
+    assert (err.value.needed, err.value.cap) == (1344, 1000)
+    monkeypatch.delenv("HOLOBRACE_HOL_CAP")
+    assert search_regular(g, k).r == 126
+
+
 @pytest.mark.slow
-def test_sylow_path_matches_full_path_c2p4():
+def test_sylow_path_matches_full_path_c2p4(monkeypatch):
     # |Hol(C2^4)| = 322560: raise the scan cap so the full path runs too
     g = make_group([2, 2, 2, 2])
     k = parse_kind("q16")
     syl = find_regular_sylow(g, k)
-    full = search_regular(g, k, method="full", cap=400000)
+    monkeypatch.setenv("HOLOBRACE_HOL_CAP", "400000")
+    full = search_regular(g, k, method="full")
     assert full.keys == syl.keys
     assert full.c == syl.c == 1
     assert full.r == syl.r == 5040
@@ -185,10 +203,11 @@ def test_sylow_path_matches_full_path_c2p4():
 @pytest.mark.slow
 @pytest.mark.parametrize("orders", [[4, 16], [2, 2, 16], [2, 2, 2, 8]])
 @pytest.mark.parametrize("kind", ["q64", "d64"])
-def test_zero_families_empty_at_n6(orders, kind):
+def test_zero_families_empty_at_n6(orders, kind, monkeypatch):
     # the nonexistence families stay empty at n = 6 under a real search
     # (C2^3 x C8 needs a raised cap: its Sylow pool has 131072 elements)
-    res = search_regular(make_group(orders), parse_kind(kind), cap=200000)
+    monkeypatch.setenv("HOLOBRACE_HOL_CAP", "200000")
+    res = search_regular(make_group(orders), parse_kind(kind))
     assert (res.c, res.r) == (0, 0)
 
 
