@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import lru_cache
+from itertools import product
 from math import lcm, prod
 
 from . import config
@@ -36,7 +37,7 @@ class PrimeSpace:
     def __init__(self, spec: GroupSpec):
         if spec.order > 255:
             raise CapacityError(
-                f"component {spec} has {spec.order} elements; bytes kernel handles <= 255"
+                f"component {spec} is too large for the bytes kernel", needed=spec.order, cap=255
             )
         self.spec = spec
         self.m = spec.order
@@ -239,11 +240,9 @@ class HolKernel:
     def trans_index(self, x: KernelElement) -> int:
         return sum(a[0] * s for a, s in zip(x, self.strides))
 
-    def apply(self, x: KernelElement, idx: int) -> int:
-        out = 0
-        for k, (sp, a) in enumerate(zip(self.spaces, x)):
-            out += a[self.split_tabs[k][idx]] * self.strides[k]
-        return out
+    def images(self, x: KernelElement) -> tuple[int, ...]:
+        """x as a permutation of the combined indices: images(x)[i] = x(i)."""
+        return tuple(map(sum, product(*([v * s for v in a] for a, s in zip(x, self.strides)))))
 
     # -- element <-> algebraic form ----------------------------------------------
 

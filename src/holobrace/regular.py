@@ -125,13 +125,14 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Iterable[KernelElement
         if len(orb0_set) != mx:
             continue
         handled = set(orb0_set)
+        img = kern.images(x)
         for t in range(n):
             if t in handled:
                 continue
             orbt = [t]
             cur = t
             for _ in range(mx - 1):
-                cur = kern.apply(x, cur)
+                cur = img[cur]
                 orbt.append(cur)
             handled.update(orbt)
             if len(set(orbt)) != mx:

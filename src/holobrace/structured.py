@@ -132,6 +132,13 @@ def solve_cyclic(n: int, family: str) -> StructuredCensus:
     mod = 1 << n
     mods = (mod,)
     half = mod >> 1
+    # |X| = 2^{n-1}; |Y| = 2^{n-1} + 4, or 3 * 2^{n-1} + 4 if dihedral: checked before building
+    y_count = half + 4 if family == QUATERNION else 3 * half + 4
+    needed, cap = half * y_count, config.aut_candidate_cap()
+    if needed > cap:
+        raise CapacityError(
+            f"cyclic family solver at n={n}: too many (X, Y) pairs", needed=needed, cap=cap
+        )
     quarter = mod >> 3  # 2^{n-3}, the coefficient of the order-exactness test
     kind = TargetKind(family, n, 1)
     roots = [a for a in range(1, mod, 2) if a * a % mod == 1]
@@ -146,11 +153,8 @@ def solve_cyclic(n: int, family: str) -> StructuredCensus:
     y_sols = [
         (beta, w) for beta in roots for w in range(mod) if ((1 + beta) * w) % mod == rhs
     ]
-    needed, cap = len(x_sols) * len(y_sols), config.aut_candidate_cap()
-    if needed > cap:
-        raise CapacityError(
-            f"cyclic family solver at n={n}: too many (X, Y) pairs", needed=needed, cap=cap
-        )
+    if len(x_sols) * len(y_sols) != needed:
+        raise InternalConsistencyError(f"cyclic family n={n}: pair count differs from {needed}")
     subgroups: dict[frozenset, StructuredGeneratorPair] = {}
     for alpha, v in x_sols:
         x_enc = ((alpha,), (v,))

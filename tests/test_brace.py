@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -10,11 +11,12 @@ from holobrace.brace import (
     lambda_is_homomorphism,
     verify_brace,
     ybe_solution,
+    ybe_violation,
 )
 from holobrace.errors import InvalidInputError
-from holobrace.holomorph import hol_from_translation, to_kernel
+from holobrace.holomorph import from_kernel, hol_apply, hol_from_translation, to_kernel
 from holobrace.kernel import get_kernel
-from holobrace.presentations import TargetKind, parse_kind
+from holobrace.presentations import TargetKind, admissible_types, parse_kind
 from holobrace.regular import _subgroup, search_regular
 
 
@@ -65,13 +67,15 @@ def test_all_small_braces_verify():
 def test_lambda_reconstructs_subgroup():
     """a -> (a, lambda_a) recovers exactly the subgroup's elements."""
     g = parse_group("c2xc8")
-    kern = get_kernel(g)
     res = search_regular(g, parse_kind("d16"))
     sub = res.subgroups[0]
     bt = brace_from_subgroup(sub)
     # g_a acts as b -> a o b, so the circ rows are exactly the subgroup's perms
     rebuilt = {tuple(bt.circ[a]) for a in range(g.order)}
-    original = {tuple(kern.apply(e, b) for b in range(g.order)) for e in sub.elements}
+    elems = list(g.elements())
+    original = {
+        tuple(g.index(hol_apply(from_kernel(g, e), b)) for b in elems) for e in sub.elements
+    }
     assert rebuilt == original
 
 
@@ -143,3 +147,201 @@ def test_brace_export_json():
     assert payload["schema"] == "v1"
     assert payload["factors"] == [8]
     assert len(payload["circ"]) == 8 and all(len(r) == 8 for r in payload["circ"])
+
+
+def test_trivial_brace_past_256_elements():
+    # C3 x C8 x C11 has 264 elements: no check depends on a bytes row
+    bt = brace_from_subgroup(translation_subgroup([3, 8, 11]))
+    assert bt.is_trivial()
+    sol = ybe_solution(bt)  # verifies the brace first
+    n = bt.size
+    assert n == 264
+    assert all(sol.apply(x, y) == (y, x) for x in range(n) for y in range(n))
+
+
+# -- O(n^3) oracles: every triple visited, no permutation identities --------------
+
+
+def brace_violation_reference(bt):
+    """First failure of the brace axioms on circ, as (axiom, a, b, c), or None."""
+    n = bt.size
+    circ = bt.circ
+    rng = range(n)
+    for a in rng:
+        if sorted(circ[a]) != list(rng):
+            return ("row-not-bijective", a)
+        if circ[a][0] != a or circ[0][a] != a:
+            return ("identity", a)
+    for a in rng:
+        for b in rng:
+            ab = circ[a][b]
+            for c in rng:
+                if circ[ab][c] != circ[a][circ[b][c]]:
+                    return ("associativity", a, b, c)
+    g = bt.group
+    elems = list(g.elements())
+    add_tab = [[g.index(g.add(x, y)) for y in elems] for x in elems]
+    neg = [g.index(g.neg(x)) for x in elems]
+    for a in rng:
+        row = circ[a]
+        for b in rng:
+            left_part = add_tab[row[b]][neg[a]]
+            for c in rng:
+                if row[add_tab[b][c]] != add_tab[left_part][row[c]]:
+                    return ("brace-relation", a, b, c)
+    return None
+
+
+def lambda_is_homomorphism_reference(bt):
+    n = bt.size
+    for a in range(n):
+        la = bt.lam[a]
+        for b in range(n):
+            lab = bt.lam[bt.circ[a][b]]
+            lb = bt.lam[b]
+            if any(lab[c] != la[lb[c]] for c in range(n)):
+                return False
+    return True
+
+
+def ybe_violation_reference(table):
+    """First failure of involutivity, as (axiom, x, y), or of the braid
+    relation r12 r23 r12 = r23 r12 r23 on N^3, as (axiom, x, y, z), or None."""
+    n = len(table)
+    for x in range(n):
+        for y in range(n):
+            u, v = table[x][y]
+            if table[u][v] != (x, y):
+                return ("involutivity", x, y)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                a, b = table[x][y]
+                c, d = table[b][z]
+                e, f = table[a][c]
+                c2, d2 = table[y][z]
+                a2, b2 = table[x][c2]
+                e2, f2 = table[b2][d2]
+                if (e, f, d) != (a2, e2, f2):
+                    return ("braid", x, y, z)
+    return None
+
+
+def assert_checks_agree(bt):
+    """The fast checks and the oracles give the same verdicts on bt."""
+    ref = brace_violation_reference(bt)
+    assert brace_violation(bt) == (ref and ref[:3])
+    assert lambda_is_homomorphism(bt) == lambda_is_homomorphism_reference(bt)
+    if ref is None:
+        table = ybe_solution(bt).table
+        assert ybe_violation(table) is None and ybe_violation_reference(table) is None
+
+
+def class_braces(pairs):
+    return [
+        brace_from_subgroup(cls.representative)
+        for group, kind in pairs
+        for cls in search_regular(group, kind).classes
+    ]
+
+
+def test_checks_agree_with_oracles_on_table1_braces():
+    pairs = [
+        (two, parse_kind(fam + str(two.order)))
+        for n in (2, 3, 4)
+        for fam in "qd"
+        for two in admissible_types(n)
+    ]
+    braces = class_braces(pairs)
+    assert len(braces) == 31  # the sum of the c column of table 1
+    for bt in braces:
+        assert_checks_agree(bt)
+
+
+def test_checks_agree_with_oracles_at_order_32():
+    def pairs(groups):
+        return [(parse_group(N), parse_kind(G)) for N in groups for G in ("q32", "d32")]
+
+    # C4 x C8 and C2 x C2 x C8 carry no quaternion or dihedral brace of order
+    # 32; C32 carries 1 + 1 and C2 x C16 carries 6 + 6
+    assert class_braces(pairs(["c4xc8", "c2xc2xc8"])) == []
+    braces = class_braces(pairs(["c32", "c2xc16"]))
+    assert len(braces) == 14
+    for bt in braces:
+        assert_checks_agree(bt)
+
+
+def nontrivial_brace(nspec, kind):
+    return next(
+        bt for bt in class_braces([(parse_group(nspec), parse_kind(kind))]) if not bt.is_trivial()
+    )
+
+
+def test_corrupted_circ_is_rejected():
+    bt = nontrivial_brace("c2xc8", "d16")
+    rows = [list(r) for r in bt.circ]
+    rows[3][5] = rows[3][6]
+    bad = BraceTable(bt.group, tuple(map(tuple, rows)), bt.lam)
+    assert brace_violation(bad) == brace_violation_reference(bad) == ("row-not-bijective", 3)
+    # swapping two entries keeps every row a permutation fixing 0, so only
+    # associativity and the brace relation are left to catch it
+    bt = nontrivial_brace("c2xc4", "q8")
+    n = bt.size
+    for a in range(1, n):
+        for b, c in combinations(range(1, n), 2):
+            rows = [list(r) for r in bt.circ]
+            rows[a][b], rows[a][c] = rows[a][c], rows[a][b]
+            bad = BraceTable(bt.group, tuple(map(tuple, rows)), bt.lam)
+            ref = brace_violation_reference(bad)
+            assert ref is not None and brace_violation(bad) == ref[:3]
+
+
+def test_relabelled_group_fails_the_brace_relation():
+    # a o' b = pi(pi(a) o pi(b)) for an involution pi fixing 0 that is not
+    # additive: (N, o') is still a group, but lambda'_a is not additive
+    bt = brace_from_subgroup(translation_subgroup([8]))
+    pi = [0, 2, 1, 3, 4, 5, 6, 7]
+    circ = tuple(tuple(pi[bt.circ[pi[a]][pi[b]]] for b in range(8)) for a in range(8))
+    bad = BraceTable(bt.group, circ, bt.lam)
+    ref = brace_violation_reference(bad)
+    assert ref[0] == "brace-relation" and brace_violation(bad) == ref[:3]
+
+
+def test_corrupted_lambda_is_rejected():
+    bt = nontrivial_brace("c2xc8", "d16")
+    rows = [list(r) for r in bt.lam]
+    rows[3][5] = rows[3][6]
+    bad = BraceTable(bt.group, bt.circ, tuple(map(tuple, rows)))
+    assert not lambda_is_homomorphism(bad)
+    assert not lambda_is_homomorphism_reference(bad)
+
+
+def test_corrupted_ybe_pair_is_rejected():
+    table = [list(r) for r in ybe_solution(nontrivial_brace("c2xc8", "d16")).table]
+    table[3][5] = table[3][6]
+    bad = tuple(map(tuple, table))
+    fast, ref = ybe_violation(bad), ybe_violation_reference(bad)
+    assert fast is not None and ref is not None and fast[0] == ref[0]
+
+
+def involutive_table(sigma):
+    """The involutive map r(x, y) = (u, sigma_u^{-1}(x)) with u = sigma_x(y)."""
+    n = len(sigma)
+    inv = [{v: i for i, v in enumerate(s)} for s in sigma]
+    return tuple(tuple((sigma[x][y], inv[sigma[x][y]][x]) for y in range(n)) for x in range(n))
+
+
+def test_cycle_set_identity_is_the_braid_relation_on_three_points():
+    # every involutive, left non-degenerate map on 3 points is one of these 6^3
+    braided = 0
+    for sigma in product(permutations(range(3)), repeat=3):
+        table = involutive_table(sigma)
+        fast, ref = ybe_violation(table), ybe_violation_reference(table)
+        assert (fast is None) == (ref is None)
+        assert fast is None or (fast[0], ref[0]) == ("braid", "braid")
+        braided += fast is None
+    assert 0 < braided < 6**3
+    # the identity map is an involutive solution, but not left non-degenerate
+    flat = tuple(tuple((x, y) for y in range(3)) for x in range(3))
+    assert ybe_violation_reference(flat) is None
+    assert ybe_violation(flat) == ("left-degenerate", 0)

@@ -174,6 +174,13 @@ def test_capacity_error_details_on_stderr(capsys, monkeypatch):
     assert (code, out, err) == (EXIT_CAPACITY, "", "capacity exceeded: no sizes known\n")
 
 
+def test_kernel_component_limit_names_its_size(capsys):
+    # C256 is one 2-component of 256 elements, past the bytes kernel's 255
+    code, out, err = run(capsys, "census", "--N", "c256", "--G", "q256", "--direct")
+    assert code == EXIT_CAPACITY and out == ""
+    assert err.startswith("capacity exceeded: ") and err.endswith("(needed 256, cap 255)\n")
+
+
 def test_cyclic_family_budget_exit_code(capsys, monkeypatch):
     # C64 D64: 32 X candidates times 100 Y candidates, past a cap of 1000
     monkeypatch.setenv("HOLOBRACE_CAP", "1000")

@@ -219,6 +219,33 @@ def test_cyclic_pair_budget(monkeypatch):
     assert solve_cyclic(6, DIHEDRAL).r == 1
 
 
+def test_cyclic_pair_budget_is_closed_form(monkeypatch):
+    # the solver refuses from 2^{n-1} * (2^{n-1} + 4) or 2^{n-1} * (3 * 2^{n-1} + 4)
+    # before it builds X or Y; the lists built here must have those sizes
+    monkeypatch.setenv("HOLOBRACE_CAP", "1")
+    for n in range(4, 13):
+        mod = 1 << n
+        roots = [a for a in range(1, mod, 2) if a * a % mod == 1]
+        xs = [
+            (a, v) for a in roots for v in range(mod)
+            if ((1 + a) * v) % 8 == 4 and ((mod >> 3) * (1 + a) * v) % mod != 0
+        ]
+        for family, rhs in ((QUATERNION, mod >> 1), (DIHEDRAL, 0)):
+            ys = [(b, w) for b in roots for w in range(mod) if ((1 + b) * w) % mod == rhs]
+            with pytest.raises(CapacityError) as err:
+                solve_cyclic(n, family)
+            assert err.value.needed == len(xs) * len(ys)
+    monkeypatch.delenv("HOLOBRACE_CAP")
+    with pytest.raises(CapacityError) as err:
+        solve_cyclic(11, DIHEDRAL)
+    assert (err.value.needed, err.value.cap) == (3149824, 1 << 21)
+    # (11, quaternion) needs 1,052,672 pairs, within the default 2^21
+    monkeypatch.setenv("HOLOBRACE_CAP", str(1052672 - 1))
+    with pytest.raises(CapacityError) as err:
+        solve_cyclic(11, QUATERNION)
+    assert err.value.needed == 1052672 <= 1 << 21
+
+
 def test_rank2_encoding_budget(monkeypatch):
     monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
     # 16 subgroups of 2^n encodings: n = 17 fits the default 2^21, n = 18 does not
