@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import Optional
 
@@ -55,13 +54,12 @@ def _compose(p: Row, q: Row) -> Row:
     return itemgetter(*q)(p)
 
 
-@lru_cache(maxsize=None)
 def _add_table(group: GroupSpec) -> tuple[Row, ...]:
-    """add[a] is tau_a: b -> a + b."""
-    n = group.order
-    elems = list(group.elements())
+    """add[a] is tau_a: b -> a + b, the kernel's translation by a."""
+    kern = get_kernel(group)
     return tuple(
-        tuple(group.index(group.add(elems[a], elems[b])) for b in range(n)) for a in range(n)
+        kern.images(tuple(sp.add_rows[tab[a]] for sp, tab in zip(kern.spaces, kern.split_tabs)))
+        for a in range(group.order)
     )
 
 

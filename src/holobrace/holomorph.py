@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from .abelian import Element, GroupSpec
 from .endo import (
@@ -147,7 +148,7 @@ def _spectrum_chunk(args) -> Counter:
     kern = get_kernel(GroupSpec(factors))
     pool = kern.full_pool()
     out: Counter[int] = Counter()
-    for x in pool[lo:hi]:
+    for x in islice(pool, lo, hi):
         out[kern.order(x)] += 1
     return out
 

@@ -9,7 +9,7 @@ orders, conjugation) on C-speed bytes operations.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
@@ -179,6 +179,23 @@ class PrimeSpace:
     def hol_elements(self, aut_list: list[bytes]) -> list[bytes]:
         return [self.hol_perm(a, v) for a in aut_list for v in range(self.m)]
 
+    def cycles_dividing(self, aut_list: list[bytes], mx: int) -> Iterator[tuple[bytes, int]]:
+        """(x, c) for each x = (A, v) of `hol_elements(aut_list)`, in that
+        order, whose order divides mx, c the length of its cycle through 0.
+
+        x^k = (A^k, x^k(0)), so order(x) = lcm(order(A), c)."""
+        add_rows = self.add_rows
+        for a in aut_list:
+            if mx % self.order(a):
+                continue
+            for v, row in enumerate(add_rows):
+                c, cur = 1, v
+                while cur and c < mx:
+                    c += 1
+                    cur = row[a[cur]]
+                if not cur and mx % c == 0:
+                    yield self.hol_perm(a, v), c
+
 
 @lru_cache(maxsize=None)
 def _prime_space(spec: GroupSpec) -> PrimeSpace:
@@ -209,7 +226,6 @@ class HolKernel:
         # lexicographic order: components are contiguous prime slices, so the
         # combined index is the mixed-radix mix of component indices.
         self.identity: KernelElement = tuple(sp.identity for sp in self.spaces)
-        self._pools: dict[str, list[KernelElement]] = {}
 
     # -- algebra ----------------------------------------------------------------
 
@@ -303,31 +319,19 @@ class HolKernel:
     def hol_order(self) -> int:
         return self.group.order * aut_order(self.group)
 
-    def full_pool(self) -> list[KernelElement]:
+    def full_pool(self) -> Pool:
         """Every element of Hol(N), as the product of per-component pools."""
         total = self.hol_order()
         _check_scan(total, f"|Hol({self.group})| = {total} exceeds cap")
-        return self._pool("full", [sp.aut_perms() for sp in self.spaces])
+        return Pool(self.spaces, [sp.aut_perms() for sp in self.spaces])
 
-    def sylow_pool(self) -> list[KernelElement]:
+    def sylow_pool(self) -> Pool:
         """Odd components in full, 2-component restricted to N_2 x P."""
         total = prod(sp.m * (sp.sylow_size if sp.p == 2 else sp.aut_size) for sp in self.spaces)
         _check_scan(total, f"Sylow-restricted pool for {self.group} has {total} elements, cap")
-        return self._pool(
-            "sylow", [sp.sylow_aut_perms() if sp.p == 2 else sp.aut_perms() for sp in self.spaces]
+        return Pool(
+            self.spaces, [sp.sylow_aut_perms() if sp.p == 2 else sp.aut_perms() for sp in self.spaces]
         )
-
-    def _pool(self, name: str, auts: list[list[bytes]]) -> list[KernelElement]:
-        """Translations times `auts`, per component, multiplied out; memoized
-        by `name` once the caller has checked every budget."""
-        out = self._pools.get(name)
-        if out is None:
-            out = [()]
-            for sp, aut_list in zip(self.spaces, auts):
-                lst = sp.hol_elements(aut_list)
-                out = [prefix + (p,) for prefix in out for p in lst]
-            self._pools[name] = out
-        return out
 
     # -- conjugation -------------------------------------------------------------
 
@@ -349,6 +353,46 @@ class HolKernel:
             return tuple(out)
 
         return conj
+
+
+class Pool:
+    """Translations times an automorphism block, per component, in product
+    order: the first component outermost, then automorphisms, then
+    translations.  The product is never multiplied out."""
+
+    def __init__(self, spaces: tuple[PrimeSpace, ...], auts: list[list[bytes]]):
+        self.spaces = spaces
+        self.auts = auts
+
+    def __len__(self) -> int:
+        return prod(sp.m * len(a) for sp, a in zip(self.spaces, self.auts))
+
+    def __iter__(self) -> Iterator[KernelElement]:
+        return product(*(sp.hol_elements(a) for sp, a in zip(self.spaces, self.auts)))
+
+    def candidates(self, mx: int) -> Iterator[KernelElement]:
+        """The elements of order mx whose orbit through 0 has mx points, in
+        pool order.
+
+        For x = (x_p), order(x) = lcm o_p and the orbit of 0 has lcm c_p
+        points, c_p the cycle length of 0_p under x_p and c_p | o_p.  Both
+        equal mx iff every o_p divides mx and lcm c_p = mx.  So each
+        component is filtered alone, the later ones are multiplied out as
+        survivors only, and the first (the 2-part, the largest) is streamed
+        against them.
+        """
+        first, *rest = (sp.cycles_dividing(a, mx) for sp, a in zip(self.spaces, self.auts))
+        tails: list[tuple[KernelElement, int]] = [((), 1)]
+        for comp in rest:
+            survivors = list(comp)
+            tails = [(t + (x,), lcm(c, cx)) for t, c in tails for x, cx in survivors]
+        fitting: dict[int, list[KernelElement]] = {}
+        for x, c in first:
+            fits = fitting.get(c)
+            if fits is None:
+                fits = fitting[c] = [t for t, ct in tails if lcm(c, ct) == mx]
+            for t in fits:
+                yield (x,) + t
 
 
 def _check_scan(total: int, what: str) -> None:

@@ -1,7 +1,8 @@
 """Search for regular quaternion/dihedral subgroups of Hol(N).
 
 The engine scans candidate generators X of order exactly 2^{n-1} s whose
-translation orbit is faithful, then builds each admissible partner Y
+translation orbit is faithful, as the pool streams them one Sylow component
+at a time (`kernel.Pool.candidates`), then builds each admissible partner Y
 directly from the relations: Y is determined on all of N by the target point
 t = Y(0) together with Y X Y^{-1} = X^{-1} and the kind's Y^2 relation, so
 only affine-ness has to be checked.  Two search spaces are supported: all of
@@ -21,7 +22,7 @@ from .abelian import GroupSpec, reach
 from .endo import aut_order
 from .errors import CapacityError, InternalConsistencyError, InvalidInputError
 from .holomorph import HolElement, exponent_bound, from_kernel, to_kernel
-from .kernel import HolKernel, KernelElement, get_kernel
+from .kernel import HolKernel, KernelElement, Pool, get_kernel
 from .presentations import QUATERNION, TargetKind, _classify_kernel
 
 SubgroupKey = tuple[bytes, ...]
@@ -99,7 +100,7 @@ def _build_y(kern: HolKernel, orb0: list[int], orbt: list[int], quat: bool, half
     return kern.affine_from_images(img)
 
 
-def _seed_search(kern: HolKernel, kind: TargetKind, pool: Iterable[KernelElement]):
+def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool):
     """All regular `kind` subgroups generated inside `pool` (X there, Y free)."""
     if kern.group.order != kind.order:
         raise InvalidInputError(f"|N| = {kern.group.order} but target has order {kind.order}")
@@ -111,9 +112,7 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Iterable[KernelElement
     n = kern.n
     seen_x: set[bytes] = set()
     found: dict[SubgroupKey, tuple] = {}
-    for x in pool:
-        if kern.order(x) != mx:
-            continue
+    for x in pool.candidates(mx):
         if kern.code(x) in seen_x:
             continue
         pows = kern.power_list(x, mx)
@@ -122,7 +121,7 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Iterable[KernelElement
                 seen_x.add(kern.code(pows[k]))
         orb0 = [kern.trans_index(p) for p in pows]
         orb0_set = set(orb0)
-        if len(orb0_set) != mx:
+        if len(orb0_set) != mx or kern.compose(x, pows[-1]) != kern.identity:
             continue
         handled = set(orb0_set)
         img = kern.images(x)

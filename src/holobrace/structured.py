@@ -13,6 +13,7 @@ The loops run on plain-integer affine maps in the form of `HolElement.encode()`
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import config
 from .abelian import GroupSpec, make_group, reach
@@ -129,16 +130,27 @@ def solve_cyclic(n: int, family: str) -> StructuredCensus:
         raise StructuredRangeError(f"cyclic solver needs n >= 4, got {n}")
     if family not in (QUATERNION, DIHEDRAL):
         raise InvalidInputError(f"unknown family {family!r}")
-    mod = 1 << n
-    mods = (mod,)
-    half = mod >> 1
-    # |X| = 2^{n-1}; |Y| = 2^{n-1} + 4, or 3 * 2^{n-1} + 4 if dihedral: checked before building
-    y_count = half + 4 if family == QUATERNION else 3 * half + 4
-    needed, cap = half * y_count, config.aut_candidate_cap()
+    needed, cap = _cyclic_pairs(n, family), config.aut_candidate_cap()
     if needed > cap:
         raise CapacityError(
             f"cyclic family solver at n={n}: too many (X, Y) pairs", needed=needed, cap=cap
         )
+    return _solve_cyclic(n, family)
+
+
+def _cyclic_pairs(n: int, family: str) -> int:
+    """|X| * |Y|: |X| = 2^{n-1}; |Y| = 2^{n-1} + 4, or 3 * 2^{n-1} + 4 if dihedral."""
+    half = 1 << (n - 1)
+    return half * (half + 4 if family == QUATERNION else 3 * half + 4)
+
+
+@lru_cache(maxsize=None)
+def _solve_cyclic(n: int, family: str) -> StructuredCensus:
+    """solve_cyclic once its budget has passed, memoized on (n, family)."""
+    mod = 1 << n
+    mods = (mod,)
+    half = mod >> 1
+    needed = _cyclic_pairs(n, family)
     quarter = mod >> 3  # 2^{n-3}, the coefficient of the order-exactness test
     kind = TargetKind(family, n, 1)
     roots = [a for a in range(1, mod, 2) if a * a % mod == 1]
@@ -202,6 +214,12 @@ def solve_rank2(n: int, family: str) -> StructuredCensus:
         raise CapacityError(
             f"rank-2 family solver at n={n}: too many subgroup encodings", needed=needed, cap=cap
         )
+    return _solve_rank2(n, family)
+
+
+@lru_cache(maxsize=None)
+def _solve_rank2(n: int, family: str) -> StructuredCensus:
+    """solve_rank2 once its budget has passed, memoized on (n, family)."""
     mod = 1 << (n - 1)
     half = 1 << (n - 2)
     kind = TargetKind(family, n, 1)

@@ -6,6 +6,7 @@ import pytest
 from holobrace.abelian import make_group, parse_group
 from holobrace.brace import (
     BraceTable,
+    _add_table,
     brace_from_subgroup,
     brace_violation,
     lambda_is_homomorphism,
@@ -147,6 +148,14 @@ def test_brace_export_json():
     assert payload["schema"] == "v1"
     assert payload["factors"] == [8]
     assert len(payload["circ"]) == 8 and all(len(r) == 8 for r in payload["circ"])
+
+
+@pytest.mark.parametrize("spec", ["c3xc8xc11", "c2xc32", "c5xc2xc8", "c7xc2xc8"])
+def test_add_table_matches_group_addition(spec):
+    g = parse_group(spec)
+    elems = list(g.elements())
+    reference = tuple(tuple(g.index(g.add(a, b)) for b in elems) for a in elems)
+    assert _add_table(g) == reference
 
 
 def test_trivial_brace_past_256_elements():

@@ -170,7 +170,6 @@ def test_enumerate_aut_against_gl_oracle():
     assert enumerate_aut(make_group([3])).order == 2
 
 
-@pytest.mark.slow
 def test_enumerate_aut_gl4_oracle():
     assert enumerate_aut(make_group([2, 2, 2, 2])).order == gl_count_oracle(4) == 20160
 

@@ -4,7 +4,7 @@ from holobrace.abelian import make_group, parse_group
 from holobrace.endo import make_endo
 from holobrace.errors import CapacityError, InvalidInputError
 from holobrace.holomorph import HolElement, hol_from_translation
-from holobrace.presentations import classify_subgroup, parse_kind
+from holobrace.presentations import admissible_types, classify_subgroup, parse_kind
 from holobrace.regular import (
     classify,
     find_regular,
@@ -187,7 +187,6 @@ def test_warm_search_meets_lowered_budgets(monkeypatch):
     assert search_regular(g, k).r == 126
 
 
-@pytest.mark.slow
 def test_sylow_path_matches_full_path_c2p4(monkeypatch):
     # |Hol(C2^4)| = 322560: raise the scan cap so the full path runs too
     g = make_group([2, 2, 2, 2])
@@ -200,7 +199,6 @@ def test_sylow_path_matches_full_path_c2p4(monkeypatch):
     assert full.r == syl.r == 5040
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("orders", [[4, 16], [2, 2, 16], [2, 2, 2, 8]])
 @pytest.mark.parametrize("kind", ["q64", "d64"])
 def test_zero_families_empty_at_n6(orders, kind, monkeypatch):
@@ -209,6 +207,60 @@ def test_zero_families_empty_at_n6(orders, kind, monkeypatch):
     monkeypatch.setenv("HOLOBRACE_HOL_CAP", "200000")
     res = search_regular(make_group(orders), parse_kind(kind))
     assert (res.c, res.r) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "orders,kind,method",
+    [([4, 32], "q128", "full"), ([2, 2, 32], "d128", "full"), ([2, 2, 2, 16], "q128", "sylow")],
+)
+def test_zero_families_empty_at_n7(orders, kind, method, monkeypatch):
+    # the nonexistence families stay empty at n = 7; the largest pool is the
+    # Sylow pool of C2^3 x C16, 128 * 4096 = 2^19 elements
+    monkeypatch.setenv("HOLOBRACE_HOL_CAP", str(1 << 19))
+    res = search_regular(make_group(orders), parse_kind(kind), method)
+    assert (res.c, res.r) == (0, 0)
+
+
+def scan_oracle(kern, pool, mx):
+    """The X scan that the candidate stream replaced: build the whole pool,
+    keep each x of order mx whose orbit of 0 has mx points."""
+    return [
+        x
+        for x in list(pool)
+        if kern.order(x) == mx and len({kern.trans_index(p) for p in kern.power_list(x, mx)}) == mx
+    ]
+
+
+# every admissible 2-part with n <= 5 times C_s, s in {1, 3, 5}, and with
+# n <= 4 times C_7, and one group with two odd primes; the X scan depends on
+# N and the pool only, since X has order |N| / 2 for both kinds
+ORACLE_GROUPS = [
+    make_group(([s] if s > 1 else []) + list(two.factors))
+    for n in range(2, 6)
+    for two in admissible_types(n)
+    for s in ((1, 3, 5, 7) if n <= 4 else (1, 3, 5))
+] + [make_group([3, 5, 4])]
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS, ids=str)
+def test_candidate_stream_matches_scan_oracle(group, monkeypatch):
+    from holobrace.kernel import get_kernel
+
+    # the largest Sylow pool here, of C5 x C2^3 x C4, has 655360 elements;
+    # every full pool up to that size is scanned as well
+    monkeypatch.setenv("HOLOBRACE_HOL_CAP", "655360")
+    kern = get_kernel(group)
+    mx = parse_kind(f"q{group.order}").x_order
+    scanned = 0
+    for make_pool in (kern.full_pool, kern.sylow_pool):
+        try:
+            pool = make_pool()
+        except CapacityError:
+            continue
+        assert sum(1 for _ in pool) == len(pool)
+        assert list(pool.candidates(mx)) == scan_oracle(kern, pool, mx)
+        scanned += 1
+    assert scanned
 
 
 def test_orbit_stabilizer_identity_everywhere():
@@ -239,7 +291,7 @@ def brute_force_regular_subgroups(group, kind):
     from holobrace.presentations import _classify_kernel
 
     kern = get_kernel(group)
-    pool = kern.full_pool()
+    pool = list(kern.full_pool())
     found = set()
     n = group.order
     for i, a in enumerate(pool):

@@ -291,6 +291,19 @@ def test_fundamental_distinctness():
         assert len(keys) == 8
 
 
+def test_family_budgets_fire_on_a_warm_memo(monkeypatch):
+    monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
+    # C32 quaternion: 16 * (16 + 4) (X, Y) pairs; C2 x C16: 16 * 2^5 encodings
+    for group, needed in ((make_group([32]), 320), (make_group([2, 16]), 512)):
+        warm = solve_family(group, QUATERNION)
+        assert solve_family(group, QUATERNION) is warm
+        monkeypatch.setenv("HOLOBRACE_CAP", str(needed - 1))
+        with pytest.raises(CapacityError) as err:
+            solve_family(group, QUATERNION)
+        assert (err.value.needed, err.value.cap) == (needed, needed - 1)
+        monkeypatch.delenv("HOLOBRACE_CAP")
+
+
 def test_solve_family_dispatch():
     assert solve_family(make_group([32]), QUATERNION).r == 1
     assert solve_family(make_group([2, 16]), DIHEDRAL).r == 16
