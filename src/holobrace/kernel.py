@@ -45,9 +45,12 @@ class PrimeSpace:
         self.index: dict[Element, int] = {g: i for i, g in enumerate(self.elems)}
         m = self.m
         self._pad = bytes(256 - m)
-        # translation permutations; row v is the perm g -> g + v
+        # translation permutations; row v is the perm g -> g + v, where
+        # index(g + v) = sum_j ((g_j + v_j) mod q_j) * stride_j (mixed radix)
+        radix = list(zip(spec.factors, spec.strides))
         self.add_rows: list[bytes] = [
-            bytes(self.index[spec.add(g, v)] for g in self.elems) for v in self.elems
+            bytes(map(sum, product(*([(a + b) % q * s for a in range(q)] for b, (q, s) in zip(v, radix)))))
+            for v in self.elems
         ]
         self.neg_idx: list[int] = [self.index[spec.neg(g)] for g in self.elems]
         self.identity: bytes = bytes(range(m))
@@ -230,7 +233,7 @@ class HolKernel:
     # -- algebra ----------------------------------------------------------------
 
     def compose(self, x: KernelElement, y: KernelElement) -> KernelElement:
-        return tuple(sp.compose(a, b) for sp, a, b in zip(self.spaces, x, y))
+        return tuple(map(PrimeSpace.compose, self.spaces, x, y))
 
     def invert(self, x: KernelElement) -> KernelElement:
         return tuple(sp.inverse(a) for sp, a in zip(self.spaces, x))
@@ -238,8 +241,8 @@ class HolKernel:
     def order(self, x: KernelElement) -> int:
         return lcm(*(sp.order(a) for sp, a in zip(self.spaces, x))) if x else 1
 
-    def code(self, x: KernelElement) -> bytes:
-        return b"".join(x)
+    # the concatenated component permutations, a canonical sort key
+    code = staticmethod(b"".join)
 
     def closure(self, gens, bound: int) -> frozenset[KernelElement]:
         """Subgroup generated by `gens`; CapacityError once it passes bound."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import config
 from .abelian import GroupSpec, reach
@@ -23,32 +23,28 @@ from .endo import aut_order
 from .errors import CapacityError, InternalConsistencyError, InvalidInputError
 from .holomorph import HolElement, exponent_bound, from_kernel, to_kernel
 from .kernel import HolKernel, KernelElement, Pool, get_kernel
-from .presentations import QUATERNION, TargetKind, _classify_kernel
+from .presentations import QUATERNION, TargetKind
 
 SubgroupKey = tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
 class RegularSubgroup:
-    """A regular subgroup of Hol(N), canonically keyed by its element codes."""
+    """A regular subgroup of Hol(N), canonically keyed by its element codes;
+    `witness` is a generating pair (X, Y) with the relations of `kind`."""
 
     group: GroupSpec
     kind: TargetKind
     key: SubgroupKey
     elements: tuple[KernelElement, ...]
-    witness: Optional[tuple[KernelElement, KernelElement]] = None
+    witness: tuple[KernelElement, KernelElement]
 
     def hol_elements(self) -> tuple[HolElement, ...]:
         return tuple(from_kernel(self.group, e) for e in self.elements)
 
     def witnesses(self) -> tuple[HolElement, HolElement]:
-        pair = self.witness
-        if pair is None:
-            got = _classify_kernel(get_kernel(self.group), frozenset(self.elements), False)
-            if got is None:
-                raise InternalConsistencyError("stored subgroup lost its target shape")
-            pair = got[1]
-        return from_kernel(self.group, pair[0]), from_kernel(self.group, pair[1])
+        x, y = self.witness
+        return from_kernel(self.group, x), from_kernel(self.group, y)
 
 
 @dataclass(frozen=True)
@@ -58,9 +54,14 @@ class ConjugacyClass:
     stabilizer_order: int
 
 
-def _subgroup(kern: HolKernel, kind: TargetKind, elements, witness=None) -> RegularSubgroup:
+def _subgroup(kern: HolKernel, kind: TargetKind, elements, witness, shared=None) -> RegularSubgroup:
+    """The subgroup, its elements sorted by code once.  `shared`, one dict per
+    search, makes each component permutation one bytes object for them all."""
+    if shared is not None:
+        elements = [tuple([shared.setdefault(b, b) for b in e]) for e in elements]
+        witness = tuple(tuple([shared.setdefault(b, b) for b in e]) for e in witness)
     ordered = tuple(sorted(elements, key=kern.code))
-    key = tuple(kern.code(e) for e in ordered)
+    key = tuple(map(kern.code, ordered))
     return RegularSubgroup(kern.group, kind, key, ordered, witness)
 
 
@@ -100,8 +101,8 @@ def _build_y(kern: HolKernel, orb0: list[int], orbt: list[int], quat: bool, half
     return kern.affine_from_images(img)
 
 
-def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool):
-    """All regular `kind` subgroups generated inside `pool` (X there, Y free)."""
+def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool, shared: dict):
+    """All regular `kind` subgroups generated inside `pool` (X there, Y free), by key."""
     if kern.group.order != kind.order:
         raise InvalidInputError(f"|N| = {kern.group.order} but target has order {kind.order}")
     if kind.s == 1 and kind.x_order > exponent_bound(kern.group, 2):
@@ -111,7 +112,7 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool):
     quat = kind.family == QUATERNION
     n = kern.n
     seen_x: set[bytes] = set()
-    found: dict[SubgroupKey, tuple] = {}
+    found: dict[SubgroupKey, RegularSubgroup] = {}
     for x in pool.candidates(mx):
         if kern.code(x) in seen_x:
             continue
@@ -139,41 +140,64 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool):
             y = _build_y(kern, orb0, orbt, quat, half)
             if y is None:
                 continue
-            elems = pows + [kern.compose(p, y) for p in pows]
-            key = tuple(sorted(kern.code(e) for e in elems))
-            if key not in found:
-                found[key] = (tuple(elems), x, y)
+            sub = _subgroup(kern, kind, pows + [kern.compose(p, y) for p in pows], (x, y), shared)
+            found.setdefault(sub.key, sub)
     return found
 
 
-def _expand_orbits(kern: HolKernel, seeds: dict):
+def _expand_orbits(kern: HolKernel, seeds: dict[SubgroupKey, RegularSubgroup], shared: dict):
     """Aut(N)-orbit closure of the seed subgroups, by conjugating with the
     generators of Aut(N); brace classes are exactly these orbits.
 
-    Returns (all_subgroups: dict key -> elements, classes: list of
-    (rep_key, orbit_size, stabilizer_order)) with classes in the order of
-    their least seed key.
+    a<x, y>a^-1 = <axa^-1, aya^-1> has order |N|, so a known subgroup holding
+    both conjugates is the image: known subgroups are indexed by the
+    generators of their <x>, and a step conjugates the witness only.  On a
+    miss (a new subgroup, or one indexed by another <x>, as in Q8) the image
+    is built from the conjugated pair (README, "Orbit expansion").
+
+    Returns (all subgroups by key, classes as (rep_key, orbit_size,
+    stabilizer_order)) with classes in the order of their least seed key.
     """
     total = aut_order(kern.group)
     conjs = [kern.conjugator(g) for g in kern.aut_generator_tuples()]
+    code = kern.code
+    mx = kern.n // 2  # the order of x for both kinds
+    units = [k for k in range(1, mx) if gcd(k, mx) == 1]
+    known: dict[SubgroupKey, RegularSubgroup] = {}
+    index: dict[bytes, list[RegularSubgroup]] = {}
 
-    def conjugate(els: tuple, conj) -> tuple:  # orbit nodes: elements sorted by code
-        return tuple(sorted(map(conj, els), key=kern.code))
+    def add(sub: RegularSubgroup, pows: list) -> None:
+        known[sub.key] = sub
+        for k in units:
+            index.setdefault(code(pows[k]), []).append(sub)
 
-    visited: dict[SubgroupKey, tuple] = {}
+    def image(key: SubgroupKey, conj) -> SubgroupKey:
+        sub = known[key]
+        x, y = map(conj, sub.witness)
+        y_code = code(y)
+        for cand in index.get(code(x), ()):
+            if y_code in cand.key:
+                return cand.key
+        pows = kern.power_list(x, mx)
+        moved = _subgroup(kern, sub.kind, pows + [kern.compose(p, y) for p in pows], (x, y), shared)
+        if moved.key not in known:
+            add(moved, pows)
+        return moved.key
+
+    for sub in seeds.values():
+        add(sub, kern.power_list(sub.witness[0], mx))
+    visited: set[SubgroupKey] = set()
     classes = []
     for seed_key in sorted(seeds):
         if seed_key in visited:
             continue
-        start = tuple(sorted(seeds[seed_key][0], key=kern.code))
-        orbit = {tuple(map(kern.code, els)): els for els in reach(start, conjs, conjugate, total)}
+        orbit = reach(seed_key, conjs, image, total)
         stab, rem = divmod(total, len(orbit))
         if rem:
             raise InternalConsistencyError("orbit size does not divide |Aut(N)|")
-        rep_key = min(orbit)
-        classes.append((rep_key, len(orbit), stab))
+        classes.append((min(orbit), len(orbit), stab))
         visited.update(orbit)
-    return visited, classes
+    return known, classes
 
 
 def _pool_for(kern: HolKernel, method: str):
@@ -229,16 +253,13 @@ def search_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> 
 @lru_cache(maxsize=None)
 def _search_cached(group: GroupSpec, kind: TargetKind, method: str) -> SearchResult:
     kern = get_kernel(group)
-    seeds = _seed_search(kern, kind, _pool_for(kern, method))
-    found, raw_classes = _expand_orbits(kern, seeds)
+    shared: dict[bytes, bytes] = {}
+    seeds = _seed_search(kern, kind, _pool_for(kern, method), shared)
+    found, raw_classes = _expand_orbits(kern, seeds, shared)
     if method == "full" and len(found) != len(seeds):
         raise InternalConsistencyError("the full scan missed conjugates of what it found")
-    subgroups = tuple(
-        _subgroup(kern, kind, found[k], seeds[k][1:] if k in seeds else None) for k in sorted(found)
-    )
-    by_key = {s.key: s for s in subgroups}
-    classes = tuple(ConjugacyClass(by_key[rk], size, stab) for rk, size, stab in raw_classes)
-    return SearchResult(group, kind, subgroups, classes, method)
+    classes = tuple(ConjugacyClass(found[rk], size, stab) for rk, size, stab in raw_classes)
+    return SearchResult(group, kind, tuple(found[k] for k in sorted(found)), classes, method)
 
 
 def find_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> tuple[RegularSubgroup, ...]:
@@ -259,8 +280,14 @@ def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]
     group = subgroups[0].group
     if any(s.group != group for s in subgroups):
         raise InvalidInputError("subgroups over different N")
+    kern, mx = get_kernel(group), group.order // 2
+    for s in subgroups:  # the expansion builds on <x, y> = S, x of order |N|/2
+        x, y = s.witness
+        pows = kern.power_list(x, mx)
+        if kern.order(x) != mx or y in pows or not set(s.elements).issuperset(pows + [y]):
+            raise InvalidInputError("a witness does not generate its subgroup")
     by_key = {s.key: s for s in subgroups}
-    found, raw_classes = _expand_orbits(get_kernel(group), {k: (s.elements,) for k, s in by_key.items()})
+    found, raw_classes = _expand_orbits(kern, by_key, {})
     if len(found) != len(by_key):
         raise InvalidInputError("input list is not closed under conjugation")
     return tuple(ConjugacyClass(by_key[rk], size, stab) for rk, size, stab in raw_classes)

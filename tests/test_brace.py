@@ -25,7 +25,8 @@ def translation_subgroup(orders):
     g = make_group(orders)
     kern = get_kernel(g)
     elems = [to_kernel(hol_from_translation(g, v)) for v in g.elements()]
-    return _subgroup(kern, TargetKind("quaternion", 2, max(1, g.odd_order)), elems)
+    # not a quaternion group: brace building never reads the witness
+    return _subgroup(kern, TargetKind("quaternion", 2, max(1, g.odd_order)), elems, (elems[0], elems[0]))
 
 
 def test_trivial_brace_from_translations():
@@ -85,7 +86,7 @@ def test_brace_from_non_regular_rejected():
     kern = get_kernel(g)
     # duplicate translation parts: not regular
     elems = [to_kernel(hol_from_translation(g, (v % 4,))) for v in range(8)]
-    sub = _subgroup(kern, parse_kind("q8"), elems)
+    sub = _subgroup(kern, parse_kind("q8"), elems, (elems[0], elems[0]))
     with pytest.raises(InvalidInputError):
         brace_from_subgroup(sub)
 

@@ -226,3 +226,15 @@ def test_encode_is_injective():
         for v in g.elements()
     }
     assert len(codes) == 8 * enumerate_aut(g).order
+
+
+@pytest.mark.parametrize("orders", [[2, 2, 2, 2], [2, 64], [3, 8], [7, 2, 8]], ids=str)
+def test_add_rows_match_group_addition(orders):
+    from holobrace.kernel import get_kernel
+
+    g = make_group(orders)
+    spaces = get_kernel(g).spaces
+    assert len(spaces) == len(g.primes)
+    for sp in spaces:
+        spec = sp.spec
+        assert sp.add_rows == [bytes(sp.index[spec.add(a, v)] for a in sp.elems) for v in sp.elems]

@@ -157,7 +157,7 @@ def test_conjugation_equivariance():
                 # and compare against building from the conjugated (H, tau)
                 from holobrace.regular import _subgroup
 
-                h_moved = _subgroup(kern2, h.kind, h_moved_elems)
+                h_moved = _subgroup(kern2, h.kind, h_moved_elems, tuple(map(conj2, h.witness)))
                 tau_codes = frozenset(kern2.code(conj2e) for conj2e in (conj2(_elem(kern2, h, c)) for c in tau.kernel_codes))
                 from holobrace.oddpart import TauMap
 

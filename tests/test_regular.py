@@ -122,17 +122,33 @@ def test_regularity_preserved_by_conjugation():
 
 
 def test_witnesses_satisfy_relations():
-    from holobrace.holomorph import hol_compose, hol_invert, hol_order
+    # on the Sylow path of C2^4, 5024 of the 5040 subgroups are not seeds:
+    # their witnesses are conjugated pairs from the orbit expansion
+    for nspec, kind, method in [("c2xc8", "q16", "auto"), ("c2xc8", "d16", "auto"), ("c2xc2xc2xc2", "q16", "sylow")]:
+        check_witnesses(parse_group(nspec), parse_kind(kind), method)
 
-    res = search_regular(parse_group("c2xc8"), parse_kind("q16"))
+
+def check_witnesses(g, k, method):
+    from holobrace.holomorph import hol_compose, hol_identity, hol_invert, hol_order, hol_power
+    from holobrace.kernel import get_kernel
+
+    kern = get_kernel(g)
+    mx = k.x_order
+    quat = k.family == "quaternion"
+    res = search_regular(g, k, method)
+    assert res.r
     for sub in res.subgroups:
+        x, y = sub.witness
+        assert kern.order(x) == mx
+        assert kern.compose(kern.compose(y, x), kern.invert(y)) == kern.invert(x)
+        assert kern.compose(y, y) == (kern.power_list(x, mx)[mx // 2] if quat else kern.identity)
+        assert kern.closure(sub.witness, g.order) == frozenset(sub.elements)
+    # the same relations on the validated HolElement surface (slower)
+    for sub in res.subgroups[:32]:
         x, y = sub.witnesses()
-        assert hol_order(x) == 8
-        conj = hol_compose(hol_compose(y, x), hol_invert(y))
-        assert conj == hol_invert(x)
-        from holobrace.holomorph import hol_power
-
-        assert hol_compose(y, y) == hol_power(x, 4)
+        assert hol_order(x) == mx
+        assert hol_compose(hol_compose(y, x), hol_invert(y)) == hol_invert(x)
+        assert hol_compose(y, y) == (hol_power(x, mx // 2) if quat else hol_identity(g))
 
 
 @pytest.mark.parametrize(
@@ -281,6 +297,23 @@ def test_classify_rejects_mixed_groups():
         classify(list(a) + list(b))
 
 
+def test_classify_rejects_a_witness_that_does_not_generate():
+    import dataclasses
+
+    from holobrace.kernel import get_kernel
+
+    g = make_group([2, 8])
+    subs = search_regular(g, parse_kind("d16")).subgroups
+    assert [c.orbit_size for c in classify(subs)] == [2, 2, 4, 2, 2, 4]
+    ident = get_kernel(g).identity
+    x, y = subs[0].witness
+    outside = next(e for s in subs for e in s.elements if e not in subs[0].elements)
+    for pair in [(ident, ident), (x, x), (y, x), (x, outside)]:
+        bad = [dataclasses.replace(subs[0], witness=pair)] + list(subs[1:])
+        with pytest.raises(InvalidInputError):
+            classify(bad)
+
+
 def brute_force_regular_subgroups(group, kind):
     """Independent completeness oracle: close every generator pair of Hol(N).
 
@@ -346,3 +379,74 @@ def test_deterministic_output():
     assert [c.representative.key for c in r1.classes] == [
         c.representative.key for c in r2.classes
     ]
+
+
+def expand_orbits_reference(kern, seeds):
+    """The orbit expansion that witness conjugation replaced: conjugate every
+    element of a subgroup and key the image by its sorted codes.  `seeds`
+    maps keys to elements; returns the same (subgroups by key, classes)."""
+    from holobrace.abelian import reach
+    from holobrace.endo import aut_order
+
+    total = aut_order(kern.group)
+    conjs = [kern.conjugator(g) for g in kern.aut_generator_tuples()]
+
+    def conjugate(els, conj):
+        return tuple(sorted(map(conj, els), key=kern.code))
+
+    visited, classes = {}, []
+    for seed_key in sorted(seeds):
+        if seed_key in visited:
+            continue
+        start = tuple(sorted(seeds[seed_key], key=kern.code))
+        orbit = {tuple(map(kern.code, els)): els for els in reach(start, conjs, conjugate, total)}
+        assert total % len(orbit) == 0
+        classes.append((min(orbit), len(orbit), total // len(orbit)))
+        visited.update(orbit)
+    return visited, classes
+
+
+# the N of the census-sweep benchmark workload, plus C2^4 (Sylow path only)
+ORBIT_GROUPS = [
+    "c4", "c2xc2", "c8", "c2xc4", "c2xc2xc2", "c3xc4", "c3xc2xc2", "c16", "c2xc8", "c4xc4",
+    "c2xc2xc4", "c5xc4", "c5xc2xc2", "c3xc8", "c3xc2xc4", "c3xc2xc2xc2", "c7xc4", "c7xc2xc2",
+    "c4xc8", "c2xc2xc8", "c5xc8", "c5xc2xc4", "c5xc2xc2xc2", "c3xc16", "c3xc2xc8", "c3xc4xc4",
+    "c3xc2xc2xc4", "c7xc8", "c7xc2xc4", "c7xc2xc2xc2", "c5xc16", "c5xc2xc8", "c5xc4xc4",
+    "c5xc2xc2xc4", "c3xc4xc8", "c7xc16", "c7xc2xc8", "c7xc4xc4", "c2xc2xc2xc2",
+]
+
+
+@pytest.mark.parametrize("nspec", ORBIT_GROUPS)
+def test_expand_orbits_matches_reference(nspec):
+    # each kind alone, as a search expands it, and both kinds together, as
+    # classify() takes a mixed list: there a quaternion and a dihedral
+    # subgroup can share their <x>, and only the conjugate of y tells them apart
+    from holobrace.kernel import get_kernel
+    from holobrace.regular import _expand_orbits, _seed_search
+
+    g = parse_group(nspec)
+    kern = get_kernel(g)
+    checked = 0
+    for make_pool in (kern.full_pool, kern.sylow_pool):
+        try:
+            pool = make_pool()
+        except CapacityError:
+            continue
+        q, d = (_seed_search(kern, parse_kind(f"{fam}{g.order}"), pool, {}) for fam in "qd")
+        for seeds in (q, d, {**q, **d}):
+            found, classes = _expand_orbits(kern, seeds, {})
+            ref_found, ref_classes = expand_orbits_reference(
+                kern, {k: s.elements for k, s in seeds.items()}
+            )
+            assert sorted(found) == sorted(ref_found)
+            assert classes == ref_classes
+        checked += 1
+    assert checked
+
+
+def test_subgroups_of_a_search_share_component_bytes():
+    # one bytes object per component permutation across all 5040 subgroups
+    res = search_regular(make_group([2, 2, 2, 2]), parse_kind("q16"))
+    assert res.r == 5040
+    comps = [b for sub in res.subgroups for e in sub.elements for b in e]
+    assert len({id(b) for b in comps}) <= len(set(comps))
