@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 from .abelian import parse_group
-from .brace import brace_from_subgroup, ybe_solution
+from .brace import BraceTable, brace_from_subgroup, ybe_solution
 from .counts import (
     CountReport,
     census,
@@ -137,22 +139,38 @@ def _class_braces(args):
     return group, kind, [cls.representative for cls in res.classes]
 
 
+def _dump_list(payload: dict, key: str, items: Iterable[Iterable[str]]) -> Iterator[str]:
+    """`_dump(payload)` with a list at `key` whose entries' JSON texts come as
+    pieces, one piece at a time."""
+    head, _, tail = _dump({**payload, key: None}).partition(f'"{key}":null')
+    yield f'{head}"{key}":['
+    for i, pieces in enumerate(items):
+        if i:
+            yield ","
+        yield from pieces
+    yield "]" + tail
+
+
+def _brace_pieces(bt: BraceTable) -> Iterator[str]:
+    payload = bt.to_json()
+    rows = payload.pop("circ")
+    return _dump_list(payload, "circ", ([_dump(row)] for row in rows))
+
+
 def _cmd_brace_export(args) -> int:
     group, kind, reps = _class_braces(args)
-    braces = [brace_from_subgroup(rep) for rep in reps]
-    payload = {
-        "schema": "v1",
-        "N": group.display_name(),
-        "G": kind.display_name(),
-        "braces": [bt.to_json() for bt in braces],
-    }
-    text = _dump(payload) + "\n"
+    # one circ row per write: a single `_dump` would hold a str per entry of
+    # every row until it joins them, and only one brace is built at a time
+    head = {"schema": "v1", "N": group.display_name(), "G": kind.display_name()}
+    pieces = _dump_list(head, "braces", map(_brace_pieces, map(brace_from_subgroup, reps)))
     if args.out and args.out != "-":
         with open(args.out, "w") as fh:
-            fh.write(text)
-        _emit(_dump({"schema": "v1", "written": args.out, "count": len(braces)}))
+            fh.writelines(pieces)
+            fh.write("\n")
+        _emit(_dump({"schema": "v1", "written": args.out, "count": len(reps)}))
     else:
-        _emit(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
     return EXIT_OK
 
 
@@ -184,7 +202,10 @@ def _cmd_ybe_check(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The CLI parser, built on first use and reused: `parse_args` keeps no
+    state between calls."""
     parser = _Parser(prog="holobrace", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -240,9 +261,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

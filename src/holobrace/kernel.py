@@ -248,13 +248,19 @@ class HolKernel:
         """Subgroup generated by `gens`; CapacityError once it passes bound."""
         return reach(self.identity, gens, self.compose, bound)
 
-    def power_list(self, x: KernelElement, count: int) -> list[KernelElement]:
-        out = [self.identity]
-        cur = self.identity
-        for _ in range(count - 1):
-            cur = self.compose(x, cur)
-            out.append(cur)
-        return out
+    def power_list(self, x: KernelElement, count: int, start: KernelElement | None = None) -> list[KernelElement]:
+        """[s, x s, x^2 s, ..., x^(count-1) s] for s = start (the identity by
+        default).  Each component pads x_p once and walks cur -> x_p o cur
+        by one translate per step."""
+        walks = []
+        for sp, a, cur in zip(self.spaces, x, self.identity if start is None else start):
+            tab = a + sp._pad
+            walk = [cur]
+            for _ in range(count - 1):
+                cur = cur.translate(tab)
+                walk.append(cur)
+            walks.append(walk)
+        return list(zip(*walks))
 
     def trans_index(self, x: KernelElement) -> int:
         return sum(a[0] * s for a, s in zip(x, self.strides))
@@ -339,21 +345,12 @@ class HolKernel:
     # -- conjugation -------------------------------------------------------------
 
     def conjugator(self, aut_tuple: KernelElement):
-        """Memoized x -> a x a^{-1} acting componentwise."""
-        invs = tuple(sp.inverse(a) for sp, a in zip(self.spaces, aut_tuple))
-        memos: list[dict[bytes, bytes]] = [{} for _ in self.spaces]
+        """x -> a x a^{-1} acting componentwise: (a x_p a^{-1})(i) is
+        (a x_p)[a^{-1}(i)], with a padded once per conjugator."""
+        parts = [(a + sp._pad, sp.inverse(a), sp._pad) for sp, a in zip(self.spaces, aut_tuple)]
 
         def conj(x: KernelElement) -> KernelElement:
-            out = []
-            for k, sp in enumerate(self.spaces):
-                memo = memos[k]
-                b = x[k]
-                got = memo.get(b)
-                if got is None:
-                    got = sp.compose(aut_tuple[k], sp.compose(b, invs[k]))
-                    memo[b] = got
-                out.append(got)
-            return tuple(out)
+            return tuple([inv.translate(b.translate(tab) + pad) for (tab, inv, pad), b in zip(parts, x)])
 
         return conj
 

@@ -111,21 +111,21 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool, shared: dict):
     half = (1 << (kind.n - 2)) * kind.s
     quat = kind.family == QUATERNION
     n = kern.n
+    units = [k for k in range(1, mx) if gcd(k, mx) == 1]
     seen_x: set[bytes] = set()
     found: dict[SubgroupKey, RegularSubgroup] = {}
     for x in pool.candidates(mx):
         if kern.code(x) in seen_x:
             continue
         pows = kern.power_list(x, mx)
-        for k in range(1, mx):
-            if gcd(k, mx) == 1:
-                seen_x.add(kern.code(pows[k]))
-        orb0 = [kern.trans_index(p) for p in pows]
-        orb0_set = set(orb0)
-        if len(orb0_set) != mx or kern.compose(x, pows[-1]) != kern.identity:
-            continue
-        handled = set(orb0_set)
+        seen_x.update(kern.code(pows[k]) for k in units)
         img = kern.images(x)
+        orb0 = [0]
+        for _ in range(mx - 1):
+            orb0.append(img[orb0[-1]])
+        handled = set(orb0)
+        if len(handled) != mx or kern.compose(x, pows[-1]) != kern.identity:
+            continue
         for t in range(n):
             if t in handled:
                 continue
@@ -140,7 +140,7 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool, shared: dict):
             y = _build_y(kern, orb0, orbt, quat, half)
             if y is None:
                 continue
-            sub = _subgroup(kern, kind, pows + [kern.compose(p, y) for p in pows], (x, y), shared)
+            sub = _subgroup(kern, kind, pows + kern.power_list(x, mx, y), (x, y), shared)
             found.setdefault(sub.key, sub)
     return found
 
@@ -179,7 +179,7 @@ def _expand_orbits(kern: HolKernel, seeds: dict[SubgroupKey, RegularSubgroup], s
             if y_code in cand.key:
                 return cand.key
         pows = kern.power_list(x, mx)
-        moved = _subgroup(kern, sub.kind, pows + [kern.compose(p, y) for p in pows], (x, y), shared)
+        moved = _subgroup(kern, sub.kind, pows + kern.power_list(x, mx, y), (x, y), shared)
         if moved.key not in known:
             add(moved, pows)
         return moved.key

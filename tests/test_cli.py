@@ -111,6 +111,51 @@ def test_brace_export_and_ybe(capsys, tmp_path):
     assert payload["involutive"] and payload["braid"]
 
 
+def test_brace_export_text_is_one_dump_of_the_payload(capsys, tmp_path):
+    from holobrace.abelian import parse_group
+    from holobrace.brace import brace_from_subgroup
+    from holobrace.presentations import parse_kind
+    from holobrace.regular import search_regular
+
+    g, k = parse_group("c2xc8"), parse_kind("d16")
+    reps = [cls.representative for cls in search_regular(g, k).classes]
+    payload = {
+        "schema": "v1",
+        "N": g.display_name(),
+        "G": k.display_name(),
+        "braces": [brace_from_subgroup(rep).to_json() for rep in reps],
+    }
+    want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    code, out, _ = run(capsys, "brace-export", "--N", "c2xc8", "--G", "d16")
+    assert (code, out) == (EXIT_OK, want)
+    out_path = tmp_path / "braces.json"
+    code, out, _ = run(capsys, "brace-export", "--N", "c2xc8", "--G", "d16", "--out", str(out_path))
+    assert code == EXIT_OK and json.loads(out)["count"] == len(reps) == 6
+    assert out_path.read_text() == want
+
+
+def test_cached_parser_keeps_nothing_between_calls(capsys):
+    from holobrace.cli import build_parser
+
+    parser = build_parser()
+    assert build_parser() is parser
+    census = ["census", "--N", "c2xc8", "--G", "d16"]
+    code, out, _ = run(capsys, *census, "--sylow")
+    assert code == EXIT_OK and json.loads(out)["method"] == "sylow"
+    assert parser.parse_args(census + ["--sylow"]).method == "sylow"
+    assert parser.parse_args(census).method == "auto"
+    code, out, _ = run(capsys, *census)
+    assert code == EXIT_OK and json.loads(out)["method"] != "sylow"
+    assert parser.parse_args(["spectrum", "--N", "c2xc8", "--workers", "1"]).workers == 1
+    assert parser.parse_args(["spectrum", "--N", "c2xc8"]).workers is None
+    code, out, err = run(capsys, *census, "--sylow", "--direct")
+    assert (code, out) == (EXIT_USAGE, "") and "not allowed with" in err
+    code, out, err = run(capsys, "census", "--N", "c2xc8")
+    assert (code, out) == (EXIT_USAGE, "") and "--G" in err
+    code, again, err = run(capsys, *census, "--sylow")
+    assert (code, err) == (EXIT_OK, "") and json.loads(again)["method"] == "sylow"
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "census", "--N", "c2xc8")
     assert code == EXIT_USAGE

@@ -450,3 +450,26 @@ def test_subgroups_of_a_search_share_component_bytes():
     assert res.r == 5040
     comps = [b for sub in res.subgroups for e in sub.elements for b in e]
     assert len({id(b) for b in comps}) <= len(set(comps))
+
+
+@pytest.mark.parametrize("spec", ["c8", "c2xc2xc2xc2", "c3xc2xc2", "c7xc2xc8"])
+def test_power_list_matches_repeated_compose(spec):
+    import random
+
+    from holobrace.kernel import get_kernel
+
+    kern = get_kernel(parse_group(spec))
+    rng = random.Random(spec)
+
+    def sample():
+        return tuple(sp.hol_perm(rng.choice(sp.aut_perms()), rng.randrange(sp.m)) for sp in kern.spaces)
+
+    for _ in range(25):
+        x, start = sample(), sample()
+        for count in (1, 2, kern.order(x), kern.order(x) + 3):
+            for s in (None, start):
+                want = [kern.identity if s is None else s]
+                for _ in range(count - 1):
+                    want.append(kern.compose(x, want[-1]))
+                got = kern.power_list(x, count) if s is None else kern.power_list(x, count, s)
+                assert got == want
