@@ -94,7 +94,7 @@ def _result(group: GroupSpec, kind: TargetKind, r: int, orbits, method: str) -> 
 
 
 def _from_search(res: SearchResult, method: str) -> CensusResult:
-    return _result(res.group, res.kind, res.r, (c.orbit_size for c in res.classes), method)
+    return _result(res.group, res.kind, res.r, (orbit for orbit, _ in res.class_sizes), method)
 
 
 def _cyclic_2group(n: int) -> GroupSpec:

@@ -53,6 +53,7 @@ class PrimeSpace:
             for v in self.elems
         ]
         self.neg_idx: list[int] = [self.index[spec.neg(g)] for g in self.elems]
+        self.orders: list[int] = [spec.element_order(g) for g in self.elems]
         self.identity: bytes = bytes(range(m))
         # mixed-radix helpers for building linear maps image-by-image:
         # index i differs from prev[i] by one step of basis vector which[i]
@@ -68,6 +69,8 @@ class PrimeSpace:
             which[i] = pos
         self._prev = prev
         self._which = which
+        # (order q_j, index, translation row) of each basis vector e_j
+        self._basis = [(q, b, self.add_rows[b]) for q, b in zip(spec.factors, self._basis_idx)]
         self._order_memo: dict[bytes, int] = {}
         self._aut_perm_memo: dict[EndoMatrix, bytes] = {}
         self._blocks: dict[str, list[bytes]] = {}
@@ -129,13 +132,33 @@ class PrimeSpace:
         """g -> A(g) + v as a permutation."""
         return self.compose(self.add_rows[v_idx], aut_bytes)
 
+    def is_linear(self, p: bytes) -> bool:
+        """True iff the permutation p of N_p is additive.
+
+        p must commute with the basis translations, p τ_e = τ_{p(e)} p, so
+        that p(g + e) = p(g) + p(e) for every g.  That implies the order
+        condition q_j c_j = 0 on the image c_j of each basis vector e_j,
+        which is checked first because it is cheaper.
+        """
+        orders, basis = self.orders, self._basis
+        for q, b, _ in basis:
+            if q % orders[p[b]]:
+                return False
+        pad = self._pad
+        tab = p + pad
+        add_rows = self.add_rows
+        for _, b, row in basis:
+            if row.translate(tab) != p.translate(add_rows[p[b]] + pad):
+                return False
+        return True
+
     def decode(self, p: bytes) -> tuple[EndoMatrix, Element] | None:
         """Recover (A, v) from an affine permutation; None if p is not affine."""
         v_idx = p[0]
         lin = self.compose(self.add_rows[self.neg_idx[v_idx]], p)
-        cols = [lin[b] for b in self._basis_idx]
-        if self.linear_perm(cols) != lin:
+        if not self.is_linear(lin):
             return None
+        cols = [lin[b] for b in self._basis_idx]
         r = len(self.spec.factors)
         rows = tuple(tuple(self.elems[cols[j]][i] for j in range(r)) for i in range(r))
         return make_endo(self.p, self.spec.exponents(self.p), rows), self.elems[v_idx]
@@ -229,6 +252,8 @@ class HolKernel:
         # lexicographic order: components are contiguous prime slices, so the
         # combined index is the mixed-radix mix of component indices.
         self.identity: KernelElement = tuple(sp.identity for sp in self.spaces)
+        # the additive order of each combined index (coprime orders multiply)
+        self.point_orders: tuple[int, ...] = tuple(map(prod, product(*(sp.orders for sp in self.spaces))))
 
     # -- algebra ----------------------------------------------------------------
 

@@ -192,4 +192,4 @@ def reduce_counts(group: GroupSpec, kind: TargetKind):
         return 0, 0, ()
     # direct enumeration over C_3 x N_2, the s = 3 base of the exceptional cases
     exceptional = search_regular(make_group((3,) + two.factors), TargetKind(kind.family, kind.n, 3))
-    return 3 * base.r, exceptional.c, tuple(c.orbit_size for c in exceptional.classes)
+    return 3 * base.r, exceptional.c, tuple(orbit for orbit, _ in exceptional.class_sizes)

@@ -7,22 +7,25 @@ directly from the relations: Y is determined on all of N by the target point
 t = Y(0) together with Y X Y^{-1} = X^{-1} and the kind's Y^2 relation, so
 only affine-ness has to be checked.  Two search spaces are supported: all of
 Hol(N), or the Sylow-restricted subset (2-part automorphisms unipotent upper
-triangular) followed by Aut(N)-orbit expansion.
+triangular), whose hits seed the Aut(N)-classes.  The Sylow path sizes each
+class by its stabilizer and expands the orbits only when the subgroups
+themselves are asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import gcd
-from typing import Iterable
+from operator import itemgetter
 
 from . import config
 from .abelian import GroupSpec, reach
 from .endo import aut_order
 from .errors import CapacityError, InternalConsistencyError, InvalidInputError
 from .holomorph import HolElement, exponent_bound, from_kernel, to_kernel
-from .kernel import HolKernel, KernelElement, Pool, get_kernel
+from .kernel import HolKernel, KernelElement, Pool, PrimeSpace, get_kernel
 from .presentations import QUATERNION, TargetKind
 
 SubgroupKey = tuple[bytes, ...]
@@ -92,6 +95,14 @@ def generate_closure(gens: Iterable[HolElement], cap: int) -> set[HolElement]:
 # -- the search ---------------------------------------------------------------------
 
 
+def _walk(img, start: int, count: int) -> list[int]:
+    """[start, img[start], img[img[start]], ...], `count` points."""
+    out = [start]
+    for _ in range(count - 1):
+        out.append(img[out[-1]])
+    return out
+
+
 def _build_y(kern: HolKernel, orb0: list[int], orbt: list[int], quat: bool, half: int):
     mx = len(orb0)
     img = [0] * kern.n
@@ -120,20 +131,14 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool, shared: dict):
         pows = kern.power_list(x, mx)
         seen_x.update(kern.code(pows[k]) for k in units)
         img = kern.images(x)
-        orb0 = [0]
-        for _ in range(mx - 1):
-            orb0.append(img[orb0[-1]])
+        orb0 = _walk(img, 0, mx)
         handled = set(orb0)
         if len(handled) != mx or kern.compose(x, pows[-1]) != kern.identity:
             continue
         for t in range(n):
             if t in handled:
                 continue
-            orbt = [t]
-            cur = t
-            for _ in range(mx - 1):
-                cur = img[cur]
-                orbt.append(cur)
+            orbt = _walk(img, t, mx)
             handled.update(orbt)
             if len(set(orbt)) != mx:
                 continue
@@ -216,21 +221,166 @@ def fits_full_scan(group: GroupSpec) -> bool:
         return False
 
 
+# -- class sizes from stabilizers -------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _unit_getters(mx: int) -> tuple[itemgetter, ...]:
+    """For each unit k mod mx, 1 first, the getter of positions k*i mod mx."""
+    return tuple(itemgetter(*(k * i % mx for i in range(mx))) for k in range(1, mx) if gcd(k, mx) == 1)
+
+
+def _frames(kern: HolKernel, sub: RegularSubgroup, quat: bool) -> list[tuple[list[int], list[list[bytes]]]]:
+    """The generating pairs of `sub` with the relations of its kind, as frames.
+
+    A frame holds A = [u^i(0)] and B = [u^i w(0)], i < mx, for an element u
+    of order mx and one partner w; the pairs of the frame are (u, u^j w),
+    j < mx, with the points Q_j = A + B[j:] + B[:j].  The u are the X^k, k a
+    unit, with partner Y; in Q_8 and C_2×C_2, whose elements off <X> have
+    order mx too, also the X^j Y, with partner X (X (X^j Y) X^-1 =
+    (X^j Y)^-1, and X^2 = (X^j Y)^2).  The first frame is that of (X, Y)
+    itself.  A frame is stored as the additive orders of A and, per
+    component, the component indices of Q_j as bytes.  B_p walks a cycle of
+    u_p, so Q_j depends on j modulo its length, the number of distinct
+    points in B_p, and only the Q_j for j below it are stored.
+    """
+    x, y = sub.witness
+    mx = kern.n // 2
+    img = kern.images(x)
+    orb0, orbt = _walk(img, 0, mx), _walk(img, kern.trans_index(y), mx)
+    pairs = [(get(orb0), get(orbt)) for get in _unit_getters(mx)]
+    if mx == (4 if quat else 2):
+        for u in kern.power_list(x, mx, y):
+            u_img = kern.images(u)
+            pairs.append((_walk(u_img, 0, mx), _walk(u_img, orb0[1], mx)))
+    frames = []
+    for a, b in pairs:
+        rotations = []
+        for tab in kern.split_tabs:
+            a_p, b_p = bytes(map(tab.__getitem__, a)), bytes(map(tab.__getitem__, b))
+            rotations.append([a_p + b_p[j:] + b_p[:j] for j in range(len(set(b_p)))])
+        frames.append(([kern.point_orders[i] for i in a], rotations))
+    return frames
+
+
+def _linear_test(sp: PrimeSpace, points: bytes) -> Callable[[bytes], bool]:
+    """A memoized test of q: is points[i] -> q[i] a linear map of N_p?"""
+    pick = itemgetter(*map(points.index, range(sp.m)))
+    verdicts: dict[bytes, bool] = {}
+
+    def test(q: bytes) -> bool:
+        ok = verdicts.get(q)
+        if ok is None:
+            phi = bytes(pick(q))
+            ok = verdicts[q] = sp.compose(phi, points) == q and sp.is_linear(phi)
+        return ok
+
+    return test
+
+
+def _additive_pairs(kern: HolKernel, source, frames) -> Iterator[tuple[int, int]]:
+    """(frame, j) for each pair (u, u^j w) of `frames` whose induced map
+    φ: X^i Y^e(0) -> u^i w^e(0), (X, Y) the pair of the `source` frame, is
+    additive.
+
+    Such a φ is the product of linear maps φ_p of the components: the point
+    of component index P_p[i] must go to Q_p[i] under a map of N_p alone,
+    and that map must be linear.  φ preserves additive orders, so a frame
+    whose A has other orders than the source's is skipped whole.  Each
+    component is tested once per stored Q_j, memoized across frames, and
+    narrows the j still open.
+    """
+    orders0, rotations0 = source
+    tests = [_linear_test(sp, rots[0]) for sp, rots in zip(kern.spaces, rotations0)]
+    for f, (orders, rotations) in enumerate(frames):
+        if orders != orders0:
+            continue
+        open_j = range(len(orders))
+        for test, rots in zip(tests, rotations):
+            ok = [test(q) for q in rots]
+            open_j = [j for j in open_j if ok[j % len(ok)]]
+            if not open_j:
+                break
+        for j in open_j:
+            yield f, j
+
+
+def _class_sizes(kern: HolKernel, kind: TargetKind, seeds: dict[SubgroupKey, RegularSubgroup]):
+    """(orbit size, stabilizer order) of each Aut(N)-class of the seeds, in
+    the order of the classes' least seed keys, without listing an orbit.
+
+    S is regular, so α ∈ Aut(N) normalizes S iff α is the map φ induced by
+    a generating pair (u, w) of S with the relations: α maps s(0) to
+    (α s α^-1)(0), and conversely φ s φ^-1 = θ(s) for the automorphism θ
+    of S sending (X, Y) to (u, w).  So Stab(S) is the set of additive φ,
+    and the orbit has |Aut(N)|/|Stab(S)| subgroups.  In the same way a seed
+    joins an earlier class, of equal stabilizer order, when some pair of
+    that class's first seed induces an additive φ from its own points.
+    """
+    total = aut_order(kern.group)
+    quat = kind.family == QUATERNION
+    classes: list[tuple[int, list]] = []  # (stabilizer order, frames of the first seed)
+    for key in sorted(seeds):
+        frames = _frames(kern, seeds[key], quat)
+        stab = sum(1 for _ in _additive_pairs(kern, frames[0], frames))
+        if total % stab:
+            raise InternalConsistencyError(f"stabilizer order {stab} does not divide |Aut(N)| = {total}")
+        if not any(
+            order == stab and next(_additive_pairs(kern, frames[0], first), None)
+            for order, first in classes
+        ):
+            classes.append((stab, frames))
+    return tuple((total // stab, stab) for stab, _ in classes)
+
+
+Listing = tuple[tuple[RegularSubgroup, ...], tuple[ConjugacyClass, ...]]
+
+
+def _listing(found: dict[SubgroupKey, RegularSubgroup], raw_classes) -> Listing:
+    """The subgroups sorted by key, and the classes of `_expand_orbits`."""
+    classes = tuple(ConjugacyClass(found[rk], size, stab) for rk, size, stab in raw_classes)
+    return tuple(found[k] for k in sorted(found)), classes
+
+
 @dataclass(frozen=True)
 class SearchResult:
+    """A census of the regular `kind` subgroups of Hol(N).
+
+    `r` and the (orbit size, stabilizer order) of each class, in class
+    order, are computed with the result.  The subgroups and the class
+    representatives are listed on first use by `listing`, and the listing
+    must give the same classes.
+    """
+
     group: GroupSpec
     kind: TargetKind
-    subgroups: tuple[RegularSubgroup, ...]
-    classes: tuple[ConjugacyClass, ...]
+    r: int
+    class_sizes: tuple[tuple[int, int], ...]
     method: str
-
-    @property
-    def r(self) -> int:
-        return len(self.subgroups)
+    listing: Callable[[], Listing] = field(repr=False, compare=False)
 
     @property
     def c(self) -> int:
-        return len(self.classes)
+        return len(self.class_sizes)
+
+    @cached_property
+    def _listed(self) -> Listing:
+        subgroups, classes = self.listing()
+        listed = tuple((c.orbit_size, c.stabilizer_order) for c in classes)
+        if listed != self.class_sizes or len(subgroups) != self.r:
+            raise InternalConsistencyError(
+                f"the orbit listing gives r = {len(subgroups)} and classes {listed}, "
+                f"the stabilizers r = {self.r} and classes {self.class_sizes}"
+            )
+        return subgroups, classes
+
+    @property
+    def subgroups(self) -> tuple[RegularSubgroup, ...]:
+        return self._listed[0]
+
+    @property
+    def classes(self) -> tuple[ConjugacyClass, ...]:
+        return self._listed[1]
 
     @property
     def keys(self) -> frozenset:
@@ -252,14 +402,22 @@ def search_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> 
 
 @lru_cache(maxsize=None)
 def _search_cached(group: GroupSpec, kind: TargetKind, method: str) -> SearchResult:
+    """The full scan already holds every subgroup, so its classes come from
+    the orbit expansion; the Sylow path sizes its classes by stabilizers and
+    expands the seeds' orbits only when the subgroups are asked for."""
     kern = get_kernel(group)
     shared: dict[bytes, bytes] = {}
     seeds = _seed_search(kern, kind, _pool_for(kern, method), shared)
-    found, raw_classes = _expand_orbits(kern, seeds, shared)
-    if method == "full" and len(found) != len(seeds):
-        raise InternalConsistencyError("the full scan missed conjugates of what it found")
-    classes = tuple(ConjugacyClass(found[rk], size, stab) for rk, size, stab in raw_classes)
-    return SearchResult(group, kind, tuple(found[k] for k in sorted(found)), classes, method)
+    if method == "full":
+        found, raw_classes = _expand_orbits(kern, seeds, shared)
+        if len(found) != len(seeds):
+            raise InternalConsistencyError("the full scan missed conjugates of what it found")
+        listed = _listing(found, raw_classes)
+        sizes = tuple((size, stab) for _, size, stab in raw_classes)
+        return SearchResult(group, kind, len(found), sizes, method, lambda: listed)
+    sizes = _class_sizes(kern, kind, seeds)
+    r = sum(size for size, _ in sizes)
+    return SearchResult(group, kind, r, sizes, method, lambda: _listing(*_expand_orbits(kern, seeds, shared)))
 
 
 def find_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> tuple[RegularSubgroup, ...]:
@@ -268,7 +426,8 @@ def find_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> tu
 
 
 def find_regular_sylow(group: GroupSpec, kind: TargetKind) -> SearchResult:
-    """Sylow-restricted search plus orbit expansion; complete by conjugacy."""
+    """Sylow-restricted search, its classes sized by stabilizers; complete by
+    conjugacy."""
     return search_regular(group, kind, "sylow")
 
 

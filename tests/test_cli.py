@@ -134,6 +134,16 @@ def test_brace_export_text_is_one_dump_of_the_payload(capsys, tmp_path):
     assert out_path.read_text() == want
 
 
+def test_brace_export_on_the_sylow_path_is_pinned(capsys):
+    # C2^4 takes the Sylow path; its class representative is listed from the
+    # orbit on demand and must export the bytes it did when every search
+    # listed its orbits
+    code, out, _ = run(capsys, "brace-export", "--N", "c2xc2xc2xc2", "--G", "q16")
+    assert code == EXIT_OK
+    digest = "c73a456aaf214326e43f06a3ff0f1a2b652321e3bf8f32d86f3eb8dc428bc6c5"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cached_parser_keeps_nothing_between_calls(capsys):
     from holobrace.cli import build_parser
 

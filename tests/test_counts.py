@@ -205,8 +205,9 @@ def test_table4_quaternion_total_n5():
 
 
 def test_cross_check_runs_the_full_scan_and_the_sylow_path(monkeypatch):
-    """A full-scan answer is crossed with the Sylow path, and a fault in that
-    path is reported with both paths named."""
+    """A full-scan answer is crossed with the Sylow path, and a fault in the
+    class sizes that the census reads from that path is reported with both
+    paths named."""
     from dataclasses import replace
 
     import holobrace.counts as counts
@@ -226,8 +227,41 @@ def test_cross_check_runs_the_full_scan_and_the_sylow_path(monkeypatch):
 
     def broken(group, kind, method="auto"):
         res = search_regular(group, kind, method)
-        return replace(res, classes=res.classes[1:]) if res.method == "sylow" else res
+        return replace(res, class_sizes=res.class_sizes[1:]) if res.method == "sylow" else res
 
     monkeypatch.setattr(counts, "search_regular", broken)
     with pytest.raises(InternalConsistencyError, match="direct path .* sylow path"):
         census(parse_group("c2xc4"), parse_kind("d8"), cross_check=True)
+
+
+SYLOW_CENSUS_PAIRS = [
+    ("c2xc2xc2xc2", "q16"),
+    ("c3xc2xc2xc2xc2", "q48"),
+    ("c3xc2xc2xc2", "d24"),
+    ("c5xc2xc2xc2", "d40"),
+    ("c7xc2xc2xc2", "d56"),
+    ("c3xc2xc8", "q48"),
+]
+
+
+def test_the_sylow_path_counts_without_listing_orbits(monkeypatch):
+    """census and table 1 take their Sylow-path counts from stabilizers and
+    never expand an orbit there; the full scan still does."""
+    import holobrace.regular as regular
+
+    expanded = []
+    real = regular._expand_orbits
+
+    def spy(kern, seeds, shared):
+        expanded.append(kern.group)
+        return real(kern, seeds, shared)
+
+    monkeypatch.setattr(regular, "_expand_orbits", spy)
+    regular._search_cached.cache_clear()
+    got = [census(parse_group(n), parse_kind(g), method="sylow") for n, g in SYLOW_CENSUS_PAIRS]
+    assert [(res.c, res.r) for res in got] == [(1, 5040), (1, 5040), (2, 126), (2, 126), (2, 126), (4, 8)]
+    assert expanded == []
+    c2p4 = make_group([2, 2, 2, 2])
+    assert census(c2p4, parse_kind("q16")).method == "sylow"
+    table1_report()
+    assert expanded and c2p4 not in expanded

@@ -406,3 +406,46 @@ def test_endo_json_roundtrip():
 
     m = make_endo(2, (1, 3), [[1, 1], [4, 3]])
     assert from_json(m.to_json()) == m
+
+
+@pytest.mark.parametrize("orders,non_additive", [([2, 8], 48), ([4, 8], 128), ([2, 2, 4], 576)])
+def test_decode_refuses_every_non_additive_mixed_radix_map(orders, non_additive):
+    """Every column choice whose mixed-radix map is a bijection: decode gives
+    the matrix back when each column meets the order condition q_j c_j = 0,
+    and None otherwise; it never raises."""
+    g = make_group(orders)
+    space = PrimeSpace(g)
+    refused = accepted = 0
+    for cols in itertools.product(range(space.m), repeat=len(orders)):
+        perm = space.linear_perm(list(cols))
+        if len(set(perm)) != space.m:
+            continue
+        decoded = space.decode(perm)
+        if all(q % g.element_order(space.elems[c]) == 0 for q, c in zip(orders, cols)):
+            mat, v = decoded
+            assert space.aut_perm(mat) == perm and v == g.identity()
+            accepted += 1
+        else:
+            assert decoded is None
+            refused += 1
+    assert (refused, accepted) == (non_additive, aut_order(g))
+
+
+@pytest.mark.parametrize("orders", [[4], [2, 2], [3], [5], [7], [8], [2, 4], [2, 2, 2]])
+def test_is_linear_matches_the_additivity_oracle(orders):
+    """On every permutation fixing 0, is_linear agrees with p(a + b) =
+    p(a) + p(b) checked on all pairs."""
+    g = make_group(orders)
+    space = PrimeSpace(g)
+    elems, index = space.elems, space.index
+    found = 0
+    for rest in itertools.permutations(range(1, space.m)):
+        perm = bytes((0,) + rest)
+        additive = all(
+            perm[index[g.add(a, b)]] == index[g.add(elems[perm[index[a]]], elems[perm[index[b]]])]
+            for a in elems
+            for b in elems
+        )
+        assert space.is_linear(perm) == additive
+        found += additive
+    assert found == aut_order(g)

@@ -1,11 +1,21 @@
+from dataclasses import replace
+
 import pytest
 
 from holobrace.abelian import make_group, parse_group
-from holobrace.endo import make_endo
-from holobrace.errors import CapacityError, InvalidInputError
+from holobrace.endo import aut_order, make_endo
+from holobrace.errors import CapacityError, InternalConsistencyError, InvalidInputError
 from holobrace.holomorph import HolElement, hol_from_translation
-from holobrace.presentations import admissible_types, classify_subgroup, parse_kind
+from holobrace.kernel import PrimeSpace, get_kernel
+from holobrace.presentations import QUATERNION, admissible_types, classify_subgroup, parse_kind
+from holobrace.presentations import aut_order as target_aut_order
 from holobrace.regular import (
+    _additive_pairs,
+    _class_sizes,
+    _expand_orbits,
+    _frames,
+    _search_cached,
+    _seed_search,
     classify,
     find_regular,
     find_regular_sylow,
@@ -107,8 +117,6 @@ def test_single_fixed_subgroup_class():
 
 
 def test_regularity_preserved_by_conjugation():
-    from holobrace.kernel import get_kernel
-
     g = parse_group("c2xc8")
     kern = get_kernel(g)
     res = search_regular(g, parse_kind("d16"))
@@ -130,7 +138,6 @@ def test_witnesses_satisfy_relations():
 
 def check_witnesses(g, k, method):
     from holobrace.holomorph import hol_compose, hol_identity, hol_invert, hol_order, hol_power
-    from holobrace.kernel import get_kernel
 
     kern = get_kernel(g)
     mx = k.x_order
@@ -151,29 +158,29 @@ def check_witnesses(g, k, method):
         assert hol_compose(y, y) == (hol_power(x, mx // 2) if quat else hol_identity(g))
 
 
-@pytest.mark.parametrize(
-    "orders,kind",
-    [
-        ([4], "q4"),
-        ([4], "d4"),
-        ([2, 2], "q4"),
-        ([2, 2], "d4"),
-        ([8], "q8"),
-        ([8], "d8"),
-        ([2, 4], "q8"),
-        ([2, 4], "d8"),
-        ([2, 2, 2], "q8"),
-        ([2, 2, 2], "d8"),
-        ([16], "q16"),
-        ([16], "d16"),
-        ([2, 8], "q16"),
-        ([2, 8], "d16"),
-        ([4, 4], "q16"),
-        ([4, 4], "d16"),
-        ([2, 2, 4], "q16"),
-        ([2, 2, 4], "d16"),
-    ],
-)
+SYLOW_PATH_PAIRS = [
+    ([4], "q4"),
+    ([4], "d4"),
+    ([2, 2], "q4"),
+    ([2, 2], "d4"),
+    ([8], "q8"),
+    ([8], "d8"),
+    ([2, 4], "q8"),
+    ([2, 4], "d8"),
+    ([2, 2, 2], "q8"),
+    ([2, 2, 2], "d8"),
+    ([16], "q16"),
+    ([16], "d16"),
+    ([2, 8], "q16"),
+    ([2, 8], "d16"),
+    ([4, 4], "q16"),
+    ([4, 4], "d16"),
+    ([2, 2, 4], "q16"),
+    ([2, 2, 4], "d16"),
+]
+
+
+@pytest.mark.parametrize("orders,kind", SYLOW_PATH_PAIRS)
 def test_sylow_path_matches_full_path(orders, kind):
     g = make_group(orders)
     k = parse_kind(kind)
@@ -184,6 +191,57 @@ def test_sylow_path_matches_full_path(orders, kind):
     assert sorted(c.orbit_size for c in full.classes) == sorted(
         c.orbit_size for c in syl.classes
     )
+
+
+@pytest.mark.parametrize(
+    "orders,kind",
+    SYLOW_PATH_PAIRS + [([2, 2, 2, 2], "q16"), ([3, 2, 2, 2, 2], "q48"), ([7, 2, 2, 2], "d56")],
+)
+def test_stabilizers_give_the_classes_of_the_orbit_expansion(orders, kind):
+    # the Sylow path sizes its classes by stabilizers; listing the orbits must
+    # give the same (orbit, stabilizer) list in the same order.  The frames
+    # hold one generating pair per automorphism of the target group.
+    g, k = make_group(orders), parse_kind(kind)
+    kern = get_kernel(g)
+    seeds = _seed_search(kern, k, kern.sylow_pool(), {})
+    found, raw_classes = _expand_orbits(kern, seeds, {})
+    assert _class_sizes(kern, k, seeds) == tuple((size, stab) for _, size, stab in raw_classes)
+    assert sum(size for _, size, _ in raw_classes) == len(found)
+    for sub in seeds.values():
+        frames = _frames(kern, sub, k.family == QUATERNION)
+        assert sum(len(a_orders) for a_orders, _ in frames) == target_aut_order(k)
+    assert search_regular(g, k, "sylow").class_sizes == _class_sizes(kern, k, seeds)
+
+
+def test_a_linearity_check_without_the_order_condition_is_caught(monkeypatch):
+    # comparing p with the mixed-radix map of its columns, without the order
+    # condition q_j c_j = 0, accepts bijections of C2xC8 that are not additive:
+    # a stabilizer of order 32 > |Aut(C2xC8)| = 16, which the search refuses
+    def without_order_condition(space, p):
+        return space.linear_perm([p[b] for b in space._basis_idx]) == p
+
+    g, k = make_group([2, 8]), parse_kind("d16")
+    kern = get_kernel(g)
+    monkeypatch.setattr(PrimeSpace, "is_linear", without_order_condition)
+    _search_cached.cache_clear()
+    try:
+        seeds = _seed_search(kern, k, kern.sylow_pool(), {})
+        frames = [_frames(kern, sub, False) for sub in seeds.values()]
+        stabs = [sum(1 for _ in _additive_pairs(kern, f[0], f)) for f in frames]
+        assert max(stabs) == 32 > aut_order(g) == 16
+        with pytest.raises(InternalConsistencyError, match="stabilizer order 32 does not divide"):
+            search_regular(g, k, "sylow")
+    finally:
+        _search_cached.cache_clear()
+    monkeypatch.undo()
+    assert search_regular(g, k, "sylow").class_sizes == ((2, 8), (2, 8), (4, 4), (2, 8), (2, 8), (4, 4))
+
+
+def test_a_listing_that_disagrees_with_the_stabilizers_is_refused():
+    res = search_regular(make_group([2, 8]), parse_kind("q16"), "sylow")
+    wrong = replace(res, class_sizes=((4, 4),) + res.class_sizes[1:])
+    with pytest.raises(InternalConsistencyError, match="orbit listing"):
+        wrong.classes
 
 
 def test_warm_search_meets_lowered_budgets(monkeypatch):
@@ -260,8 +318,6 @@ ORACLE_GROUPS = [
 
 @pytest.mark.parametrize("group", ORACLE_GROUPS, ids=str)
 def test_candidate_stream_matches_scan_oracle(group, monkeypatch):
-    from holobrace.kernel import get_kernel
-
     # the largest Sylow pool here, of C5 x C2^3 x C4, has 655360 elements;
     # every full pool up to that size is scanned as well
     monkeypatch.setenv("HOLOBRACE_HOL_CAP", "655360")
@@ -300,7 +356,6 @@ def test_classify_rejects_mixed_groups():
 def test_classify_rejects_a_witness_that_does_not_generate():
     import dataclasses
 
-    from holobrace.kernel import get_kernel
 
     g = make_group([2, 8])
     subs = search_regular(g, parse_kind("d16")).subgroups
@@ -320,7 +375,6 @@ def brute_force_regular_subgroups(group, kind):
     Quaternion and dihedral groups are 2-generated, so sweeping all pairs
     finds every candidate subgroup; keep the regular ones of the right shape.
     """
-    from holobrace.kernel import get_kernel
     from holobrace.presentations import _classify_kernel
 
     kern = get_kernel(group)
@@ -421,8 +475,6 @@ def test_expand_orbits_matches_reference(nspec):
     # each kind alone, as a search expands it, and both kinds together, as
     # classify() takes a mixed list: there a quaternion and a dihedral
     # subgroup can share their <x>, and only the conjugate of y tells them apart
-    from holobrace.kernel import get_kernel
-    from holobrace.regular import _expand_orbits, _seed_search
 
     g = parse_group(nspec)
     kern = get_kernel(g)
@@ -456,7 +508,6 @@ def test_subgroups_of_a_search_share_component_bytes():
 def test_power_list_matches_repeated_compose(spec):
     import random
 
-    from holobrace.kernel import get_kernel
 
     kern = get_kernel(parse_group(spec))
     rng = random.Random(spec)
