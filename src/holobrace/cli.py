@@ -51,6 +51,14 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _open(path: str, mode: str):
+    """`open(path, mode)`; a file argument that cannot be opened is an input error."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: {exc.strerror}") from exc
+
+
 def _cmd_census(args) -> int:
     group = parse_group(args.N)
     kind = parse_kind(args.G)
@@ -78,12 +86,12 @@ def _cmd_spectrum(args) -> int:
         if args.csv == "-":
             _emit(text)
         else:
-            with open(args.csv, "w") as fh:
+            with _open(args.csv, "w") as fh:
                 fh.write(text)
     if args.dump_aut:
         autgroup = enumerate_aut(group)
         blocks = [[m.to_json() for m in block] for block in autgroup.blocks]
-        with open(args.dump_aut, "w") as fh:
+        with _open(args.dump_aut, "w") as fh:
             fh.write(_dump({"schema": "v1", "N": group.display_name(), "blocks": blocks}) + "\n")
     payload = {
         "schema": "v1",
@@ -107,6 +115,12 @@ def _report_for(which: int, n_max: int, s: int) -> CountReport:
 
 
 def _cmd_tables(args) -> int:
+    if args.n_max < 2:
+        raise _UsageError(f"--n-max {args.n_max} leaves the table empty; it must be at least 2")
+    expected = None
+    if args.golden:
+        with _open(args.golden, "r") as fh:
+            expected = fh.read()
     report = _report_for(args.which, args.n_max, args.s)
     if args.format == "csv":
         text = report.to_csv()
@@ -115,16 +129,15 @@ def _cmd_tables(args) -> int:
     else:
         text = report.to_text()
     _emit(text)
-    if args.golden:
-        with open(args.golden, "r", encoding="utf-8") as fh:
-            expected = fh.read()
-        if expected != text:
-            sys.stderr.write("golden mismatch\n")
-            return EXIT_MISMATCH
+    if expected is not None and expected != text:
+        sys.stderr.write("golden mismatch\n")
+        return EXIT_MISMATCH
     return EXIT_OK
 
 
 def _cmd_verify_conjecture(args) -> int:
+    if args.m_max < 3:
+        raise _UsageError(f"--m-max {args.m_max} leaves nothing to verify; it must be at least 3")
     report = conjecture_report(args.m_max)
     _emit(report.to_text())
     ok = all(row[4] and row[7] for row in report.rows)
@@ -164,7 +177,7 @@ def _cmd_brace_export(args) -> int:
     head = {"schema": "v1", "N": group.display_name(), "G": kind.display_name()}
     pieces = _dump_list(head, "braces", map(_brace_pieces, map(brace_from_subgroup, reps)))
     if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
+        with _open(args.out, "w") as fh:
             fh.writelines(pieces)
             fh.write("\n")
         _emit(_dump({"schema": "v1", "written": args.out, "count": len(reps)}))

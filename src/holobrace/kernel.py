@@ -317,31 +317,6 @@ class HolKernel:
             trans.extend(v)
         return tuple(blocks), tuple(trans)
 
-    def affine_from_images(self, img: list[int]) -> KernelElement | None:
-        """Reassemble a per-component affine element from a combined image map.
-
-        Returns None unless the map splits as a product of per-component
-        bijections that are each affine.
-        """
-        perms: list[bytes] = []
-        for k, sp in enumerate(self.spaces):
-            tab = self.split_tabs[k]
-            comp_img: list[int | None] = [None] * sp.m
-            for i, out in enumerate(img):
-                a, b = tab[i], tab[out]
-                known = comp_img[a]
-                if known is None:
-                    comp_img[a] = b
-                elif known != b:
-                    return None
-            if None in comp_img or len(set(comp_img)) != sp.m:
-                return None
-            perm = bytes(comp_img)  # type: ignore[arg-type]
-            if sp.decode(perm) is None:
-                return None
-            perms.append(perm)
-        return tuple(perms)
-
     # -- pools ---------------------------------------------------------------------
 
     def aut_perm_tuple(self, aut: Aut) -> KernelElement:

@@ -103,13 +103,34 @@ def _walk(img, start: int, count: int) -> list[int]:
     return out
 
 
-def _build_y(kern: HolKernel, orb0: list[int], orbt: list[int], quat: bool, half: int):
-    mx = len(orb0)
-    img = [0] * kern.n
-    for i in range(mx):
-        img[orb0[i]] = orbt[-i % mx]
-        img[orbt[i]] = orb0[(half - i) % mx] if quat else orb0[-i % mx]
-    return kern.affine_from_images(img)
+@lru_cache(maxsize=None)
+def _y_getter(mx: int, half: int, quat: bool) -> itemgetter:
+    """Positions in orb0 + orbt of the images under Y of orb0 + orbt, for
+    orb0 = [X^i(0)] and orbt = [X^i Y(0)]: Y X^i(0) = X^-i Y(0), and
+    Y X^i Y(0) = X^(half-i)(0) (quaternion) or X^-i(0) (dihedral)."""
+    back = [((half - i) if quat else -i) % mx for i in range(mx)]
+    return itemgetter(*[mx + -i % mx for i in range(mx)], *back)
+
+
+def _build_y(kern: HolKernel, orb0: list[int], orbt: list[int], quat: bool, half: int) -> KernelElement | None:
+    """The Y fixed on all of N by its relations, or None unless it is affine.
+
+    orb0 + orbt is all of N, so per component the points must map
+    consistently, the map must be a bijection, and its linear part must
+    pass `PrimeSpace.is_linear`."""
+    points = orb0 + orbt
+    to = _y_getter(len(orb0), half, quat)
+    perms = []
+    for sp, tab in zip(kern.spaces, kern.split_tabs):
+        src = bytes(map(tab.__getitem__, points))
+        dst = bytes(to(src))
+        y = bytes(itemgetter(*map(src.index, range(sp.m)))(dst))
+        if sp.compose(y, src) != dst or len(set(y)) != sp.m:
+            return None
+        if not sp.is_linear(sp.compose(sp.add_rows[sp.neg_idx[y[0]]], y)):
+            return None
+        perms.append(y)
+    return tuple(perms)
 
 
 def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool, shared: dict):
@@ -336,8 +357,12 @@ def _class_sizes(kern: HolKernel, kind: TargetKind, seeds: dict[SubgroupKey, Reg
 Listing = tuple[tuple[RegularSubgroup, ...], tuple[ConjugacyClass, ...]]
 
 
-def _listing(found: dict[SubgroupKey, RegularSubgroup], raw_classes) -> Listing:
-    """The subgroups sorted by key, and the classes of `_expand_orbits`."""
+def _listing(group: GroupSpec, kind: TargetKind, method: str) -> Listing:
+    """Rerun the scan and the orbit expansion: the subgroups sorted by key,
+    and the classes of `_expand_orbits`."""
+    kern = get_kernel(group)
+    shared: dict[bytes, bytes] = {}
+    found, raw_classes = _expand_orbits(kern, _seed_search(kern, kind, _pool_for(kern, method), shared), shared)
     classes = tuple(ConjugacyClass(found[rk], size, stab) for rk, size, stab in raw_classes)
     return tuple(found[k] for k in sorted(found)), classes
 
@@ -347,9 +372,11 @@ class SearchResult:
     """A census of the regular `kind` subgroups of Hol(N).
 
     `r` and the (orbit size, stabilizer order) of each class, in class
-    order, are computed with the result.  The subgroups and the class
-    representatives are listed on first use by `listing`, and the listing
-    must give the same classes.
+    order, are computed with the result, and so are the class
+    representatives on the full path.  The result keeps no subgroup list:
+    `subgroups` and `keys` rerun the scan on every use, and so does the
+    first use of `classes` on the Sylow path, which then keeps the
+    representatives.  A rerun must give the same r and classes.
     """
 
     group: GroupSpec
@@ -357,30 +384,31 @@ class SearchResult:
     r: int
     class_sizes: tuple[tuple[int, int], ...]
     method: str
-    listing: Callable[[], Listing] = field(repr=False, compare=False)
+    representatives: tuple[RegularSubgroup, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def c(self) -> int:
         return len(self.class_sizes)
 
-    @cached_property
-    def _listed(self) -> Listing:
-        subgroups, classes = self.listing()
+    def _rescan(self) -> Listing:
+        subgroups, classes = _listing(self.group, self.kind, self.method)
         listed = tuple((c.orbit_size, c.stabilizer_order) for c in classes)
         if listed != self.class_sizes or len(subgroups) != self.r:
             raise InternalConsistencyError(
                 f"the orbit listing gives r = {len(subgroups)} and classes {listed}, "
-                f"the stabilizers r = {self.r} and classes {self.class_sizes}"
+                f"the search r = {self.r} and classes {self.class_sizes}"
             )
         return subgroups, classes
 
     @property
     def subgroups(self) -> tuple[RegularSubgroup, ...]:
-        return self._listed[0]
+        return self._rescan()[0]
 
-    @property
+    @cached_property
     def classes(self) -> tuple[ConjugacyClass, ...]:
-        return self._listed[1]
+        if self.representatives is None:
+            return self._rescan()[1]
+        return tuple(ConjugacyClass(rep, *sizes) for rep, sizes in zip(self.representatives, self.class_sizes))
 
     @property
     def keys(self) -> frozenset:
@@ -402,22 +430,21 @@ def search_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> 
 
 @lru_cache(maxsize=None)
 def _search_cached(group: GroupSpec, kind: TargetKind, method: str) -> SearchResult:
-    """The full scan already holds every subgroup, so its classes come from
-    the orbit expansion; the Sylow path sizes its classes by stabilizers and
-    expands the seeds' orbits only when the subgroups are asked for."""
+    """The full scan already holds every subgroup, so its classes and their
+    representatives come from the orbit expansion; the Sylow path sizes its
+    classes by stabilizers.  Neither keeps the subgroups."""
     kern = get_kernel(group)
     shared: dict[bytes, bytes] = {}
     seeds = _seed_search(kern, kind, _pool_for(kern, method), shared)
-    if method == "full":
-        found, raw_classes = _expand_orbits(kern, seeds, shared)
-        if len(found) != len(seeds):
-            raise InternalConsistencyError("the full scan missed conjugates of what it found")
-        listed = _listing(found, raw_classes)
-        sizes = tuple((size, stab) for _, size, stab in raw_classes)
-        return SearchResult(group, kind, len(found), sizes, method, lambda: listed)
-    sizes = _class_sizes(kern, kind, seeds)
-    r = sum(size for size, _ in sizes)
-    return SearchResult(group, kind, r, sizes, method, lambda: _listing(*_expand_orbits(kern, seeds, shared)))
+    if method == "sylow":
+        sizes = _class_sizes(kern, kind, seeds)
+        return SearchResult(group, kind, sum(size for size, _ in sizes), sizes, method)
+    found, raw_classes = _expand_orbits(kern, seeds, shared)
+    if len(found) != len(seeds):
+        raise InternalConsistencyError("the full scan missed conjugates of what it found")
+    sizes = tuple((size, stab) for _, size, stab in raw_classes)
+    reps = tuple(found[rk] for rk, _, _ in raw_classes)
+    return SearchResult(group, kind, len(found), sizes, method, reps)
 
 
 def find_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> tuple[RegularSubgroup, ...]:

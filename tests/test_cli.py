@@ -179,6 +179,39 @@ def test_usage_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,path",
+    [
+        (["brace-export", "--N", "c8", "--G", "q8", "--out", "{missing}/x.json"], "{missing}/x.json"),
+        (["tables", "--which", "1", "--golden", "{missing}/g.txt"], "{missing}/g.txt"),
+        (["tables", "--which", "1", "--golden", "{dir}"], "{dir}"),
+        (["spectrum", "--N", "c2xc4", "--workers", "1", "--csv", "{missing}/s.csv"], "{missing}/s.csv"),
+        (["spectrum", "--N", "c2xc4", "--workers", "1", "--dump-aut", "{dir}"], "{dir}"),
+    ],
+)
+def test_unusable_file_arguments_are_input_errors(capsys, tmp_path, argv, path):
+    # a file argument that cannot be opened is reported, not raised
+    names = {"missing": tmp_path / "missing", "dir": tmp_path}
+    code, _, err = run(capsys, *(a.format(**names) for a in argv))
+    assert code == EXIT_USAGE
+    assert err.startswith(f"invalid input: {path.format(**names)}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-conjecture", "--m-max", "2"],
+        ["verify-conjecture", "--m-max", "0"],
+        ["tables", "--which", "3", "--n-max", "1"],
+        ["tables", "--which", "4", "--n-max", "-3"],
+    ],
+)
+def test_runs_that_would_check_nothing_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"usage error: {argv[-2]} {argv[-1]} ")
+
+
+@pytest.mark.parametrize(
     "flags", [("--direct", "--sylow"), ("--structured", "--via-reduction"), ("--sylow", "--structured")]
 )
 def test_census_method_flags_are_exclusive(capsys, flags):

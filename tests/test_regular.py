@@ -144,14 +144,15 @@ def check_witnesses(g, k, method):
     quat = k.family == "quaternion"
     res = search_regular(g, k, method)
     assert res.r
-    for sub in res.subgroups:
+    subgroups = res.subgroups
+    for sub in subgroups:
         x, y = sub.witness
         assert kern.order(x) == mx
         assert kern.compose(kern.compose(y, x), kern.invert(y)) == kern.invert(x)
         assert kern.compose(y, y) == (kern.power_list(x, mx)[mx // 2] if quat else kern.identity)
         assert kern.closure(sub.witness, g.order) == frozenset(sub.elements)
     # the same relations on the validated HolElement surface (slower)
-    for sub in res.subgroups[:32]:
+    for sub in subgroups[:32]:
         x, y = sub.witnesses()
         assert hol_order(x) == mx
         assert hol_compose(hol_compose(y, x), hol_invert(y)) == hol_invert(x)
@@ -238,10 +239,57 @@ def test_a_linearity_check_without_the_order_condition_is_caught(monkeypatch):
 
 
 def test_a_listing_that_disagrees_with_the_stabilizers_is_refused():
-    res = search_regular(make_group([2, 8]), parse_kind("q16"), "sylow")
-    wrong = replace(res, class_sizes=((4, 4),) + res.class_sizes[1:])
-    with pytest.raises(InternalConsistencyError, match="orbit listing"):
-        wrong.classes
+    # every rebuilt listing is checked against r and the class sizes; the
+    # full path keeps its representatives, so there only the subgroups rescan
+    for method, uses in (("sylow", ("classes", "subgroups", "keys")), ("full", ("subgroups", "keys"))):
+        res = search_regular(make_group([2, 8]), parse_kind("q16"), method)
+        wrong = replace(res, class_sizes=((4, 4),) + res.class_sizes[1:])
+        for use in uses:
+            with pytest.raises(InternalConsistencyError, match="orbit listing"):
+                getattr(wrong, use)
+
+
+@pytest.mark.parametrize("nspec,kind,method", [("c3xc2xc4", "d24", "full"), ("c2xc8", "q16", "sylow")])
+def test_a_listing_is_rebuilt_alike_on_every_use(nspec, kind, method):
+    g, k = parse_group(nspec), parse_kind(kind)
+    kern = get_kernel(g)
+    res = search_regular(g, k, method)
+    first, second = res.subgroups, res.subgroups
+    assert first is not second  # rebuilt, not kept on the memoized result
+    pool = kern.full_pool() if method == "full" else kern.sylow_pool()
+    found, raw_classes = _expand_orbits(kern, _seed_search(kern, k, pool, {}), {})
+    assert [s.key for s in first] == [s.key for s in second] == sorted(found)
+    assert res.r == len(found)
+    assert [c.representative for c in res.classes] == [found[rk] for rk, _, _ in raw_classes]
+    assert [(c.orbit_size, c.stabilizer_order) for c in res.classes] == [(n, st) for _, n, st in raw_classes]
+
+
+def test_the_search_memo_keeps_no_subgroup_lists():
+    # the --direct censuses of orders 24 and 56 of the census-sweep benchmark:
+    # the memo keeps r, the class sizes and c representatives per search, not
+    # the r subgroups (2 MB here when it kept them)
+    import gc
+    import tracemalloc
+
+    from holobrace.counts import census
+
+    groups = {24: ["c3xc8", "c3xc2xc4", "c3xc2xc2xc2"], 56: ["c7xc8", "c7xc2xc4", "c7xc2xc2xc2"]}
+    _search_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        for order, specs in groups.items():
+            for spec in specs:
+                for fam in "qd":
+                    census(parse_group(spec), parse_kind(f"{fam}{order}"), method="direct")
+        assert _search_cached.cache_info().currsize == 12
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        _search_cached.cache_clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed < 0.25 * 2**20
 
 
 def test_warm_search_meets_lowered_budgets(monkeypatch):
