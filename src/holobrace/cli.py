@@ -79,7 +79,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     group = parse_group(args.N)
-    spec = order_spectrum(group, workers=args.workers)
+    spec = order_spectrum(group)
     if args.csv:
         lines = ["order,count"] + [f"{k},{v}" for k, v in spec.items()]
         text = "\n".join(lines) + "\n"
@@ -115,13 +115,18 @@ def _report_for(which: int, n_max: int, s: int) -> CountReport:
 
 
 def _cmd_tables(args) -> int:
-    if args.n_max < 2:
-        raise _UsageError(f"--n-max {args.n_max} leaves the table empty; it must be at least 2")
+    if args.which == 1:
+        for flag, value in (("--n-max", args.n_max), ("--s", args.s)):
+            if value is not None:
+                raise _UsageError(f"{flag} {value} does not apply to table 1, whose rows are fixed")
+    n_max = 5 if args.n_max is None else args.n_max
+    if n_max < 2:
+        raise _UsageError(f"--n-max {n_max} leaves the table empty; it must be at least 2")
     expected = None
     if args.golden:
         with _open(args.golden, "r") as fh:
             expected = fh.read()
-    report = _report_for(args.which, args.n_max, args.s)
+    report = _report_for(args.which, n_max, 3 if args.s is None else args.s)
     if args.format == "csv":
         text = report.to_csv()
     elif args.format == "json":
@@ -240,18 +245,12 @@ def build_parser() -> _Parser:
     p.add_argument("--N", required=True)
     p.add_argument("--csv", help='write "order,count" rows to a file ("-" for stdout)')
     p.add_argument("--dump-aut", help="write the enumerated Aut(N) matrices to a JSON file")
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="parallel workers for the order census, 1 to the CPU count (default: one per"
-        " CPU, at most one per 8192 elements of Hol(N); results are identical)",
-    )
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("tables", help="reproduce the counting tables")
     p.add_argument("--which", type=int, required=True, choices=(1, 3, 4))
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--s", type=int, default=3)
+    p.add_argument("--n-max", type=int, help="tables 3 and 4 only (default 5)")
+    p.add_argument("--s", type=int, help="tables 3 and 4 only (default 3)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--golden", help="diff the text output against this file")
     p.set_defaults(func=_cmd_tables)

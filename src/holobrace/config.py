@@ -11,9 +11,9 @@ import os
 from .errors import InvalidInputError
 
 # Automorphisms per prime block of Aut(N) or of its Sylow subgroup (element
-# pools, `spectrum --dump-aut`), compared with the closed-form size before the
-# block is built or looked up; also the cyclic family solver's (X, Y) pairs
-# and the rank-2 family solver's subgroup encodings.
+# pools, `spectrum` and its `--dump-aut`), compared with the closed-form size
+# before the block is built or looked up; also the cyclic family solver's
+# (X, Y) pairs and the rank-2 family solver's subgroup encodings.
 DEFAULT_AUT_CANDIDATE_CAP = 1 << 21
 
 # Above this many elements Hol(N) is not scanned in full; searches fall back

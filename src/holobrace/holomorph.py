@@ -6,10 +6,9 @@ the block-matrix convention (A, v)(B, w) = (AB, A(w) + v).
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from math import lcm
 
 from .abelian import Element, GroupSpec
 from .endo import (
@@ -113,58 +112,22 @@ def exponent_bound(group: GroupSpec, p: int) -> int:
     return p ** (t + d - 1)
 
 
-# Pool elements per worker process below which a worker costs more than it
-# saves.  On 2 CPUs: |Hol(N)| = 4096 (C4 x C8) takes 0.25 s serial and 0.29 s
-# with 2 workers; 49152 (C2 x C2 x C16) 1.1 s and 0.84 s; 65536 (C4 x C32)
-# 2.0 s and 1.5 s.
-SPECTRUM_CHUNK = 1 << 13
-
-
-def order_spectrum(group: GroupSpec, workers: int | None = None) -> dict[int, int]:
+def order_spectrum(group: GroupSpec) -> dict[int, int]:
     """Exact census of element orders of Hol(N).
 
-    `workers=None` runs one process per CPU, but no more than one per
-    SPECTRUM_CHUNK elements of Hol(N); otherwise `workers` must lie in
-    1..os.cpu_count().
+    Hol(N) is the product of the Hol(N_p), and an element's order is the lcm
+    of its components' orders, so the census is the lcm-convolution of the
+    component spectra.
     """
-    cpus = os.cpu_count() or 1
-    if workers is not None and not 1 <= workers <= cpus:
-        raise InvalidInputError(f"workers must lie in 1..{cpus}, got {workers}")
-    kern = get_kernel(group)
-    pool = kern.full_pool()
-    if workers is None:
-        workers = max(1, min(cpus, len(pool) // SPECTRUM_CHUNK))
-    counts: Counter[int] = Counter()
-    if workers > 1:
-        counts.update(_spectrum_parallel(group, workers))
-    else:
-        for x in pool:
-            counts[kern.order(x)] += 1
+    counts: Counter[int] = Counter({1: 1})
+    for sp in get_kernel(group).spaces:
+        part = sp.order_spectrum()
+        merged: Counter[int] = Counter()
+        for a, n in counts.items():
+            for b, m in part.items():
+                merged[lcm(a, b)] += n * m
+        counts = merged
     return dict(sorted(counts.items()))
-
-
-def _spectrum_chunk(args) -> Counter:
-    factors, lo, hi = args
-    kern = get_kernel(GroupSpec(factors))
-    pool = kern.full_pool()
-    out: Counter[int] = Counter()
-    for x in islice(pool, lo, hi):
-        out[kern.order(x)] += 1
-    return out
-
-
-def _spectrum_parallel(group: GroupSpec, workers: int) -> Counter:
-    from multiprocessing import Pool
-
-    total = len(get_kernel(group).full_pool())
-    step = -(-total // workers)
-    chunks = [(group.factors, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with Pool(workers) as pool:
-        parts = pool.map(_spectrum_chunk, chunks)
-    out: Counter[int] = Counter()
-    for part in parts:
-        out.update(part)
-    return out
 
 
 # -- conversions between algebraic and kernel forms ---------------------------

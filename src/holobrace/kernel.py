@@ -9,6 +9,7 @@ orders, conjugation) on C-speed bytes operations.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import product
@@ -71,7 +72,6 @@ class PrimeSpace:
         self._which = which
         # (order q_j, index, translation row) of each basis vector e_j
         self._basis = [(q, b, self.add_rows[b]) for q, b in zip(spec.factors, self._basis_idx)]
-        self._order_memo: dict[bytes, int] = {}
         self._aut_perm_memo: dict[EndoMatrix, bytes] = {}
         self._blocks: dict[str, list[bytes]] = {}
         self.p = spec.primes[0]
@@ -91,24 +91,12 @@ class PrimeSpace:
         return bytes(out)
 
     def order(self, p: bytes) -> int:
-        memo = self._order_memo
-        cached = memo.get(p)
-        if cached is not None:
-            return cached
-        seen = bytearray(self.m)
-        result = 1
-        for start in range(self.m):
-            if seen[start]:
-                continue
-            length = 0
-            cur = start
-            while not seen[cur]:
-                seen[cur] = 1
-                cur = p[cur]
-                length += 1
-            result = lcm(result, length)
-        memo[p] = result
-        return result
+        """Least k >= 1 with p^k = id: one translate per power."""
+        tab, cur, k = p + self._pad, p, 1
+        while cur != self.identity:
+            cur = cur.translate(tab)
+            k += 1
+        return k
 
     # -- affine maps ----------------------------------------------------------
 
@@ -201,6 +189,33 @@ class PrimeSpace:
                 )
             self._blocks[name] = block
         return block
+
+    def order_spectrum(self) -> Counter[int]:
+        """Element orders of Hol(N_p), from `aut_perms()` alone.
+
+        For x = (A, v) and k = order(A), x^k = (I, S_A v) with the linear
+        S_A = 1 + A + ... + A^(k-1), so order(x) = k |S_A v|.  S_A is built
+        column by column, and the additive orders of its images are counted
+        over all v at once."""
+        add_rows, basis = self.add_rows, self._basis_idx
+        order_tab = bytes(self.orders) + self._pad
+        values = set(self.orders)
+        out: Counter[int] = Counter()
+        for a in self.aut_perms():
+            k = self.order(a)
+            cols = []
+            for cur in basis:
+                acc = 0
+                for _ in range(k):
+                    acc = add_rows[acc][cur]
+                    cur = a[cur]
+                cols.append(acc)
+            orders = self.linear_perm(cols).translate(order_tab)
+            for c in values:
+                count = orders.count(c)
+                if count:
+                    out[k * c] += count
+        return out
 
     def hol_elements(self, aut_list: list[bytes]) -> list[bytes]:
         return [self.hol_perm(a, v) for a in aut_list for v in range(self.m)]

@@ -469,8 +469,9 @@ def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]
     kern, mx = get_kernel(group), group.order // 2
     for s in subgroups:  # the expansion builds on <x, y> = S, x of order |N|/2
         x, y = s.witness
-        pows = kern.power_list(x, mx)
-        if kern.order(x) != mx or y in pows or not set(s.elements).issuperset(pows + [y]):
+        pows = kern.power_list(x, mx + 1)  # x^0 .. x^mx, so x of order mx ends on the identity
+        ident = pows[0]
+        if pows[mx] != ident or ident in pows[1:mx] or y in pows or not set(s.elements).issuperset(pows + [y]):
             raise InvalidInputError("a witness does not generate its subgroup")
     by_key = {s.key: s for s in subgroups}
     found, raw_classes = _expand_orbits(kern, by_key, {})

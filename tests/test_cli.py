@@ -52,7 +52,7 @@ def test_spectrum(capsys, tmp_path):
     aut_path = tmp_path / "aut.json"
     code, out, _ = run(
         capsys,
-        "spectrum", "--N", "c4xc8", "--workers", "1",
+        "spectrum", "--N", "c4xc8",
         "--csv", str(csv_path), "--dump-aut", str(aut_path),
     )
     assert code == EXIT_OK
@@ -156,8 +156,6 @@ def test_cached_parser_keeps_nothing_between_calls(capsys):
     assert parser.parse_args(census).method == "auto"
     code, out, _ = run(capsys, *census)
     assert code == EXIT_OK and json.loads(out)["method"] != "sylow"
-    assert parser.parse_args(["spectrum", "--N", "c2xc8", "--workers", "1"]).workers == 1
-    assert parser.parse_args(["spectrum", "--N", "c2xc8"]).workers is None
     code, out, err = run(capsys, *census, "--sylow", "--direct")
     assert (code, out) == (EXIT_USAGE, "") and "not allowed with" in err
     code, out, err = run(capsys, "census", "--N", "c2xc8")
@@ -184,8 +182,8 @@ def test_usage_errors(capsys):
         (["brace-export", "--N", "c8", "--G", "q8", "--out", "{missing}/x.json"], "{missing}/x.json"),
         (["tables", "--which", "1", "--golden", "{missing}/g.txt"], "{missing}/g.txt"),
         (["tables", "--which", "1", "--golden", "{dir}"], "{dir}"),
-        (["spectrum", "--N", "c2xc4", "--workers", "1", "--csv", "{missing}/s.csv"], "{missing}/s.csv"),
-        (["spectrum", "--N", "c2xc4", "--workers", "1", "--dump-aut", "{dir}"], "{dir}"),
+        (["spectrum", "--N", "c2xc4", "--csv", "{missing}/s.csv"], "{missing}/s.csv"),
+        (["spectrum", "--N", "c2xc4", "--dump-aut", "{dir}"], "{dir}"),
     ],
 )
 def test_unusable_file_arguments_are_input_errors(capsys, tmp_path, argv, path):
@@ -209,6 +207,22 @@ def test_runs_that_would_check_nothing_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith(f"usage error: {argv[-2]} {argv[-1]} ")
+
+
+@pytest.mark.parametrize("flags", [("--n-max", "9"), ("--s", "7"), ("--n-max", "5", "--s", "3")])
+def test_table1_refuses_range_flags(capsys, flags):
+    # table 1 has fixed rows: a range flag would be ignored, so it is refused
+    code, out, err = run(capsys, "tables", "--which", "1", *flags)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"usage error: {flags[0]} {flags[1]} ")
+
+
+def test_table_range_defaults_still_apply(capsys):
+    explicit = run(capsys, "tables", "--which", "4", "--n-max", "3", "--s", "3", "--format", "csv")
+    assert run(capsys, "tables", "--which", "4", "--n-max", "3", "--format", "csv") == explicit
+    assert explicit[0] == EXIT_OK
+    code, out, err = run(capsys, "tables", "--which", "3", "--s", "5", "--n-max", "1")
+    assert (code, out) == (EXIT_USAGE, "") and err.startswith("usage error: --n-max 1 ")
 
 
 @pytest.mark.parametrize(
@@ -326,31 +340,21 @@ def test_rank2_family_budget_exit_code(capsys, monkeypatch):
 )
 def test_dump_aut_bytes_are_pinned(capsys, tmp_path, group, digest):
     path = tmp_path / "aut.json"
-    code, _, _ = run(capsys, "spectrum", "--N", group, "--workers", "1", "--dump-aut", str(path))
+    code, _, _ = run(capsys, "spectrum", "--N", group, "--dump-aut", str(path))
     assert code == EXIT_OK
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_spectrum_workers_deterministic(capsys, monkeypatch):
-    import holobrace.holomorph as holomorph
-
-    monkeypatch.setattr(holomorph.os, "cpu_count", lambda: 2)  # two workers on any host
-    a = run(capsys, "spectrum", "--N", "c2xc8", "--workers", "1")
-    b = run(capsys, "spectrum", "--N", "c2xc8", "--workers", "2")
-    assert json.loads(a[1]) == json.loads(b[1])
-
-
-def test_spectrum_workers_range_is_a_usage_error(capsys, monkeypatch):
-    import holobrace.holomorph as holomorph
-
-    used = []
-    monkeypatch.setattr(holomorph, "_spectrum_parallel", lambda group, workers: used.append(workers))
-    monkeypatch.setattr(holomorph.os, "cpu_count", lambda: 2)
-    for workers in ("0", "-2", "3", "100000"):
-        code, out, err = run(capsys, "spectrum", "--N", "c2xc8", "--workers", workers)
-        assert code == EXIT_USAGE and out == ""
-        assert "1..2" in err
-    assert used == []
+def test_spectrum_is_bounded_by_the_aut_block_budget(capsys, monkeypatch):
+    code, out, err = run(capsys, "spectrum", "--N", "c2xc8", "--workers", "1")
+    assert (code, out) == (EXIT_USAGE, "") and "--workers" in err
+    # |Hol(C2^4)| = 322560 is past the full-scan cap, which spectrum does not read
+    code, out, _ = run(capsys, "spectrum", "--N", "c2xc2xc2xc2")
+    assert code == EXIT_OK and sum(json.loads(out)["orders"].values()) == 322560
+    monkeypatch.setenv("HOLOBRACE_CAP", "100")  # |GL(3, 2)| = 168
+    code, out, err = run(capsys, "spectrum", "--N", "c2xc2xc2")
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err.endswith("(needed 168, cap 100)\n")
 
 
 def test_census_reports_the_sylow_path(capsys):
@@ -385,9 +389,11 @@ def test_ybe_check_verifies_each_brace_once(capsys, monkeypatch):
 )
 def test_malformed_env_caps_are_input_errors(capsys, monkeypatch, tmp_path, name, value):
     monkeypatch.setenv(name, value)
-    code, _, err = run(
-        capsys, "spectrum", "--N", "c2xc4", "--workers", "1", "--dump-aut", str(tmp_path / "aut.json")
-    )
+    if name == "HOLOBRACE_CAP":
+        argv = ["spectrum", "--N", "c2xc4", "--dump-aut", str(tmp_path / "aut.json")]
+    else:  # spectrum does not scan Hol(N); a census does
+        argv = ["census", "--N", "c2xc4", "--G", "d8"]
+    code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert name in err
 

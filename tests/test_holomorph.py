@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 from math import gcd, lcm
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from holobrace.abelian import make_group
 from holobrace.endo import make_endo
 from holobrace.errors import InvalidInputError
+from holobrace.kernel import get_kernel
 from holobrace.holomorph import (
     HolElement,
     exponent_bound,
@@ -134,39 +136,22 @@ def test_order_spectrum_cyclic_oracle_wider():
         assert order_spectrum(make_group([m])) == affine_spectrum_oracle(m)
 
 
-def test_spectrum_workers_agree(monkeypatch):
-    import holobrace.holomorph as holomorph
+def pool_spectrum_oracle(group):
+    """The per-element walk: the order of every element of the full pool, as
+    the lcm of its components' orders (each memoized here)."""
+    kern = get_kernel(group)
+    orders = [cache(sp.order) for sp in kern.spaces]
+    counts = Counter(lcm(*(o(a) for o, a in zip(orders, x))) for x in kern.full_pool())
+    return dict(sorted(counts.items()))
 
-    monkeypatch.setattr(holomorph.os, "cpu_count", lambda: 2)  # two workers on any host
-    base = order_spectrum(make_group([2, 8]))
-    assert order_spectrum(make_group([2, 8]), workers=2) == base
 
-
-def test_spectrum_workers_follow_pool_size(monkeypatch):
-    import holobrace.holomorph as holomorph
-
-    used = []
-
-    def spy(group, workers):
-        used.append(workers)
-        return Counter()
-
-    monkeypatch.setattr(holomorph, "_spectrum_parallel", spy)
-    monkeypatch.setattr(holomorph.os, "cpu_count", lambda: 64)
-    order_spectrum(make_group([4, 8]))  # |Hol| = 4096: serial
-    assert used == []
-    order_spectrum(make_group([2, 64]))  # |Hol| = 16384: two chunks of 8192
-    order_spectrum(make_group([2, 64]), workers=3)
-    monkeypatch.setattr(holomorph.os, "cpu_count", lambda: 1)
-    order_spectrum(make_group([2, 64]))
-    for workers in (0, -1, 2, 1 << 20):  # outside 1..cpu_count: refused before any pool
-        with pytest.raises(InvalidInputError, match=r"1\.\.1"):
-            order_spectrum(make_group([2, 64]), workers=workers)
-    assert used == [2, 3]
-
-    from holobrace.cli import build_parser
-
-    assert build_parser().parse_args(["spectrum", "--N", "c2xc8"]).workers is None
+@pytest.mark.parametrize(
+    "orders", [[4, 8], [2, 2, 2, 2], [3, 2, 2], [4, 32], [2, 2, 16], [5, 7, 2, 8], [9, 3, 4]], ids=str
+)
+def test_order_spectrum_matches_the_per_element_walk(monkeypatch, orders):
+    monkeypatch.setenv("HOLOBRACE_HOL_CAP", str(1 << 19))  # |Hol(C2^4)| = 322560
+    group = make_group(orders)
+    assert order_spectrum(group) == pool_spectrum_oracle(group)
 
 
 def test_power_formula():
@@ -230,8 +215,6 @@ def test_encode_is_injective():
 
 @pytest.mark.parametrize("orders", [[2, 2, 2, 2], [2, 64], [3, 8], [7, 2, 8]], ids=str)
 def test_add_rows_match_group_addition(orders):
-    from holobrace.kernel import get_kernel
-
     g = make_group(orders)
     spaces = get_kernel(g).spaces
     assert len(spaces) == len(g.primes)

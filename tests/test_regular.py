@@ -411,7 +411,8 @@ def test_classify_rejects_a_witness_that_does_not_generate():
     ident = get_kernel(g).identity
     x, y = subs[0].witness
     outside = next(e for s in subs for e in s.elements if e not in subs[0].elements)
-    for pair in [(ident, ident), (x, x), (y, x), (x, outside)]:
+    constant = tuple(bytes(len(a)) for a in x)  # no permutation: its powers never reach the identity
+    for pair in [(ident, ident), (x, x), (y, x), (x, outside), (constant, y)]:
         bad = [dataclasses.replace(subs[0], witness=pair)] + list(subs[1:])
         with pytest.raises(InvalidInputError):
             classify(bad)
