@@ -25,7 +25,7 @@ from .presentations import (
     admissible_types,
     aut_order,
 )
-from .regular import SearchResult, fits_full_scan, search_regular
+from .regular import SearchResult, fits_full_scan, fits_sylow_scan, search_regular
 from .structured import solve_family
 
 
@@ -160,11 +160,14 @@ def _cross_method(group: GroupSpec, method: str):
     """The census method of a second path independent of `method`'s answer.
 
     A full scan is checked by the Sylow path; every other answer by a full
-    scan, when Hol(N) fits the scan cap and the byte kernel.
+    scan, when Hol(N) fits the scan cap and the byte kernel, and otherwise
+    by the Sylow path, when its pool fits and the answer is not that search.
     """
     if method in ("direct", "full"):
         return "sylow"
-    return "direct" if fits_full_scan(group) else None
+    if fits_full_scan(group):
+        return "direct"
+    return "sylow" if method != "sylow" and fits_sylow_scan(group) else None
 
 
 def _census_by_method(group: GroupSpec, kind: TargetKind, method: str, odd: GroupSpec, two: GroupSpec) -> CensusResult:

@@ -2,21 +2,23 @@
 
 A regular quaternion/dihedral subgroup G of Hol(N_s x N_2) decomposes as a
 pair (H, tau): H a regular subgroup of Hol(N_2) and tau a homomorphism from
-(N_2, o_H) onto {1, inversion} <= Aut(N_s), determined by an index-2 kernel.
-The subgroup is G = {(a, tau_b, h_b) : a in N_s, b in N_2}; counts transfer
-from the 2-part except for the Q_{8s}/D_{4s} families, where each H carries
-three kernels and the class counts come from the s = 3 base case.
+H onto {1, inversion} <= Aut(N_s).  The cyclic subgroup of index 2 of G is
+C_s x ker(tau), so ker(tau) is a cyclic subgroup of H of order |H|/2, and G
+is generated by X = (t_1, u) and Y = (inversion, w) for a generator u of
+the kernel and a partner w of u in H (README, "Odd-part lifts").  Counts
+transfer from the 2-part except for the Q_{8s}/D_{4s} families, where each
+H carries three kernels and the class counts come from the s = 3 base case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import combinations, product
 
 from .abelian import GroupSpec, make_group, sylow_decompose
 from .errors import InvalidInputError
-from .kernel import KernelElement, get_kernel
-from .presentations import DIHEDRAL, QUATERNION, TargetKind, _classify_kernel
+from .kernel import HolKernel, KernelElement, get_kernel
+from .presentations import DIHEDRAL, QUATERNION, TargetKind
 from .regular import RegularSubgroup, _subgroup, search_regular
 
 
@@ -28,104 +30,31 @@ class TauMap:
     kernel_codes: frozenset[bytes]
 
 
-def _index2_subgroups(sub: RegularSubgroup) -> list[frozenset[bytes]]:
-    """All index-2 subgroups of H, via the quotient by <commutators, squares>.
-
-    Every index-2 subgroup contains Phi = <[H,H], H^2>; the candidates are
-    preimages of the index-2 subgroups of the elementary quotient H/Phi.
-    """
-    kern = get_kernel(sub.group)
-    elems = list(sub.elements)
-    codes = {kern.code(e): e for e in elems}
-    inv = {c: kern.invert(e) for c, e in codes.items()}
-    # generate Phi
-    gens = set()
-    for a in elems:
-        gens.add(kern.code(kern.compose(a, a)))
-        for b in elems:
-            comm = kern.compose(kern.compose(a, b), kern.compose(inv[kern.code(a)], inv[kern.code(b)]))
-            gens.add(kern.code(comm))
-    phi = {kern.code(e) for e in kern.closure([codes[c] for c in gens], len(elems))}
-    # cosets of Phi
-    cosets: list[frozenset[bytes]] = []
-    assigned: set[bytes] = set()
-    for e in sorted(elems, key=kern.code):
-        c = kern.code(e)
-        if c in assigned:
+def _cyclic_halves(kern: HolKernel, elems: Iterable[KernelElement], mx: int) -> Iterator[tuple[list, frozenset]]:
+    """(powers of u, codes of <u>) for the first u in `elems` of each cyclic
+    subgroup of order mx; each u is tested by one power walk.  The orders
+    in a 2-group are powers of 2, so u has order mx iff u^mx = 1 and
+    u^(mx/2) != 1."""
+    seen: set[bytes] = set()
+    for u in elems:
+        if kern.code(u) in seen:
             continue
-        coset = frozenset(kern.code(kern.compose(e, codes[pc])) for pc in phi)
-        cosets.append(coset)
-        assigned |= coset
-    k = len(cosets)
-    if k & (k - 1):
-        raise InvalidInputError("quotient by Phi is not a 2-group")
-    # index-2 subgroups of the quotient = kernels of the nonzero characters
-    ident_coset = next(cs for cs in cosets if kern.code(kern.identity) in cs)
-    reps = {cs: codes[min(cs)] for cs in cosets}
-    out = []
-    for target in _index2_of_elementary(cosets, ident_coset, reps, kern):
-        out.append(target)
-    return out
-
-
-def _index2_of_elementary(cosets, ident_coset, reps, kern) -> list[frozenset[bytes]]:
-    """Index-2 unions of cosets closed under the quotient multiplication.
-
-    The quotient is elementary abelian (k = 2 or 4 here), so candidates are
-    the identity coset plus k/2 - 1 others, kept when closed.
-    """
-    k = len(cosets)
-    if k == 1:
-        return []
-    lookup = {}
-    for cs in cosets:
-        for c in cs:
-            lookup[c] = cs
-    out = []
-    others = [cs for cs in cosets if cs is not ident_coset]
-    for picks in combinations(others, k // 2 - 1):
-        members = {ident_coset, *picks}
-        closed = all(
-            lookup[kern.code(kern.compose(reps[a], reps[b]))] in members
-            for a in members
-            for b in members
-        )
-        if closed:
-            out.append(frozenset().union(*members))
-    return out
-
-
-def _semidirect_elements(h_sub: RegularSubgroup, kernel_codes: frozenset[bytes], odd: GroupSpec):
-    """Kernel elements of the lifted subgroup over N = N_odd x N_2."""
-    group = make_group(tuple(odd.factors) + tuple(h_sub.group.factors))
-    kern = get_kernel(group)
-    kern2 = get_kernel(h_sub.group)
-    # component layout: 2-part space first, odd spaces after (primes ascending)
-    odd_spaces = kern.spaces[1:]
-    odd_ids = [sp.identity for sp in odd_spaces]
-    odd_invs = []
-    for sp in odd_spaces:
-        neg_perm = bytes(sp.neg_idx)
-        odd_invs.append(neg_perm)
-    elems: list[KernelElement] = []
-    odd_translations = list(product(*(range(sp.m) for sp in odd_spaces)))
-    for h in h_sub.elements:
-        h2 = h[0]  # H lives over the pure 2-group: single component
-        inverting = kernel_codes is not None and kern2.code(h) not in kernel_codes
-        for odd_tr in odd_translations:
-            comps = [h2]
-            for k, sp in enumerate(odd_spaces):
-                aut = odd_invs[k] if inverting else odd_ids[k]
-                comps.append(sp.hol_perm(aut, odd_tr[k]))
-            elems.append(tuple(comps))
-    return group, kern, elems
+        pows = kern.power_list(u, mx + 1)
+        if pows[mx] != kern.identity or pows[mx // 2] == kern.identity:
+            continue
+        codes = frozenset(map(kern.code, pows[:mx]))
+        seen |= codes
+        yield pows, codes
 
 
 def semidirect_subgroup(h_sub: RegularSubgroup, tau: TauMap, odd: GroupSpec) -> RegularSubgroup:
     """The regular subgroup of Hol(N_s x N_2) built from (H, tau).
 
-    Elements are (a, tau_b, h_b) for a in N_s, b in N_2.  With s = 1 the
-    input subgroup is returned unchanged.
+    Its elements are (t_a o tau_h, h) for a in N_s, h in H, generated by
+    X = (t_1, u) and Y = (inversion, w): u of order |H|/2 generates the
+    kernel, and w outside it has w u w^-1 = u^-1 with w^2 = u^(|H|/4)
+    (quaternion) or 1 (dihedral).  With s = 1 the input subgroup is
+    returned unchanged.
     """
     if odd.order % 2 == 0:
         raise InvalidInputError("odd part must have odd order")
@@ -135,29 +64,40 @@ def semidirect_subgroup(h_sub: RegularSubgroup, tau: TauMap, odd: GroupSpec) -> 
         raise InvalidInputError("odd part of a quaternion/dihedral brace is cyclic")
     if h_sub.group.odd_order != 1:
         raise InvalidInputError("base subgroup must live over a 2-group")
-    group, kern, elems = _semidirect_elements(h_sub, tau.kernel_codes, odd)
-    kind = TargetKind(h_sub.kind.family, h_sub.kind.n, odd.order)
-    got = _classify_kernel(kern, frozenset(elems), check_closed=False)
-    if got is None or got[0] != kind:
+    kern2 = get_kernel(h_sub.group)
+    mx = h_sub.group.order // 2
+    inside = [e for e, c in zip(h_sub.elements, h_sub.key) if c in tau.kernel_codes]
+    pows, codes = next(_cyclic_halves(kern2, inside, mx), (None, None))
+    if codes != tau.kernel_codes:
         raise InvalidInputError("pair (H, tau) does not produce the expected target")
-    return _subgroup(kern, kind, elems, got[1])
+    u, u_inv = pows[1], pows[mx - 1]
+    y2 = pows[mx // 2] if h_sub.kind.family == QUATERNION else kern2.identity
+    compose = kern2.compose
+    for w, c in zip(h_sub.elements, h_sub.key):
+        if c not in codes and compose(w, w) == y2 and compose(compose(w, u), kern2.invert(w)) == u_inv:
+            break
+    else:
+        raise InvalidInputError("pair (H, tau) does not produce the expected target")
+    group = make_group(tuple(odd.factors) + tuple(h_sub.group.factors))
+    kern = get_kernel(group)
+    # component layout: 2-part space first, odd spaces after (primes ascending)
+    odd_spaces = kern.spaces[1:]
+    x = u + tuple(sp.add_rows[1] for sp in odd_spaces)
+    y = w + tuple(bytes(sp.neg_idx) for sp in odd_spaces)
+    kind = TargetKind(h_sub.kind.family, h_sub.kind.n, odd.order)
+    elems = kern.power_list(x, kind.x_order) + kern.power_list(x, kind.x_order, y)
+    return _subgroup(kern, kind, elems, (x, y))
 
 
 def tau_set(h_sub: RegularSubgroup) -> list[TauMap]:
-    """The valid TauMaps for H: index-2 kernels whose semidirect product with
-    an odd cyclic part is again quaternion/dihedral (probed at s = 3)."""
+    """The valid TauMaps for H: one per cyclic subgroup of order |H|/2,
+    sorted by codes.  Q_{2^n} (n >= 4) and D_{2^n} (n >= 3) have one; Q_8
+    and C_2 x C_2 have three."""
     if h_sub.group.order % 2 or h_sub.group.odd_order != 1:
         raise InvalidInputError("H must be a regular subgroup over a 2-group")
-    probe = make_group([3])
-    out = []
-    for kernel_codes in _index2_subgroups(h_sub):
-        tau = TauMap(h_sub, kernel_codes)
-        try:
-            semidirect_subgroup(h_sub, tau, probe)
-        except InvalidInputError:
-            continue
-        out.append(tau)
-    return out
+    kern = get_kernel(h_sub.group)
+    halves = _cyclic_halves(kern, h_sub.elements, h_sub.group.order // 2)
+    return [TauMap(h_sub, codes) for _, codes in sorted(halves, key=lambda half: sorted(half[1]))]
 
 
 # -- count transfer ------------------------------------------------------------------

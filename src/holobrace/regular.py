@@ -242,6 +242,15 @@ def fits_full_scan(group: GroupSpec) -> bool:
         return False
 
 
+def fits_sylow_scan(group: GroupSpec) -> bool:
+    """True when the Sylow-restricted pool fits the byte kernel and its caps."""
+    try:
+        get_kernel(group).sylow_pool()
+    except CapacityError:
+        return False
+    return True
+
+
 # -- class sizes from stabilizers -------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from . import config
 from .abelian import GroupSpec, make_group, reach
 from .endo import aut_generators, aut_order, make_endo
-from .errors import CapacityError, HolobraceError, InternalConsistencyError, InvalidInputError
+from .errors import CapacityError, InternalConsistencyError, InvalidInputError
 from .holomorph import HolElement, to_kernel
 from .kernel import get_kernel
 from .presentations import DIHEDRAL, QUATERNION, TargetKind
@@ -27,8 +27,9 @@ CYCLIC = "cyclic"
 RANK2 = "rank2"
 
 
-class StructuredRangeError(HolobraceError, ValueError):
-    """n below the family's closed-form range; use the generic engine."""
+class StructuredRangeError(InvalidInputError):
+    """N outside the closed-form families (or n below their range); use the
+    generic engine."""
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,11 @@ def test_usage_errors(capsys):
     for target in ("q0", "d0", "d00"):  # an order-0 target must fail, not loop
         code, out, err = run(capsys, "census", "--N", "c4", "--G", target)
         assert (code, out) == (EXIT_USAGE, "") and "not positive" in err
+    # --structured outside the closed-form families is an input error, like
+    # --structured on an odd group or --via-reduction on a 2-group
+    for n, g in (("c4xc4", "q16"), ("c2xc2", "q4")):
+        code, out, err = run(capsys, "census", "--N", n, "--G", g, "--structured")
+        assert (code, out) == (EXIT_USAGE, "") and err.startswith("invalid input: ")
 
 
 @pytest.mark.parametrize(

@@ -233,6 +233,23 @@ def test_cross_check_runs_the_full_scan_and_the_sylow_path(monkeypatch):
     with pytest.raises(InternalConsistencyError, match="direct path .* sylow path"):
         census(parse_group("c2xc4"), parse_kind("d8"), cross_check=True)
 
+    # Hol(C3 x C2^4) is past the scan cap: the reduction is crossed with the
+    # Sylow path, whose pool of 6144 fits
+    mixed = parse_group("c3xc2xc2xc2xc2")
+    monkeypatch.setattr(counts, "search_regular", spy)
+    ran.clear()
+    res = census(mixed, parse_kind("q48"), cross_check=True)
+    assert (res.c, res.r, res.method) == (1, 5040, "reduction")
+    assert ran == ["sylow", "sylow"]  # the 2-part census, then the cross-check
+
+    def broken_mixed(group, kind, method="auto"):
+        res = search_regular(group, kind, method)
+        return replace(res, class_sizes=res.class_sizes * 2) if res.group == mixed else res
+
+    monkeypatch.setattr(counts, "search_regular", broken_mixed)
+    with pytest.raises(InternalConsistencyError, match="reduction path .* sylow path"):
+        census(mixed, parse_kind("q48"), cross_check=True)
+
 
 SYLOW_CENSUS_PAIRS = [
     ("c2xc2xc2xc2", "q16"),

@@ -1,18 +1,148 @@
+from itertools import combinations, islice, product
+
 import pytest
 
 from holobrace.abelian import make_group, parse_group
 from holobrace.brace import brace_from_subgroup
 from holobrace.errors import InvalidInputError
+from holobrace.kernel import get_kernel
 from holobrace.oddpart import (
+    TauMap,
     is_exceptional,
     reduce_counts,
     semidirect_subgroup,
     tau_set,
 )
-from holobrace.presentations import TargetKind, classify_subgroup, parse_kind
+from holobrace.presentations import (
+    TargetKind,
+    _classify_kernel,
+    admissible_types,
+    classify_subgroup,
+    parse_kind,
+)
 from holobrace.regular import search_regular
 
 C3 = make_group([3])
+
+
+# -- oracles: every index-2 subgroup, the lift by definition, the s = 3 probe --------
+
+
+def index2_subgroups(sub):
+    """All index-2 subgroups of H, as code sets, via the quotient by
+    Phi = <[H,H], H^2>: every one contains Phi, so they are the preimages of
+    the index-2 subgroups of the elementary abelian H/Phi, in the order of
+    the least codes of the cosets of Phi they add to Phi."""
+    kern = get_kernel(sub.group)
+    codes = {kern.code(e): e for e in sub.elements}
+    gens = set()
+    for a in sub.elements:
+        gens.add(kern.compose(a, a))
+        for b in sub.elements:
+            gens.add(kern.compose(kern.compose(a, b), kern.invert(kern.compose(b, a))))
+    phi = {kern.code(e) for e in kern.closure(list(gens), len(codes))}
+    cosets, assigned = [], set()
+    for c in sorted(codes):
+        if c not in assigned:
+            coset = frozenset(kern.code(kern.compose(codes[c], codes[p])) for p in phi)
+            cosets.append(coset)
+            assigned |= coset
+    k = len(cosets)
+    assert k & (k - 1) == 0
+    lookup = {c: cs for cs in cosets for c in cs}
+    reps = {cs: codes[min(cs)] for cs in cosets}
+    out = []
+    for picks in combinations(cosets[1:], k // 2 - 1):
+        members = {cosets[0], *picks}
+        if all(lookup[kern.code(kern.compose(reps[a], reps[b]))] in members for a in members for b in members):
+            out.append(frozenset().union(*members))
+    return out
+
+
+def lift_elements(sub, kernel_codes, odd):
+    """(t_a o tau_h, h) for a in N_s, h in H: the lift by its definition."""
+    kern = get_kernel(make_group(tuple(odd.factors) + tuple(sub.group.factors)))
+    kern2 = get_kernel(sub.group)
+    odd_spaces = kern.spaces[1:]
+    elems = []
+    for h in sub.elements:
+        inverting = kern2.code(h) not in kernel_codes
+        for trans in product(*(range(sp.m) for sp in odd_spaces)):
+            auts = (bytes(sp.neg_idx) if inverting else sp.identity for sp in odd_spaces)
+            elems.append(h + tuple(map(lambda sp, a, t: sp.hol_perm(a, t), odd_spaces, auts, trans)))
+    return kern, elems
+
+
+def probed_kernels(sub):
+    """The index-2 kernels whose s = 3 lift is recognized as the kind at
+    order 3|H| by brute force."""
+    kind = TargetKind(sub.kind.family, sub.kind.n, 3)
+    out = []
+    for kernel_codes in index2_subgroups(sub):
+        kern, elems = lift_elements(sub, kernel_codes, C3)
+        got = _classify_kernel(kern, frozenset(elems), check_closed=False)
+        if got is not None and got[0] == kind:
+            out.append(kernel_codes)
+    return out
+
+
+def base_pairs(max_n):
+    """(N_2, kind) for every admissible N_2 of order 2^n, 2 <= n <= max_n."""
+    return [
+        (two, parse_kind(fam + str(two.order)))
+        for n in range(2, max_n + 1)
+        for two in admissible_types(n)
+        for fam in "qd"
+    ]
+
+
+def _oracle_cases():
+    for two, kind in base_pairs(4):
+        subs = search_regular(two, kind).subgroups
+        yield from (subs if two.order <= 8 else islice(subs, 16))
+
+
+def test_tau_set_matches_the_index2_oracle():
+    """tau_set = the index-2 kernels that pass the s = 3 probe, in order, on
+    every H with |N_2| <= 8 and the first 16 H of each order-16 pair."""
+    cases = 0
+    for sub in _oracle_cases():
+        assert [t.kernel_codes for t in tau_set(sub)] == probed_kernels(sub), (sub.group, sub.kind)
+        cases += 1
+    assert cases == 238
+
+
+@pytest.mark.parametrize("odd", [C3, make_group([15])], ids=["s3", "s15"])
+def test_lift_matches_its_definition(odd):
+    for two, kind in base_pairs(3):
+        for sub in search_regular(two, kind).subgroups:
+            for tau in tau_set(sub):
+                kern, elems = lift_elements(sub, tau.kernel_codes, odd)
+                assert semidirect_subgroup(sub, tau, odd).key == tuple(sorted(map(kern.code, elems)))
+
+
+def test_klein_four_kernel_is_refused():
+    """A C2xC4 D8 subgroup has three index-2 subgroups; the two Klein-four
+    ones are not cyclic, so they lift to no dihedral group."""
+    sub = one_subgroup("c2xc4", "d8")
+    kernels = index2_subgroups(sub)
+    cyclic = [t.kernel_codes for t in tau_set(sub)]
+    klein = [k for k in kernels if k not in cyclic]
+    assert len(kernels) == 3 and len(cyclic) == 1 and len(klein) == 2
+    for kernel_codes in klein:
+        with pytest.raises(InvalidInputError, match="does not produce the expected target"):
+            semidirect_subgroup(sub, TauMap(sub, kernel_codes), C3)
+
+
+def test_lift_checks_the_kind_of_h():
+    """A D8 subgroup labelled Q8 has no w with w^2 = u^2 outside <u>."""
+    from dataclasses import replace
+
+    sub = one_subgroup("c2xc4", "d8")
+    (tau,) = tau_set(sub)
+    mislabelled = replace(sub, kind=parse_kind("q8"))
+    with pytest.raises(InvalidInputError, match="does not produce the expected target"):
+        semidirect_subgroup(mislabelled, TauMap(mislabelled, tau.kernel_codes), C3)
 
 
 def one_subgroup(nspec, kind):
@@ -81,27 +211,38 @@ def test_three_taus_give_three_q24_classes():
     assert direct.c == 3
 
 
-@pytest.mark.parametrize(
-    "nspec,kind",
-    [
-        ("c4", "q4"), ("c4", "d4"), ("c2xc2", "q4"), ("c2xc2", "d4"),
-        ("c8", "q8"), ("c8", "d8"), ("c2xc4", "q8"), ("c2xc4", "d8"),
-        ("c2xc2xc2", "q8"), ("c2xc2xc2", "d8"),
-        ("c16", "q16"), ("c16", "d16"), ("c2xc8", "q16"), ("c2xc8", "d16"),
-        ("c4xc4", "q16"), ("c2xc2xc4", "q16"),
-    ],
-)
-def test_bijection_with_direct_enumeration_s3(nspec, kind):
-    """semidirect over all (H, tau) = the directly enumerated set for C3 x N2."""
+S3_PAIRS = [
+    ("c4", "q4"), ("c4", "d4"), ("c2xc2", "q4"), ("c2xc2", "d4"),
+    ("c8", "q8"), ("c8", "d8"), ("c2xc4", "q8"), ("c2xc4", "d8"),
+    ("c2xc2xc2", "q8"), ("c2xc2xc2", "d8"),
+    ("c16", "q16"), ("c16", "d16"), ("c2xc8", "q16"), ("c2xc8", "d16"),
+    ("c4xc4", "q16"), ("c2xc2xc4", "q16"),
+]
+
+
+def assert_lifts_are_the_direct_set(nspec, kind, s):
+    """semidirect over all (H, tau) = the directly enumerated set for C_s x N2."""
     two = parse_group(nspec)
     base = search_regular(two, parse_kind(kind))
+    odd = make_group([s])
     built = set()
     for h in base.subgroups:
         for tau in tau_set(h):
-            built.add(semidirect_subgroup(h, tau, C3).key)
-    mixed_kind = parse_kind(kind[0] + str(3 * parse_kind(kind).order))
-    direct = search_regular(make_group((3,) + two.factors), mixed_kind)
+            built.add(semidirect_subgroup(h, tau, odd).key)
+    mixed_kind = parse_kind(kind[0] + str(s * parse_kind(kind).order))
+    direct = search_regular(make_group((s,) + two.factors), mixed_kind)
     assert built == set(direct.keys)
+
+
+@pytest.mark.parametrize("nspec,kind", S3_PAIRS)
+def test_bijection_with_direct_enumeration_s3(nspec, kind):
+    assert_lifts_are_the_direct_set(nspec, kind, 3)
+
+
+@pytest.mark.parametrize("s", [5, 9, 15])  # 15 has two odd components
+@pytest.mark.parametrize("nspec,kind", [(n, k) for n, k in S3_PAIRS if parse_group(n).order <= 8])
+def test_bijection_with_direct_enumeration_odd(nspec, kind, s):
+    assert_lifts_are_the_direct_set(nspec, kind, s)
 
 
 def test_trivial_odd_brace_property():
@@ -135,8 +276,6 @@ def test_lambda_trivial_on_odd_to_two():
 
 def test_conjugation_equivariance():
     """(alpha, beta) G (alpha, beta)^{-1} corresponds to (beta H beta^{-1}, beta.tau)."""
-    from holobrace.kernel import get_kernel
-
     two = parse_group("c2xc4")
     base = search_regular(two, parse_kind("q8"))
     kern2 = get_kernel(two)
@@ -159,8 +298,6 @@ def test_conjugation_equivariance():
 
                 h_moved = _subgroup(kern2, h.kind, h_moved_elems, tuple(map(conj2, h.witness)))
                 tau_codes = frozenset(kern2.code(conj2e) for conj2e in (conj2(_elem(kern2, h, c)) for c in tau.kernel_codes))
-                from holobrace.oddpart import TauMap
-
                 g2 = semidirect_subgroup(h_moved, TauMap(h_moved, tau_codes), C3)
                 assert g2.key == expected
 
