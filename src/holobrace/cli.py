@@ -63,6 +63,8 @@ def _cmd_census(args) -> int:
     group = parse_group(args.N)
     kind = parse_kind(args.G)
     res = census(group, kind, method=args.method, cross_check=args.cross_check)
+    if res.unchecked:
+        sys.stderr.write(f"cross-check: {res.unchecked}\n")
     payload = {
         "schema": "v1",
         "N": group.display_name(),
@@ -283,8 +285,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_USAGE
     except CapacityError as exc:
-        detail = "" if None in (exc.needed, exc.cap) else f" (needed {exc.needed}, cap {exc.cap})"
-        sys.stderr.write(f"capacity exceeded: {exc}{detail}\n")
+        sys.stderr.write(f"capacity exceeded: {exc.describe()}\n")
         return EXIT_CAPACITY
     except HolobraceError as exc:
         sys.stderr.write(f"error: {exc}\n")

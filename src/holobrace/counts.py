@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abelian import GroupSpec, make_group, sylow_decompose
 from .endo import aut_order as group_aut_order
@@ -25,7 +25,7 @@ from .presentations import (
     admissible_types,
     aut_order,
 )
-from .regular import SearchResult, fits_full_scan, fits_sylow_scan, search_regular
+from .regular import SearchResult, fits_full_scan, scan_refusal, search_regular
 from .structured import solve_family
 
 
@@ -79,6 +79,7 @@ class CensusResult:
     h: int
     classes: tuple[tuple[int, int], ...]  # (orbit size, stabilizer order) per class
     method: str
+    unchecked: str | None = None  # why a cross-check found no second path
 
 
 def _result(group: GroupSpec, kind: TargetKind, r: int, orbits, method: str) -> CensusResult:
@@ -133,7 +134,7 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto", cross_check
 
     method: auto | direct | sylow | structured | reduction.  With
     cross_check=True a second path that shares no search with the first
-    runs and must agree.
+    runs and must agree; where none can run, `unchecked` says why.
     """
     if kind.order != group.order:
         raise InvalidInputError(
@@ -146,13 +147,14 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto", cross_check
     result = _census_by_method(group, kind, method, odd, two)
     if cross_check:
         alt = _cross_method(group, result.method)
-        if alt is not None:
-            other = _census_by_method(group, kind, alt, odd, two)
-            if (other.c, other.r, other.h) != (result.c, result.r, result.h):
-                raise InternalConsistencyError(
-                    f"cross-check: the {result.method} path gives (c={result.c}, r={result.r}, h={result.h}) "
-                    f"but the {other.method} path gives (c={other.c}, r={other.r}, h={other.h})"
-                )
+        if alt is None:
+            return replace(result, unchecked=_no_second_path(group, kind, result.method))
+        other = _census_by_method(group, kind, alt, odd, two)
+        if (other.c, other.r, other.h) != (result.c, result.r, result.h):
+            raise InternalConsistencyError(
+                f"cross-check: the {result.method} path gives (c={result.c}, r={result.r}, h={result.h}) "
+                f"but the {other.method} path gives (c={other.c}, r={other.r}, h={other.h})"
+            )
     return result
 
 
@@ -167,7 +169,19 @@ def _cross_method(group: GroupSpec, method: str):
         return "sylow"
     if fits_full_scan(group):
         return "direct"
-    return "sylow" if method != "sylow" and fits_sylow_scan(group) else None
+    return "sylow" if method != "sylow" and scan_refusal(group, "sylow") is None else None
+
+
+def _no_second_path(group: GroupSpec, kind: TargetKind, method: str) -> str:
+    """What rules out each search when `_cross_method` finds none: the full
+    scan does not fit, and the Sylow path gave the answer or does not fit."""
+    reasons = []
+    for path, label in (("full", "full scan"), ("sylow", "Sylow path")):
+        if path == method:
+            reasons.append(f"the {label} gave the answer")
+        else:
+            reasons.append(f"the {label}: {scan_refusal(group, path).describe()}")
+    return f"no second path for ({group}, {kind.display_name()}); " + "; ".join(reasons)
 
 
 def _census_by_method(group: GroupSpec, kind: TargetKind, method: str, odd: GroupSpec, two: GroupSpec) -> CensusResult:

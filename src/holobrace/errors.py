@@ -21,6 +21,11 @@ class CapacityError(HolobraceError, RuntimeError):
         self.needed = needed
         self.cap = cap
 
+    def describe(self) -> str:
+        """The message, ending `(needed X, cap Y)` when both are known."""
+        detail = "" if None in (self.needed, self.cap) else f" (needed {self.needed}, cap {self.cap})"
+        return f"{self}{detail}"
+
 
 class InternalConsistencyError(HolobraceError, RuntimeError):
     """A mathematically guaranteed identity failed; signals a construction bug."""

@@ -347,14 +347,17 @@ class HolKernel:
         """Every element of Hol(N), as the product of per-component pools."""
         total = self.hol_order()
         _check_scan(total, f"|Hol({self.group})| = {total} exceeds cap")
-        return Pool(self.spaces, [sp.aut_perms() for sp in self.spaces])
+        return Pool(self.group, "full", self.spaces, [sp.aut_perms() for sp in self.spaces])
 
     def sylow_pool(self) -> Pool:
         """Odd components in full, 2-component restricted to N_2 x P."""
         total = prod(sp.m * (sp.sylow_size if sp.p == 2 else sp.aut_size) for sp in self.spaces)
         _check_scan(total, f"Sylow-restricted pool for {self.group} has {total} elements, cap")
         return Pool(
-            self.spaces, [sp.sylow_aut_perms() if sp.p == 2 else sp.aut_perms() for sp in self.spaces]
+            self.group,
+            "sylow",
+            self.spaces,
+            [sp.sylow_aut_perms() if sp.p == 2 else sp.aut_perms() for sp in self.spaces],
         )
 
     # -- conjugation -------------------------------------------------------------
@@ -373,11 +376,20 @@ class HolKernel:
 class Pool:
     """Translations times an automorphism block, per component, in product
     order: the first component outermost, then automorphisms, then
-    translations.  The product is never multiplied out."""
+    translations.  The product is never multiplied out.  A pool is named by
+    its group and method ("full" or "sylow"), and compares and hashes by that
+    name, so a memo can key on it."""
 
-    def __init__(self, spaces: tuple[PrimeSpace, ...], auts: list[list[bytes]]):
+    def __init__(self, group: GroupSpec, method: str, spaces: tuple[PrimeSpace, ...], auts: list[list[bytes]]):
+        self.name = (group, method)
         self.spaces = spaces
         self.auts = auts
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Pool) and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __len__(self) -> int:
         return prod(sp.m * len(a) for sp, a in zip(self.spaces, self.auts))

@@ -2,14 +2,16 @@
 
 The engine scans candidate generators X of order exactly 2^{n-1} s whose
 translation orbit is faithful, as the pool streams them one Sylow component
-at a time (`kernel.Pool.candidates`), then builds each admissible partner Y
-directly from the relations: Y is determined on all of N by the target point
-t = Y(0) together with Y X Y^{-1} = X^{-1} and the kind's Y^2 relation, so
-only affine-ness has to be checked.  Two search spaces are supported: all of
-Hol(N), or the Sylow-restricted subset (2-part automorphisms unipotent upper
-triangular), whose hits seed the Aut(N)-classes.  The Sylow path sizes each
-class by its stabilizer and expands the orbits only when the subgroups
-themselves are asked for.
+at a time (`kernel.Pool.candidates`); the scan is memoized per pool and
+order, so the quaternion and the dihedral search of N share it.  Each kind
+then builds each admissible partner Y directly from its relations: Y is
+determined on all of N by the target point t = Y(0) together with
+Y X Y^{-1} = X^{-1} and the kind's Y^2 relation, so only affine-ness has to
+be checked.  Two search spaces are supported: all of Hol(N), or the
+Sylow-restricted subset (2-part automorphisms unipotent upper triangular),
+whose hits seed the Aut(N)-classes.  The Sylow path sizes each class by its
+stabilizer and expands the orbits only when the subgroups themselves are
+asked for.
 """
 
 from __future__ import annotations
@@ -133,6 +135,34 @@ def _build_y(kern: HolKernel, orb0: list[int], orbt: list[int], quat: bool, half
     return tuple(perms)
 
 
+@lru_cache(maxsize=None)
+def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, int], ...]:
+    """The kind-free half of a search, which a quaternion and a dihedral
+    search of N share (X has order |N|/2 in both): (X, t) for each X of
+    order mx in `pool`, one per cyclic <X>, in candidate order, whose orbit
+    through 0 has mx points and whose other mx points are one <X>-orbit,
+    t the least of them."""
+    group, _ = pool.name
+    kern = get_kernel(group)
+    units = [k for k in range(1, mx) if gcd(k, mx) == 1]
+    seen_x: set[bytes] = set()
+    frames = []
+    for x in pool.candidates(mx):
+        if kern.code(x) in seen_x:
+            continue
+        pows = kern.power_list(x, mx)
+        seen_x.update(kern.code(pows[k]) for k in units)
+        img = kern.images(x)
+        orb0 = set(_walk(img, 0, mx))
+        if len(orb0) != mx or kern.compose(x, pows[-1]) != kern.identity:
+            continue
+        # the other mx points must be one <X>-orbit, or no Y swaps the two
+        t = next(i for i in range(kern.n) if i not in orb0)
+        if len(set(_walk(img, t, mx))) == mx:
+            frames.append((x, t))
+    return tuple(frames)
+
+
 def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool, shared: dict):
     """All regular `kind` subgroups generated inside `pool` (X there, Y free), by key."""
     if kern.group.order != kind.order:
@@ -142,31 +172,12 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool, shared: dict):
     mx = kind.x_order
     half = (1 << (kind.n - 2)) * kind.s
     quat = kind.family == QUATERNION
-    n = kern.n
-    units = [k for k in range(1, mx) if gcd(k, mx) == 1]
-    seen_x: set[bytes] = set()
     found: dict[SubgroupKey, RegularSubgroup] = {}
-    for x in pool.candidates(mx):
-        if kern.code(x) in seen_x:
-            continue
-        pows = kern.power_list(x, mx)
-        seen_x.update(kern.code(pows[k]) for k in units)
+    for x, t in _x_scan(pool, mx):
         img = kern.images(x)
-        orb0 = _walk(img, 0, mx)
-        handled = set(orb0)
-        if len(handled) != mx or kern.compose(x, pows[-1]) != kern.identity:
-            continue
-        for t in range(n):
-            if t in handled:
-                continue
-            orbt = _walk(img, t, mx)
-            handled.update(orbt)
-            if len(set(orbt)) != mx:
-                continue
-            y = _build_y(kern, orb0, orbt, quat, half)
-            if y is None:
-                continue
-            sub = _subgroup(kern, kind, pows + kern.power_list(x, mx, y), (x, y), shared)
+        y = _build_y(kern, _walk(img, 0, mx), _walk(img, t, mx), quat, half)
+        if y is not None:
+            sub = _subgroup(kern, kind, kern.power_list(x, mx) + kern.power_list(x, mx, y), (x, y), shared)
             found.setdefault(sub.key, sub)
     return found
 
@@ -242,13 +253,14 @@ def fits_full_scan(group: GroupSpec) -> bool:
         return False
 
 
-def fits_sylow_scan(group: GroupSpec) -> bool:
-    """True when the Sylow-restricted pool fits the byte kernel and its caps."""
+def scan_refusal(group: GroupSpec, method: str) -> CapacityError | None:
+    """The CapacityError that stops a `method` search of N before it scans
+    (the byte kernel's limit or a budget of its pool), or None."""
     try:
-        get_kernel(group).sylow_pool()
-    except CapacityError:
-        return False
-    return True
+        _pool_for(get_kernel(group), method)
+    except CapacityError as exc:
+        return exc
+    return None
 
 
 # -- class sizes from stabilizers -------------------------------------------------

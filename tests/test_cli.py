@@ -288,6 +288,51 @@ def test_kernel_component_limit_names_its_size(capsys):
     assert err.startswith("capacity exceeded: ") and err.endswith("(needed 256, cap 255)\n")
 
 
+@pytest.mark.parametrize("flags", [(), ("--sylow",)])
+def test_budgets_fire_after_the_x_scan_memo_is_filled(capsys, monkeypatch, flags):
+    # the quaternion search fills the X scan of C2 x C2 x C8 that the
+    # dihedral search shares; the pools' budgets are still checked first,
+    # whether the lowered cap moves the search to the Sylow path or not
+    from holobrace.regular import _search_cached, _x_scan
+
+    _search_cached.cache_clear()
+    _x_scan.cache_clear()
+    code, _, _ = run(capsys, "census", "--N", "c2xc2xc8", "--G", "q32", *flags)
+    assert code == EXIT_OK and _x_scan.cache_info().currsize == 1
+    monkeypatch.setenv("HOLOBRACE_HOL_CAP", "100")  # |Hol| = 12288, Sylow pool 4096
+    code, out, err = run(capsys, "census", "--N", "c2xc2xc8", "--G", "d32", *flags)
+    assert code == EXIT_CAPACITY and out == ""
+    assert err.startswith("capacity exceeded: ") and err.endswith("(needed 4096, cap 100)\n")
+    monkeypatch.delenv("HOLOBRACE_HOL_CAP")
+    code, _, _ = run(capsys, "census", "--N", "c2xc2xc8", "--G", "d32", *flags)
+    assert code == EXIT_OK and _x_scan.cache_info().hits == 1
+
+
+@pytest.mark.parametrize(
+    "nspec,kind,full,sylow",
+    [
+        # neither pool fits the byte kernel: only the family solver answers
+        ("c2xc128", "q256", "(needed 256, cap 255)", "(needed 256, cap 255)"),
+        # Hol(C2^4) is past the scan cap, and the Sylow path gave the answer
+        ("c2xc2xc2xc2", "q16", "(needed 322560, cap 65536)", "gave the answer"),
+    ],
+)
+def test_a_cross_check_without_a_second_path_says_why(capsys, nspec, kind, full, sylow):
+    code, plain, err = run(capsys, "census", "--N", nspec, "--G", kind)
+    assert (code, err) == (EXIT_OK, "")
+    code, out, err = run(capsys, "census", "--N", nspec, "--G", kind, "--cross-check")
+    assert code == EXIT_OK and out == plain
+    assert err.startswith("cross-check: no second path for ") and err.count("\n") == 1
+    full_part, sylow_part = err.rstrip().split("; ")[1:]
+    assert full_part.startswith("the full scan: ") and full_part.endswith(full)
+    assert sylow_part.startswith("the Sylow path") and sylow_part.endswith(sylow)
+
+
+def test_a_cross_check_with_a_second_path_writes_no_stderr(capsys):
+    code, _, err = run(capsys, "census", "--N", "c32", "--G", "q32", "--cross-check")
+    assert (code, err) == (EXIT_OK, "")
+
+
 def test_cyclic_family_budget_exit_code(capsys, monkeypatch):
     # C64 D64: 32 X candidates times 100 Y candidates, past a cap of 1000
     monkeypatch.setenv("HOLOBRACE_CAP", "1000")

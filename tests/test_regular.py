@@ -6,7 +6,7 @@ from holobrace.abelian import make_group, parse_group
 from holobrace.endo import aut_order, make_endo
 from holobrace.errors import CapacityError, InternalConsistencyError, InvalidInputError
 from holobrace.holomorph import HolElement, hol_from_translation
-from holobrace.kernel import PrimeSpace, get_kernel
+from holobrace.kernel import Pool, PrimeSpace, get_kernel
 from holobrace.presentations import QUATERNION, admissible_types, classify_subgroup, parse_kind
 from holobrace.presentations import aut_order as target_aut_order
 from holobrace.regular import (
@@ -16,6 +16,7 @@ from holobrace.regular import (
     _frames,
     _search_cached,
     _seed_search,
+    _x_scan,
     classify,
     find_regular,
     find_regular_sylow,
@@ -543,6 +544,53 @@ def test_expand_orbits_matches_reference(nspec):
             assert classes == ref_classes
         checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("nspec", ORBIT_GROUPS)
+def test_each_kind_seeds_alike_from_a_cold_and_a_shared_x_scan(nspec):
+    # the X scan is memoized on (N, pool, |N|/2) and serves both kinds: a
+    # search that finds it filled by the other kind must see the same seeds,
+    # in the same order, with the same witnesses, as one that scans cold
+    g = parse_group(nspec)
+    kern = get_kernel(g)
+    kinds = [parse_kind(f"{fam}{g.order}") for fam in "qd"]
+    checked = 0
+    for make_pool in (kern.full_pool, kern.sylow_pool):
+        try:
+            pool = make_pool()
+        except CapacityError:
+            continue
+        for first, second in (kinds, kinds[::-1]):
+            _x_scan.cache_clear()
+            cold = _seed_search(kern, second, pool, {})
+            _x_scan.cache_clear()
+            _seed_search(kern, first, pool, {})
+            warm = _seed_search(kern, second, pool, {})
+            assert _x_scan.cache_info().misses <= 1  # one scan, or none past the order bound
+            assert [(k, s.witness) for k, s in warm.items()] == [(k, s.witness) for k, s in cold.items()]
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("nspec,order,method", [("c2xc8", 16, "auto"), ("c3xc2xc4", 24, "direct")])
+def test_quaternion_and_dihedral_censuses_share_one_x_scan(nspec, order, method, monkeypatch):
+    from holobrace.counts import census
+
+    streams = []
+    real = Pool.candidates
+
+    def spy(pool, mx):
+        streams.append((pool.name, mx))
+        return real(pool, mx)
+
+    monkeypatch.setattr(Pool, "candidates", spy)
+    _search_cached.cache_clear()
+    _x_scan.cache_clear()
+    g = parse_group(nspec)
+    q = census(g, parse_kind(f"q{order}"), method=method)
+    d = census(g, parse_kind(f"d{order}"), method=method)
+    assert (q.r, d.r) != (0, 0)
+    assert streams == [((g, "full"), order // 2)]
 
 
 def test_subgroups_of_a_search_share_component_bytes():

@@ -1,9 +1,11 @@
 """Structural checks on the package source."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "holobrace"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "holobrace"
 
 # modules that start worker processes
 POOL_MODULES = ("multiprocessing", "concurrent.futures")
@@ -55,3 +57,45 @@ def test_brute_force_recognition_stays_off_the_count_and_lift_paths():
         if p.name != "presentations.py" and "_classify_kernel" in set(_names(ast.parse(p.read_text())))
     )
     assert found == []
+
+
+def _is_unbounded_lru_cache(dec: ast.expr) -> bool:
+    """`lru_cache(maxsize=None)` or `lru_cache(None)`, plain or as `functools.lru_cache`."""
+    if not isinstance(dec, ast.Call):
+        return False
+    func = dec.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name != "lru_cache":
+        return False
+    sizes = [kw.value for kw in dec.keywords if kw.arg == "maxsize"] + dec.args[:1]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def _unbounded_memos():
+    """`module.function` for each function under an unbounded lru_cache."""
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(map(_is_unbounded_lru_cache, node.decorator_list)):
+                    yield f"{path.stem}.{node.name}"
+
+
+def _readme_memo_table() -> set[str]:
+    """The names in the first column of README's memo table."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| memo | MB |")
+    names = set()
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        names.update(re.findall(r"`([\w.]+)`", line.split("|")[1]))
+    return names
+
+
+def test_every_unbounded_memo_is_in_the_readme_memo_table():
+    # an lru_cache without a bound grows with every input a process touches,
+    # so each one is listed with its measured size
+    memos = list(_unbounded_memos())
+    assert "regular._search_cached" in memos and "regular._x_scan" in memos
+    listed = _readme_memo_table()
+    assert [m for m in memos if m not in listed] == []
