@@ -134,7 +134,8 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto", cross_check
 
     method: auto | direct | sylow | structured | reduction.  With
     cross_check=True a second path that shares no search with the first
-    runs and must agree; where none can run, `unchecked` says why.
+    runs and must agree on (c, r, h) and on the multiset of (orbit,
+    stabilizer) classes; where none can run, `unchecked` says why.
     """
     if kind.order != group.order:
         raise InvalidInputError(
@@ -150,10 +151,10 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto", cross_check
         if alt is None:
             return replace(result, unchecked=_no_second_path(group, kind, result.method))
         other = _census_by_method(group, kind, alt, odd, two)
-        if (other.c, other.r, other.h) != (result.c, result.r, result.h):
+        said = [f"(c={x.c}, r={x.r}, h={x.h}) and (orbit, stabilizer) classes {sorted(x.classes)}" for x in (result, other)]
+        if said[0] != said[1]:
             raise InternalConsistencyError(
-                f"cross-check: the {result.method} path gives (c={result.c}, r={result.r}, h={result.h}) "
-                f"but the {other.method} path gives (c={other.c}, r={other.r}, h={other.h})"
+                f"cross-check: the {result.method} path gives {said[0]} but the {other.method} path gives {said[1]}"
             )
     return result
 

@@ -2,9 +2,10 @@
 
 For N = C_{2^n} (n >= 4) and N = C_2 x C_{2^{n-1}} (n >= 5) the generator
 relations collapse to small congruence systems; solving them directly gives
-the regular subgroups without scanning Hol(N).  Counts are produced by
-materializing the solved subgroups and expanding Aut(N)-orbits, so the
-returned (r, c) are computed rather than quoted.
+regular subgroups without scanning Hol(N).  A subgroup is never closed: it
+is kept as one witness pair (X, Y), whose Aut(N)-orbit is walked by
+membership tests in the cyclic 2-group <X>, so (r, c) and the class sizes
+are computed rather than quoted.
 
 The loops run on plain-integer affine maps in the form of `HolElement.encode()`
 (row i reduced mod the i-th factor); only `instantiate` builds `HolElement`s.
@@ -17,11 +18,10 @@ from functools import lru_cache
 
 from . import config
 from .abelian import GroupSpec, make_group, reach
-from .endo import aut_generators, aut_order, make_endo
+from .endo import aut_generators, aut_invert, aut_order, make_endo
 from .errors import CapacityError, InternalConsistencyError, InvalidInputError
-from .holomorph import HolElement, to_kernel
-from .kernel import get_kernel
-from .presentations import DIHEDRAL, QUATERNION, TargetKind
+from .holomorph import HolElement
+from .presentations import QUATERNION, TargetKind
 
 CYCLIC = "cyclic"
 RANK2 = "rank2"
@@ -65,14 +65,11 @@ class StructuredCensus:
     family: str
     n: int
     kind: TargetKind
-    pairs: tuple[StructuredGeneratorPair, ...]  # one solved pair per fundamental subgroup
+    pairs: tuple[StructuredGeneratorPair, ...]  # the solved pairs the orbits start from
     r: int
     c: int
     class_sizes: tuple[int, ...]
-    subgroup_encodings: tuple[frozenset, ...]  # every subgroup, as element encodings
-
-    def group(self) -> GroupSpec:
-        return self.pairs[0].group()
+    witnesses: tuple[tuple, ...]  # one (X, Y) encoding pair per subgroup, orbit by orbit
 
 
 # -- plain-integer affine maps --------------------------------------------------
@@ -93,56 +90,124 @@ def _compose(x, y, mods: tuple[int, ...]):
     return matrix, ((a0 * w0 + a1 * w1 + v0) % lo, (a2 * w0 + a3 * w1 + v1) % hi)
 
 
-def _closure(gens, mods: tuple[int, ...], bound: int) -> frozenset:
-    """Encodings of the subgroup generated by `gens`; CapacityError above bound."""
-    ident = ((1,), (0,)) if len(mods) == 1 else ((1, 0, 0, 1), (0, 0))
-    return reach(ident, gens, lambda e, g: _compose(e, g, mods), bound)
+def _identity(mods: tuple[int, ...]):
+    return ((1,), (0,)) if len(mods) == 1 else ((1, 0, 0, 1), (0, 0))
 
 
-def _is_regular(elems: frozenset, order: int) -> bool:
-    return len(elems) == order and len({e[1] for e in elems}) == order
+def _squares(x, k: int, mods: tuple[int, ...]) -> list:
+    """[X^(2^j) for j < k]."""
+    out = [x]
+    while len(out) < k:
+        out.append(_compose(out[-1], out[-1], mods))
+    return out
 
 
-def subgroup_elements(pair: StructuredGeneratorPair) -> frozenset:
-    """Encodings of the subgroup generated by the solved pair."""
-    return _closure(pair.affine(), pair.group().factors, 2 * pair.kind.order)
+def _mark_orbit(marks: bytearray, x, start: tuple[int, ...], steps: int, mods: tuple[int, ...]) -> bool:
+    """Mark the points X^i(start), i < steps; False if one was marked already.
+    C_m is walked as C_1 x C_m; the point (p0, p1) of C_2 x C_m is p0 * m + p1."""
+    if len(mods) == 1:
+        x, start, mods = ((0, 0, 0, x[0][0]), (0, x[1][0])), (0, start[0]), (1, mods[0])
+    ((a0, a1, a2, a3), (v0, v1)), (lo, hi), (p0, p1) = x, mods, start
+    for _ in range(steps):
+        if marks[p0 * hi + p1]:
+            return False
+        marks[p0 * hi + p1] = 1
+        p0, p1 = (a0 * p0 + a1 * p1 + v0) % lo, (a2 * p0 + a3 * p1 + v1) % hi
+    return True
+
+
+def _presents(x, y, k: int, quat: bool, mods: tuple[int, ...]) -> bool:
+    """X^(2^k) = 1, Y^2 = X^(2^(k-1)) (Q) or 1 (D) and XYX = Y: then
+    <X, Y> = {X^i Y^e} is a quotient of Q or D of order 2^(k+1)."""
+    z, ident = _squares(x, k, mods)[-1], _identity(mods)
+    return (
+        _compose(z, z, mods) == ident
+        and _compose(y, y, mods) == (z if quat else ident)
+        and _compose(_compose(x, y, mods), x, mods) == y
+    )
+
+
+def _in_cyclic(g, pows: list, mods: tuple[int, ...]) -> bool:
+    """Whether g lies in <X>, pows = [X^(2^j) for j < k], by its discrete
+    logarithm bit by bit.  For g in <X>, h = g X^e (e the bits found so far)
+    lies in <X^(2^j)>, and h^(2^(k-1-j)) is 1 if bit j of its logarithm is 0,
+    or the involution X^(2^(k-1)) if it is 1, which X^(2^j) clears; any other
+    value rules g out.  O(k^2) compositions."""
+    k, ident = len(pows), _identity(mods)
+    for j in range(k):
+        h = g
+        for _ in range(k - 1 - j):
+            h = _compose(h, h, mods)
+        if h == pows[-1]:
+            g = _compose(g, pows[j], mods)
+        elif h != ident:
+            return False
+    return True
+
+
+def _classes(found: list, k: int, mods: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """(one (X, Y) per subgroup, sorted orbit sizes) for the Aut(N)-orbits of
+    the subgroups that the pairs in `found`, one per subgroup, generate.
+
+    a<X, Y>a^-1 = <aXa^-1, aYa^-1>, so an orbit is walked by conjugating
+    witnesses with the generators of Aut(N).  A conjugate (x, y) is a known
+    <X, Y> iff x and yY lie in <X> (Y^2 does).  Orbits are disjoint, so a
+    conjugate is compared with its own orbit only.
+    """
+    group, zero = make_group(mods), (0,) * len(mods)
+    conjugators = [tuple((a.flat(), zero) for (a,) in (g, aut_invert(g))) for g in aut_generators(group)]
+    known, sizes = [], []
+
+    def place(x, y, start: int) -> int:
+        for i in range(start, len(known)):
+            _, known_y, pows = known[i]
+            if _in_cyclic(x, pows, mods) and _in_cyclic(_compose(y, known_y, mods), pows, mods):
+                return i
+        known.append((x, y, _squares(x, k, mods)))
+        return len(known) - 1
+
+    named: set[int] = set()  # the subgroups that `found` generates
+    for x, y in found:
+        start = len(known)
+        i = place(x, y, 0)
+        if i in named:
+            raise InternalConsistencyError("two solved pairs generate one subgroup")
+        named.add(i)
+        if i == start:  # not in an earlier orbit
+
+            def conjugate(sub: int, a, start: int = start) -> int:
+                return place(*(_compose(_compose(a[0], e, mods), a[1], mods) for e in known[sub][:2]), start)
+
+            sizes.append(len(reach(start, conjugators, conjugate, aut_order(group))))
+    return tuple(w[:2] for w in known), tuple(sorted(sizes))
+
+
+def _admit(solver: str, n: int, least: int, family: str, needed: int) -> None:
+    """Refuse an n below the solver's range, an unknown family, or more points
+    to walk than the budget allows, before any memo answers."""
+    if n < least:
+        raise StructuredRangeError(f"{solver} solver needs n >= {least}, got {n}")
+    TargetKind(family, n, 1)  # an unknown family is an input error
+    cap = config.aut_candidate_cap()
+    if needed > cap:
+        raise CapacityError(f"{solver} family solver at n={n}: too many points to walk", needed=needed, cap=cap)
 
 
 # -- C_{2^n} --------------------------------------------------------------------
 
 
-def canonical_cyclic_pair(n: int, family: str) -> StructuredGeneratorPair:
-    """The explicit generators: X = (1, 2), Y = (-1 + 2^{n-1}, 1) or (-1, 1)."""
-    mod = 1 << n
-    kind = TargetKind(family, n, 1)
-    beta = (mod - 1 + (mod >> 1)) % mod if family == QUATERNION else mod - 1
-    return StructuredGeneratorPair(CYCLIC, n, kind, (1, 2, beta, 1))
-
-
 def solve_cyclic(n: int, family: str) -> StructuredCensus:
     """Regular quaternion/dihedral subgroups of Hol(C_{2^n}), n >= 4.
 
-    Enumerates every solution of the reduced congruence system over
-    (alpha, v, beta, w) mod 2^n, keeps the regular ones, and groups them into
-    subgroups.  The |X| * |Y| candidate pairs are bounded by
-    `config.aut_candidate_cap()`.
+    Takes one X per cyclic <X> among the solutions of the X congruences and
+    tests Y = (beta, t), beta^2 = 1, t the least point off the orbit of 0.
+    That finds each subgroup once: Q and D of order 2^n have one cyclic
+    subgroup of index 2, and one element that sends 0 to t.  The 5 * 2^{n-1}
+    points walked, the generators' translations and the orbits of 0 and t
+    for each of the two cyclic <X>, are bounded by `config.aut_candidate_cap()`.
     """
-    if n < 4:
-        raise StructuredRangeError(f"cyclic solver needs n >= 4, got {n}")
-    if family not in (QUATERNION, DIHEDRAL):
-        raise InvalidInputError(f"unknown family {family!r}")
-    needed, cap = _cyclic_pairs(n, family), config.aut_candidate_cap()
-    if needed > cap:
-        raise CapacityError(
-            f"cyclic family solver at n={n}: too many (X, Y) pairs", needed=needed, cap=cap
-        )
+    _admit("cyclic", n, 4, family, 5 << (n - 1))
     return _solve_cyclic(n, family)
-
-
-def _cyclic_pairs(n: int, family: str) -> int:
-    """|X| * |Y|: |X| = 2^{n-1}; |Y| = 2^{n-1} + 4, or 3 * 2^{n-1} + 4 if dihedral."""
-    half = 1 << (n - 1)
-    return half * (half + 4 if family == QUATERNION else 3 * half + 4)
 
 
 @lru_cache(maxsize=None)
@@ -151,48 +216,31 @@ def _solve_cyclic(n: int, family: str) -> StructuredCensus:
     mod = 1 << n
     mods = (mod,)
     half = mod >> 1
-    needed = _cyclic_pairs(n, family)
     quarter = mod >> 3  # 2^{n-3}, the coefficient of the order-exactness test
     kind = TargetKind(family, n, 1)
     roots = [a for a in range(1, mod, 2) if a * a % mod == 1]
-    rhs = half if family == QUATERNION else 0
-    x_sols = [
-        (alpha, v)
-        for alpha in roots
-        for v in range(mod)
-        if ((1 + alpha) * v) % 8 == 4
-        and (quarter * (1 + alpha) * v) % mod != 0
-    ]
-    y_sols = [
-        (beta, w) for beta in roots for w in range(mod) if ((1 + beta) * w) % mod == rhs
-    ]
-    if len(x_sols) * len(y_sols) != needed:
-        raise InternalConsistencyError(f"cyclic family n={n}: pair count differs from {needed}")
-    subgroups: dict[frozenset, StructuredGeneratorPair] = {}
-    for alpha, v in x_sols:
-        x_enc = ((alpha,), (v,))
-        # Translations of the powers of X.  A Y sharing one with some X^i
-        # fails the order check (Y = X^i) or the regularity check.
-        x_trans, t = {0}, v
-        while t:
-            x_trans.add(t)
-            t = (alpha * t + v) % mod
-        for beta, w in y_sols:
-            if w in x_trans or ((alpha + beta) * v) % mod != ((alpha - 1) * w) % mod:
+    seen = {alpha: bytearray(mod) for alpha in roots}  # (alpha, v) in a kept <X>
+    kept, found = 0, []
+    for alpha in roots:
+        for v in range(mod):
+            if seen[alpha][v] or (1 + alpha) * v % 8 != 4 or quarter * (1 + alpha) * v % mod == 0:
                 continue
-            y_enc = ((beta,), (w,))
-            if any(x_enc in key and y_enc in key for key in subgroups):
+            kept += 1
+            x = ((alpha,), (v,))
+            # X^u = (alpha, X^u(0)) for odd u, as alpha^2 = 1: the generators of <X>
+            _mark_orbit(seen[alpha], _compose(x, x, mods), (v,), half >> 1, mods)
+            marks = bytearray(mod)
+            if not _mark_orbit(marks, x, (0,), half, mods):
                 continue
-            elems = _closure((x_enc, y_enc), mods, 2 * kind.order)
-            if not _is_regular(elems, kind.order):
-                continue
-            pair = StructuredGeneratorPair(CYCLIC, n, kind, (alpha, v, beta, w))
-            subgroups.setdefault(elems, pair)
-    pairs = tuple(subgroups[k] for k in sorted(subgroups, key=sorted))
-    r = len(pairs)
-    if r != 1:
-        raise InternalConsistencyError(f"cyclic family n={n} produced {r} subgroups")
-    return StructuredCensus(CYCLIC, n, kind, pairs, r, r, (1,) * r, tuple(subgroups))
+            t = marks.index(0)
+            if _mark_orbit(marks, x, (t,), half, mods):
+                found += [(x, ((beta,), (t,))) for beta in roots]
+    found = [(x, y) for x, y in found if _presents(x, y, n - 1, family == QUATERNION, mods)]
+    witnesses, sizes = _classes(found, n - 1, mods)
+    if kept != 2 or len(witnesses) != len(found):
+        raise InternalConsistencyError(f"cyclic family n={n}: {kept} <X>, {len(found)} of {len(witnesses)} found")
+    pairs = tuple(StructuredGeneratorPair(CYCLIC, n, kind, (*x[0], *x[1], *y[0], *y[1])) for x, y in found)
+    return StructuredCensus(CYCLIC, n, kind, pairs, len(witnesses), len(sizes), sizes, witnesses)
 
 
 # -- C_2 x C_{2^{n-1}} -------------------------------------------------------------
@@ -202,19 +250,11 @@ def solve_rank2(n: int, family: str) -> StructuredCensus:
     """Regular subgroups of Hol(C_2 x C_{2^{n-1}}), n >= 5.
 
     Solves the normal-form system (v = (0,1), w = (1,0), r = a, s fixed by
-    the family) for the eight fundamental subgroups, then expands their
-    Aut(N)-orbits to recover the full census.  The 16 * 2^n encodings of the
-    subgroups it holds are bounded by `config.aut_candidate_cap()`.
+    the family) for the eight fundamental subgroups, then walks their
+    Aut(N)-orbits to recover the full census.  The 2^n points walked for
+    each fundamental pair are bounded by `config.aut_candidate_cap()`.
     """
-    if n < 5:
-        raise StructuredRangeError(f"rank-2 solver needs n >= 5, got {n}")
-    if family not in (QUATERNION, DIHEDRAL):
-        raise InvalidInputError(f"unknown family {family!r}")
-    needed, cap = 1 << (n + 4), config.aut_candidate_cap()  # 16 subgroups of 2^n encodings
-    if needed > cap:
-        raise CapacityError(
-            f"rank-2 family solver at n={n}: too many subgroup encodings", needed=needed, cap=cap
-        )
+    _admit("rank-2", n, 5, family, 8 << n)
     return _solve_rank2(n, family)
 
 
@@ -239,41 +279,14 @@ def _solve_rank2(n: int, family: str) -> StructuredCensus:
     if len(fundamentals) != 8:
         raise InternalConsistencyError(f"expected 8 fundamental solutions, got {len(fundamentals)}")
     mods = (2, mod)
-    subs: dict[frozenset, StructuredGeneratorPair] = {}
     for pair in fundamentals:
-        members = _closure(pair.affine(), mods, 2 * kind.order)
-        if not _is_regular(members, kind.order):
+        x, y = pair.affine()
+        marks = bytearray(1 << n)
+        walks = _mark_orbit(marks, x, (0, 0), mod, mods) and _mark_orbit(marks, x, y[1], mod, mods)
+        if not (walks and _presents(x, y, n - 1, s == 1, mods)):
             raise InternalConsistencyError(f"fundamental pair {pair.params} is not regular")
-        subs[members] = pair
-    if len(subs) != 8:
-        raise InternalConsistencyError("fundamental subgroups are not distinct")
-    conjugators = []  # (A, A^{-1}) per generator of Aut(N), A^{-1} = det(A)^{-1} adj(A)
-    for (aut,) in aut_generators(make_group(mods)):
-        m00, m01, m10, m11 = aut.flat()
-        u = pow(m00 * m11 - m01 * m10, -1, mod)
-        inverse = (m11 * u % 2, -m01 * u % 2, -m10 * u % mod, m00 * u % mod)
-        conjugators.append(((aut.flat(), (0, 0)), (inverse, (0, 0))))
-    gens = {key: pair.affine() for key, pair in subs.items()}  # generators of each known subgroup
-
-    def conjugate(sub, g):
-        # g<X, Y>g^{-1} = <gXg^{-1}, gYg^{-1}>, so a known subgroup holding both is it
-        x, y = (_compose(_compose(g[0], e, mods), g[1], mods) for e in gens[sub])
-        known = next((k for k in gens if x in k and y in k), None)
-        if known is None:
-            known = _closure((x, y), mods, 2 * kind.order)
-            gens[known] = (x, y)
-        return known
-
-    orbits: list[frozenset] = []
-    seen: set[frozenset] = set()
-    for key in sorted(subs, key=sorted):
-        if key not in seen:
-            orbits.append(reach(key, conjugators, conjugate, aut_order(make_group(mods))))
-            seen |= orbits[-1]
-    pairs = tuple(subs[k] for k in sorted(subs, key=sorted))
-    sizes = tuple(sorted(len(o) for o in orbits))
-    all_sets = tuple(sorted(seen, key=sorted))
-    return StructuredCensus(RANK2, n, kind, pairs, len(seen), len(orbits), sizes, all_sets)
+    witnesses, sizes = _classes([pair.affine() for pair in fundamentals], n - 1, mods)
+    return StructuredCensus(RANK2, n, kind, tuple(fundamentals), len(witnesses), len(sizes), sizes, witnesses)
 
 
 def solve_family(group: GroupSpec, family: str) -> StructuredCensus:
@@ -295,17 +308,3 @@ def _element_from_encoding(group: GroupSpec, enc) -> HolElement:
     r = len(exps)
     rows = [list(flat[i * r : (i + 1) * r]) for i in range(r)]
     return HolElement(group, (make_endo(p, exps, rows),), trans)
-
-
-def census_kernel_keys(census: StructuredCensus) -> frozenset:
-    """Subgroup canonical keys in the generic engine's representation."""
-    grp = census.group()
-    kern = get_kernel(grp)
-    keys = set()
-    for enc_set in census.subgroup_encodings:
-        keys.add(
-            tuple(
-                sorted(kern.code(to_kernel(_element_from_encoding(grp, e))) for e in enc_set)
-            )
-        )
-    return frozenset(keys)

@@ -334,12 +334,12 @@ def test_a_cross_check_with_a_second_path_writes_no_stderr(capsys):
 
 
 def test_cyclic_family_budget_exit_code(capsys, monkeypatch):
-    # C64 D64: 32 X candidates times 100 Y candidates, past a cap of 1000
-    monkeypatch.setenv("HOLOBRACE_CAP", "1000")
+    # C64 D64: the solver walks 5 * 2^4 points for each of its two cyclic <X>
+    monkeypatch.setenv("HOLOBRACE_CAP", "159")
     code, out, err = run(capsys, "census", "--N", "c64", "--G", "d64")
     assert code == EXIT_CAPACITY and out == ""
-    assert err.endswith("(needed 3200, cap 1000)\n")
-    monkeypatch.delenv("HOLOBRACE_CAP")
+    assert err.endswith("(needed 160, cap 159)\n")
+    monkeypatch.setenv("HOLOBRACE_CAP", "160")
     code, out, _ = run(capsys, "census", "--N", "c64", "--G", "d64")
     assert code == EXIT_OK and (json.loads(out)["c"], json.loads(out)["r"]) == (1, 1)
 
@@ -347,10 +347,10 @@ def test_cyclic_family_budget_exit_code(capsys, monkeypatch):
 def test_cached_census_still_meets_a_lowered_budget(capsys, monkeypatch):
     code, out, _ = run(capsys, "census", "--N", "c64", "--G", "d64")
     assert code == EXIT_OK and json.loads(out)["c"] == 1
-    monkeypatch.setenv("HOLOBRACE_CAP", "1000")
+    monkeypatch.setenv("HOLOBRACE_CAP", "159")
     code, out, err = run(capsys, "census", "--N", "c64", "--G", "d64")
     assert code == EXIT_CAPACITY and out == ""
-    assert err.endswith("(needed 3200, cap 1000)\n")
+    assert err.endswith("(needed 160, cap 159)\n")
 
 
 def test_warm_search_still_meets_a_lowered_block_budget(capsys, monkeypatch):
@@ -370,12 +370,16 @@ def test_warm_search_still_meets_a_lowered_block_budget(capsys, monkeypatch):
 
 
 def test_rank2_family_budget_exit_code(capsys, monkeypatch):
-    # the rank-2 solver holds 16 subgroups of 2^n encodings: 2^10 at n = 6
-    monkeypatch.setenv("HOLOBRACE_CAP", "1000")
+    # the rank-2 solver walks 2^n points for each of its 8 fundamental
+    # pairs: 512 at n = 6
+    monkeypatch.setenv("HOLOBRACE_CAP", "511")
     code, out, err = run(capsys, "census", "--N", "c2xc32", "--G", "q64")
     assert code == EXIT_CAPACITY and out == ""
-    assert err.endswith("(needed 1024, cap 1000)\n")
+    assert err.endswith("(needed 512, cap 511)\n")
     code, out, _ = run(capsys, "census", "--N", "c2xc16", "--G", "q32")
+    assert code == EXIT_OK and json.loads(out)["c"] == 6
+    monkeypatch.setenv("HOLOBRACE_CAP", "512")
+    code, out, _ = run(capsys, "census", "--N", "c2xc32", "--G", "q64")
     assert code == EXIT_OK and json.loads(out)["c"] == 6
 
 

@@ -251,6 +251,32 @@ def test_cross_check_runs_the_full_scan_and_the_sylow_path(monkeypatch):
         census(mixed, parse_kind("q48"), cross_check=True)
 
 
+def test_cross_check_compares_class_sizes(monkeypatch):
+    """Two paths that agree on (c, r, h) but not on the (orbit, stabilizer)
+    multiset fail the cross-check, which names both paths and both multisets."""
+    from dataclasses import replace
+
+    import holobrace.counts as counts
+    from holobrace.structured import solve_family
+
+    pair = (parse_group("c2xc16"), parse_kind("q32"))
+    res = census(*pair, method="structured", cross_check=True)
+    assert (res.c, res.r) == (6, 16) and res.unchecked is None
+
+    def skewed(group, family):
+        # still 16 subgroups in 6 classes, each orbit dividing |Aut(C2 x C16)| = 32
+        return replace(solve_family(group, family), class_sizes=(1, 1, 2, 4, 4, 4))
+
+    monkeypatch.setattr(counts, "solve_family", skewed)
+    with pytest.raises(InternalConsistencyError) as err:
+        census(*pair, method="structured", cross_check=True)
+    assert str(err.value) == (
+        "cross-check: the structured path gives (c=6, r=16, h=64) and (orbit, stabilizer) classes "
+        "[(1, 32), (1, 32), (2, 16), (4, 8), (4, 8), (4, 8)] but the full path gives (c=6, r=16, h=64) "
+        "and (orbit, stabilizer) classes [(2, 16), (2, 16), (2, 16), (2, 16), (4, 8), (4, 8)]"
+    )
+
+
 SYLOW_CENSUS_PAIRS = [
     ("c2xc2xc2xc2", "q16"),
     ("c3xc2xc2xc2xc2", "q48"),

@@ -1,5 +1,8 @@
 import pytest
 
+import family_oracles as oracle
+from family_oracles import canonical_cyclic_pair, subgroup_elements
+from holobrace import structured
 from holobrace.abelian import make_group
 from holobrace.errors import CapacityError, InvalidInputError
 from holobrace.holomorph import hol_apply, hol_compose, hol_identity, hol_invert, hol_power
@@ -9,15 +12,22 @@ from holobrace.structured import (
     CYCLIC,
     StructuredGeneratorPair,
     StructuredRangeError,
-    canonical_cyclic_pair,
-    census_kernel_keys,
     solve_cyclic,
     solve_family,
     solve_rank2,
-    subgroup_elements,
 )
 
 FAMILIES = (QUATERNION, DIHEDRAL)
+
+
+def witness_subgroups(census):
+    """Each census witness (X, Y) closed by the oracle into its subgroup."""
+    return [oracle.witness_elements(census, w) for w in census.witnesses]
+
+
+def witness_keys(census):
+    """The witnesses' subgroups as the generic engine's keys."""
+    return oracle.kernel_keys(census.pairs[0].group(), witness_subgroups(census))
 
 
 def hol_closure(gens, bound):
@@ -99,8 +109,8 @@ def unpruned_cyclic_pairs(n, family):
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_solve_cyclic_counts(n, family):
     res = solve_cyclic(n, family)
-    assert (res.r, res.c) == (1, 1)
-    assert len(res.pairs) == 1
+    assert (res.r, res.c, res.class_sizes) == (1, 1, (1,))
+    assert len(res.pairs) == len(res.witnesses) == 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -108,8 +118,29 @@ def test_solve_cyclic_counts(n, family):
 def test_solve_rank2_counts(n, family):
     res = solve_rank2(n, family)
     assert (res.r, res.c) == (16, 6)
-    assert len(res.pairs) == 8
+    assert len(res.pairs) == 8 and len(res.witnesses) == 16
     assert res.class_sizes == (2, 2, 2, 2, 4, 4)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rank2_at_n17(family):
+    res = solve_rank2(17, family)
+    assert (res.r, res.c, res.class_sizes) == (16, 6, (2, 2, 2, 2, 4, 4))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_class_sizes_match_the_closure_oracle(family):
+    """The witness walk finds the subgroups the closure-based solvers find,
+    each once, in orbits of the same sizes."""
+    for solver, oracle_solver, ns in (
+        (solve_cyclic, oracle.solve_cyclic, range(4, 10)),
+        (solve_rank2, oracle.solve_rank2, range(5, 12)),
+    ):
+        for n in ns:
+            res, ref = solver(n, family), oracle_solver(n, family)
+            assert (res.r, res.c, res.class_sizes) == (ref.r, ref.c, ref.class_sizes), n
+            assert sorted(witness_subgroups(res), key=sorted) == list(ref.subgroups), n
+            assert {subgroup_elements(p) for p in res.pairs} == {subgroup_elements(p) for p in ref.pairs}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -136,14 +167,14 @@ def test_cyclic_agrees_with_engine_subgroup_for_subgroup(family):
     for n in (4, 5):
         solved = solve_cyclic(n, family)
         engine = search_regular(make_group([1 << n]), solved.kind)
-        assert census_kernel_keys(solved) == engine.keys
+        assert witness_keys(solved) == engine.keys
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_rank2_agrees_with_engine_subgroup_for_subgroup(family):
     solved = solve_rank2(5, family)
     engine = search_regular(make_group([2, 16]), solved.kind)
-    assert census_kernel_keys(solved) == engine.keys
+    assert witness_keys(solved) == engine.keys
     assert engine.c == 6 and engine.r == 16
     assert sorted(c.orbit_size for c in engine.classes) == list(solved.class_sizes)
 
@@ -152,7 +183,7 @@ def test_rank2_agrees_with_engine_subgroup_for_subgroup(family):
 def test_rank2_oracle_at_n6(family):
     solved = solve_rank2(6, family)
     engine = search_regular(make_group([2, 32]), solved.kind)
-    assert census_kernel_keys(solved) == engine.keys
+    assert witness_keys(solved) == engine.keys
     assert (engine.r, engine.c) == (16, 6)
 
 
@@ -194,69 +225,90 @@ def test_integer_closure_matches_holelement_closure(n, family, solver):
     res = solver(n, family)
     for pair in res.pairs:
         assert holelement_subgroup(pair) == subgroup_elements(pair)
-    assert set(res.subgroup_encodings) >= {subgroup_elements(p) for p in res.pairs}
+    assert set(witness_subgroups(res)) >= {subgroup_elements(p) for p in res.pairs}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_pruned_cyclic_search_matches_unpruned(n, family):
+    # one Y = (beta, t) per cyclic <X> finds what every (X, Y) pair finds
     found = unpruned_cyclic_pairs(n, family)
     res = solve_cyclic(n, family)
-    assert res.subgroup_encodings == tuple(found)
+    assert witness_subgroups(res) == list(found)
     assert res.pairs == tuple(found.values())
 
 
-def test_cyclic_pair_budget(monkeypatch):
+def walked_points(monkeypatch, solve, n, family):
+    """The points a cold solve walks, counted at `_mark_orbit`."""
+    walked = []
+    mark = structured._mark_orbit
+
+    def counting(marks, x, start, steps, mods):
+        before = marks.count(0)
+        ok = mark(marks, x, start, steps, mods)
+        walked.append(before - marks.count(0))
+        return ok
+
+    monkeypatch.setattr(structured, "_mark_orbit", counting)
+    solve.__wrapped__(n, family)
+    monkeypatch.setattr(structured, "_mark_orbit", mark)
+    return sum(walked)
+
+
+def test_the_regularity_walk_refuses_a_repeated_point():
+    # X = (1, 2) on C_16 walks the 8 even points; X = (1, 4) has order 4
+    marks = bytearray(16)
+    assert structured._mark_orbit(marks, ((1,), (2,)), (0,), 8, (16,)) and marks == bytearray([1, 0] * 8)
+    assert not structured._mark_orbit(bytearray(16), ((1,), (4,)), (0,), 8, (16,))
+    # on C_2 x C_8 the point (p0, p1) is index 8 * p0 + p1; X = (1, (1, 1))
+    # reaches (1, 1), (0, 2), ... and returns to 0 after 8 steps
+    marks = bytearray(16)
+    assert structured._mark_orbit(marks, ((1, 0, 0, 1), (1, 1)), (0, 0), 8, (2, 8))
+    assert marks == bytearray([1, 0] * 4 + [0, 1] * 4)
+    assert not structured._mark_orbit(marks, ((1, 0, 0, 1), (1, 1)), (1, 1), 1, (2, 8))
+
+
+def test_cyclic_point_budget(monkeypatch):
     monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
-    # (11, dihedral): 2^10 X candidates times 3076 Y candidates > 2^21
+    # 5 * 2^{n-2} points for each of the two cyclic <X>: n = 19 fits the default 2^21
     with pytest.raises(CapacityError) as err:
-        solve_cyclic(11, DIHEDRAL)
-    assert (err.value.needed, err.value.cap) == (1024 * 3076, 1 << 21)
-    monkeypatch.setenv("HOLOBRACE_CAP", str(32 * 100 - 1))
-    with pytest.raises(CapacityError):
+        solve_cyclic(20, DIHEDRAL)
+    assert (err.value.needed, err.value.cap) == (5 << 19, 1 << 21)
+    monkeypatch.setenv("HOLOBRACE_CAP", str(160 - 1))
+    with pytest.raises(CapacityError) as err:
         solve_cyclic(6, DIHEDRAL)
-    monkeypatch.setenv("HOLOBRACE_CAP", str(32 * 100))
+    assert (err.value.needed, err.value.cap) == (160, 159)
+    monkeypatch.setenv("HOLOBRACE_CAP", str(160))
     assert solve_cyclic(6, DIHEDRAL).r == 1
 
 
-def test_cyclic_pair_budget_is_closed_form(monkeypatch):
-    # the solver refuses from 2^{n-1} * (2^{n-1} + 4) or 2^{n-1} * (3 * 2^{n-1} + 4)
-    # before it builds X or Y; the lists built here must have those sizes
-    monkeypatch.setenv("HOLOBRACE_CAP", "1")
+def test_cyclic_point_budget_is_closed_form(monkeypatch):
+    # the solver refuses from 5 * 2^{n-1} before it walks; a cold solve must
+    # walk exactly that many points
     for n in range(4, 13):
-        mod = 1 << n
-        roots = [a for a in range(1, mod, 2) if a * a % mod == 1]
-        xs = [
-            (a, v) for a in roots for v in range(mod)
-            if ((1 + a) * v) % 8 == 4 and ((mod >> 3) * (1 + a) * v) % mod != 0
-        ]
-        for family, rhs in ((QUATERNION, mod >> 1), (DIHEDRAL, 0)):
-            ys = [(b, w) for b in roots for w in range(mod) if ((1 + b) * w) % mod == rhs]
+        for family in FAMILIES:
+            monkeypatch.setenv("HOLOBRACE_CAP", "1")
             with pytest.raises(CapacityError) as err:
                 solve_cyclic(n, family)
-            assert err.value.needed == len(xs) * len(ys)
-    monkeypatch.delenv("HOLOBRACE_CAP")
-    with pytest.raises(CapacityError) as err:
-        solve_cyclic(11, DIHEDRAL)
-    assert (err.value.needed, err.value.cap) == (3149824, 1 << 21)
-    # (11, quaternion) needs 1,052,672 pairs, within the default 2^21
-    monkeypatch.setenv("HOLOBRACE_CAP", str(1052672 - 1))
-    with pytest.raises(CapacityError) as err:
-        solve_cyclic(11, QUATERNION)
-    assert err.value.needed == 1052672 <= 1 << 21
+            monkeypatch.delenv("HOLOBRACE_CAP")
+            assert err.value.needed == 5 << (n - 1) == walked_points(monkeypatch, structured._solve_cyclic, n, family)
 
 
-def test_rank2_encoding_budget(monkeypatch):
+def test_rank2_point_budget(monkeypatch):
     monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
-    # 16 subgroups of 2^n encodings: n = 17 fits the default 2^21, n = 18 does not
+    # 2^n points for each of the 8 fundamental pairs: n = 18 fits the default 2^21
     with pytest.raises(CapacityError) as err:
-        solve_rank2(18, QUATERNION)
+        solve_rank2(19, QUATERNION)
     assert (err.value.needed, err.value.cap) == (1 << 22, 1 << 21)
-    monkeypatch.setenv("HOLOBRACE_CAP", str((1 << 9) - 1))
-    with pytest.raises(CapacityError):
+    monkeypatch.setenv("HOLOBRACE_CAP", str(256 - 1))
+    with pytest.raises(CapacityError) as err:
         solve_rank2(5, DIHEDRAL)
-    monkeypatch.setenv("HOLOBRACE_CAP", str(1 << 9))
+    assert (err.value.needed, err.value.cap) == (256, 255)
+    monkeypatch.setenv("HOLOBRACE_CAP", str(256))
     assert solve_rank2(5, DIHEDRAL).c == 6
+    monkeypatch.delenv("HOLOBRACE_CAP")
+    for n in range(5, 11):
+        assert walked_points(monkeypatch, structured._solve_rank2, n, QUATERNION) == 8 << n
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -293,14 +345,16 @@ def test_fundamental_distinctness():
 
 def test_family_budgets_fire_on_a_warm_memo(monkeypatch):
     monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
-    # C32 quaternion: 16 * (16 + 4) (X, Y) pairs; C2 x C16: 16 * 2^5 encodings
-    for group, needed in ((make_group([32]), 320), (make_group([2, 16]), 512)):
+    # points walked: C32, 5 * 2^4; C2 x C16, 8 * 2^5
+    for group, needed in ((make_group([32]), 80), (make_group([2, 16]), 256)):
         warm = solve_family(group, QUATERNION)
         assert solve_family(group, QUATERNION) is warm
         monkeypatch.setenv("HOLOBRACE_CAP", str(needed - 1))
         with pytest.raises(CapacityError) as err:
             solve_family(group, QUATERNION)
         assert (err.value.needed, err.value.cap) == (needed, needed - 1)
+        monkeypatch.setenv("HOLOBRACE_CAP", str(needed))
+        assert solve_family(group, QUATERNION) is warm
         monkeypatch.delenv("HOLOBRACE_CAP")
 
 
