@@ -13,7 +13,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from . import config
 from .abelian import Element, GroupSpec, reach
@@ -220,9 +220,31 @@ class PrimeSpace:
     def hol_elements(self, aut_list: list[bytes]) -> list[bytes]:
         return [self.hol_perm(a, v) for a in aut_list for v in range(self.m)]
 
+    def cyclic_leaders(self, aut_list: list[bytes], mx: int) -> list[bytes]:
+        """The least generator, in the order of `aut_list`, of each cyclic
+        <A> with order(A) | mx, for `aut_list` closed under powers.
+
+        Each A not yet met is walked through its powers once, and the
+        generators A^k, gcd(k, order(A)) = 1, are marked as met."""
+        pad, identity = self._pad, self.identity
+        met: set[bytes] = set()
+        leaders = []
+        for a in aut_list:
+            if a in met:
+                continue
+            tab, pows = a + pad, [a]
+            while pows[-1] != identity:
+                pows.append(pows[-1].translate(tab))
+            k = len(pows)
+            met.update(pows[j - 1] for j in range(1, k + 1) if gcd(j, k) == 1)
+            if mx % k == 0:
+                leaders.append(a)
+        return leaders
+
     def cycles_dividing(self, aut_list: list[bytes], mx: int) -> Iterator[tuple[bytes, int]]:
         """(x, c) for each x = (A, v) of `hol_elements(aut_list)`, in that
         order, whose order divides mx, c the length of its cycle through 0.
+        `Pool.candidates` passes the first component's `cyclic_leaders` here.
 
         x^k = (A^k, x^k(0)), so order(x) = lcm(order(A), c)."""
         add_rows = self.add_rows
@@ -398,8 +420,14 @@ class Pool:
         return product(*(sp.hol_elements(a) for sp, a in zip(self.spaces, self.auts)))
 
     def candidates(self, mx: int) -> Iterator[KernelElement]:
-        """The elements of order mx whose orbit through 0 has mx points, in
-        pool order.
+        """The elements of order mx whose orbit through 0 has mx points and
+        whose first (2-part) linear part A is the least generator of its
+        cyclic <A> in the block's order (`PrimeSpace.cyclic_leaders`), in
+        pool order.  Every cyclic <x> of the pool's candidates has such a
+        generator: x^k has linear part A^k there, the units k mod mx reach
+        every generator of <A> as order(A) | mx, and a unit power keeps the
+        order and the orbit through 0.  The blocks are groups, so closed
+        under powers.
 
         For x = (x_p), order(x) = lcm o_p and the orbit of 0 has lcm c_p
         points, c_p the cycle length of 0_p under x_p and c_p | o_p.  Both
@@ -408,7 +436,8 @@ class Pool:
         survivors only, and the first (the 2-part, the largest) is streamed
         against them.
         """
-        first, *rest = (sp.cycles_dividing(a, mx) for sp, a in zip(self.spaces, self.auts))
+        leaders = self.spaces[0].cyclic_leaders(self.auts[0], mx)
+        first, *rest = (sp.cycles_dividing(a, mx) for sp, a in zip(self.spaces, [leaders, *self.auts[1:]]))
         tails: list[tuple[KernelElement, int]] = [((), 1)]
         for comp in rest:
             survivors = list(comp)

@@ -2,16 +2,17 @@
 
 The engine scans candidate generators X of order exactly 2^{n-1} s whose
 translation orbit is faithful, as the pool streams them one Sylow component
-at a time (`kernel.Pool.candidates`); the scan is memoized per pool and
-order, so the quaternion and the dihedral search of N share it.  Each kind
-then builds each admissible partner Y directly from its relations: Y is
-determined on all of N by the target point t = Y(0) together with
-Y X Y^{-1} = X^{-1} and the kind's Y^2 relation, so only affine-ness has to
-be checked.  Two search spaces are supported: all of Hol(N), or the
-Sylow-restricted subset (2-part automorphisms unipotent upper triangular),
-whose hits seed the Aut(N)-classes.  The Sylow path sizes each class by its
-stabilizer and expands the orbits only when the subgroups themselves are
-asked for.
+at a time (`kernel.Pool.candidates`), with one 2-part linear part per cyclic
+subgroup of the automorphism block, enough to meet every cyclic <X>; the
+scan is memoized per pool and order, so the quaternion and the dihedral
+search of N share it.  Each kind then builds each admissible partner Y
+directly from its relations: Y is determined on all of N by the target
+point t = Y(0) together with Y X Y^{-1} = X^{-1} and the kind's Y^2
+relation, so only affine-ness has to be checked.  Two search spaces are
+supported: all of Hol(N), or the Sylow-restricted subset (2-part
+automorphisms unipotent upper triangular), whose hits seed the
+Aut(N)-classes.  The Sylow path sizes each class by its stabilizer and
+expands the orbits only when the subgroups themselves are asked for.
 """
 
 from __future__ import annotations
@@ -141,7 +142,9 @@ def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, int], ...]:
     search of N share (X has order |N|/2 in both): (X, t) for each X of
     order mx in `pool`, one per cyclic <X>, in candidate order, whose orbit
     through 0 has mx points and whose other mx points are one <X>-orbit,
-    t the least of them."""
+    t the least of them.  The candidates meet each cyclic <X> through the
+    generators whose 2-part linear part leads its <A>; the unit powers X^k
+    with A^k = A among them are skipped here."""
     group, _ = pool.name
     kern = get_kernel(group)
     units = [k for k in range(1, mx) if gcd(k, mx) == 1]

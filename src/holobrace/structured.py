@@ -222,8 +222,13 @@ def _solve_cyclic(n: int, family: str) -> StructuredCensus:
     seen = {alpha: bytearray(mod) for alpha in roots}  # (alpha, v) in a kept <X>
     kept, found = 0, []
     for alpha in roots:
-        for v in range(mod):
-            if seen[alpha][v] or (1 + alpha) * v % 8 != 4 or quarter * (1 + alpha) * v % mod == 0:
+        # (1 + alpha) v = 4 mod 8 with 2^a exactly dividing 1 + alpha holds
+        # iff v = 2^(2-a) mod 2^(3-a); no v solves it when a > 2
+        a = ((1 + alpha) & -(1 + alpha)).bit_length() - 1
+        if a > 2:
+            continue
+        for v in range(1 << (2 - a), mod, 1 << (3 - a)):
+            if seen[alpha][v] or quarter * (1 + alpha) * v % mod == 0:
                 continue
             kept += 1
             x = ((alpha,), (v,))

@@ -54,23 +54,29 @@ def gl_count_oracle(r, p=2):
 
 
 def unit_filter_reference(group):
-    """Every unit of End(N_p), by filtering all candidate matrices.
+    """Every unit of End(N_p), fibre by fibre over the mod-p reductions.
 
-    Column j ranges over the elements of order dividing p^{a_j}; a candidate
-    is kept when its mod-p reduction is invertible.
+    Column j ranges over the elements of order dividing p^{a_j}.  A matrix
+    is a unit when its mod-p reduction is invertible, and that depends on
+    the reductions of its columns alone.  So the candidate columns are
+    grouped by reduction, and each invertible choice of reductions adds
+    every matrix of the product of its fibres.
     """
     p = group.primes[0]
     exps = group.exponents(p)
     r = len(exps)
-    pools = [
-        [g for g in group.elements() if all(v * p**a % q == 0 for v, q in zip(g, group.factors))]
-        for a in exps
-    ]
+    fibres = []
+    for a in exps:
+        by_reduction = {}
+        for g in group.elements():
+            if all(v * p**a % q == 0 for v, q in zip(g, group.factors)):
+                by_reduction.setdefault(tuple(v % p for v in g), []).append(g)
+        fibres.append(by_reduction)
     units = set()
-    for cols in itertools.product(*pools):
-        rows = tuple(zip(*cols))
-        if _invertible_mod_p(rows, p, r):
-            units.add(EndoMatrix(p, exps, rows))
+    for reductions in itertools.product(*fibres):
+        if _invertible_mod_p(tuple(zip(*reductions)), p, r):
+            for cols in itertools.product(*(f[red] for f, red in zip(fibres, reductions))):
+                units.add(EndoMatrix(p, exps, tuple(zip(*cols))))
     return units
 
 

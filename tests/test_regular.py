@@ -1,4 +1,6 @@
+import functools
 from dataclasses import replace
+from math import gcd, lcm
 
 import pytest
 
@@ -344,44 +346,110 @@ def test_zero_families_empty_at_n7(orders, kind, method, monkeypatch):
     assert (res.c, res.r) == (0, 0)
 
 
-def scan_oracle(kern, pool, mx):
-    """The X scan that the candidate stream replaced: build the whole pool,
-    keep each x of order mx whose orbit of 0 has mx points."""
-    return [
-        x
-        for x in list(pool)
-        if kern.order(x) == mx and len({kern.trans_index(p) for p in kern.power_list(x, mx)}) == mx
-    ]
+@functools.lru_cache(maxsize=None)
+def scan_oracle(pool, mx):
+    """The X scan without the candidate stream: build the whole pool, keep
+    each x of order mx (the lcm of its component orders) whose orbit of 0
+    has mx points, in pool order.  Also
+    names the cyclic subgroups: cyclic[code(x)] is the code of the first
+    kept generator of <x>.  Cached per pool for the two tests below."""
+    kern = get_kernel(pool.name[0])
+    elements = list(pool)
+    assert len(elements) == len(pool)
+    units = [k for k in range(1, mx) if gcd(k, mx) == 1]
+    orders: dict[bytes, int] = {}  # the order of each component permutation
+    kept, cyclic = [], {}
+    for x in elements:
+        for sp, a in zip(kern.spaces, x):
+            if a not in orders:
+                orders[a] = sp.order(a)
+        if lcm(*map(orders.__getitem__, x)) != mx:
+            continue
+        pows = kern.power_list(x, mx)
+        if len({kern.trans_index(p) for p in pows}) != mx:
+            continue
+        kept.append(x)
+        if kern.code(x) not in cyclic:
+            cyclic.update((kern.code(pows[k]), kern.code(x)) for k in units)
+    return kept, cyclic
+
+
+def oracle_pools(kern):
+    """The full and the Sylow pool of N, each where it fits the scan cap."""
+    for make_pool in (kern.full_pool, kern.sylow_pool):
+        try:
+            yield make_pool()
+        except CapacityError:
+            pass
 
 
 # every admissible 2-part with n <= 5 times C_s, s in {1, 3, 5}, and with
 # n <= 4 times C_7, and one group with two odd primes; the X scan depends on
-# N and the pool only, since X has order |N| / 2 for both kinds
+# N and the pool only, since X has order |N| / 2 for both kinds.  The
+# largest Sylow pool here, of C5 x C2^3 x C4, has 655360 elements; every
+# full pool up to that size is scanned as well
 ORACLE_GROUPS = [
     make_group(([s] if s > 1 else []) + list(two.factors))
     for n in range(2, 6)
     for two in admissible_types(n)
     for s in ((1, 3, 5, 7) if n <= 4 else (1, 3, 5))
 ] + [make_group([3, 5, 4])]
+ORACLE_CAP = "655360"
 
 
 @pytest.mark.parametrize("group", ORACLE_GROUPS, ids=str)
 def test_candidate_stream_matches_scan_oracle(group, monkeypatch):
-    # the largest Sylow pool here, of C5 x C2^3 x C4, has 655360 elements;
-    # every full pool up to that size is scanned as well
-    monkeypatch.setenv("HOLOBRACE_HOL_CAP", "655360")
+    # the stream is the oracle's list, thinned to the x whose 2-part linear
+    # part A is the least generator of <A> in the block's (sorted) order,
+    # and it still meets every cyclic subgroup <x> of the oracle's list
+    monkeypatch.setenv("HOLOBRACE_HOL_CAP", ORACLE_CAP)
     kern = get_kernel(group)
+    sp = kern.spaces[0]
     mx = parse_kind(f"q{group.order}").x_order
+    least: dict[bytes, bytes] = {}
     scanned = 0
-    for make_pool in (kern.full_pool, kern.sylow_pool):
-        try:
-            pool = make_pool()
-        except CapacityError:
-            continue
-        assert sum(1 for _ in pool) == len(pool)
-        assert list(pool.candidates(mx)) == scan_oracle(kern, pool, mx)
+    for pool in oracle_pools(kern):
+        oracle, cyclic = scan_oracle(pool, mx)
+        stream = list(pool.candidates(mx))
+        rest = iter(oracle)
+        assert all(x in rest for x in stream)  # a subsequence, in pool order
+        assert {cyclic[kern.code(x)] for x in stream} == set(cyclic.values())
+        for x in stream:
+            a = sp.compose(sp.add_rows[sp.neg_idx[x[0][0]]], x[0])
+            if a not in least:
+                pows = [a]
+                while pows[-1] != sp.identity:
+                    pows.append(sp.compose(a, pows[-1]))
+                least[a] = min(pows[j - 1] for j in range(1, len(pows) + 1) if gcd(j, len(pows)) == 1)
+            assert least[a] == a
         scanned += 1
     assert scanned
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS, ids=str)
+def test_seeds_and_classes_match_a_search_over_the_oracle_list(group, monkeypatch):
+    # the stream keeps other witnesses X than a scan of the oracle's whole
+    # list, but the same seed keys, the same stabilizer class sizes (Sylow
+    # path) and the same orbit expansion (full path) for both kinds
+    monkeypatch.setenv("HOLOBRACE_HOL_CAP", ORACLE_CAP)
+    kern = get_kernel(group)
+    kinds = [parse_kind(f"{fam}{group.order}") for fam in "qd"]
+    for pool in oracle_pools(kern):
+        method = pool.name[1]
+        _x_scan.cache_clear()
+        streamed = [_seed_search(kern, kind, pool, {}) for kind in kinds]
+        _x_scan.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(Pool, "candidates", lambda p, mx: iter(scan_oracle(p, mx)[0]))
+            listed = [_seed_search(kern, kind, pool, {}) for kind in kinds]
+        _x_scan.cache_clear()
+        for kind, got, want in zip(kinds, streamed, listed):
+            assert sorted(got) == sorted(want)
+            if method == "sylow":
+                assert _class_sizes(kern, kind, got) == _class_sizes(kern, kind, want)
+            else:
+                (found, classes), (ref_found, ref_classes) = (_expand_orbits(kern, s, {}) for s in (got, want))
+                assert sorted(found) == sorted(ref_found) and classes == ref_classes
 
 
 def test_orbit_stabilizer_identity_everywhere():
