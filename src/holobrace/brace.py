@@ -73,8 +73,9 @@ def brace_from_subgroup(sub: RegularSubgroup) -> BraceTable:
     group = sub.group
     kern = get_kernel(group)
     n = group.order
-    by_trans = {kern.trans_index(e): e for e in sub.elements}
-    if len(by_trans) != n or len(sub.elements) != n:
+    elements = sub.elements
+    by_trans = {kern.trans_index(e): e for e in elements}
+    if len(by_trans) != n or len(elements) != n:
         raise InvalidInputError("subgroup is not regular")
     circ = tuple(kern.images(by_trans[a]) for a in range(n))
     return BraceTable(group, circ, tuple(_lambda_rows(_add_table(group), circ)))

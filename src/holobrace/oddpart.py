@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .abelian import GroupSpec, make_group, sylow_decompose
-from .errors import InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError
 from .kernel import HolKernel, KernelElement, get_kernel
 from .presentations import DIHEDRAL, QUATERNION, TargetKind
 from .regular import RegularSubgroup, _subgroup, search_regular
@@ -114,7 +114,8 @@ def reduce_counts(group: GroupSpec, kind: TargetKind):
     """(r, c, class_sizes) for odd s >= 3, transferred from the 2-part.
 
     Generic kinds copy (r, c) from (N_2, J_2); the exceptional kinds triple r
-    and take c from the directly-enumerated s = 3 base case.
+    and take c from the directly-enumerated s = 3 base case, which must find
+    those 3·r(N_2) subgroups itself.
     """
     odd, two, _ = sylow_decompose(group)
     if odd.order < 3:
@@ -132,4 +133,8 @@ def reduce_counts(group: GroupSpec, kind: TargetKind):
         return 0, 0, ()
     # direct enumeration over C_3 x N_2, the s = 3 base of the exceptional cases
     exceptional = search_regular(make_group((3,) + two.factors), TargetKind(kind.family, kind.n, 3))
+    if exceptional.r != 3 * base.r:
+        raise InternalConsistencyError(
+            f"the s = 3 base search finds r = {exceptional.r}, the 2-part gives 3·r(N_2) = {3 * base.r}"
+        )
     return 3 * base.r, exceptional.c, tuple(orbit for orbit, _ in exceptional.class_sizes)

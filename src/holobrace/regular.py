@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import gcd
 from operator import itemgetter
 
@@ -36,14 +37,21 @@ SubgroupKey = tuple[bytes, ...]
 
 @dataclass(frozen=True)
 class RegularSubgroup:
-    """A regular subgroup of Hol(N), canonically keyed by its element codes;
-    `witness` is a generating pair (X, Y) with the relations of `kind`."""
+    """A regular subgroup of Hol(N), stored as the sorted codes of its
+    elements (`key`) and a generating pair (X, Y) with the relations of
+    `kind` (`witness`).  Only `_subgroup` builds one."""
 
     group: GroupSpec
     kind: TargetKind
     key: SubgroupKey
-    elements: tuple[KernelElement, ...]
     witness: tuple[KernelElement, KernelElement]
+
+    @property
+    def elements(self) -> tuple[KernelElement, ...]:
+        """The elements in key order, each code cut into its component permutations."""
+        ends = list(accumulate(get_kernel(self.group).sizes, initial=0))
+        spans = list(zip(ends, ends[1:]))
+        return tuple(tuple(c[a:b] for a, b in spans) for c in self.key)
 
     def hol_elements(self) -> tuple[HolElement, ...]:
         return tuple(from_kernel(self.group, e) for e in self.elements)
@@ -60,15 +68,9 @@ class ConjugacyClass:
     stabilizer_order: int
 
 
-def _subgroup(kern: HolKernel, kind: TargetKind, elements, witness, shared=None) -> RegularSubgroup:
-    """The subgroup, its elements sorted by code once.  `shared`, one dict per
-    search, makes each component permutation one bytes object for them all."""
-    if shared is not None:
-        elements = [tuple([shared.setdefault(b, b) for b in e]) for e in elements]
-        witness = tuple(tuple([shared.setdefault(b, b) for b in e]) for e in witness)
-    ordered = tuple(sorted(elements, key=kern.code))
-    key = tuple(map(kern.code, ordered))
-    return RegularSubgroup(kern.group, kind, key, ordered, witness)
+def _subgroup(kern: HolKernel, kind: TargetKind, elements, witness) -> RegularSubgroup:
+    """The subgroup of `elements`, keyed by their codes sorted once."""
+    return RegularSubgroup(kern.group, kind, tuple(sorted(map(kern.code, elements))), witness)
 
 
 # -- spec-level helpers ----------------------------------------------------------
@@ -144,7 +146,8 @@ def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, int], ...]:
     through 0 has mx points and whose other mx points are one <X>-orbit,
     t the least of them.  The candidates meet each cyclic <X> through the
     generators whose 2-part linear part leads its <A>; the unit powers X^k
-    with A^k = A among them are skipped here."""
+    with A^k = A among them are skipped here.  The stream yields only X of
+    order mx with mx points through 0, so any other is an internal error."""
     group, _ = pool.name
     kern = get_kernel(group)
     units = [k for k in range(1, mx) if gcd(k, mx) == 1]
@@ -158,7 +161,9 @@ def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, int], ...]:
         img = kern.images(x)
         orb0 = set(_walk(img, 0, mx))
         if len(orb0) != mx or kern.compose(x, pows[-1]) != kern.identity:
-            continue
+            raise InternalConsistencyError(
+                f"pool candidate of order {kern.order(x)} with {len(orb0)} points through 0, both must be {mx}"
+            )
         # the other mx points must be one <X>-orbit, or no Y swaps the two
         t = next(i for i in range(kern.n) if i not in orb0)
         if len(set(_walk(img, t, mx))) == mx:
@@ -166,7 +171,7 @@ def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, int], ...]:
     return tuple(frames)
 
 
-def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool, shared: dict):
+def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool):
     """All regular `kind` subgroups generated inside `pool` (X there, Y free), by key."""
     if kern.group.order != kind.order:
         raise InvalidInputError(f"|N| = {kern.group.order} but target has order {kind.order}")
@@ -180,12 +185,12 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool, shared: dict):
         img = kern.images(x)
         y = _build_y(kern, _walk(img, 0, mx), _walk(img, t, mx), quat, half)
         if y is not None:
-            sub = _subgroup(kern, kind, kern.power_list(x, mx) + kern.power_list(x, mx, y), (x, y), shared)
+            sub = _subgroup(kern, kind, kern.power_list(x, mx) + kern.power_list(x, mx, y), (x, y))
             found.setdefault(sub.key, sub)
     return found
 
 
-def _expand_orbits(kern: HolKernel, seeds: dict[SubgroupKey, RegularSubgroup], shared: dict):
+def _expand_orbits(kern: HolKernel, seeds: dict[SubgroupKey, RegularSubgroup]):
     """Aut(N)-orbit closure of the seed subgroups, by conjugating with the
     generators of Aut(N); brace classes are exactly these orbits.
 
@@ -219,7 +224,7 @@ def _expand_orbits(kern: HolKernel, seeds: dict[SubgroupKey, RegularSubgroup], s
             if y_code in cand.key:
                 return cand.key
         pows = kern.power_list(x, mx)
-        moved = _subgroup(kern, sub.kind, pows + kern.power_list(x, mx, y), (x, y), shared)
+        moved = _subgroup(kern, sub.kind, pows + kern.power_list(x, mx, y), (x, y))
         if moved.key not in known:
             add(moved, pows)
         return moved.key
@@ -385,8 +390,7 @@ def _listing(group: GroupSpec, kind: TargetKind, method: str) -> Listing:
     """Rerun the scan and the orbit expansion: the subgroups sorted by key,
     and the classes of `_expand_orbits`."""
     kern = get_kernel(group)
-    shared: dict[bytes, bytes] = {}
-    found, raw_classes = _expand_orbits(kern, _seed_search(kern, kind, _pool_for(kern, method), shared), shared)
+    found, raw_classes = _expand_orbits(kern, _seed_search(kern, kind, _pool_for(kern, method)))
     classes = tuple(ConjugacyClass(found[rk], size, stab) for rk, size, stab in raw_classes)
     return tuple(found[k] for k in sorted(found)), classes
 
@@ -458,12 +462,11 @@ def _search_cached(group: GroupSpec, kind: TargetKind, method: str) -> SearchRes
     representatives come from the orbit expansion; the Sylow path sizes its
     classes by stabilizers.  Neither keeps the subgroups."""
     kern = get_kernel(group)
-    shared: dict[bytes, bytes] = {}
-    seeds = _seed_search(kern, kind, _pool_for(kern, method), shared)
+    seeds = _seed_search(kern, kind, _pool_for(kern, method))
     if method == "sylow":
         sizes = _class_sizes(kern, kind, seeds)
         return SearchResult(group, kind, sum(size for size, _ in sizes), sizes, method)
-    found, raw_classes = _expand_orbits(kern, seeds, shared)
+    found, raw_classes = _expand_orbits(kern, seeds)
     if len(found) != len(seeds):
         raise InternalConsistencyError("the full scan missed conjugates of what it found")
     sizes = tuple((size, stab) for _, size, stab in raw_classes)
@@ -495,10 +498,11 @@ def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]
         x, y = s.witness
         pows = kern.power_list(x, mx + 1)  # x^0 .. x^mx, so x of order mx ends on the identity
         ident = pows[0]
-        if pows[mx] != ident or ident in pows[1:mx] or y in pows or not set(s.elements).issuperset(pows + [y]):
+        codes = set(s.key)
+        if pows[mx] != ident or ident in pows[1:mx] or y in pows or not codes.issuperset(map(kern.code, pows + [y])):
             raise InvalidInputError("a witness does not generate its subgroup")
     by_key = {s.key: s for s in subgroups}
-    found, raw_classes = _expand_orbits(kern, by_key, {})
+    found, raw_classes = _expand_orbits(kern, by_key)
     if len(found) != len(by_key):
         raise InvalidInputError("input list is not closed under conjugation")
     return tuple(ConjugacyClass(by_key[rk], size, stab) for rk, size, stab in raw_classes)

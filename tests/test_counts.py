@@ -295,9 +295,9 @@ def test_the_sylow_path_counts_without_listing_orbits(monkeypatch):
     expanded = []
     real = regular._expand_orbits
 
-    def spy(kern, seeds, shared):
+    def spy(kern, seeds):
         expanded.append(kern.group)
-        return real(kern, seeds, shared)
+        return real(kern, seeds)
 
     monkeypatch.setattr(regular, "_expand_orbits", spy)
     regular._search_cached.cache_clear()

@@ -1,10 +1,13 @@
+import re
+from dataclasses import replace
 from itertools import combinations, islice, product
 
 import pytest
 
 from holobrace.abelian import make_group, parse_group
 from holobrace.brace import brace_from_subgroup
-from holobrace.errors import InvalidInputError
+import holobrace.oddpart as oddpart
+from holobrace.errors import InternalConsistencyError, InvalidInputError
 from holobrace.kernel import get_kernel
 from holobrace.oddpart import (
     TauMap,
@@ -348,3 +351,32 @@ def test_exceptional_flags():
 def test_noncyclic_odd_part_gives_zero():
     r, c, sizes = reduce_counts(make_group([3, 3, 4]), TargetKind("quaternion", 2, 9))
     assert (r, c, sizes) == (0, 0, ())
+
+
+# the five exceptional 2-parts: C8, C2xC4 and C2^3 for Q; C4 and C2^2 for D
+EXCEPTIONAL_PAIRS = [
+    ("c5xc8", "q40"),
+    ("c5xc2xc4", "q40"),
+    ("c5xc2xc2xc2", "q40"),
+    ("c5xc4", "d20"),
+    ("c5xc2xc2", "d20"),
+]
+
+
+@pytest.mark.parametrize("nspec,kind", EXCEPTIONAL_PAIRS)
+def test_exceptional_reduction_checks_its_base_search(nspec, kind, monkeypatch):
+    # r = 3·r(N_2) is checked against the s = 3 base search that gives the
+    # class sizes; a base result that disagrees is an internal error
+    group, k = parse_group(nspec), parse_kind(kind)
+    r, _, _ = reduce_counts(group, k)
+    assert r > 0
+    real = oddpart.search_regular
+
+    def corrupted(g, kd):
+        res = real(g, kd)
+        return replace(res, r=res.r + 1)
+
+    monkeypatch.setattr(oddpart, "search_regular", corrupted)
+    want = f"the s = 3 base search finds r = {r + 1}, the 2-part gives 3·r(N_2) = {r}"
+    with pytest.raises(InternalConsistencyError, match=re.escape(want)):
+        reduce_counts(group, k)

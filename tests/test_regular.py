@@ -1,5 +1,5 @@
 import functools
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import gcd, lcm
 
 import pytest
@@ -12,12 +12,14 @@ from holobrace.kernel import Pool, PrimeSpace, get_kernel
 from holobrace.presentations import QUATERNION, admissible_types, classify_subgroup, parse_kind
 from holobrace.presentations import aut_order as target_aut_order
 from holobrace.regular import (
+    RegularSubgroup,
     _additive_pairs,
     _class_sizes,
     _expand_orbits,
     _frames,
     _search_cached,
     _seed_search,
+    _subgroup,
     _x_scan,
     classify,
     find_regular,
@@ -207,8 +209,8 @@ def test_stabilizers_give_the_classes_of_the_orbit_expansion(orders, kind):
     # hold one generating pair per automorphism of the target group.
     g, k = make_group(orders), parse_kind(kind)
     kern = get_kernel(g)
-    seeds = _seed_search(kern, k, kern.sylow_pool(), {})
-    found, raw_classes = _expand_orbits(kern, seeds, {})
+    seeds = _seed_search(kern, k, kern.sylow_pool())
+    found, raw_classes = _expand_orbits(kern, seeds)
     assert _class_sizes(kern, k, seeds) == tuple((size, stab) for _, size, stab in raw_classes)
     assert sum(size for _, size, _ in raw_classes) == len(found)
     for sub in seeds.values():
@@ -229,7 +231,7 @@ def test_a_linearity_check_without_the_order_condition_is_caught(monkeypatch):
     monkeypatch.setattr(PrimeSpace, "is_linear", without_order_condition)
     _search_cached.cache_clear()
     try:
-        seeds = _seed_search(kern, k, kern.sylow_pool(), {})
+        seeds = _seed_search(kern, k, kern.sylow_pool())
         frames = [_frames(kern, sub, False) for sub in seeds.values()]
         stabs = [sum(1 for _ in _additive_pairs(kern, f[0], f)) for f in frames]
         assert max(stabs) == 32 > aut_order(g) == 16
@@ -260,7 +262,7 @@ def test_a_listing_is_rebuilt_alike_on_every_use(nspec, kind, method):
     first, second = res.subgroups, res.subgroups
     assert first is not second  # rebuilt, not kept on the memoized result
     pool = kern.full_pool() if method == "full" else kern.sylow_pool()
-    found, raw_classes = _expand_orbits(kern, _seed_search(kern, k, pool, {}), {})
+    found, raw_classes = _expand_orbits(kern, _seed_search(kern, k, pool))
     assert [s.key for s in first] == [s.key for s in second] == sorted(found)
     assert res.r == len(found)
     assert [c.representative for c in res.classes] == [found[rk] for rk, _, _ in raw_classes]
@@ -437,18 +439,18 @@ def test_seeds_and_classes_match_a_search_over_the_oracle_list(group, monkeypatc
     for pool in oracle_pools(kern):
         method = pool.name[1]
         _x_scan.cache_clear()
-        streamed = [_seed_search(kern, kind, pool, {}) for kind in kinds]
+        streamed = [_seed_search(kern, kind, pool) for kind in kinds]
         _x_scan.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(Pool, "candidates", lambda p, mx: iter(scan_oracle(p, mx)[0]))
-            listed = [_seed_search(kern, kind, pool, {}) for kind in kinds]
+            listed = [_seed_search(kern, kind, pool) for kind in kinds]
         _x_scan.cache_clear()
         for kind, got, want in zip(kinds, streamed, listed):
             assert sorted(got) == sorted(want)
             if method == "sylow":
                 assert _class_sizes(kern, kind, got) == _class_sizes(kern, kind, want)
             else:
-                (found, classes), (ref_found, ref_classes) = (_expand_orbits(kern, s, {}) for s in (got, want))
+                (found, classes), (ref_found, ref_classes) = (_expand_orbits(kern, s) for s in (got, want))
                 assert sorted(found) == sorted(ref_found) and classes == ref_classes
 
 
@@ -602,9 +604,9 @@ def test_expand_orbits_matches_reference(nspec):
             pool = make_pool()
         except CapacityError:
             continue
-        q, d = (_seed_search(kern, parse_kind(f"{fam}{g.order}"), pool, {}) for fam in "qd")
+        q, d = (_seed_search(kern, parse_kind(f"{fam}{g.order}"), pool) for fam in "qd")
         for seeds in (q, d, {**q, **d}):
-            found, classes = _expand_orbits(kern, seeds, {})
+            found, classes = _expand_orbits(kern, seeds)
             ref_found, ref_classes = expand_orbits_reference(
                 kern, {k: s.elements for k, s in seeds.items()}
             )
@@ -630,10 +632,10 @@ def test_each_kind_seeds_alike_from_a_cold_and_a_shared_x_scan(nspec):
             continue
         for first, second in (kinds, kinds[::-1]):
             _x_scan.cache_clear()
-            cold = _seed_search(kern, second, pool, {})
+            cold = _seed_search(kern, second, pool)
             _x_scan.cache_clear()
-            _seed_search(kern, first, pool, {})
-            warm = _seed_search(kern, second, pool, {})
+            _seed_search(kern, first, pool)
+            warm = _seed_search(kern, second, pool)
             assert _x_scan.cache_info().misses <= 1  # one scan, or none past the order bound
             assert [(k, s.witness) for k, s in warm.items()] == [(k, s.witness) for k, s in cold.items()]
         checked += 1
@@ -661,12 +663,57 @@ def test_quaternion_and_dihedral_censuses_share_one_x_scan(nspec, order, method,
     assert streams == [((g, "full"), order // 2)]
 
 
-def test_subgroups_of_a_search_share_component_bytes():
-    # one bytes object per component permutation across all 5040 subgroups
-    res = search_regular(make_group([2, 2, 2, 2]), parse_kind("q16"))
-    assert res.r == 5040
-    comps = [b for sub in res.subgroups for e in sub.elements for b in e]
-    assert len({id(b) for b in comps}) <= len(set(comps))
+@pytest.mark.parametrize(
+    "nspec,kind",
+    [
+        ("c2xc2xc2xc2", "q16"),
+        ("c2xc8", "d16"),
+        ("c2xc2xc2", "d8"),
+        ("c3xc2xc4", "q24"),
+        ("c3xc2xc4", "d24"),
+        ("c7xc2xc2", "d28"),
+    ],
+)
+def test_a_subgroup_is_its_sorted_codes_and_its_witness(nspec, kind):
+    # a subgroup stores its key and witness only; its elements are the key's
+    # codes cut back into component permutations, and rebuilding it from
+    # them gives the same subgroup
+    assert [f.name for f in fields(RegularSubgroup)] == ["group", "kind", "key", "witness"]
+    g, k = parse_group(nspec), parse_kind(kind)
+    kern = get_kernel(g)
+    checked = 0
+    for make_pool in (kern.full_pool, kern.sylow_pool):
+        try:
+            pool = make_pool()
+        except CapacityError:
+            continue
+        found, _ = _expand_orbits(kern, _seed_search(kern, k, pool))
+        assert found
+        for key, sub in found.items():
+            assert sub.key == key == tuple(sorted(key))
+            assert all(tuple(map(len, e)) == tuple(kern.sizes) for e in sub.elements)
+            assert tuple(map(kern.code, sub.elements)) == sub.key
+            assert _subgroup(kern, k, sub.elements, sub.witness) == sub
+        checked += 1
+    assert checked
+
+
+def test_x_scan_refuses_a_candidate_the_stream_should_not_yield(monkeypatch):
+    # Pool.candidates yields only X of order mx with mx points through 0; a
+    # stream that breaks this must stop the scan, not drop subgroups
+    real = Pool.candidates
+
+    def squared_first(pool, mx):
+        stream = real(pool, mx)
+        x = next(stream)
+        yield get_kernel(pool.name[0]).compose(x, x)  # order mx/2
+        yield from stream
+
+    monkeypatch.setattr(Pool, "candidates", squared_first)
+    _x_scan.cache_clear()
+    kern = get_kernel(parse_group("c2xc8"))
+    with pytest.raises(InternalConsistencyError, match="order 4 with 4 points through 0, both must be 8"):
+        _x_scan(kern.full_pool(), 8)
 
 
 @pytest.mark.parametrize("spec", ["c8", "c2xc2xc2xc2", "c3xc2xc2", "c7xc2xc8"])

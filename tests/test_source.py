@@ -99,3 +99,26 @@ def test_every_unbounded_memo_is_in_the_readme_memo_table():
     assert "regular._search_cached" in memos and "regular._x_scan" in memos
     listed = _readme_memo_table()
     assert [m for m in memos if m not in listed] == []
+
+
+def _constructor_sites(name: str):
+    """`module.function` for each call of `name` in `src/`, by the innermost
+    enclosing function (`module.<module>` at top level)."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(node), node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name:
+                    yield f"{path.stem}.{owner.get(node, '<module>')}"
+
+
+def test_only_subgroup_builds_a_regular_subgroup():
+    # `_subgroup` sorts the element codes into the key; a subgroup built
+    # anywhere else could carry a key that is not its sorted codes
+    assert list(_constructor_sites("RegularSubgroup")) == ["regular._subgroup"]
