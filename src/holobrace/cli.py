@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from .abelian import parse_group
-from .brace import BraceTable, brace_from_subgroup, ybe_solution
+from .brace import BraceTable, brace_from_subgroup, verify_brace, ybe_solution
 from .counts import (
     CountReport,
     census,
@@ -177,12 +177,20 @@ def _brace_pieces(bt: BraceTable) -> Iterator[str]:
     return _dump_list(payload, "circ", ([_dump(row)] for row in rows))
 
 
+def _verified_brace(rep) -> BraceTable:
+    bt = brace_from_subgroup(rep)
+    if not verify_brace(bt):
+        raise HolobraceError("brace axioms failed")
+    return bt
+
+
 def _cmd_brace_export(args) -> int:
     group, kind, reps = _class_braces(args)
     # one circ row per write: a single `_dump` would hold a str per entry of
-    # every row until it joins them, and only one brace is built at a time
+    # every row until it joins them, and only one brace is built at a time,
+    # and verified before its first row is written
     head = {"schema": "v1", "N": group.display_name(), "G": kind.display_name()}
-    pieces = _dump_list(head, "braces", map(_brace_pieces, map(brace_from_subgroup, reps)))
+    pieces = _dump_list(head, "braces", map(_brace_pieces, map(_verified_brace, reps)))
     if args.out and args.out != "-":
         with _open(args.out, "w") as fh:
             fh.writelines(pieces)

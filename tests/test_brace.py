@@ -9,6 +9,7 @@ from holobrace.brace import (
     _add_table,
     brace_from_subgroup,
     brace_violation,
+    circ_generators,
     lambda_is_homomorphism,
     verify_brace,
     ybe_solution,
@@ -255,14 +256,17 @@ def class_braces(pairs):
     ]
 
 
-def test_checks_agree_with_oracles_on_table1_braces():
-    pairs = [
+def table1_pairs():
+    return [
         (two, parse_kind(fam + str(two.order)))
         for n in (2, 3, 4)
         for fam in "qd"
         for two in admissible_types(n)
     ]
-    braces = class_braces(pairs)
+
+
+def test_checks_agree_with_oracles_on_table1_braces():
+    braces = class_braces(table1_pairs())
     assert len(braces) == 31  # the sum of the c column of table 1
     for bt in braces:
         assert_checks_agree(bt)
@@ -315,6 +319,103 @@ def test_relabelled_group_fails_the_brace_relation():
     bad = BraceTable(bt.group, circ, bt.lam)
     ref = brace_violation_reference(bad)
     assert ref[0] == "brace-relation" and brace_violation(bad) == ref[:3]
+
+
+def with_circ(bt, circ):
+    return BraceTable(bt.group, tuple(map(tuple, circ)), bt.lam)
+
+
+def rho_1_orbits(circ):
+    """The orbits of b -> 1 o b, 0's first."""
+    seen, orbits = set(), []
+    for x in range(len(circ)):
+        orbit = []
+        while x not in seen:
+            seen.add(x)
+            orbit.append(x)
+            x = circ[1][x]
+        if orbit:
+            orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize("nspec,kind", [("c2xc8", "d16"), ("c2xc16", "q32")])
+def test_swaps_outside_the_generators_are_named_like_the_oracle(nspec, kind):
+    bt = nontrivial_brace(nspec, kind)
+    n = bt.size
+    gens = set(circ_generators(bt.circ))
+    swaps = [(1, 2), (1, n - 1), (n // 2, n // 2 + 1), (n - 2, n - 1)]
+
+    def assert_named_like_the_oracle(rows, b, c):
+        circ = [list(r) for r in bt.circ]
+        for a in rows:
+            circ[a][b], circ[a][c] = circ[a][c], circ[a][b]
+        bad = with_circ(bt, circ)
+        ref = brace_violation_reference(bad)
+        assert ref is not None and brace_violation(bad) == ref[:3]
+        return ref[1]
+
+    # one swap inside a row that is not a generator
+    rows = [a for a in range(1, n) if a not in gens]
+    for a in rows[:: max(1, len(rows) // 4)]:
+        for b, c in swaps:
+            assert_named_like_the_oracle([a], b, c)
+    # the same swap in every row of a rho_1-orbit keeps rho_{1 o b} = rho_1
+    # rho_b for every b: the first failure is at a later generator
+    firsts = {
+        assert_named_like_the_oracle(orbit, b, c)
+        for orbit in rho_1_orbits(bt.circ)[1:]
+        for b, c in swaps
+    }
+    assert min(firsts) > 1
+
+
+def relabelled(bt, i, j):
+    """a o' b = pi(pi(a) o pi(b)) for the transposition pi = (i j)."""
+    n = bt.size
+    pi = list(range(n))
+    pi[i], pi[j] = j, i
+    return with_circ(bt, [[pi[bt.circ[pi[a]][pi[b]]] for b in range(n)] for a in range(n)])
+
+
+def test_relabellings_that_break_only_the_brace_relation():
+    # (N, o') is a group isomorphic to (N, o), so every identity but the brace
+    # relation holds; no transposition fixing 0 is additive on a group of order 16
+    braces = class_braces([(parse_group("c16"), parse_kind("d16"))])
+    braces += [brace_from_subgroup(translation_subgroup(orders)) for orders in ([16], [2, 2, 4])]
+    witnesses = set()
+    for bt in braces:
+        for i, j in combinations(range(1, 16), 2):
+            bad = relabelled(bt, i, j)
+            ref = brace_violation_reference(bad)
+            assert ref[0] == "brace-relation" and brace_violation(bad) == ref[:3]
+            witnesses.add(ref[1:3])
+    # failures first at some a > 1, and first at a unit vector b > 1
+    assert any(a > 1 for a, _ in witnesses) and any(b > 1 for _, b in witnesses)
+
+
+def right_nested_products(circ, gens):
+    """Every g1 o (g2 o (... o (gk o 0))) with each gi in gens."""
+    products, last = {0}, set()
+    while products != last:
+        last = set(products)
+        products |= {circ[g][x] for g in gens for x in last}
+    return products
+
+
+def test_circ_generators_are_few_and_generate():
+    # table 1, order 32, and the pairs of the `braces` benchmark workload
+    pairs = table1_pairs()
+    pairs += [(parse_group(N), parse_kind(G)) for N in ("c32", "c2xc16") for G in ("q32", "d32")]
+    pairs += [(parse_group(N), parse_kind(G)) for N, G in
+              [("c2xc32", "q64"), ("c5xc2xc8", "d80"), ("c7xc2xc8", "d112")]]
+    braces = class_braces(pairs)
+    assert len(braces) == 31 + 14 + 3 * 6
+    for bt in braces:
+        n = bt.size
+        gens = circ_generators(bt.circ)
+        assert len(gens) <= n.bit_length() - 1  # floor(log2 n)
+        assert right_nested_products(bt.circ, gens) == set(range(n))
 
 
 def test_corrupted_lambda_is_rejected():

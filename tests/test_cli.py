@@ -437,6 +437,22 @@ def test_ybe_check_verifies_each_brace_once(capsys, monkeypatch):
     assert "brace axioms failed" in err
 
 
+def test_brace_export_verifies_each_brace_before_its_rows(capsys, monkeypatch):
+    import holobrace.brace as brace
+
+    calls = []
+    real = brace.brace_violation
+    monkeypatch.setattr(brace, "brace_violation", lambda bt: calls.append(bt) or real(bt))
+    code, out, _ = run(capsys, "brace-export", "--N", "c2xc4", "--G", "d8")
+    assert code == EXIT_OK
+    assert len(calls) == len(json.loads(out)["braces"]) == 5
+    monkeypatch.setattr(brace, "brace_violation", lambda bt: ("associativity", 0, 0))
+    code, out, err = run(capsys, "brace-export", "--N", "c2xc4", "--G", "d8")
+    assert code == EXIT_MISMATCH
+    assert "brace axioms failed" in err
+    assert '"circ"' not in out  # no row of the failing brace was written
+
+
 @pytest.mark.parametrize(
     "name,value",
     [("HOLOBRACE_CAP", "2M"), ("HOLOBRACE_CAP", "0"), ("HOLOBRACE_HOL_CAP", "2M"), ("HOLOBRACE_HOL_CAP", "-1")],
