@@ -46,7 +46,6 @@ from .regular import (
     RegularSubgroup,
     classify,
     find_regular,
-    find_regular_sylow,
     generate_closure,
     is_regular,
     search_regular,

@@ -234,27 +234,7 @@ def parse_group(text: str) -> GroupSpec:
     raise InvalidInputError(f"cannot parse group spec {text!r}")
 
 
-@dataclass(frozen=True)
-class SylowSplitter:
-    """Bijection N <-> N_s x N_2 induced by the canonical factor layout."""
-
-    group: GroupSpec
-    odd: GroupSpec
-    two: GroupSpec
-
-    def split(self, g: Element) -> tuple[Element, Element]:
-        self.group.check_element(g)
-        k = len(self.two.factors)
-        return g[k:], g[:k]
-
-    def merge(self, g_odd: Element, g_two: Element) -> Element:
-        self.odd.check_element(g_odd)
-        self.two.check_element(g_two)
-        return g_two + g_odd
-
-
-def sylow_decompose(group: GroupSpec) -> tuple[GroupSpec, GroupSpec, SylowSplitter]:
-    """Split N into its odd part N_s and 2-part N_2 with an element bijection."""
+def sylow_decompose(group: GroupSpec) -> tuple[GroupSpec, GroupSpec]:
+    """Split N into its odd part N_s and its 2-part N_2."""
     odd = GroupSpec(tuple(q for q, (p, _) in zip(group.factors, group.prime_of_factor) if p != 2))
-    two = group.component(2)
-    return odd, two, SylowSplitter(group, odd, two)
+    return odd, group.component(2)

@@ -3,28 +3,32 @@
 A regular subgroup S of Hol(N) has exactly one element g_a with translation
 part a for each a in N; setting a o b = g_a(b) makes (N, +, o) a brace whose
 lambda map is lambda_a(b) = -a + a o b.  Elements are handled by their
-lexicographic index in N throughout.
+lexicographic index in N throughout.  A brace is its o-table `circ`; the
+lambda rows are derived from it on first read, and only the YBE solution
+reads them.
 
 Every axiom is checked as one identity between whole rows, permutations of
 the indices such as rho_a = circ[a] (b -> a o b) and tau_b (c -> b + c).
 The brace axioms are checked on generators only (see `brace_violation`):
-associativity for a in a o-generating set, at most log2 n rows times n, and
-the brace relation for b in the additive basis, n rows times the number of
-factors.  The braid relation of the YBE solution stays a direct check of
-every (x, y), n^2 row compositions, since it is the check of the output
-table that does not rest on the brace axioms.
+associativity for a in a o-generating set G, at most log2 n rows times n,
+and the brace relation for a in G and b in the additive basis, 2 |G| rows
+per factor, building only the translation rows it reads.  The braid
+relation of the YBE solution stays a direct check of every (x, y), n^2 row
+compositions, since it is the check of the output table that does not rest
+on the brace axioms.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
 from .abelian import GroupSpec
 from .errors import InternalConsistencyError, InvalidInputError
-from .kernel import get_kernel
+from .kernel import HolKernel, get_kernel
 from .regular import RegularSubgroup
 
 Row = tuple[int, ...]
@@ -34,11 +38,16 @@ Row = tuple[int, ...]
 class BraceTable:
     group: GroupSpec
     circ: tuple[tuple[int, ...], ...]  # circ[a][b] = index of a o b
-    lam: tuple[tuple[int, ...], ...]   # lam[a][b]  = index of lambda_a(b)
 
     @property
     def size(self) -> int:
         return self.group.order
+
+    @cached_property
+    def lam(self) -> tuple[Row, ...]:
+        """lam[a][b] = index of lambda_a(b): lambda_a = tau_{-a} rho_a."""
+        add = _add_table(self.group)
+        return tuple(_compose(add[tau.index(0)], rho) for tau, rho in zip(add, self.circ))
 
     def is_trivial(self) -> bool:
         return self.circ == _add_table(self.group)
@@ -59,18 +68,15 @@ def _compose(p: Row, q: Row) -> Row:
     return itemgetter(*q)(p)
 
 
+def _translation(kern: HolKernel, a: int) -> Row:
+    """tau_a: b -> a + b, the kernel's translation by a."""
+    return kern.images(tuple(sp.add_rows[tab[a]] for sp, tab in zip(kern.spaces, kern.split_tabs)))
+
+
 def _add_table(group: GroupSpec) -> tuple[Row, ...]:
-    """add[a] is tau_a: b -> a + b, the kernel's translation by a."""
+    """add[a] is tau_a for every a."""
     kern = get_kernel(group)
-    return tuple(
-        kern.images(tuple(sp.add_rows[tab[a]] for sp, tab in zip(kern.spaces, kern.split_tabs)))
-        for a in range(group.order)
-    )
-
-
-def _lambda_rows(add: tuple[Row, ...], circ: tuple[Row, ...]) -> list[Row]:
-    """lambda_a = tau_{-a} rho_a for every a."""
-    return [_compose(add[row.index(0)], rho) for row, rho in zip(add, circ)]
+    return tuple(_translation(kern, a) for a in range(group.order))
 
 
 def brace_from_subgroup(sub: RegularSubgroup) -> BraceTable:
@@ -83,7 +89,7 @@ def brace_from_subgroup(sub: RegularSubgroup) -> BraceTable:
     if len(by_trans) != n or len(elements) != n:
         raise InvalidInputError("subgroup is not regular")
     circ = tuple(kern.images(by_trans[a]) for a in range(n))
-    return BraceTable(group, circ, tuple(_lambda_rows(_add_table(group), circ)))
+    return BraceTable(group, circ)
 
 
 def circ_generators(circ: tuple[Row, ...]) -> list[int]:
@@ -114,7 +120,7 @@ def circ_generators(circ: tuple[Row, ...]) -> list[int]:
 
 
 def brace_violation(bt: BraceTable) -> Optional[tuple]:
-    """First failure of the brace axioms on `circ` (`lam` is not read), or None.
+    """First failure of the brace axioms on `circ`, or None.
 
     ("row-not-bijective", a) or ("identity", a): rho_a is not a permutation
     with rho_a(0) = a = rho_0(a).  ("associativity", a, b): rho_{a o b} !=
@@ -122,26 +128,22 @@ def brace_violation(bt: BraceTable) -> Optional[tuple]:
     lambda_a, i.e. a o (b + c) != a o b - a + a o c for some c.  The failing
     (a, b) is the first in the order of the full double loop over N^2.
 
-    Both n^2 identities are checked on generators only:
-
-    - associativity for a in `circ_generators(circ)` and every b.  The set A
-      of a for which it holds for every b contains 0 (rho_0 is the identity)
-      and is closed under o (rho_{(a o a') o b} = rho_{a o (a' o b)} = rho_a
-      rho_{a'} rho_b), so it holds every right-nested product of the
-      generators from 0, which is all of N.  The least a outside A is itself
-      a generator: every earlier generator lies in A, so what they reach
-      does too, and the greedy choice takes the least element not reached;
-    - the brace relation for every a and each unit vector e of
-      `group.factors`, in ascending index.  For fixed a the set B of b for
-      which it holds is closed under + (lambda_a tau_{b + b'} =
-      tau_{lambda_a(b) + lambda_a(b')} lambda_a, and at 0 this gives
-      lambda_a(b + b') = lambda_a(b) + lambda_a(b') as lambda_a(0) = 0), so
-      it is all of N.  If the unit vectors below e lie in B, so do all
-      indices below e's, as those are the elements they span: the least b
-      outside B is the first failing unit vector.
-
-    So the first failure on generators is the first failure of the full
-    double loop, and no full scan is needed to name it.
+    Both n^2 identities are checked for a in the o-generators G =
+    `circ_generators(circ)` only, the brace relation for b in the unit
+    vectors of `group.factors`, in ascending index, only.  The set of a for
+    which associativity holds for every b contains 0 and is closed under o
+    (rho_{(a o a') o b} = rho_{a o (a' o b)} = rho_a rho_{a'} rho_b).  So is,
+    once o is associative, the set of a with lambda_a additive, since then
+    lambda_{a o a'} = lambda_a lambda_{a'}.  Each set holds what G reaches
+    from 0, all of N, and its least non-member is in G: every generator
+    below it is a member, so is all they reach, and the greedy choice takes
+    the least element not reached.  For fixed a the set of b for which the
+    relation holds is closed under + (lambda_a tau_{b + b'} =
+    tau_{lambda_a(b) + lambda_a(b')} lambda_a, which at 0 makes lambda_a
+    additive on it), and if the unit vectors below e are in it so is every
+    index below e's, as they span those: its least non-member is the first
+    failing unit vector.  So the first failure on generators is the first
+    failure of the full double loop.
     """
     n = bt.size
     circ = bt.circ
@@ -151,17 +153,22 @@ def brace_violation(bt: BraceTable) -> Optional[tuple]:
             return ("row-not-bijective", a)
         if circ[a][0] != a or circ[0][a] != a:
             return ("identity", a)
-    for g in circ_generators(circ):
+    gens = circ_generators(circ)
+    for g in gens:
         rho_g = circ[g]
         for b in rng:
             if circ[rho_g[b]] != _compose(rho_g, circ[b]):
                 return ("associativity", g, b)
-    add = _add_table(bt.group)
-    basis = sorted(bt.group.strides)  # the unit vectors' indices
-    for a, lam_a in enumerate(_lambda_rows(add, circ)):
-        for e in basis:
-            if _compose(lam_a, add[e]) != _compose(add[lam_a[e]], lam_a):
-                return ("brace-relation", a, e)
+    group = bt.group
+    kern = get_kernel(group)
+    basis = sorted(group.strides)  # the unit vectors' indices
+    tau = [_translation(kern, e) for e in basis]
+    for g in gens:
+        minus_g = group.index(group.neg(group.element_at(g)))
+        lam_g = _compose(_translation(kern, minus_g), circ[g])
+        for e, tau_e in zip(basis, tau):
+            if _compose(lam_g, tau_e) != _compose(_translation(kern, lam_g[e]), lam_g):
+                return ("brace-relation", g, e)
     return None
 
 
@@ -171,23 +178,10 @@ def verify_brace(bt: BraceTable) -> bool:
     return brace_violation(bt) is None
 
 
-def lambda_is_homomorphism(bt: BraceTable) -> bool:
-    """lambda_{a o b} = lambda_a lambda_b for every a, b.
-
-    This follows from the brace axioms; it is not part of `verify_brace`,
-    and serves as an independent check in tests.
-    """
-    lam, circ = bt.lam, bt.circ
-    return all(
-        lam[circ[a][b]] == _compose(lam[a], lam[b]) for a in range(bt.size) for b in range(bt.size)
-    )
-
-
 @dataclass(frozen=True)
 class YbeSolution:
     group: GroupSpec
     table: tuple[tuple[tuple[int, int], ...], ...]  # r(x, y) as (u, v) pairs
-    left_bijective: bool
     right_bijective: bool
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
@@ -225,9 +219,9 @@ def ybe_violation(table: tuple[tuple[tuple[int, int], ...], ...]) -> Optional[tu
 def ybe_solution(bt: BraceTable) -> YbeSolution:
     """The involutive solution r(x, y) = (lambda_x(y), lambda_x(y)^' o x o y).
 
-    (' is inverse in (N, o).)  Involutivity and the braid relation are
-    checked by `ybe_violation`; failure raises InternalConsistencyError since
-    the brace construction guarantees both.
+    (' is inverse in (N, o).)  Involutivity, left non-degeneracy and the
+    braid relation are checked by `ybe_violation`; failure raises
+    InternalConsistencyError since the brace construction guarantees them.
     """
     if not verify_brace(bt):
         raise InvalidInputError("not a brace table")
@@ -241,4 +235,4 @@ def ybe_solution(bt: BraceTable) -> YbeSolution:
     if bad is not None:
         raise InternalConsistencyError(f"{bad[0]} fails at {bad[1:]}")
     right = all(sorted(v for _, v in col) == list(range(n)) for col in zip(*table))
-    return YbeSolution(bt.group, table, True, right)
+    return YbeSolution(bt.group, table, right)

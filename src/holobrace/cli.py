@@ -211,9 +211,8 @@ def _cmd_ybe_check(args) -> int:
             sol = ybe_solution(brace_from_subgroup(rep))
         except InvalidInputError as exc:
             raise HolobraceError("brace axioms failed") from exc
-        checked.append(
-            {"left_nondegenerate": sol.left_bijective, "right_nondegenerate": sol.right_bijective}
-        )
+        # ybe_solution refuses a left-degenerate table
+        checked.append({"left_nondegenerate": True, "right_nondegenerate": sol.right_bijective})
     _emit(
         _dump(
             {

@@ -141,7 +141,7 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto", cross_check
         raise InvalidInputError(
             f"target {kind.label()} has order {kind.order} but |{group}| = {group.order}"
         )
-    odd, two, _ = sylow_decompose(group)
+    odd, two = sylow_decompose(group)
     n = two.two_adic
     if n < 2:
         raise InvalidInputError("quaternion/dihedral targets need 4 | |N|")
@@ -214,7 +214,7 @@ def _census_auto(group: GroupSpec, kind: TargetKind, odd: GroupSpec, two: GroupS
 
 def hgs_reduce(group: GroupSpec, kind: TargetKind) -> int:
     """h(N, J) = h(N_2, J_2) * s; with s = 1 this is the direct count."""
-    odd, two, _ = sylow_decompose(group)
+    odd, two = sylow_decompose(group)
     if not odd.is_cyclic():
         return 0
     return two_power_census(two, kind.family).h * odd.order

@@ -117,7 +117,7 @@ def reduce_counts(group: GroupSpec, kind: TargetKind):
     and take c from the directly-enumerated s = 3 base case, which must find
     those 3·r(N_2) subgroups itself.
     """
-    odd, two, _ = sylow_decompose(group)
+    odd, two = sylow_decompose(group)
     if odd.order < 3:
         raise InvalidInputError("reduction needs an odd part s >= 3")
     if kind.order != group.order or kind.s != odd.order:

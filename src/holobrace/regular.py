@@ -479,12 +479,6 @@ def find_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> tu
     return search_regular(group, kind, method).subgroups
 
 
-def find_regular_sylow(group: GroupSpec, kind: TargetKind) -> SearchResult:
-    """Sylow-restricted search, its classes sized by stabilizers; complete by
-    conjugacy."""
-    return search_regular(group, kind, "sylow")
-
-
 def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]:
     """Partition a complete list of subgroups into Aut(N)-conjugacy orbits."""
     subgroups = list(subgroups)

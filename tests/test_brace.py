@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from itertools import combinations, permutations, product
 
 import pytest
@@ -10,14 +11,13 @@ from holobrace.brace import (
     brace_from_subgroup,
     brace_violation,
     circ_generators,
-    lambda_is_homomorphism,
     verify_brace,
     ybe_solution,
     ybe_violation,
 )
 from holobrace.errors import InvalidInputError
 from holobrace.holomorph import from_kernel, hol_apply, hol_from_translation, to_kernel
-from holobrace.kernel import get_kernel
+from holobrace.kernel import HolKernel, get_kernel
 from holobrace.presentations import TargetKind, admissible_types, parse_kind
 from holobrace.regular import _subgroup, search_regular
 
@@ -49,7 +49,7 @@ def test_verify_brace_negative_control():
     bt = brace_from_subgroup(translation_subgroup([8]))
     rows = [list(r) for r in bt.circ]
     rows[3][4], rows[3][5] = rows[3][5], rows[3][4]  # corrupt one row
-    bad = BraceTable(bt.group, tuple(tuple(r) for r in rows), bt.lam)
+    bad = BraceTable(bt.group, tuple(tuple(r) for r in rows))
     assert not verify_brace(bad)
     assert brace_violation(bad) is not None
 
@@ -62,7 +62,8 @@ def test_all_small_braces_verify():
         for cls in res.classes:
             bt = brace_from_subgroup(cls.representative)
             assert verify_brace(bt)
-            assert lambda_is_homomorphism(bt)
+            assert lambda_is_homomorphism_reference(bt)
+            assert bt.lam == lambda_reference(bt)
             checked += 1
     assert checked >= 10
 
@@ -104,7 +105,7 @@ def test_ybe_checks_hold_for_order8_braces():
         res = search_regular(parse_group(nspec), parse_kind(kind))
         for cls in res.classes:
             sol = ybe_solution(brace_from_subgroup(cls.representative))
-            assert sol.left_bijective and sol.right_bijective
+            assert sol.right_bijective
 
 
 def test_conjugate_subgroups_give_isomorphic_braces():
@@ -203,13 +204,25 @@ def brace_violation_reference(bt):
     return None
 
 
+def lambda_reference(bt):
+    """lambda_a(b) = -a + a o b by the group's own arithmetic."""
+    g = bt.group
+    elems = list(g.elements())
+    return tuple(
+        tuple(g.index(g.sub(elems[bt.circ[a][b]], elems[a])) for b in range(bt.size))
+        for a in range(bt.size)
+    )
+
+
 def lambda_is_homomorphism_reference(bt):
+    """lambda_{a o b} = lambda_a lambda_b for every a, b, compared at every c."""
     n = bt.size
+    lam = lambda_reference(bt)
     for a in range(n):
-        la = bt.lam[a]
+        la = lam[a]
         for b in range(n):
-            lab = bt.lam[bt.circ[a][b]]
-            lb = bt.lam[b]
+            lab = lam[bt.circ[a][b]]
+            lb = lam[b]
             if any(lab[c] != la[lb[c]] for c in range(n)):
                 return False
     return True
@@ -242,7 +255,6 @@ def assert_checks_agree(bt):
     """The fast checks and the oracles give the same verdicts on bt."""
     ref = brace_violation_reference(bt)
     assert brace_violation(bt) == (ref and ref[:3])
-    assert lambda_is_homomorphism(bt) == lambda_is_homomorphism_reference(bt)
     if ref is None:
         table = ybe_solution(bt).table
         assert ybe_violation(table) is None and ybe_violation_reference(table) is None
@@ -295,7 +307,7 @@ def test_corrupted_circ_is_rejected():
     bt = nontrivial_brace("c2xc8", "d16")
     rows = [list(r) for r in bt.circ]
     rows[3][5] = rows[3][6]
-    bad = BraceTable(bt.group, tuple(map(tuple, rows)), bt.lam)
+    bad = BraceTable(bt.group, tuple(map(tuple, rows)))
     assert brace_violation(bad) == brace_violation_reference(bad) == ("row-not-bijective", 3)
     # swapping two entries keeps every row a permutation fixing 0, so only
     # associativity and the brace relation are left to catch it
@@ -305,7 +317,7 @@ def test_corrupted_circ_is_rejected():
         for b, c in combinations(range(1, n), 2):
             rows = [list(r) for r in bt.circ]
             rows[a][b], rows[a][c] = rows[a][c], rows[a][b]
-            bad = BraceTable(bt.group, tuple(map(tuple, rows)), bt.lam)
+            bad = BraceTable(bt.group, tuple(map(tuple, rows)))
             ref = brace_violation_reference(bad)
             assert ref is not None and brace_violation(bad) == ref[:3]
 
@@ -316,13 +328,13 @@ def test_relabelled_group_fails_the_brace_relation():
     bt = brace_from_subgroup(translation_subgroup([8]))
     pi = [0, 2, 1, 3, 4, 5, 6, 7]
     circ = tuple(tuple(pi[bt.circ[pi[a]][pi[b]]] for b in range(8)) for a in range(8))
-    bad = BraceTable(bt.group, circ, bt.lam)
+    bad = BraceTable(bt.group, circ)
     ref = brace_violation_reference(bad)
     assert ref[0] == "brace-relation" and brace_violation(bad) == ref[:3]
 
 
 def with_circ(bt, circ):
-    return BraceTable(bt.group, tuple(map(tuple, circ)), bt.lam)
+    return BraceTable(bt.group, tuple(map(tuple, circ)))
 
 
 def rho_1_orbits(circ):
@@ -418,13 +430,31 @@ def test_circ_generators_are_few_and_generate():
         assert right_nested_products(bt.circ, gens) == set(range(n))
 
 
-def test_corrupted_lambda_is_rejected():
-    bt = nontrivial_brace("c2xc8", "d16")
-    rows = [list(r) for r in bt.lam]
-    rows[3][5] = rows[3][6]
-    bad = BraceTable(bt.group, bt.circ, tuple(map(tuple, rows)))
-    assert not lambda_is_homomorphism(bad)
-    assert not lambda_is_homomorphism_reference(bad)
+def test_each_brace_builds_only_the_rows_it_reads(monkeypatch):
+    # n = 112 and k = 3 factors: circ is n rows, the brace check about
+    # k + 1 translation rows per o-generator (at most floor(log2 n) of them)
+    # and the addition table only when the YBE solution reads lambda
+    group, kind = parse_group("c7xc2xc8"), parse_kind("d112")
+    reps = [cls.representative for cls in search_regular(group, kind).classes]
+    n, k = group.order, len(group.factors)
+    calls = []
+    images = HolKernel.images
+    monkeypatch.setattr(HolKernel, "images", lambda kern, x: calls.append(x) or images(kern, x))
+
+    def count(fn, *args):
+        before = len(calls)
+        return fn(*args), len(calls) - before
+
+    assert [f.name for f in fields(BraceTable)] == ["group", "circ"]
+    assert len(reps) == 6
+    for rep in reps:
+        bt, built = count(brace_from_subgroup, rep)
+        assert built == n
+        ok, verified = count(verify_brace, bt)
+        assert ok and verified <= (2 * k + 2) * (n.bit_length() - 1) + k
+        _, solved = count(ybe_solution, bt)
+        assert solved <= verified + n
+        assert count(lambda: bt.lam)[1] == 0
 
 
 def test_corrupted_ybe_pair_is_rejected():

@@ -23,7 +23,6 @@ from holobrace.regular import (
     _x_scan,
     classify,
     find_regular,
-    find_regular_sylow,
     generate_closure,
     is_regular,
     search_regular,
@@ -191,7 +190,7 @@ def test_sylow_path_matches_full_path(orders, kind):
     g = make_group(orders)
     k = parse_kind(kind)
     full = search_regular(g, k, method="full")
-    syl = find_regular_sylow(g, k)
+    syl = search_regular(g, k, method="sylow")
     assert full.keys == syl.keys
     assert full.c == syl.c
     assert sorted(c.orbit_size for c in full.classes) == sorted(
@@ -318,7 +317,7 @@ def test_sylow_path_matches_full_path_c2p4(monkeypatch):
     # |Hol(C2^4)| = 322560: raise the scan cap so the full path runs too
     g = make_group([2, 2, 2, 2])
     k = parse_kind("q16")
-    syl = find_regular_sylow(g, k)
+    syl = search_regular(g, k, method="sylow")
     monkeypatch.setenv("HOLOBRACE_HOL_CAP", "400000")
     full = search_regular(g, k, method="full")
     assert full.keys == syl.keys

@@ -1,6 +1,8 @@
 """Structural checks on the package source."""
 
 import ast
+import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -122,3 +124,41 @@ def test_only_subgroup_builds_a_regular_subgroup():
     # `_subgroup` sorts the element codes into the key; a subgroup built
     # anywhere else could carry a key that is not its sorted codes
     assert list(_constructor_sites("RegularSubgroup")) == ["regular._subgroup"]
+
+
+def _trace_entry_points():
+    """The (module, attribute, span) triples of `ENTRY_POINTS` in the
+    benchmark's tracer, read from its source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "ENTRY_POINTS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py has no ENTRY_POINTS")
+
+
+def _resolves(module_name: str, dotted: str) -> bool:
+    *path, last = dotted.split(".")
+    obj = importlib.import_module(module_name)
+    for part in path:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    # a dataclass field without a default is no class attribute
+    fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+    return hasattr(obj, last) or last in fields
+
+
+def test_every_benchmark_trace_entry_point_resolves():
+    # traced benchmark passes wrap each entry point and read these
+    # attributes off the results: a deleted or renamed one fails them
+    entries = _trace_entry_points()
+    assert ("holobrace.brace", "verify_brace", "brace.verify") in entries
+    read = [
+        ("holobrace.brace", "BraceTable.size"),
+        ("holobrace.regular", "SearchResult.r"),
+        ("holobrace.regular", "SearchResult.c"),
+        ("holobrace.endo", "AutGroup.order"),
+        ("holobrace.kernel", "Pool.__len__"),
+    ]
+    names = [(module, attr) for module, attr, _ in entries] + read
+    assert [name for name in names if not _resolves(*name)] == []
