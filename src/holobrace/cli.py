@@ -243,7 +243,7 @@ def build_parser() -> _Parser:
     for flag, method, text in (
         ("--structured", "structured", "use the closed-form family solver"),
         ("--via-reduction", "reduction", "use the odd-part reduction"),
-        ("--direct", "direct", "force the generic search"),
+        ("--direct", "direct", "force the full scan of Hol(N)"),
         ("--sylow", "sylow", "force the Sylow-restricted search"),
     ):
         paths.add_argument(flag, dest="method", action="store_const", const=method, help=text)

@@ -132,7 +132,8 @@ def two_power_census(group: GroupSpec, family: str) -> CensusResult:
 def census(group: GroupSpec, kind: TargetKind, method: str = "auto", cross_check: bool = False) -> CensusResult:
     """(c, r, h) for the pair (N, kind), choosing the cheapest sound path.
 
-    method: auto | direct | sylow | structured | reduction.  With
+    method: auto | direct | sylow | structured | reduction; direct is the
+    full scan of Hol(N), refused past its cap, never the Sylow path.  With
     cross_check=True a second path that shares no search with the first
     runs and must agree on (c, r, h) and on the multiset of (orbit,
     stabilizer) classes; where none can run, `unchecked` says why.
@@ -187,7 +188,7 @@ def _no_second_path(group: GroupSpec, kind: TargetKind, method: str) -> str:
 
 def _census_by_method(group: GroupSpec, kind: TargetKind, method: str, odd: GroupSpec, two: GroupSpec) -> CensusResult:
     if method in ("direct", "sylow"):
-        res = search_regular(group, kind, "auto" if method == "direct" else "sylow")
+        res = search_regular(group, kind, "full" if method == "direct" else "sylow")
         return _from_search(res, res.method)
     if method == "structured":
         if odd.order != 1:

@@ -12,8 +12,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm, prod
+from operator import add, mul
 
 from . import config
 from .abelian import Element, GroupSpec, reach
@@ -241,10 +242,11 @@ class PrimeSpace:
                 leaders.append(a)
         return leaders
 
-    def cycles_dividing(self, aut_list: list[bytes], mx: int) -> Iterator[tuple[bytes, int]]:
-        """(x, c) for each x = (A, v) of `hol_elements(aut_list)`, in that
+    def cycles_dividing(self, aut_list: list[bytes], mx: int) -> Iterator[tuple[bytes, int, int]]:
+        """(A, v, c) for each x = (A, v) of `hol_elements(aut_list)`, in that
         order, whose order divides mx, c the length of its cycle through 0.
-        `Pool.candidates` passes the first component's `cyclic_leaders` here.
+        `Pool.candidates` passes the first component's `cyclic_leaders` here,
+        and builds x (`hol_perm(A, v)`) only for the survivors it keeps.
 
         x^k = (A^k, x^k(0)), so order(x) = lcm(order(A), c)."""
         add_rows = self.add_rows
@@ -257,7 +259,13 @@ class PrimeSpace:
                     c += 1
                     cur = row[a[cur]]
                 if not cur and mx % c == 0:
-                    yield self.hol_perm(a, v), c
+                    yield a, v, c
+
+
+def tile(seq, count: int):
+    """`seq` repeated to `count` items: seq[i % len(seq)] for i < count."""
+    reps = -(-count // len(seq))
+    return seq * reps if reps * len(seq) == count else (seq * reps)[:count]
 
 
 @lru_cache(maxsize=None)
@@ -310,19 +318,46 @@ class HolKernel:
         """Subgroup generated by `gens`; CapacityError once it passes bound."""
         return reach(self.identity, gens, self.compose, bound)
 
+    def cycles(self, x: KernelElement, count: int, start: KernelElement | None = None) -> list[list[bytes]]:
+        """Per component, the cycle [s_p, x_p s_p, x_p^2 s_p, ...] of
+        s = start (the identity by default) under x_p: x_p^i s_p for i below
+        the order o_p of x_p, or below `count` where o_p > count.  One
+        translate per step, through x_p padded once.  x^i s has component
+        cycle[i % len(cycle)] for every i < count (`tile`)."""
+        out = []
+        for sp, a, s in zip(self.spaces, x, self.identity if start is None else start):
+            tab = a + sp._pad
+            cycle = [s]
+            cur = s.translate(tab)
+            while cur != s and len(cycle) < count:
+                cycle.append(cur)
+                cur = cur.translate(tab)
+            out.append(cycle)
+        return out
+
+    @staticmethod
+    def powers(cycles: list[list[bytes]], count: int) -> list[KernelElement]:
+        """[s, x s, ..., x^(count-1) s] from `cycles(x, count, s)`."""
+        return list(zip(*(tile(c, count) for c in cycles)))
+
     def power_list(self, x: KernelElement, count: int, start: KernelElement | None = None) -> list[KernelElement]:
         """[s, x s, x^2 s, ..., x^(count-1) s] for s = start (the identity by
-        default).  Each component pads x_p once and walks cur -> x_p o cur
-        by one translate per step."""
-        walks = []
-        for sp, a, cur in zip(self.spaces, x, self.identity if start is None else start):
-            tab = a + sp._pad
-            walk = [cur]
-            for _ in range(count - 1):
-                cur = cur.translate(tab)
-                walk.append(cur)
-            walks.append(walk)
-        return list(zip(*walks))
+        default): each component's cycle, repeated."""
+        return self.powers(self.cycles(x, count, start), count)
+
+    def orbit(self, cycles: list[list[bytes]], i: int, count: int) -> list[bytes]:
+        """The orbit [i, x(i), ..., x^(count-1)(i)] of the combined index i,
+        read off `cycles(x, count)`: per component, the bytes of the
+        component indices x_p^j(i_p), one lookup per step of the cycle."""
+        return [tile(bytes([c[tab[i]] for c in cycle]), count) for cycle, tab in zip(cycles, self.split_tabs)]
+
+    def combined(self, parts: list[bytes]) -> list[int]:
+        """Per-component index sequences, such as an `orbit`, as combined
+        indices: (i_0 m_1 + i_1) m_2 + ..., m_p the component sizes."""
+        acc = parts[0]
+        for p, m in zip(parts[1:], self.sizes[1:]):
+            acc = map(add, map(mul, acc, repeat(m)), p)
+        return list(acc)
 
     def trans_index(self, x: KernelElement) -> int:
         return sum(a[0] * s for a, s in zip(x, self.strides))
@@ -434,21 +469,25 @@ class Pool:
         equal mx iff every o_p divides mx and lcm c_p = mx.  So each
         component is filtered alone, the later ones are multiplied out as
         survivors only, and the first (the 2-part, the largest) is streamed
-        against them.
+        against them.  A first-component element is built as a permutation
+        only once its cycle length c fits some tail, lcm(c, c_tail) = mx.
         """
-        leaders = self.spaces[0].cyclic_leaders(self.auts[0], mx)
+        head = self.spaces[0]
+        leaders = head.cyclic_leaders(self.auts[0], mx)
         first, *rest = (sp.cycles_dividing(a, mx) for sp, a in zip(self.spaces, [leaders, *self.auts[1:]]))
         tails: list[tuple[KernelElement, int]] = [((), 1)]
-        for comp in rest:
-            survivors = list(comp)
+        for sp, comp in zip(self.spaces[1:], rest):
+            survivors = [(sp.hol_perm(a, v), c) for a, v, c in comp]
             tails = [(t + (x,), lcm(c, cx)) for t, c in tails for x, cx in survivors]
         fitting: dict[int, list[KernelElement]] = {}
-        for x, c in first:
+        for a, v, c in first:
             fits = fitting.get(c)
             if fits is None:
                 fits = fitting[c] = [t for t, ct in tails if lcm(c, ct) == mx]
-            for t in fits:
-                yield (x,) + t
+            if fits:
+                x = head.hol_perm(a, v)
+                for t in fits:
+                    yield (x,) + t
 
 
 def _check_scan(total: int, what: str) -> None:

@@ -19,7 +19,7 @@ from .abelian import GroupSpec, make_group, sylow_decompose
 from .errors import InternalConsistencyError, InvalidInputError
 from .kernel import HolKernel, KernelElement, get_kernel
 from .presentations import DIHEDRAL, QUATERNION, TargetKind
-from .regular import RegularSubgroup, _subgroup, search_regular
+from .regular import RegularSubgroup, _generated, search_regular
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,7 @@ def semidirect_subgroup(h_sub: RegularSubgroup, tau: TauMap, odd: GroupSpec) -> 
     x = u + tuple(sp.add_rows[1] for sp in odd_spaces)
     y = w + tuple(bytes(sp.neg_idx) for sp in odd_spaces)
     kind = TargetKind(h_sub.kind.family, h_sub.kind.n, odd.order)
-    elems = kern.power_list(x, kind.x_order) + kern.power_list(x, kind.x_order, y)
-    return _subgroup(kern, kind, elems, (x, y))
+    return _generated(kern, kind, x, y)[0]
 
 
 def tau_set(h_sub: RegularSubgroup) -> list[TauMap]:

@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 
 from . import config
@@ -100,14 +100,6 @@ def generate_closure(gens: Iterable[HolElement], cap: int) -> set[HolElement]:
 # -- the search ---------------------------------------------------------------------
 
 
-def _walk(img, start: int, count: int) -> list[int]:
-    """[start, img[start], img[img[start]], ...], `count` points."""
-    out = [start]
-    for _ in range(count - 1):
-        out.append(img[out[-1]])
-    return out
-
-
 @lru_cache(maxsize=None)
 def _y_getter(mx: int, half: int, quat: bool) -> itemgetter:
     """Positions in orb0 + orbt of the images under Y of orb0 + orbt, for
@@ -117,17 +109,15 @@ def _y_getter(mx: int, half: int, quat: bool) -> itemgetter:
     return itemgetter(*[mx + -i % mx for i in range(mx)], *back)
 
 
-def _build_y(kern: HolKernel, orb0: list[int], orbt: list[int], quat: bool, half: int) -> KernelElement | None:
+def _build_y(kern: HolKernel, sources: tuple[bytes, ...], quat: bool, half: int) -> KernelElement | None:
     """The Y fixed on all of N by its relations, or None unless it is affine.
 
-    orb0 + orbt is all of N, so per component the points must map
-    consistently, the map must be a bijection, and its linear part must
-    pass `PrimeSpace.is_linear`."""
-    points = orb0 + orbt
-    to = _y_getter(len(orb0), half, quat)
+    sources[p] holds the component indices of orb0 + orbt, which is all of
+    N, so per component the points must map consistently, the map must be
+    a bijection, and its linear part must pass `PrimeSpace.is_linear`."""
+    to = _y_getter(len(sources[0]) // 2, half, quat)
     perms = []
-    for sp, tab in zip(kern.spaces, kern.split_tabs):
-        src = bytes(map(tab.__getitem__, points))
+    for sp, src in zip(kern.spaces, sources):
         dst = bytes(to(src))
         y = bytes(itemgetter(*map(src.index, range(sp.m)))(dst))
         if sp.compose(y, src) != dst or len(set(y)) != sp.m:
@@ -139,66 +129,98 @@ def _build_y(kern: HolKernel, orb0: list[int], orbt: list[int], quat: bool, half
 
 
 @lru_cache(maxsize=None)
-def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, int], ...]:
+def _units(mx: int) -> tuple[int, ...]:
+    """The units k mod mx, 1 first."""
+    return tuple(k for k in range(1, mx) if gcd(k, mx) == 1)
+
+
+def _unit_codes(kern: HolKernel, pows: list[KernelElement], mx: int) -> tuple[bytes, ...]:
+    """The codes of the generators X^k, k a unit mod mx, of <X>, from pows = [X^0, X^1, ...]."""
+    return tuple(map(kern.code, map(pows.__getitem__, _units(mx))))
+
+
+@lru_cache(maxsize=None)
+def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, int, tuple[bytes, ...]], ...]:
     """The kind-free half of a search, which a quaternion and a dihedral
-    search of N share (X has order |N|/2 in both): (X, t) for each X of
-    order mx in `pool`, one per cyclic <X>, in candidate order, whose orbit
-    through 0 has mx points and whose other mx points are one <X>-orbit,
-    t the least of them.  The candidates meet each cyclic <X> through the
-    generators whose 2-part linear part leads its <A>; the unit powers X^k
-    with A^k = A among them are skipped here.  The stream yields only X of
-    order mx with mx points through 0, so any other is an internal error."""
+    search of N share (X has order |N|/2 in both): (X, t, sources) for each
+    X of order mx in `pool`, one per cyclic <X>, in candidate order, whose
+    orbit through 0 has mx points and whose other mx points are one
+    <X>-orbit, t the least of them; sources[p] holds the component indices
+    of the orbits of 0 and t, which `_build_y` maps.  The candidates meet
+    each cyclic <X> through the generators whose 2-part linear part leads
+    its <A>; the unit powers X^k with A^k = A among them are skipped here.
+    Each X's cycles are walked once, and its unit powers and both orbits
+    are read off them.  The stream yields only X of order mx with mx points
+    through 0, so any other is an internal error."""
     group, _ = pool.name
     kern = get_kernel(group)
-    units = [k for k in range(1, mx) if gcd(k, mx) == 1]
     seen_x: set[bytes] = set()
     frames = []
     for x in pool.candidates(mx):
         if kern.code(x) in seen_x:
             continue
-        pows = kern.power_list(x, mx)
-        seen_x.update(kern.code(pows[k]) for k in units)
-        img = kern.images(x)
-        orb0 = set(_walk(img, 0, mx))
+        cycles = kern.cycles(x, mx)
+        pows = kern.powers(cycles, mx)
+        seen_x.update(_unit_codes(kern, pows, mx))
+        at_0 = kern.orbit(cycles, 0, mx)
+        orb0 = set(kern.combined(at_0))
         if len(orb0) != mx or kern.compose(x, pows[-1]) != kern.identity:
+            # the order walk never ends on a map that is no permutation
+            perm = all(bytes(sorted(a)) == sp.identity for sp, a in zip(kern.spaces, x))
+            what = f"of order {kern.order(x)}" if perm else "that is no permutation,"
             raise InternalConsistencyError(
-                f"pool candidate of order {kern.order(x)} with {len(orb0)} points through 0, both must be {mx}"
+                f"pool candidate {what} with {len(orb0)} points through 0, both must be {mx}"
             )
         # the other mx points must be one <X>-orbit, or no Y swaps the two
         t = next(i for i in range(kern.n) if i not in orb0)
-        if len(set(_walk(img, t, mx))) == mx:
-            frames.append((x, t))
+        at_t = kern.orbit(cycles, t, mx)
+        if lcm(*map(len, map(set, at_t))) == mx:  # lcm of the cycle lengths of the t_p
+            frames.append((x, t, tuple(map(bytes.__add__, at_0, at_t))))
     return tuple(frames)
 
 
-def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool):
-    """All regular `kind` subgroups generated inside `pool` (X there, Y free), by key."""
+# a subgroup and the codes of the generators of its <X>, which index it in `_expand_orbits`
+Seed = tuple[RegularSubgroup, tuple[bytes, ...]]
+
+
+def _generated(kern: HolKernel, kind: TargetKind, x: KernelElement, y: KernelElement) -> Seed:
+    """The subgroup of the X^i and X^i Y, i < mx, with witness (X, Y), and
+    the codes of the generators X^k, k a unit, of its <X>."""
+    mx = kind.x_order
+    pows = kern.power_list(x, mx)
+    sub = _subgroup(kern, kind, pows + kern.power_list(x, mx, y), (x, y))
+    return sub, _unit_codes(kern, pows, mx)
+
+
+def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool) -> dict[SubgroupKey, Seed]:
+    """All regular `kind` subgroups generated inside `pool` (X there, Y
+    free), by key, each with the codes of the generators of its <X>."""
     if kern.group.order != kind.order:
         raise InvalidInputError(f"|N| = {kern.group.order} but target has order {kind.order}")
     if kind.s == 1 and kind.x_order > exponent_bound(kern.group, 2):
         return {}  # order-bound prune: Hol(N) has no element of order 2^{n-1}
-    mx = kind.x_order
     half = (1 << (kind.n - 2)) * kind.s
     quat = kind.family == QUATERNION
-    found: dict[SubgroupKey, RegularSubgroup] = {}
-    for x, t in _x_scan(pool, mx):
-        img = kern.images(x)
-        y = _build_y(kern, _walk(img, 0, mx), _walk(img, t, mx), quat, half)
+    found: dict[SubgroupKey, Seed] = {}
+    for x, _, sources in _x_scan(pool, kind.x_order):
+        y = _build_y(kern, sources, quat, half)
         if y is not None:
-            sub = _subgroup(kern, kind, kern.power_list(x, mx) + kern.power_list(x, mx, y), (x, y))
-            found.setdefault(sub.key, sub)
+            seed = _generated(kern, kind, x, y)
+            found.setdefault(seed[0].key, seed)
     return found
 
 
-def _expand_orbits(kern: HolKernel, seeds: dict[SubgroupKey, RegularSubgroup]):
+def _expand_orbits(kern: HolKernel, seeds: dict[SubgroupKey, Seed]):
     """Aut(N)-orbit closure of the seed subgroups, by conjugating with the
     generators of Aut(N); brace classes are exactly these orbits.
 
-    a<x, y>a^-1 = <axa^-1, aya^-1> has order |N|, so a known subgroup holding
-    both conjugates is the image: known subgroups are indexed by the
-    generators of their <x>, and a step conjugates the witness only.  On a
-    miss (a new subgroup, or one indexed by another <x>, as in Q8) the image
-    is built from the conjugated pair (README, "Orbit expansion").
+    a<x, y>a^-1 = <axa^-1, aya^-1>, and a kind has at most one subgroup per
+    cyclic <x> of order |N|/2, since y is fixed by y(0) and the relations.
+    So known subgroups are indexed by the generators of their <x>, and a
+    step conjugates x only: the known subgroup of the same kind indexed
+    under axa^-1 is the image.  On a miss (a new subgroup, or one indexed
+    by another <x>, as in Q8) y is conjugated too and the image is built
+    from the pair (README, "Class sizes and orbit expansion").
 
     Returns (all subgroups by key, classes as (rep_key, orbit_size,
     stabilizer_order)) with classes in the order of their least seed key.
@@ -206,31 +228,27 @@ def _expand_orbits(kern: HolKernel, seeds: dict[SubgroupKey, RegularSubgroup]):
     total = aut_order(kern.group)
     conjs = [kern.conjugator(g) for g in kern.aut_generator_tuples()]
     code = kern.code
-    mx = kern.n // 2  # the order of x for both kinds
-    units = [k for k in range(1, mx) if gcd(k, mx) == 1]
     known: dict[SubgroupKey, RegularSubgroup] = {}
     index: dict[bytes, list[RegularSubgroup]] = {}
 
-    def add(sub: RegularSubgroup, pows: list) -> None:
+    def add(sub: RegularSubgroup, x_codes: tuple[bytes, ...]) -> None:
         known[sub.key] = sub
-        for k in units:
-            index.setdefault(code(pows[k]), []).append(sub)
+        for c in x_codes:
+            index.setdefault(c, []).append(sub)
 
     def image(key: SubgroupKey, conj) -> SubgroupKey:
         sub = known[key]
-        x, y = map(conj, sub.witness)
-        y_code = code(y)
+        x = conj(sub.witness[0])
         for cand in index.get(code(x), ()):
-            if y_code in cand.key:
+            if cand.kind == sub.kind:
                 return cand.key
-        pows = kern.power_list(x, mx)
-        moved = _subgroup(kern, sub.kind, pows + kern.power_list(x, mx, y), (x, y))
+        moved, x_codes = _generated(kern, sub.kind, x, conj(sub.witness[1]))
         if moved.key not in known:
-            add(moved, pows)
+            add(moved, x_codes)
         return moved.key
 
-    for sub in seeds.values():
-        add(sub, kern.power_list(sub.witness[0], mx))
+    for seed in seeds.values():
+        add(*seed)
     visited: set[SubgroupKey] = set()
     classes = []
     for seed_key in sorted(seeds):
@@ -277,7 +295,7 @@ def scan_refusal(group: GroupSpec, method: str) -> CapacityError | None:
 @lru_cache(maxsize=None)
 def _unit_getters(mx: int) -> tuple[itemgetter, ...]:
     """For each unit k mod mx, 1 first, the getter of positions k*i mod mx."""
-    return tuple(itemgetter(*(k * i % mx for i in range(mx))) for k in range(1, mx) if gcd(k, mx) == 1)
+    return tuple(itemgetter(*(k * i % mx for i in range(mx))) for k in _units(mx))
 
 
 def _frames(kern: HolKernel, sub: RegularSubgroup, quat: bool) -> list[tuple[list[int], list[list[bytes]]]]:
@@ -296,20 +314,17 @@ def _frames(kern: HolKernel, sub: RegularSubgroup, quat: bool) -> list[tuple[lis
     """
     x, y = sub.witness
     mx = kern.n // 2
-    img = kern.images(x)
-    orb0, orbt = _walk(img, 0, mx), _walk(img, kern.trans_index(y), mx)
-    pairs = [(get(orb0), get(orbt)) for get in _unit_getters(mx)]
+    cycles = kern.cycles(x, mx)
+    orb0, orbt = kern.orbit(cycles, 0, mx), kern.orbit(cycles, kern.trans_index(y), mx)
+    pairs = [([bytes(get(a)) for a in orb0], [bytes(get(b)) for b in orbt]) for get in _unit_getters(mx)]
     if mx == (4 if quat else 2):
         for u in kern.power_list(x, mx, y):
-            u_img = kern.images(u)
-            pairs.append((_walk(u_img, 0, mx), _walk(u_img, orb0[1], mx)))
+            u_cycles = kern.cycles(u, mx)
+            pairs.append((kern.orbit(u_cycles, 0, mx), kern.orbit(u_cycles, kern.trans_index(x), mx)))
     frames = []
     for a, b in pairs:
-        rotations = []
-        for tab in kern.split_tabs:
-            a_p, b_p = bytes(map(tab.__getitem__, a)), bytes(map(tab.__getitem__, b))
-            rotations.append([a_p + b_p[j:] + b_p[:j] for j in range(len(set(b_p)))])
-        frames.append(([kern.point_orders[i] for i in a], rotations))
+        rotations = [[a_p + b_p[j:] + b_p[:j] for j in range(len(set(b_p)))] for a_p, b_p in zip(a, b)]
+        frames.append(([kern.point_orders[i] for i in kern.combined(a)], rotations))
     return frames
 
 
@@ -355,7 +370,7 @@ def _additive_pairs(kern: HolKernel, source, frames) -> Iterator[tuple[int, int]
             yield f, j
 
 
-def _class_sizes(kern: HolKernel, kind: TargetKind, seeds: dict[SubgroupKey, RegularSubgroup]):
+def _class_sizes(kern: HolKernel, kind: TargetKind, seeds: dict[SubgroupKey, Seed]):
     """(orbit size, stabilizer order) of each Aut(N)-class of the seeds, in
     the order of the classes' least seed keys, without listing an orbit.
 
@@ -371,7 +386,7 @@ def _class_sizes(kern: HolKernel, kind: TargetKind, seeds: dict[SubgroupKey, Reg
     quat = kind.family == QUATERNION
     classes: list[tuple[int, list]] = []  # (stabilizer order, frames of the first seed)
     for key in sorted(seeds):
-        frames = _frames(kern, seeds[key], quat)
+        frames = _frames(kern, seeds[key][0], quat)
         stab = sum(1 for _ in _additive_pairs(kern, frames[0], frames))
         if total % stab:
             raise InternalConsistencyError(f"stabilizer order {stab} does not divide |Aut(N)| = {total}")
@@ -488,6 +503,7 @@ def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]
     if any(s.group != group for s in subgroups):
         raise InvalidInputError("subgroups over different N")
     kern, mx = get_kernel(group), group.order // 2
+    seeds: dict[SubgroupKey, Seed] = {}
     for s in subgroups:  # the expansion builds on <x, y> = S, x of order |N|/2
         x, y = s.witness
         pows = kern.power_list(x, mx + 1)  # x^0 .. x^mx, so x of order mx ends on the identity
@@ -495,8 +511,8 @@ def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]
         codes = set(s.key)
         if pows[mx] != ident or ident in pows[1:mx] or y in pows or not codes.issuperset(map(kern.code, pows + [y])):
             raise InvalidInputError("a witness does not generate its subgroup")
-    by_key = {s.key: s for s in subgroups}
-    found, raw_classes = _expand_orbits(kern, by_key)
-    if len(found) != len(by_key):
+        seeds[s.key] = (s, _unit_codes(kern, pows, mx))
+    found, raw_classes = _expand_orbits(kern, seeds)
+    if len(found) != len(seeds):
         raise InvalidInputError("input list is not closed under conjugation")
-    return tuple(ConjugacyClass(by_key[rk], size, stab) for rk, size, stab in raw_classes)
+    return tuple(ConjugacyClass(seeds[rk][0], size, stab) for rk, size, stab in raw_classes)

@@ -288,6 +288,19 @@ def test_kernel_component_limit_names_its_size(capsys):
     assert err.startswith("capacity exceeded: ") and err.endswith("(needed 256, cap 255)\n")
 
 
+def test_direct_forces_the_full_scan(capsys, monkeypatch):
+    # --direct never falls back to the Sylow path: |Hol(C2^4)| = 322560 is
+    # past the default scan cap, so the forced scan is refused, although the
+    # Sylow path (the default for this pair) answers
+    monkeypatch.delenv("HOLOBRACE_HOL_CAP", raising=False)
+    pair = ("--N", "c2xc2xc2xc2", "--G", "q16")
+    code, out, err = run(capsys, "census", *pair, "--direct")
+    assert code == EXIT_CAPACITY and out == ""
+    assert err.startswith("capacity exceeded: ") and err.endswith("(needed 322560, cap 65536)\n")
+    code, out, _ = run(capsys, "census", *pair)
+    assert code == EXIT_OK and json.loads(out)["method"] == "sylow"
+
+
 @pytest.mark.parametrize("flags", [(), ("--sylow",)])
 def test_budgets_fire_after_the_x_scan_memo_is_filled(capsys, monkeypatch, flags):
     # the quaternion search fills the X scan of C2 x C2 x C8 that the

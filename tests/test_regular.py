@@ -212,7 +212,7 @@ def test_stabilizers_give_the_classes_of_the_orbit_expansion(orders, kind):
     found, raw_classes = _expand_orbits(kern, seeds)
     assert _class_sizes(kern, k, seeds) == tuple((size, stab) for _, size, stab in raw_classes)
     assert sum(size for _, size, _ in raw_classes) == len(found)
-    for sub in seeds.values():
+    for sub, _ in seeds.values():
         frames = _frames(kern, sub, k.family == QUATERNION)
         assert sum(len(a_orders) for a_orders, _ in frames) == target_aut_order(k)
     assert search_regular(g, k, "sylow").class_sizes == _class_sizes(kern, k, seeds)
@@ -231,7 +231,7 @@ def test_a_linearity_check_without_the_order_condition_is_caught(monkeypatch):
     _search_cached.cache_clear()
     try:
         seeds = _seed_search(kern, k, kern.sylow_pool())
-        frames = [_frames(kern, sub, False) for sub in seeds.values()]
+        frames = [_frames(kern, sub, False) for sub, _ in seeds.values()]
         stabs = [sum(1 for _ in _additive_pairs(kern, f[0], f)) for f in frames]
         assert max(stabs) == 32 > aut_order(g) == 16
         with pytest.raises(InternalConsistencyError, match="stabilizer order 32 does not divide"):
@@ -607,7 +607,7 @@ def test_expand_orbits_matches_reference(nspec):
         for seeds in (q, d, {**q, **d}):
             found, classes = _expand_orbits(kern, seeds)
             ref_found, ref_classes = expand_orbits_reference(
-                kern, {k: s.elements for k, s in seeds.items()}
+                kern, {k: s.elements for k, (s, _) in seeds.items()}
             )
             assert sorted(found) == sorted(ref_found)
             assert classes == ref_classes
@@ -636,7 +636,7 @@ def test_each_kind_seeds_alike_from_a_cold_and_a_shared_x_scan(nspec):
             _seed_search(kern, first, pool)
             warm = _seed_search(kern, second, pool)
             assert _x_scan.cache_info().misses <= 1  # one scan, or none past the order bound
-            assert [(k, s.witness) for k, s in warm.items()] == [(k, s.witness) for k, s in cold.items()]
+            assert [(k, s.witness) for k, (s, _) in warm.items()] == [(k, s.witness) for k, (s, _) in cold.items()]
         checked += 1
     assert checked
 
@@ -715,6 +715,27 @@ def test_x_scan_refuses_a_candidate_the_stream_should_not_yield(monkeypatch):
         _x_scan(kern.full_pool(), 8)
 
 
+def test_x_scan_refuses_a_candidate_that_is_no_permutation(monkeypatch):
+    # the error names what went wrong without walking to an order that a
+    # map which is no permutation never reaches
+    real = Pool.candidates
+
+    def collapsed_first(pool, mx):
+        stream = real(pool, mx)
+        x = next(stream)
+        yield (bytes(len(x[0])),) + x[1:]
+        yield from stream
+
+    monkeypatch.setattr(Pool, "candidates", collapsed_first)
+    _x_scan.cache_clear()
+    kern = get_kernel(parse_group("c3xc2xc4"))
+    try:
+        with pytest.raises(InternalConsistencyError, match="no permutation, with 3 points through 0"):
+            _x_scan(kern.full_pool(), 12)
+    finally:
+        _x_scan.cache_clear()
+
+
 @pytest.mark.parametrize("spec", ["c8", "c2xc2xc2xc2", "c3xc2xc2", "c7xc2xc8"])
 def test_power_list_matches_repeated_compose(spec):
     import random
@@ -735,3 +756,87 @@ def test_power_list_matches_repeated_compose(spec):
                     want.append(kern.compose(x, want[-1]))
                 got = kern.power_list(x, count) if s is None else kern.power_list(x, count, s)
                 assert got == want
+
+
+def walk(img, start, count):
+    """The orbit [start, img[start], img[img[start]], ...] of `count` points,
+    one lookup at a time over the image map `img`."""
+    out = [start]
+    for _ in range(count - 1):
+        out.append(img[out[-1]])
+    return out
+
+
+@pytest.mark.parametrize("spec", ["c3xc2xc4", "c5xc2xc2xc2", "c3xc5xc4", "c2xc8"])
+def test_power_cycles_match_the_step_by_step_walk(spec):
+    # every element x of the full pool: its cycles, repeated, are the powers
+    # x^i s walked one compose at a time, for counts below, at and above the
+    # order of x, from the identity and from another element s; the orbits
+    # read off them are the walks over images(x)
+    kern = get_kernel(parse_group(spec))
+    pool = list(kern.full_pool())
+    for j, x in enumerate(pool):
+        order = kern.order(x)
+        counts = sorted({1, max(order - 1, 1), order, order + 3})
+        start = pool[(7 * j + 1) % len(pool)]
+        for s in (None, start):
+            want = [kern.identity if s is None else s]
+            for _ in range(order + 2):
+                want.append(kern.compose(x, want[-1]))
+            for count in counts:
+                assert kern.powers(kern.cycles(x, count, s), count) == want[:count]
+                assert kern.power_list(x, count, s) == want[:count]
+        img = kern.images(x)
+        for count in counts:
+            cycles = kern.cycles(x, count)
+            for i in (0, kern.trans_index(start), kern.n - 1):
+                assert kern.combined(kern.orbit(cycles, i, count)) == walk(img, i, count)
+
+
+def test_a_direct_census_walks_each_power_cycle_once_per_use(monkeypatch):
+    # from cleared memos: the scan walks the cycles of each kept X once, the
+    # kind pass once more for an X with a Y, and the orbit expansion none,
+    # since on the full path every conjugate is already indexed under its X
+    from collections import Counter
+
+    import holobrace.regular as regular
+    from holobrace.counts import census
+    from holobrace.kernel import HolKernel
+
+    phase, calls, seeds = [None], [], {}
+    real_cycles = HolKernel.cycles
+
+    def cycles(kern, x, count, start=None):
+        calls.append((phase[-1], kern.code(x), start is None))
+        return real_cycles(kern, x, count, start)
+
+    def within(name, fn, keep=None):
+        def wrapped(*args):
+            phase.append(name)
+            try:
+                out = fn(*args)
+            finally:
+                phase.pop()
+            if keep is not None:
+                keep.update(out)
+            return out
+
+        return wrapped
+
+    regular._search_cached.cache_clear()
+    regular._x_scan.cache_clear()
+    monkeypatch.setattr(HolKernel, "cycles", cycles)
+    monkeypatch.setattr(regular, "_x_scan", within("scan", regular._x_scan))
+    monkeypatch.setattr(regular, "_seed_search", within("kind", regular._seed_search, seeds))
+    monkeypatch.setattr(regular, "_expand_orbits", within("expand", regular._expand_orbits))
+    g = parse_group("c7xc2xc2xc2")
+    res = census(g, parse_kind("d56"), method="direct")
+    regular._search_cached.cache_clear()
+    kern = get_kernel(g)
+    assert (res.method, res.r) == ("full", len(seeds)) and seeds
+    seed_x = {kern.code(sub.witness[0]) for sub, _ in seeds.values()}
+    assert [c for p, c, _ in calls if p == "expand"] == []
+    scan = Counter(c for p, c, _ in calls if p == "scan")
+    kind = Counter(c for p, c, ident in calls if p == "kind" and ident)
+    assert set(scan.values()) == {1} and set(kind.values()) == {1}
+    assert seed_x <= set(scan) and set(kind) == seed_x
