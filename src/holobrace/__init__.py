@@ -45,9 +45,9 @@ from .regular import (
     ConjugacyClass,
     RegularSubgroup,
     classify,
-    find_regular,
     generate_closure,
     is_regular,
+    list_regular,
     search_regular,
 )
 from .structured import (

@@ -26,7 +26,7 @@ from .endo import enumerate_aut
 from .errors import CapacityError, HolobraceError, InvalidInputError
 from .holomorph import order_spectrum
 from .presentations import parse_kind
-from .regular import search_regular
+from .regular import list_regular
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -154,9 +154,8 @@ def _cmd_verify_conjecture(args) -> int:
 def _class_braces(args):
     group = parse_group(args.N)
     kind = parse_kind(args.G)
-    res = search_regular(group, kind)
     # class representatives in deterministic order
-    return group, kind, [cls.representative for cls in res.classes]
+    return group, kind, [cls.representative for cls in list_regular(group, kind)[1]]
 
 
 def _dump_list(payload: dict, key: str, items: Iterable[Iterable[str]]) -> Iterator[str]:

@@ -134,9 +134,12 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto", cross_check
 
     method: auto | direct | sylow | structured | reduction; direct is the
     full scan of Hol(N), refused past its cap, never the Sylow path.  With
-    cross_check=True a second path that shares no search with the first
-    runs and must agree on (c, r, h) and on the multiset of (orbit,
-    stabilizer) classes; where none can run, `unchecked` says why.
+    cross_check=True a second path runs and must agree on (c, r, h) and on
+    the multiset of (orbit, stabilizer) classes; where none can run,
+    `unchecked` says why.  The second path reuses no memo entry of the
+    first, but the full scan and the Sylow path run the same code of
+    `Pool.candidates`, `regular._x_scan` and `regular._build_y`, so a fault
+    there can pass both.
     """
     if kind.order != group.order:
         raise InvalidInputError(
@@ -161,7 +164,9 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto", cross_check
 
 
 def _cross_method(group: GroupSpec, method: str):
-    """The census method of a second path independent of `method`'s answer.
+    """The census method of a second path that reuses no memo entry of
+    `method`'s answer (the two searches still share the candidate stream,
+    the X scan and the Y construction).
 
     A full scan is checked by the Sylow path; every other answer by a full
     scan, when Hol(N) fits the scan cap and the byte kernel, and otherwise
@@ -298,44 +303,35 @@ def table1_report() -> CountReport:
     )
 
 
-def _table_row_types(n: int) -> list[GroupSpec]:
-    """Per-order row layout: only the additive types that can occur."""
-    if n >= 5:
-        return [_cyclic_2group(n), _rank2_2group(n)]
-    return admissible_types(n)
+def _family_rows(n_max: int, s_values, cell) -> tuple[tuple, ...]:
+    """(N, n, s, cell(N, quaternion kind), cell(N, dihedral kind)) for each
+    additive type N that can occur, by s, then n: past n = 4 only the two
+    families."""
+    rows = []
+    for s in s_values:
+        for n in range(2, n_max + 1):
+            for two_type in [_cyclic_2group(n), _rank2_2group(n)] if n >= 5 else admissible_types(n):
+                group = make_group((s,) + two_type.factors) if s > 1 else two_type
+                cells = [cell(group, TargetKind(family, n, s)) for family in (QUATERNION, DIHEDRAL)]
+                rows.append((group.display_name(), n, s, *cells))
+    return tuple(rows)
 
 
 def table3_report(n_max: int = 5, s_values=(1, 3)) -> CountReport:
     """Brace counts per additive group, one row per possible type."""
-    rows = []
-    for s in s_values:
-        for n in range(2, n_max + 1):
-            for two_type in _table_row_types(n):
-                group = make_group((s,) + two_type.factors) if s > 1 else two_type
-                cq = census(group, TargetKind(QUATERNION, n, s)).c
-                cd = census(group, TargetKind(DIHEDRAL, n, s)).c
-                rows.append((group.display_name(), n, s, cq, cd))
     return CountReport(
         "Isomorphism classes of quaternion and dihedral braces per additive group",
         ("N", "n", "s", "quaternion braces", "dihedral braces"),
-        tuple(rows),
+        _family_rows(n_max, s_values, lambda group, kind: census(group, kind).c),
     )
 
 
 def table4_report(n_max: int = 5, s_values=(1, 3)) -> CountReport:
     """Hopf-Galois structure counts per abelian type."""
-    rows = []
-    for s in s_values:
-        for n in range(2, n_max + 1):
-            for two_type in _table_row_types(n):
-                group = make_group((s,) + two_type.factors) if s > 1 else two_type
-                hq = hgs_reduce(group, TargetKind(QUATERNION, n, s))
-                hd = hgs_reduce(group, TargetKind(DIHEDRAL, n, s))
-                rows.append((group.display_name(), n, s, hq, hd))
     return CountReport(
         "Hopf-Galois structures of each abelian type on quaternion/dihedral extensions",
         ("N", "n", "s", "quaternion", "dihedral"),
-        tuple(rows),
+        _family_rows(n_max, s_values, hgs_reduce),
     )
 
 

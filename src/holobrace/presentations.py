@@ -49,17 +49,6 @@ class TargetKind:
             return "C_4" if self.family == QUATERNION else "C_2×C_2"
         return ("Q_" if self.family == QUATERNION else "D_") + str(self.order)
 
-    def sylow2(self) -> "TargetKind":
-        return TargetKind(self.family, self.n, 1)
-
-
-def quaternion_kind(order: int) -> TargetKind:
-    return _kind_of_order(QUATERNION, order)
-
-
-def dihedral_kind(order: int) -> TargetKind:
-    return _kind_of_order(DIHEDRAL, order)
-
 
 def _kind_of_order(family: str, order: int) -> TargetKind:
     if order <= 0:

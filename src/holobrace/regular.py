@@ -12,14 +12,14 @@ relation, so only affine-ness has to be checked.  Two search spaces are
 supported: all of Hol(N), or the Sylow-restricted subset (2-part
 automorphisms unipotent upper triangular), whose hits seed the
 Aut(N)-classes.  The Sylow path sizes each class by its stabilizer and
-expands the orbits only when the subgroups themselves are asked for.
+expands the orbits only when `list_regular` lists the subgroups.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from operator import itemgetter
@@ -140,15 +140,16 @@ def _unit_codes(kern: HolKernel, pows: list[KernelElement], mx: int) -> tuple[by
 
 
 @lru_cache(maxsize=None)
-def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, int, tuple[bytes, ...]], ...]:
+def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, tuple[bytes, ...]], ...]:
     """The kind-free half of a search, which a quaternion and a dihedral
-    search of N share (X has order |N|/2 in both): (X, t, sources) for each
-    X of order mx in `pool`, one per cyclic <X>, in candidate order, whose
+    search of N share (X has order |N|/2 in both): (X, sources) for each X
+    of order mx in `pool`, one per cyclic <X>, in candidate order, whose
     orbit through 0 has mx points and whose other mx points are one
-    <X>-orbit, t the least of them; sources[p] holds the component indices
-    of the orbits of 0 and t, which `_build_y` maps.  The candidates meet
-    each cyclic <X> through the generators whose 2-part linear part leads
-    its <A>; the unit powers X^k with A^k = A among them are skipped here.
+    <X>-orbit; sources[p] holds the component indices of the orbit of 0,
+    then of the orbit of t, the least of those other points, which
+    `_build_y` maps.  The candidates meet each cyclic <X> through the
+    generators whose 2-part linear part leads its <A>; the unit powers X^k
+    with A^k = A among them are skipped here.
     Each X's cycles are walked once, and its unit powers and both orbits
     are read off them.  The stream yields only X of order mx with mx points
     through 0, so any other is an internal error."""
@@ -175,7 +176,7 @@ def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, int, tuple[bytes,
         t = next(i for i in range(kern.n) if i not in orb0)
         at_t = kern.orbit(cycles, t, mx)
         if lcm(*map(len, map(set, at_t))) == mx:  # lcm of the cycle lengths of the t_p
-            frames.append((x, t, tuple(map(bytes.__add__, at_0, at_t))))
+            frames.append((x, tuple(map(bytes.__add__, at_0, at_t))))
     return tuple(frames)
 
 
@@ -202,7 +203,7 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool) -> dict[Subgroup
     half = (1 << (kind.n - 2)) * kind.s
     quat = kind.family == QUATERNION
     found: dict[SubgroupKey, Seed] = {}
-    for x, _, sources in _x_scan(pool, kind.x_order):
+    for x, sources in _x_scan(pool, kind.x_order):
         y = _build_y(kern, sources, quat, half)
         if y is not None:
             seed = _generated(kern, kind, x, y)
@@ -398,64 +399,23 @@ def _class_sizes(kern: HolKernel, kind: TargetKind, seeds: dict[SubgroupKey, See
     return tuple((total // stab, stab) for stab, _ in classes)
 
 
-Listing = tuple[tuple[RegularSubgroup, ...], tuple[ConjugacyClass, ...]]
-
-
-def _listing(group: GroupSpec, kind: TargetKind, method: str) -> Listing:
-    """Rerun the scan and the orbit expansion: the subgroups sorted by key,
-    and the classes of `_expand_orbits`."""
-    kern = get_kernel(group)
-    found, raw_classes = _expand_orbits(kern, _seed_search(kern, kind, _pool_for(kern, method)))
-    classes = tuple(ConjugacyClass(found[rk], size, stab) for rk, size, stab in raw_classes)
-    return tuple(found[k] for k in sorted(found)), classes
-
-
 @dataclass(frozen=True)
 class SearchResult:
-    """A census of the regular `kind` subgroups of Hol(N).
+    """A census of the regular `kind` subgroups of Hol(N): r and the (orbit
+    size, stabilizer order) of each class, in class order.
 
-    `r` and the (orbit size, stabilizer order) of each class, in class
-    order, are computed with the result, and so are the class
-    representatives on the full path.  The result keeps no subgroup list:
-    `subgroups` and `keys` rerun the scan on every use, and so does the
-    first use of `classes` on the Sylow path, which then keeps the
-    representatives.  A rerun must give the same r and classes.
-    """
+    It keeps no subgroup: `list_regular` lists the subgroups and the class
+    representatives by rerunning the scan."""
 
     group: GroupSpec
     kind: TargetKind
     r: int
     class_sizes: tuple[tuple[int, int], ...]
     method: str
-    representatives: tuple[RegularSubgroup, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def c(self) -> int:
         return len(self.class_sizes)
-
-    def _rescan(self) -> Listing:
-        subgroups, classes = _listing(self.group, self.kind, self.method)
-        listed = tuple((c.orbit_size, c.stabilizer_order) for c in classes)
-        if listed != self.class_sizes or len(subgroups) != self.r:
-            raise InternalConsistencyError(
-                f"the orbit listing gives r = {len(subgroups)} and classes {listed}, "
-                f"the search r = {self.r} and classes {self.class_sizes}"
-            )
-        return subgroups, classes
-
-    @property
-    def subgroups(self) -> tuple[RegularSubgroup, ...]:
-        return self._rescan()[0]
-
-    @cached_property
-    def classes(self) -> tuple[ConjugacyClass, ...]:
-        if self.representatives is None:
-            return self._rescan()[1]
-        return tuple(ConjugacyClass(rep, *sizes) for rep, sizes in zip(self.representatives, self.class_sizes))
-
-    @property
-    def keys(self) -> frozenset:
-        return frozenset(s.key for s in self.subgroups)
 
 
 def search_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> SearchResult:
@@ -473,9 +433,9 @@ def search_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> 
 
 @lru_cache(maxsize=None)
 def _search_cached(group: GroupSpec, kind: TargetKind, method: str) -> SearchResult:
-    """The full scan already holds every subgroup, so its classes and their
-    representatives come from the orbit expansion; the Sylow path sizes its
-    classes by stabilizers.  Neither keeps the subgroups."""
+    """The full scan already holds every subgroup, so its class sizes come
+    from the orbit expansion; the Sylow path sizes its classes by
+    stabilizers.  Neither keeps a subgroup."""
     kern = get_kernel(group)
     seeds = _seed_search(kern, kind, _pool_for(kern, method))
     if method == "sylow":
@@ -484,14 +444,34 @@ def _search_cached(group: GroupSpec, kind: TargetKind, method: str) -> SearchRes
     found, raw_classes = _expand_orbits(kern, seeds)
     if len(found) != len(seeds):
         raise InternalConsistencyError("the full scan missed conjugates of what it found")
-    sizes = tuple((size, stab) for _, size, stab in raw_classes)
-    reps = tuple(found[rk] for rk, _, _ in raw_classes)
-    return SearchResult(group, kind, len(found), sizes, method, reps)
+    return SearchResult(group, kind, len(found), tuple((size, stab) for _, size, stab in raw_classes), method)
 
 
-def find_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> tuple[RegularSubgroup, ...]:
-    """The complete, duplicate-free list of regular `kind` subgroups of Hol(N)."""
-    return search_regular(group, kind, method).subgroups
+def _conjugacy_classes(found: dict[SubgroupKey, RegularSubgroup], raw_classes) -> tuple[ConjugacyClass, ...]:
+    """The classes of `_expand_orbits`, each represented by its least key."""
+    return tuple(ConjugacyClass(found[rk], size, stab) for rk, size, stab in raw_classes)
+
+
+def list_regular(
+    group: GroupSpec, kind: TargetKind, method: str = "auto"
+) -> tuple[tuple[RegularSubgroup, ...], tuple[ConjugacyClass, ...]]:
+    """The regular `kind` subgroups of Hol(N) sorted by key, and their
+    Aut(N)-classes in class order, each represented by the least key of its
+    orbit.
+
+    Reruns the scan and the orbit expansion of `search_regular`'s method,
+    and checks them against its r and class sizes; nothing is kept."""
+    res = search_regular(group, kind, method)
+    kern = get_kernel(group)
+    found, raw_classes = _expand_orbits(kern, _seed_search(kern, kind, _pool_for(kern, res.method)))
+    classes = _conjugacy_classes(found, raw_classes)
+    listed = tuple((c.orbit_size, c.stabilizer_order) for c in classes)
+    if listed != res.class_sizes or len(found) != res.r:
+        raise InternalConsistencyError(
+            f"the orbit listing gives r = {len(found)} and classes {listed}, "
+            f"the search r = {res.r} and classes {res.class_sizes}"
+        )
+    return tuple(found[k] for k in sorted(found)), classes
 
 
 def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]:
@@ -515,4 +495,4 @@ def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]
     found, raw_classes = _expand_orbits(kern, seeds)
     if len(found) != len(seeds):
         raise InvalidInputError("input list is not closed under conjugation")
-    return tuple(ConjugacyClass(seeds[rk][0], size, stab) for rk, size, stab in raw_classes)
+    return _conjugacy_classes(found, raw_classes)

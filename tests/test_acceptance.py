@@ -19,7 +19,7 @@ from holobrace.counts import (
 from holobrace.holomorph import order_spectrum
 from holobrace.oddpart import semidirect_subgroup, tau_set
 from holobrace.presentations import DIHEDRAL, QUATERNION, TargetKind, admissible_types, parse_kind
-from holobrace.regular import search_regular
+from holobrace.regular import list_regular, search_regular
 from holobrace.structured import solve_cyclic, solve_rank2
 
 from family_oracles import kernel_keys, witness_elements
@@ -60,8 +60,8 @@ def test_criterion_1_table1_exact():
     assert got[("C_2×C_2×C_2", "D_8")] == (2, 126, 6)
     assert got[("C_2×C_2×C_2×C_2", "Q_16")] == (1, 5040, 8)
     # the heavy row is a single orbit of 5040 with stabilizer order 4
-    big = search_regular(make_group([2, 2, 2, 2]), parse_kind("q16"))
-    assert [(c.orbit_size, c.stabilizer_order) for c in big.classes] == [(5040, 4)]
+    _, big = list_regular(make_group([2, 2, 2, 2]), parse_kind("q16"))
+    assert [(c.orbit_size, c.stabilizer_order) for c in big] == [(5040, 4)]
     print(PASS.format(1, "Table 1: all 20 rows exact, including (C2^3, D8) and (C2^4, Q16)"))
 
 
@@ -80,9 +80,9 @@ def test_criterion_2_structured_families():
         # subgroup-for-subgroup agreement with the generic engine
         for n in (4, 5):
             solved = solve_cyclic(n, fam)
-            assert engine_keys_of_witnesses(solved) == search_regular(make_group([1 << n]), solved.kind).keys
+            assert engine_keys_of_witnesses(solved) == {s.key for s in list_regular(make_group([1 << n]), solved.kind)[0]}
         solved = solve_rank2(5, fam)
-        assert engine_keys_of_witnesses(solved) == search_regular(make_group([2, 16]), solved.kind).keys
+        assert engine_keys_of_witnesses(solved) == {s.key for s in list_regular(make_group([2, 16]), solved.kind)[0]}
         # h-values: 2^{n-2} cyclic, 2^{n+1} rank 2
         for n in (4, 5, 6):
             assert hgs_count(TargetKind(fam, n, 1), make_group([1 << n]), 1) == 1 << (n - 2)
@@ -134,14 +134,14 @@ def test_criterion_5_odd_part_reduction():
                 pairs.append((two, fam))
     for two, fam in pairs:
         kind2 = parse_kind(fam + str(two.order))
-        base = search_regular(two, kind2)
+        base, _ = list_regular(two, kind2)
         built = set()
-        for h in base.subgroups:
+        for h in base:
             for tau in tau_set(h):
                 built.add(semidirect_subgroup(h, tau, c3).key)
         mixed_kind = parse_kind(fam + str(3 * two.order))
-        direct = search_regular(make_group((3,) + two.factors), mixed_kind)
-        assert built == set(direct.keys), (two.display_name(), fam)
+        direct, _ = list_regular(make_group((3,) + two.factors), mixed_kind)
+        assert built == {s.key for s in direct}, (two.display_name(), fam)
     print(PASS.format(5, "s=3 class counts (6 quaternion / 3 dihedral) and full (H,tau) set bijection |N_2| <= 16"))
 
 
@@ -317,8 +317,7 @@ def test_criterion_8_property_suites():
     for n, fam in [(2, "q"), (2, "d"), (3, "q"), (3, "d"), (4, "q"), (4, "d")]:
         for two in admissible_types(n):
             kind = parse_kind(fam + str(two.order))
-            res = search_regular(two, kind)
-            for cls in res.classes:
+            for cls in list_regular(two, kind)[1]:
                 bt = brace_from_subgroup(cls.representative)
                 assert verify_brace(bt)
                 assert lambda_is_homomorphism_reference(bt)

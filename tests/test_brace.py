@@ -19,7 +19,7 @@ from holobrace.errors import InvalidInputError
 from holobrace.holomorph import from_kernel, hol_apply, hol_from_translation, to_kernel
 from holobrace.kernel import HolKernel, get_kernel
 from holobrace.presentations import TargetKind, admissible_types, parse_kind
-from holobrace.regular import _subgroup, search_regular
+from holobrace.regular import _subgroup, list_regular
 
 
 def translation_subgroup(orders):
@@ -37,12 +37,12 @@ def test_trivial_brace_from_translations():
 
 
 def test_cyclic_canonical_quaternion_brace():
-    res = search_regular(make_group([16]), parse_kind("q16"))
-    bt = brace_from_subgroup(res.subgroups[0])
+    subs, _ = list_regular(make_group([16]), parse_kind("q16"))
+    bt = brace_from_subgroup(subs[0])
     assert verify_brace(bt)
     assert not bt.is_trivial()
     # multiplicative group is Q16, additive is C16
-    assert res.subgroups[0].kind == parse_kind("q16")
+    assert subs[0].kind == parse_kind("q16")
 
 
 def test_verify_brace_negative_control():
@@ -58,8 +58,8 @@ def test_all_small_braces_verify():
     checked = 0
     for nspec, kind in [("c8", "q8"), ("c2xc4", "q8"), ("c2xc4", "d8"), ("c8", "d8"),
                         ("c4", "q4"), ("c2xc2", "d4"), ("c16", "d16"), ("c2xc8", "q16")]:
-        res = search_regular(parse_group(nspec), parse_kind(kind))
-        for cls in res.classes:
+        _, classes = list_regular(parse_group(nspec), parse_kind(kind))
+        for cls in classes:
             bt = brace_from_subgroup(cls.representative)
             assert verify_brace(bt)
             assert lambda_is_homomorphism_reference(bt)
@@ -71,8 +71,7 @@ def test_all_small_braces_verify():
 def test_lambda_reconstructs_subgroup():
     """a -> (a, lambda_a) recovers exactly the subgroup's elements."""
     g = parse_group("c2xc8")
-    res = search_regular(g, parse_kind("d16"))
-    sub = res.subgroups[0]
+    sub = list_regular(g, parse_kind("d16"))[0][0]
     bt = brace_from_subgroup(sub)
     # g_a acts as b -> a o b, so the circ rows are exactly the subgroup's perms
     rebuilt = {tuple(bt.circ[a]) for a in range(g.order)}
@@ -102,8 +101,8 @@ def test_ybe_trivial_brace_is_flip():
 
 def test_ybe_checks_hold_for_order8_braces():
     for nspec, kind in [("c8", "q8"), ("c2xc4", "q8"), ("c2xc4", "d8"), ("c2xc2xc2", "d8")]:
-        res = search_regular(parse_group(nspec), parse_kind(kind))
-        for cls in res.classes:
+        _, classes = list_regular(parse_group(nspec), parse_kind(kind))
+        for cls in classes:
             sol = ybe_solution(brace_from_subgroup(cls.representative))
             assert sol.right_bijective
 
@@ -111,7 +110,7 @@ def test_ybe_checks_hold_for_order8_braces():
 def test_conjugate_subgroups_give_isomorphic_braces():
     """Aut-conjugacy matches brace isomorphism (checked by direct search)."""
     g = parse_group("c2xc8")
-    res = search_regular(g, parse_kind("d16"))
+    subs, classes = list_regular(g, parse_kind("d16"))
     from holobrace.endo import aut_apply, enumerate_aut
 
     auts = list(enumerate_aut(g))
@@ -129,14 +128,14 @@ def test_conjugate_subgroups_give_isomorphic_braces():
                 return True
         return False
 
-    reps = [brace_from_subgroup(c.representative) for c in res.classes]
+    reps = [brace_from_subgroup(c.representative) for c in classes]
     # distinct classes: pairwise non-isomorphic braces
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert not braces_isomorphic(reps[i], reps[j])
     # same class: conjugate subgroup gives an isomorphic brace
-    cls = res.classes[0]
-    same_orbit = [s for s in res.subgroups if s.key != cls.representative.key]
+    cls = classes[0]
+    same_orbit = [s for s in subs if s.key != cls.representative.key]
     partner = next(
         s
         for s in same_orbit
@@ -264,7 +263,7 @@ def class_braces(pairs):
     return [
         brace_from_subgroup(cls.representative)
         for group, kind in pairs
-        for cls in search_regular(group, kind).classes
+        for cls in list_regular(group, kind)[1]
     ]
 
 
@@ -435,7 +434,7 @@ def test_each_brace_builds_only_the_rows_it_reads(monkeypatch):
     # k + 1 translation rows per o-generator (at most floor(log2 n) of them)
     # and the addition table only when the YBE solution reads lambda
     group, kind = parse_group("c7xc2xc8"), parse_kind("d112")
-    reps = [cls.representative for cls in search_regular(group, kind).classes]
+    reps = [cls.representative for cls in list_regular(group, kind)[1]]
     n, k = group.order, len(group.factors)
     calls = []
     images = HolKernel.images

@@ -115,10 +115,10 @@ def test_brace_export_text_is_one_dump_of_the_payload(capsys, tmp_path):
     from holobrace.abelian import parse_group
     from holobrace.brace import brace_from_subgroup
     from holobrace.presentations import parse_kind
-    from holobrace.regular import search_regular
+    from holobrace.regular import list_regular
 
     g, k = parse_group("c2xc8"), parse_kind("d16")
-    reps = [cls.representative for cls in search_regular(g, k).classes]
+    reps = [cls.representative for cls in list_regular(g, k)[1]]
     payload = {
         "schema": "v1",
         "N": g.display_name(),
@@ -142,6 +142,34 @@ def test_brace_export_on_the_sylow_path_is_pinned(capsys):
     assert code == EXIT_OK
     digest = "c73a456aaf214326e43f06a3ff0f1a2b652321e3bf8f32d86f3eb8dc428bc6c5"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_each_brace_op_lists_once_and_a_census_never(capsys, monkeypatch):
+    # ybe-check and brace-export list the subgroups once per op for their
+    # class representatives, on the full scan and on the Sylow path; a
+    # census answers from r and the class sizes alone
+    import holobrace.cli as cli
+    import holobrace.regular as regular
+
+    listed = []
+    real = regular.list_regular
+
+    def spy(group, kind, method="auto"):
+        listed.append(method)
+        return real(group, kind, method)
+
+    monkeypatch.setattr(cli, "list_regular", spy)
+    monkeypatch.setattr(regular, "list_regular", spy)
+    for nspec, kind in (("c2xc4", "d8"), ("c2xc2xc2xc2", "q16")):
+        pair = ("--N", nspec, "--G", kind)
+        for argv in (("ybe-check", *pair), ("brace-export", *pair)):
+            listed.clear()
+            assert run(capsys, *argv)[0] == EXIT_OK
+            assert listed == ["auto"], argv
+        listed.clear()
+        for argv in (("census", *pair), ("census", *pair, "--cross-check"), ("census", *pair, "--sylow")):
+            assert run(capsys, *argv)[0] == EXIT_OK
+        assert listed == []
 
 
 def test_cached_parser_keeps_nothing_between_calls(capsys):

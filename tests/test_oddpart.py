@@ -23,7 +23,7 @@ from holobrace.presentations import (
     classify_subgroup,
     parse_kind,
 )
-from holobrace.regular import search_regular
+from holobrace.regular import list_regular, search_regular
 
 C3 = make_group([3])
 
@@ -101,7 +101,7 @@ def base_pairs(max_n):
 
 def _oracle_cases():
     for two, kind in base_pairs(4):
-        subs = search_regular(two, kind).subgroups
+        subs, _ = list_regular(two, kind)
         yield from (subs if two.order <= 8 else islice(subs, 16))
 
 
@@ -118,7 +118,7 @@ def test_tau_set_matches_the_index2_oracle():
 @pytest.mark.parametrize("odd", [C3, make_group([15])], ids=["s3", "s15"])
 def test_lift_matches_its_definition(odd):
     for two, kind in base_pairs(3):
-        for sub in search_regular(two, kind).subgroups:
+        for sub in list_regular(two, kind)[0]:
             for tau in tau_set(sub):
                 kern, elems = lift_elements(sub, tau.kernel_codes, odd)
                 assert semidirect_subgroup(sub, tau, odd).key == tuple(sorted(map(kern.code, elems)))
@@ -149,7 +149,7 @@ def test_lift_checks_the_kind_of_h():
 
 
 def one_subgroup(nspec, kind):
-    return search_regular(parse_group(nspec), parse_kind(kind)).subgroups[0]
+    return list_regular(parse_group(nspec), parse_kind(kind))[0][0]
 
 
 @pytest.mark.parametrize(
@@ -203,15 +203,15 @@ def test_semidirect_rejects_noncyclic_odd():
 
 
 def test_three_taus_give_three_q24_classes():
-    base = search_regular(parse_group("c2xc4"), parse_kind("q8"))
+    base, _ = list_regular(parse_group("c2xc4"), parse_kind("q8"))
     built = set()
-    for h in base.subgroups:
+    for h in base:
         for tau in tau_set(h):
             built.add(semidirect_subgroup(h, tau, C3).key)
     assert len(built) == 6  # 2 subgroups x 3 taus
-    direct = search_regular(parse_group("c3xc2xc4"), parse_kind("q24"))
-    assert built == set(direct.keys)
-    assert direct.c == 3
+    mixed, kind = parse_group("c3xc2xc4"), parse_kind("q24")
+    assert built == {s.key for s in list_regular(mixed, kind)[0]}
+    assert search_regular(mixed, kind).c == 3
 
 
 S3_PAIRS = [
@@ -226,15 +226,15 @@ S3_PAIRS = [
 def assert_lifts_are_the_direct_set(nspec, kind, s):
     """semidirect over all (H, tau) = the directly enumerated set for C_s x N2."""
     two = parse_group(nspec)
-    base = search_regular(two, parse_kind(kind))
+    base, _ = list_regular(two, parse_kind(kind))
     odd = make_group([s])
     built = set()
-    for h in base.subgroups:
+    for h in base:
         for tau in tau_set(h):
             built.add(semidirect_subgroup(h, tau, odd).key)
     mixed_kind = parse_kind(kind[0] + str(s * parse_kind(kind).order))
-    direct = search_regular(make_group((s,) + two.factors), mixed_kind)
-    assert built == set(direct.keys)
+    direct, _ = list_regular(make_group((s,) + two.factors), mixed_kind)
+    assert built == {sub.key for sub in direct}
 
 
 @pytest.mark.parametrize("nspec,kind", S3_PAIRS)
@@ -280,12 +280,12 @@ def test_lambda_trivial_on_odd_to_two():
 def test_conjugation_equivariance():
     """(alpha, beta) G (alpha, beta)^{-1} corresponds to (beta H beta^{-1}, beta.tau)."""
     two = parse_group("c2xc4")
-    base = search_regular(two, parse_kind("q8"))
+    base, _ = list_regular(two, parse_kind("q8"))
     kern2 = get_kernel(two)
     mixed = make_group((3,) + two.factors)
     kern = get_kernel(mixed)
     gens2 = kern2.aut_generator_tuples()
-    for h in base.subgroups[:1]:
+    for h in base[:1]:
         for tau in tau_set(h):
             g = semidirect_subgroup(h, tau, C3)
             for gen in gens2:

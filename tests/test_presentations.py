@@ -9,11 +9,9 @@ from holobrace.presentations import (
     admissible_types,
     aut_order,
     classify_subgroup,
-    dihedral_kind,
     parse_kind,
-    quaternion_kind,
 )
-from holobrace.regular import find_regular, search_regular
+from holobrace.regular import list_regular
 
 
 def abstract_target(family, n, s):
@@ -95,14 +93,14 @@ def test_parse_kind():
 
 
 def test_kind_labels_and_names():
-    assert quaternion_kind(16).label() == "q16"
-    assert dihedral_kind(12).display_name() == "D_12"
-    assert quaternion_kind(4).display_name() == "C_4"
-    assert dihedral_kind(4).display_name() == "C_2×C_2"
+    assert parse_kind("q16").label() == "q16"
+    assert TargetKind(DIHEDRAL, 2, 3).display_name() == "D_12"
+    assert parse_kind("q4").display_name() == "C_4"
+    assert parse_kind("d4").display_name() == "C_2×C_2"
 
 
 def test_classify_q8_in_hol_c2xc4():
-    subs = find_regular(make_group([2, 4]), parse_kind("q8"))
+    subs, _ = list_regular(make_group([2, 4]), parse_kind("q8"))
     assert len(subs) == 2
     for sub in subs:
         assert classify_subgroup(sub.hol_elements()) == TargetKind(QUATERNION, 3, 1)
@@ -118,7 +116,7 @@ def test_classify_cyclic_is_other():
 
 
 def test_classify_d12_with_odd_part():
-    subs = find_regular(make_group([12]), parse_kind("d12"))
+    subs, _ = list_regular(make_group([12]), parse_kind("d12"))
     assert subs
     for sub in subs:
         kind = classify_subgroup(sub.hol_elements())
@@ -142,9 +140,9 @@ def test_classify_is_conjugation_invariant():
 
     g = make_group([2, 8])
     kern = get_kernel(g)
-    res = search_regular(g, parse_kind("d16"))
+    subs, _ = list_regular(g, parse_kind("d16"))
     gens = kern.aut_generator_tuples()
-    for sub in res.subgroups[:4]:
+    for sub in subs[:4]:
         base_kind = _classify_kernel(kern, frozenset(sub.elements), False)[0]
         for gen in gens:
             conj = kern.conjugator(gen)
@@ -187,4 +185,4 @@ def test_admissible_types():
 def test_x_order_and_sizes():
     k = parse_kind("q24")
     assert k.order == 24 and k.x_order == 12
-    assert k.sylow2() == parse_kind("q8")
+    assert TargetKind(k.family, k.n, 1) == parse_kind("q8")  # its Sylow 2-kind

@@ -13,6 +13,7 @@ from holobrace.presentations import QUATERNION, admissible_types, classify_subgr
 from holobrace.presentations import aut_order as target_aut_order
 from holobrace.regular import (
     RegularSubgroup,
+    SearchResult,
     _additive_pairs,
     _class_sizes,
     _expand_orbits,
@@ -22,9 +23,9 @@ from holobrace.regular import (
     _subgroup,
     _x_scan,
     classify,
-    find_regular,
     generate_closure,
     is_regular,
+    list_regular,
     search_regular,
 )
 
@@ -100,32 +101,36 @@ def test_find_regular_counts(nspec, kind, c, r):
 def test_every_subgroup_has_requested_kind():
     for nspec, kind in [("c2xc8", "d16"), ("c2xc4", "d8"), ("[24]", "q24")]:
         k = parse_kind(kind)
-        for sub in find_regular(parse_group(nspec), k):
+        for sub in list_regular(parse_group(nspec), k)[0]:
             assert sub.kind == k
             assert classify_subgroup(sub.hol_elements()) == k
 
 
 def test_classify_d16_on_c2xc8():
-    res = search_regular(parse_group("c2xc8"), parse_kind("d16"))
+    g, k = parse_group("c2xc8"), parse_kind("d16")
+    res = search_regular(g, k)
     assert res.r == 16 and res.c == 6
-    for cls in res.classes:
+    _, classes = list_regular(g, k)
+    for cls in classes:
         assert cls.orbit_size * cls.stabilizer_order == 16  # |Aut(C2 x C8)|
-    assert sum(cls.orbit_size for cls in res.classes) == 16
+    assert sum(cls.orbit_size for cls in classes) == 16
 
 
 def test_single_fixed_subgroup_class():
-    res = search_regular(make_group([16]), parse_kind("q16"))
+    g, k = make_group([16]), parse_kind("q16")
+    res = search_regular(g, k)
     assert res.c == 1
-    assert res.classes[0].orbit_size == 1
-    assert res.classes[0].stabilizer_order == 8  # all of Aut(C16)
+    _, classes = list_regular(g, k)
+    assert classes[0].orbit_size == 1
+    assert classes[0].stabilizer_order == 8  # all of Aut(C16)
 
 
 def test_regularity_preserved_by_conjugation():
     g = parse_group("c2xc8")
     kern = get_kernel(g)
-    res = search_regular(g, parse_kind("d16"))
+    _, classes = list_regular(g, parse_kind("d16"))
     gens = kern.aut_generator_tuples()
-    for cls in res.classes:
+    for cls in classes:
         elems = cls.representative.elements
         for gen in gens:
             conj = kern.conjugator(gen)
@@ -146,9 +151,8 @@ def check_witnesses(g, k, method):
     kern = get_kernel(g)
     mx = k.x_order
     quat = k.family == "quaternion"
-    res = search_regular(g, k, method)
-    assert res.r
-    subgroups = res.subgroups
+    assert search_regular(g, k, method).r
+    subgroups, _ = list_regular(g, k, method)
     for sub in subgroups:
         x, y = sub.witness
         assert kern.order(x) == mx
@@ -191,10 +195,11 @@ def test_sylow_path_matches_full_path(orders, kind):
     k = parse_kind(kind)
     full = search_regular(g, k, method="full")
     syl = search_regular(g, k, method="sylow")
-    assert full.keys == syl.keys
+    (full_subs, full_classes), (syl_subs, syl_classes) = (list_regular(g, k, m) for m in ("full", "sylow"))
+    assert [s.key for s in full_subs] == [s.key for s in syl_subs]
     assert full.c == syl.c
-    assert sorted(c.orbit_size for c in full.classes) == sorted(
-        c.orbit_size for c in syl.classes
+    assert sorted(c.orbit_size for c in full_classes) == sorted(
+        c.orbit_size for c in syl_classes
     )
 
 
@@ -242,15 +247,24 @@ def test_a_linearity_check_without_the_order_condition_is_caught(monkeypatch):
     assert search_regular(g, k, "sylow").class_sizes == ((2, 8), (2, 8), (4, 4), (2, 8), (2, 8), (4, 4))
 
 
-def test_a_listing_that_disagrees_with_the_stabilizers_is_refused():
-    # every rebuilt listing is checked against r and the class sizes; the
-    # full path keeps its representatives, so there only the subgroups rescan
-    for method, uses in (("sylow", ("classes", "subgroups", "keys")), ("full", ("subgroups", "keys"))):
-        res = search_regular(make_group([2, 8]), parse_kind("q16"), method)
-        wrong = replace(res, class_sizes=((4, 4),) + res.class_sizes[1:])
-        for use in uses:
+def test_a_listing_that_disagrees_with_the_stabilizers_is_refused(monkeypatch):
+    # every listing is checked against the search's r and class sizes, on
+    # both paths: a search answer off in either one refuses the listing
+    import holobrace.regular as regular
+
+    g, k = make_group([2, 8]), parse_kind("q16")
+    real = regular.search_regular
+    skews = [
+        lambda res: replace(res, class_sizes=((4, 4),) + res.class_sizes[1:]),
+        lambda res: replace(res, r=res.r + 1),
+    ]
+    for method in ("sylow", "full"):
+        assert len(list_regular(g, k, method)[0]) == real(g, k, method).r
+        for skew in skews:
+            monkeypatch.setattr(regular, "search_regular", lambda *args, skew=skew: skew(real(*args)))
             with pytest.raises(InternalConsistencyError, match="orbit listing"):
-                getattr(wrong, use)
+                list_regular(g, k, method)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("nspec,kind,method", [("c3xc2xc4", "d24", "full"), ("c2xc8", "q16", "sylow")])
@@ -258,20 +272,20 @@ def test_a_listing_is_rebuilt_alike_on_every_use(nspec, kind, method):
     g, k = parse_group(nspec), parse_kind(kind)
     kern = get_kernel(g)
     res = search_regular(g, k, method)
-    first, second = res.subgroups, res.subgroups
-    assert first is not second  # rebuilt, not kept on the memoized result
+    (first, classes), (second, _) = list_regular(g, k, method), list_regular(g, k, method)
+    assert first[0] is not second[0]  # rebuilt, not kept on the memoized result
     pool = kern.full_pool() if method == "full" else kern.sylow_pool()
     found, raw_classes = _expand_orbits(kern, _seed_search(kern, k, pool))
     assert [s.key for s in first] == [s.key for s in second] == sorted(found)
     assert res.r == len(found)
-    assert [c.representative for c in res.classes] == [found[rk] for rk, _, _ in raw_classes]
-    assert [(c.orbit_size, c.stabilizer_order) for c in res.classes] == [(n, st) for _, n, st in raw_classes]
+    assert [c.representative for c in classes] == [found[rk] for rk, _, _ in raw_classes]
+    assert [(c.orbit_size, c.stabilizer_order) for c in classes] == [(n, st) for _, n, st in raw_classes]
 
 
 def test_the_search_memo_keeps_no_subgroup_lists():
     # the --direct censuses of orders 24 and 56 of the census-sweep benchmark:
-    # the memo keeps r, the class sizes and c representatives per search, not
-    # the r subgroups (2 MB here when it kept them)
+    # the memo keeps r and the class sizes per search, neither the r subgroups
+    # (2 MB here when it kept them) nor the c class representatives (0.078 MB)
     import gc
     import tracemalloc
 
@@ -293,7 +307,17 @@ def test_the_search_memo_keeps_no_subgroup_lists():
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert freed < 0.25 * 2**20
+    assert freed < 0.03 * 2**20
+
+
+def test_a_search_result_keeps_only_its_answer():
+    # the subgroups and the class representatives come from list_regular,
+    # which reruns the scan; a search result holds no view of them
+    assert [f.name for f in fields(SearchResult)] == ["group", "kind", "r", "class_sizes", "method"]
+    for method in ("full", "sylow"):
+        res = search_regular(make_group([2, 8]), parse_kind("q16"), method)
+        assert not any(hasattr(res, name) for name in ("subgroups", "classes", "keys", "representatives"))
+        assert res.c == len(res.class_sizes) == len(list_regular(res.group, res.kind, method)[1])
 
 
 def test_warm_search_meets_lowered_budgets(monkeypatch):
@@ -320,7 +344,7 @@ def test_sylow_path_matches_full_path_c2p4(monkeypatch):
     syl = search_regular(g, k, method="sylow")
     monkeypatch.setenv("HOLOBRACE_HOL_CAP", "400000")
     full = search_regular(g, k, method="full")
-    assert full.keys == syl.keys
+    assert [s.key for s in list_regular(g, k, "full")[0]] == [s.key for s in list_regular(g, k, "sylow")[0]]
     assert full.c == syl.c == 1
     assert full.r == syl.r == 5040
 
@@ -458,15 +482,15 @@ def test_orbit_stabilizer_identity_everywhere():
 
     for nspec, kind in [("c2xc4", "d8"), ("c4xc4", "q16"), ("c3xc2xc4", "q24")]:
         g = parse_group(nspec)
-        res = search_regular(g, parse_kind(kind))
+        _, classes = list_regular(g, parse_kind(kind))
         total = enumerate_aut(g).order
-        for cls in res.classes:
+        for cls in classes:
             assert cls.orbit_size * cls.stabilizer_order == total
 
 
 def test_classify_rejects_mixed_groups():
-    a = find_regular(make_group([8]), parse_kind("q8"))
-    b = find_regular(make_group([2, 4]), parse_kind("q8"))
+    a, _ = list_regular(make_group([8]), parse_kind("q8"))
+    b, _ = list_regular(make_group([2, 4]), parse_kind("q8"))
     with pytest.raises(InvalidInputError):
         classify(list(a) + list(b))
 
@@ -476,7 +500,7 @@ def test_classify_rejects_a_witness_that_does_not_generate():
 
 
     g = make_group([2, 8])
-    subs = search_regular(g, parse_kind("d16")).subgroups
+    subs, _ = list_regular(g, parse_kind("d16"))
     assert [c.orbit_size for c in classify(subs)] == [2, 2, 4, 2, 2, 4]
     ident = get_kernel(g).identity
     x, y = subs[0].witness
@@ -532,7 +556,7 @@ def brute_force_regular_subgroups(group, kind):
 def test_engine_matches_brute_force_oracle(orders, kind):
     group = make_group(orders)
     k = parse_kind(kind)
-    assert search_regular(group, k).keys == brute_force_regular_subgroups(group, k)
+    assert {s.key for s in list_regular(group, k)[0]} == brute_force_regular_subgroups(group, k)
 
 
 @pytest.mark.slow
@@ -540,17 +564,16 @@ def test_engine_matches_brute_force_oracle_c2xc8():
     group = make_group([2, 8])
     for kind in ("q16", "d16"):
         k = parse_kind(kind)
-        assert search_regular(group, k).keys == brute_force_regular_subgroups(group, k)
+        assert {s.key for s in list_regular(group, k)[0]} == brute_force_regular_subgroups(group, k)
 
 
 def test_deterministic_output():
     g = parse_group("c2xc8")
     k = parse_kind("d16")
-    r1 = search_regular(g, k)
-    r2 = search_regular(g, k)
-    assert [s.key for s in r1.subgroups] == [s.key for s in r2.subgroups]
-    assert [c.representative.key for c in r1.classes] == [
-        c.representative.key for c in r2.classes
+    (subs1, classes1), (subs2, classes2) = list_regular(g, k), list_regular(g, k)
+    assert [s.key for s in subs1] == [s.key for s in subs2]
+    assert [c.representative.key for c in classes1] == [
+        c.representative.key for c in classes2
     ]
 
 

@@ -7,7 +7,7 @@ from holobrace.abelian import make_group
 from holobrace.errors import CapacityError, InvalidInputError
 from holobrace.holomorph import hol_apply, hol_compose, hol_identity, hol_invert, hol_power
 from holobrace.presentations import DIHEDRAL, QUATERNION, TargetKind
-from holobrace.regular import search_regular
+from holobrace.regular import list_regular, search_regular
 from holobrace.structured import (
     CYCLIC,
     StructuredGeneratorPair,
@@ -166,24 +166,25 @@ def test_canonical_pair_matches_solution(family):
 def test_cyclic_agrees_with_engine_subgroup_for_subgroup(family):
     for n in (4, 5):
         solved = solve_cyclic(n, family)
-        engine = search_regular(make_group([1 << n]), solved.kind)
-        assert witness_keys(solved) == engine.keys
+        engine, _ = list_regular(make_group([1 << n]), solved.kind)
+        assert witness_keys(solved) == {s.key for s in engine}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_rank2_agrees_with_engine_subgroup_for_subgroup(family):
     solved = solve_rank2(5, family)
     engine = search_regular(make_group([2, 16]), solved.kind)
-    assert witness_keys(solved) == engine.keys
+    subs, classes = list_regular(make_group([2, 16]), solved.kind)
+    assert witness_keys(solved) == {s.key for s in subs}
     assert engine.c == 6 and engine.r == 16
-    assert sorted(c.orbit_size for c in engine.classes) == list(solved.class_sizes)
+    assert sorted(c.orbit_size for c in classes) == list(solved.class_sizes)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_rank2_oracle_at_n6(family):
     solved = solve_rank2(6, family)
     engine = search_regular(make_group([2, 32]), solved.kind)
-    assert witness_keys(solved) == engine.keys
+    assert witness_keys(solved) == {s.key for s in list_regular(make_group([2, 32]), solved.kind)[0]}
     assert (engine.r, engine.c) == (16, 6)
 
 
@@ -317,14 +318,14 @@ def test_y_uniqueness(family):
     never produces a second one."""
     n = 5
     res = solve_rank2(n, family)
-    engine = search_regular(make_group([2, 16]), res.kind)
+    engine, _ = list_regular(make_group([2, 16]), res.kind)
     # each subgroup contains exactly 2^{n-2} = 8 generators X of <x>, and
     # 16 subgroups carry all 2^{n+2} = 128 admissible X matrices
     x_orders = {}
     from holobrace.kernel import get_kernel
 
     kern = get_kernel(make_group([2, 16]))
-    for sub in engine.subgroups:
+    for sub in engine:
         count = sum(1 for e in sub.elements if kern.order(e) == res.kind.x_order and kern.trans_index(e) != 0 and _generates_index2_cyclic(kern, e, res.kind))
         x_orders[sub.key] = count
     assert all(v == 8 for v in x_orders.values())
