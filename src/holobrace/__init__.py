@@ -45,8 +45,6 @@ from .regular import (
     ConjugacyClass,
     RegularSubgroup,
     classify,
-    generate_closure,
-    is_regular,
     list_regular,
     search_regular,
 )

@@ -13,9 +13,9 @@ The brace axioms are checked on generators only (see `brace_violation`):
 associativity for a in a o-generating set G, at most log2 n rows times n,
 and the brace relation for a in G and b in the additive basis, 2 |G| rows
 per factor, building only the translation rows it reads.  The braid
-relation of the YBE solution stays a direct check of every (x, y), n^2 row
-compositions, since it is the check of the output table that does not rest
-on the brace axioms.
+relation of the YBE solution stays a direct check of the output table that
+does not rest on the brace axioms: one identity per orbit {(x, y), r(x, y)}
+of the involution r, at most n^2 row compositions.
 """
 
 from __future__ import annotations
@@ -198,6 +198,12 @@ def ybe_violation(table: tuple[tuple[tuple[int, int], ...], ...]) -> Optional[tu
     (u, v) = r(x, y); for involutive, left non-degenerate r this identity on
     N^2 is equivalent to the braid relation on N^3 (Rump's cycle-set identity,
     Adv. Math. 193, 2005).
+
+    The identity at (x, y) is the identity at r(x, y) = (u, v) read
+    backwards, since r(u, v) = (x, y), and it holds trivially where
+    r(x, y) = (x, y).  So it is checked only where (u, v) > (x, y) in
+    row-major order: the least failing pair is the smaller of its orbit,
+    and the witness is the first failure of the full loop over N^2.
     """
     n = len(table)
     for x, row in enumerate(table):
@@ -211,7 +217,7 @@ def ybe_violation(table: tuple[tuple[tuple[int, int], ...], ...]) -> Optional[tu
     for x, row in enumerate(table):
         s = sigma[x]
         for y, (u, v) in enumerate(row):
-            if _compose(s, sigma[y]) != _compose(sigma[u], sigma[v]):
+            if (u, v) > (x, y) and _compose(s, sigma[y]) != _compose(sigma[u], sigma[v]):
                 return ("braid", x, y)
     return None
 

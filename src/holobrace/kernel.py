@@ -314,10 +314,6 @@ class HolKernel:
     # the concatenated component permutations, a canonical sort key
     code = staticmethod(b"".join)
 
-    def closure(self, gens, bound: int) -> frozenset[KernelElement]:
-        """Subgroup generated by `gens`; CapacityError once it passes bound."""
-        return reach(self.identity, gens, self.compose, bound)
-
     def cycles(self, x: KernelElement, count: int, start: KernelElement | None = None) -> list[list[bytes]]:
         """Per component, the cycle [s_p, x_p s_p, x_p^2 s_p, ...] of
         s = start (the identity by default) under x_p: x_p^i s_p for i below

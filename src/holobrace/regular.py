@@ -28,7 +28,7 @@ from . import config
 from .abelian import GroupSpec, reach
 from .endo import aut_order
 from .errors import CapacityError, InternalConsistencyError, InvalidInputError
-from .holomorph import HolElement, exponent_bound, from_kernel, to_kernel
+from .holomorph import HolElement, exponent_bound, from_kernel
 from .kernel import HolKernel, KernelElement, Pool, PrimeSpace, get_kernel
 from .presentations import QUATERNION, TargetKind
 
@@ -71,30 +71,6 @@ class ConjugacyClass:
 def _subgroup(kern: HolKernel, kind: TargetKind, elements, witness) -> RegularSubgroup:
     """The subgroup of `elements`, keyed by their codes sorted once."""
     return RegularSubgroup(kern.group, kind, tuple(sorted(map(kern.code, elements))), witness)
-
-
-# -- spec-level helpers ----------------------------------------------------------
-
-
-def is_regular(elems: Iterable[HolElement]) -> bool:
-    """True iff the translation parts exhaust N (the orbit of 0 is all of N)."""
-    elems = list(elems)
-    if not elems:
-        raise InvalidInputError("empty element set")
-    group = elems[0].group
-    if len(elems) != group.order:
-        raise InvalidInputError(f"need |S| = |N| = {group.order}, got {len(elems)}")
-    return len({e.trans for e in elems}) == group.order
-
-
-def generate_closure(gens: Iterable[HolElement], cap: int) -> set[HolElement]:
-    """Subgroup generated by `gens`; CapacityError once the closure passes cap."""
-    gens = list(gens)
-    if not gens:
-        raise InvalidInputError("need at least one generator")
-    group = gens[0].group
-    closure = get_kernel(group).closure([to_kernel(g) for g in gens], cap)
-    return {from_kernel(group, e) for e in closure}
 
 
 # -- the search ---------------------------------------------------------------------

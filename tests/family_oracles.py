@@ -1,17 +1,19 @@
-"""Closure-based oracles for the family solvers in `holobrace.structured`.
+"""Closure-based oracles: subgroup closures in Hol(N), the regularity test,
+and the family solvers in `holobrace.structured` redone by closure.
 
-These close every candidate subgroup into a frozenset of plain-integer
-encodings (the form of `HolElement.encode()`), filter the cyclic family's
-(X, Y) pairs over all solutions of the X and the Y congruences, and walk
-Aut(N)-orbits over the closed sets.  They share no membership test, orbit
-walk or regularity check with the solvers, and have no budget: keep n small.
+The family oracles close every candidate subgroup into a frozenset of
+plain-integer encodings (the form of `HolElement.encode()`), filter the
+cyclic family's (X, Y) pairs over all solutions of the X and the Y
+congruences, and walk Aut(N)-orbits over the closed sets.  They share no
+membership test, orbit walk or regularity check with the solvers, and have
+no budget: keep n small.
 """
 
 from dataclasses import dataclass
 
 from holobrace.abelian import make_group, reach
 from holobrace.endo import aut_generators, aut_order
-from holobrace.holomorph import to_kernel
+from holobrace.holomorph import from_kernel, to_kernel
 from holobrace.kernel import get_kernel
 from holobrace.presentations import QUATERNION, TargetKind
 from holobrace.structured import (
@@ -52,7 +54,22 @@ def closure(gens, mods, bound):
     return reach(ident, gens, lambda e, g: compose(e, g, mods), bound)
 
 
+def kernel_closure(kern, gens, bound):
+    """Kernel elements of the subgroup generated by `gens`; CapacityError above bound."""
+    return reach(kern.identity, gens, kern.compose, bound)
+
+
+def generate_closure(gens, bound):
+    """The subgroup generated by the HolElements `gens`, closed in the kernel."""
+    gens = list(gens)
+    group = gens[0].group
+    closed = kernel_closure(get_kernel(group), list(map(to_kernel, gens)), bound)
+    return {from_kernel(group, e) for e in closed}
+
+
 def is_regular(elems, order):
+    """True iff there are `order` encodings with pairwise distinct
+    translation parts: the orbit of 0 is all of N."""
     return len(elems) == order and len({e[1] for e in elems}) == order
 
 

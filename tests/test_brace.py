@@ -1,9 +1,12 @@
 import json
 from dataclasses import fields
+from functools import cache
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from holobrace import brace
 from holobrace.abelian import make_group, parse_group
 from holobrace.brace import (
     BraceTable,
@@ -250,13 +253,33 @@ def ybe_violation_reference(table):
     return None
 
 
+def ybe_violation_full(table):
+    """`ybe_violation` with the braid identity checked at every (x, y) of N^2,
+    both pairs of each orbit of r included."""
+    n = len(table)
+    for x, row in enumerate(table):
+        for y, (u, v) in enumerate(row):
+            if table[u][v] != (x, y):
+                return ("involutivity", x, y)
+    sigma = [tuple(u for u, _ in row) for row in table]
+    for x, s in enumerate(sigma):
+        if sorted(s) != list(range(n)):
+            return ("left-degenerate", x)
+    for x, row in enumerate(table):
+        s = sigma[x]
+        for y, (u, v) in enumerate(row):
+            if brace._compose(s, sigma[y]) != brace._compose(sigma[u], sigma[v]):
+                return ("braid", x, y)
+    return None
+
+
 def assert_checks_agree(bt):
     """The fast checks and the oracles give the same verdicts on bt."""
     ref = brace_violation_reference(bt)
     assert brace_violation(bt) == (ref and ref[:3])
     if ref is None:
         table = ybe_solution(bt).table
-        assert ybe_violation(table) is None and ybe_violation_reference(table) is None
+        assert ybe_violation(table) == ybe_violation_full(table) == ybe_violation_reference(table) is None
 
 
 def class_braces(pairs):
@@ -462,6 +485,7 @@ def test_corrupted_ybe_pair_is_rejected():
     bad = tuple(map(tuple, table))
     fast, ref = ybe_violation(bad), ybe_violation_reference(bad)
     assert fast is not None and ref is not None and fast[0] == ref[0]
+    assert fast == ybe_violation_full(bad)
 
 
 def involutive_table(sigma):
@@ -477,6 +501,7 @@ def test_cycle_set_identity_is_the_braid_relation_on_three_points():
     for sigma in product(permutations(range(3)), repeat=3):
         table = involutive_table(sigma)
         fast, ref = ybe_violation(table), ybe_violation_reference(table)
+        assert fast == ybe_violation_full(table)
         assert (fast is None) == (ref is None)
         assert fast is None or (fast[0], ref[0]) == ("braid", "braid")
         braided += fast is None
@@ -485,3 +510,70 @@ def test_cycle_set_identity_is_the_braid_relation_on_three_points():
     flat = tuple(tuple((x, y) for y in range(3)) for x in range(3))
     assert ybe_violation_reference(flat) is None
     assert ybe_violation(flat) == ("left-degenerate", 0)
+
+
+def test_braid_check_composes_once_per_orbit_of_r(monkeypatch):
+    # n = 112: the full loop makes 2 n^2 = 25,088 row compositions per brace,
+    # two for each pair (x, y); the check makes two per pair with r(x, y) > (x, y)
+    group, kind = parse_group("c7xc2xc8"), parse_kind("d112")
+    tables = [ybe_solution(bt).table for bt in class_braces([(group, kind)])]
+    n = group.order
+    assert len(tables) == 6
+    calls = []
+    compose = brace._compose
+    monkeypatch.setattr(brace, "_compose", lambda p, q: calls.append(1) or compose(p, q))
+    for table in tables:
+        before = len(calls)
+        assert ybe_violation(table) is None
+        larger = sum(table[x][y] > (x, y) for x in range(n) for y in range(n))
+        assert len(calls) - before == 2 * larger <= n * n
+
+
+@cache
+def d16_table():
+    """The YBE solution table of a non-trivial D16 brace on C2 x C8."""
+    return ybe_solution(nontrivial_brace("c2xc8", "d16")).table
+
+
+def cycle_sets(min_n, max_n):
+    """sigma: n permutations of range(n), for some n in [min_n, max_n]."""
+    return st.integers(min_n, max_n).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=n, max_size=n)
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(cycle_sets(3, 6))
+def test_orbit_braid_check_matches_full_loop_on_random_maps(sigma):
+    # every such map is involutive and left non-degenerate
+    table = involutive_table(sigma)
+    fast = ybe_violation(table)
+    assert fast == ybe_violation_full(table)
+    assert (fast is None) == (ybe_violation_reference(table) is None)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.tuples(*[st.integers(0, 15)] * 4))
+def test_orbit_braid_check_matches_full_loop_on_corrupted_entries(entry):
+    x, y, u, v = entry
+    table = [list(row) for row in d16_table()]
+    table[x][y] = (u, v)
+    bad = tuple(map(tuple, table))
+    fast = ybe_violation(bad)
+    assert fast == ybe_violation_full(bad)
+    if fast is None or fast[0] == "braid":
+        assert (fast is None) == (ybe_violation_reference(bad) is None)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.tuples(*[st.integers(0, 15)] * 3))
+def test_orbit_braid_check_matches_full_loop_on_transposed_sigma_rows(swap):
+    # a transposition in one sigma row keeps r involutive and left
+    # non-degenerate, so only the braid relation is left to catch it
+    x, i, j = swap
+    sigma = [[u for u, _ in row] for row in d16_table()]
+    sigma[x][i], sigma[x][j] = sigma[x][j], sigma[x][i]
+    table = involutive_table(sigma)
+    fast = ybe_violation(table)
+    assert fast == ybe_violation_full(table)
+    assert (fast is None) == (ybe_violation_reference(table) is None)

@@ -25,6 +25,8 @@ from holobrace.presentations import (
 )
 from holobrace.regular import list_regular, search_regular
 
+from family_oracles import kernel_closure
+
 C3 = make_group([3])
 
 
@@ -43,7 +45,7 @@ def index2_subgroups(sub):
         gens.add(kern.compose(a, a))
         for b in sub.elements:
             gens.add(kern.compose(kern.compose(a, b), kern.invert(kern.compose(b, a))))
-    phi = {kern.code(e) for e in kern.closure(list(gens), len(codes))}
+    phi = {kern.code(e) for e in kernel_closure(kern, list(gens), len(codes))}
     cosets, assigned = [], set()
     for c in sorted(codes):
         if c not in assigned:
