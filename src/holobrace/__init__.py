@@ -5,8 +5,8 @@ braces and Hopf-Galois structures."""
 from .abelian import Element, GroupSpec, make_group, parse_group, sylow_decompose
 from .brace import BraceTable, brace_from_subgroup, verify_brace, ybe_solution
 from .counts import (
-    CensusResult,
     census,
+    cross_check,
     d_closed,
     d_computed,
     hgs_count,
@@ -33,24 +33,18 @@ from .holomorph import (
     hol_order,
     order_spectrum,
 )
-from .oddpart import TauMap, reduce_counts, semidirect_subgroup, tau_set
-from .presentations import (
-    TargetKind,
-    admissible_types,
-    aut_order,
-    classify_subgroup,
-    parse_kind,
-)
+from .oddpart import reduce_counts
+from .presentations import TargetKind, admissible_types, aut_order, parse_kind
 from .regular import (
     ConjugacyClass,
     RegularSubgroup,
+    SearchResult,
     classify,
     list_regular,
     search_regular,
 )
 from .structured import (
     StructuredCensus,
-    StructuredGeneratorPair,
     StructuredRangeError,
     solve_cyclic,
     solve_rank2,

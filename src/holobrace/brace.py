@@ -26,7 +26,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
-from .abelian import GroupSpec
+from .abelian import GroupSpec, reach
 from .errors import InternalConsistencyError, InvalidInputError
 from .kernel import HolKernel, get_kernel
 from .regular import RegularSubgroup
@@ -104,18 +104,9 @@ def circ_generators(circ: tuple[Row, ...]) -> list[int]:
     reached = {0}
     gens: list[int] = []
     for a in range(len(circ)):
-        if a in reached:
-            continue
-        gens.append(a)
-        rows = [circ[g] for g in gens]
-        todo = list(reached)
-        while todo:
-            x = todo.pop()
-            for rho in rows:
-                y = rho[x]
-                if y not in reached:
-                    reached.add(y)
-                    todo.append(y)
+        if a not in reached:
+            gens.append(a)
+            reached = reach(0, [circ[g] for g in gens], lambda x, rho: rho[x], len(circ))
     return gens
 
 

@@ -18,6 +18,7 @@ from .counts import (
     CountReport,
     census,
     conjecture_report,
+    cross_check,
     table1_report,
     table3_report,
     table4_report,
@@ -62,9 +63,10 @@ def _open(path: str, mode: str):
 def _cmd_census(args) -> int:
     group = parse_group(args.N)
     kind = parse_kind(args.G)
-    res = census(group, kind, method=args.method, cross_check=args.cross_check)
-    if res.unchecked:
-        sys.stderr.write(f"cross-check: {res.unchecked}\n")
+    res = census(group, kind, method=args.method)
+    unchecked = cross_check(res) if args.cross_check else None
+    if unchecked:
+        sys.stderr.write(f"cross-check: {unchecked}\n")
     payload = {
         "schema": "v1",
         "N": group.display_name(),
@@ -73,7 +75,7 @@ def _cmd_census(args) -> int:
         "r": res.r,
         "h": res.h,
         "method": res.method,
-        "classes": [{"orbit": orbit, "stabilizer": stab} for orbit, stab in res.classes],
+        "classes": [{"orbit": orbit, "stabilizer": stab} for orbit, stab in res.class_sizes],
     }
     _emit(_dump(payload))
     return EXIT_OK
@@ -124,6 +126,8 @@ def _cmd_tables(args) -> int:
     n_max = 5 if args.n_max is None else args.n_max
     if n_max < 2:
         raise _UsageError(f"--n-max {n_max} leaves the table empty; it must be at least 2")
+    if args.s is not None and (args.s < 1 or args.s % 2 == 0):
+        raise _UsageError(f"--s {args.s} is not an odd part of |G|; it must be an odd integer at least 1")
     expected = None
     if args.golden:
         with _open(args.golden, "r") as fh:

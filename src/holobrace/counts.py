@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, replace
 
 from .abelian import GroupSpec, make_group, sylow_decompose
-from .endo import aut_order as group_aut_order
 from .errors import InternalConsistencyError, InvalidInputError
 from .oddpart import reduce_counts
 from .presentations import (
@@ -23,24 +22,10 @@ from .presentations import (
     TargetKind,
     _kind_of_order,
     admissible_types,
-    aut_order,
 )
-from .regular import SearchResult, fits_full_scan, scan_refusal, search_regular
+# hgs_count is defined beside SearchResult.h and kept importable from here
+from .regular import SearchResult, fits_full_scan, hgs_count, scan_refusal, search_regular
 from .structured import solve_family
-
-
-def hgs_count(kind: TargetKind, group: GroupSpec, r: int) -> int:
-    """h = |Aut(G)| * r / |Aut(N)|; the division is exact by theory."""
-    if r == 0:
-        return 0
-    num = aut_order(kind) * r
-    den = group_aut_order(group)
-    h, rem = divmod(num, den)
-    if rem:
-        raise InternalConsistencyError(
-            f"|Aut({kind.label()})| * r = {num} is not divisible by |Aut({group})| = {den}"
-        )
-    return h
 
 
 def q_closed(m: int) -> int:
@@ -70,34 +55,6 @@ def d_closed(m: int) -> int:
 # -- dispatch -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    group: GroupSpec
-    kind: TargetKind
-    c: int
-    r: int
-    h: int
-    classes: tuple[tuple[int, int], ...]  # (orbit size, stabilizer order) per class
-    method: str
-    unchecked: str | None = None  # why a cross-check found no second path
-
-
-def _result(group: GroupSpec, kind: TargetKind, r: int, orbits, method: str) -> CensusResult:
-    """A census from its class orbit sizes; each must divide |Aut(N)|."""
-    total = group_aut_order(group)
-    classes = []
-    for orbit in orbits:
-        stab, rem = divmod(total, orbit)
-        if rem:
-            raise InternalConsistencyError(f"orbit size {orbit} does not divide |Aut({group})| = {total}")
-        classes.append((orbit, stab))
-    return CensusResult(group, kind, len(classes), r, hgs_count(kind, group, r), tuple(classes), method)
-
-
-def _from_search(res: SearchResult, method: str) -> CensusResult:
-    return _result(res.group, res.kind, res.r, (orbit for orbit, _ in res.class_sizes), method)
-
-
 def _cyclic_2group(n: int) -> GroupSpec:
     return make_group([1 << n])
 
@@ -106,7 +63,12 @@ def _rank2_2group(n: int) -> GroupSpec:
     return make_group([2, 1 << (n - 1)])
 
 
-def two_power_census(group: GroupSpec, family: str) -> CensusResult:
+def _solved(group: GroupSpec, kind: TargetKind) -> SearchResult:
+    solved = solve_family(group, kind.family)
+    return SearchResult.from_orbits(group, kind, solved.r, solved.class_sizes, "structured")
+
+
+def two_power_census(group: GroupSpec, family: str) -> SearchResult:
     """Complete census for a 2-group: search, family solver, or theorem zero.
 
     Types outside the admissible list, and admissible non-family types with
@@ -119,48 +81,52 @@ def two_power_census(group: GroupSpec, family: str) -> CensusResult:
         raise InvalidInputError(f"{group} is not a 2-group")
     kind = TargetKind(family, n, 1)
     if n >= 5 and group in (_cyclic_2group(n), _rank2_2group(n)):
-        solved = solve_family(group, family)
-        return _result(group, kind, solved.r, solved.class_sizes, "structured")
+        return _solved(group, kind)
     if group not in admissible_types(n):
-        return _result(group, kind, 0, (), "type-theorem")
+        return SearchResult.from_orbits(group, kind, 0, (), "type-theorem")
     if n >= 6:
-        return _result(group, kind, 0, (), "zero-family")
+        return SearchResult.from_orbits(group, kind, 0, (), "zero-family")
     res = search_regular(group, kind)
-    return _from_search(res, "direct" if res.method == "full" else "sylow")
+    return res if res.method == "sylow" else replace(res, method="direct")
 
 
-def census(group: GroupSpec, kind: TargetKind, method: str = "auto", cross_check: bool = False) -> CensusResult:
+def census(group: GroupSpec, kind: TargetKind, method: str = "auto") -> SearchResult:
     """(c, r, h) for the pair (N, kind), choosing the cheapest sound path.
 
     method: auto | direct | sylow | structured | reduction; direct is the
-    full scan of Hol(N), refused past its cap, never the Sylow path.  With
-    cross_check=True a second path runs and must agree on (c, r, h) and on
-    the multiset of (orbit, stabilizer) classes; where none can run,
-    `unchecked` says why.  The second path reuses no memo entry of the
-    first, but the full scan and the Sylow path run the same code of
-    `Pool.candidates`, `regular._x_scan` and `regular._build_y`, so a fault
-    there can pass both.
+    full scan of Hol(N), refused past its cap, never the Sylow path.
+    `cross_check` runs a second path on the answer.
     """
     if kind.order != group.order:
         raise InvalidInputError(
             f"target {kind.label()} has order {kind.order} but |{group}| = {group.order}"
         )
-    odd, two = sylow_decompose(group)
-    n = two.two_adic
-    if n < 2:
+    if group.two_adic < 2:
         raise InvalidInputError("quaternion/dihedral targets need 4 | |N|")
-    result = _census_by_method(group, kind, method, odd, two)
-    if cross_check:
-        alt = _cross_method(group, result.method)
-        if alt is None:
-            return replace(result, unchecked=_no_second_path(group, kind, result.method))
-        other = _census_by_method(group, kind, alt, odd, two)
-        said = [f"(c={x.c}, r={x.r}, h={x.h}) and (orbit, stabilizer) classes {sorted(x.classes)}" for x in (result, other)]
-        if said[0] != said[1]:
-            raise InternalConsistencyError(
-                f"cross-check: the {result.method} path gives {said[0]} but the {other.method} path gives {said[1]}"
-            )
-    return result
+    return _census_by_method(group, kind, method)
+
+
+def cross_check(result: SearchResult) -> str | None:
+    """Run a second path on the pair of a census answer: it must agree on
+    (c, r, h) and on the multiset of (orbit, stabilizer) classes, or
+    InternalConsistencyError names both.  Where none can run, returns the
+    reason, and None otherwise.
+
+    The second path reuses no memo entry of the first, but the full scan
+    and the Sylow path run the same code of `Pool.candidates`,
+    `regular._x_scan` and `regular._build_y`, so a fault there can pass both.
+    """
+    group, kind = result.group, result.kind
+    alt = _cross_method(group, result.method)
+    if alt is None:
+        return _no_second_path(group, kind, result.method)
+    other = _census_by_method(group, kind, alt)
+    said = [f"(c={x.c}, r={x.r}, h={x.h}) and (orbit, stabilizer) classes {sorted(x.class_sizes)}" for x in (result, other)]
+    if said[0] != said[1]:
+        raise InternalConsistencyError(
+            f"cross-check: the {result.method} path gives {said[0]} but the {other.method} path gives {said[1]}"
+        )
+    return None
 
 
 def _cross_method(group: GroupSpec, method: str):
@@ -191,31 +157,23 @@ def _no_second_path(group: GroupSpec, kind: TargetKind, method: str) -> str:
     return f"no second path for ({group}, {kind.display_name()}); " + "; ".join(reasons)
 
 
-def _census_by_method(group: GroupSpec, kind: TargetKind, method: str, odd: GroupSpec, two: GroupSpec) -> CensusResult:
+def _census_by_method(group: GroupSpec, kind: TargetKind, method: str) -> SearchResult:
+    odd, _ = sylow_decompose(group)
     if method in ("direct", "sylow"):
-        res = search_regular(group, kind, "full" if method == "direct" else "sylow")
-        return _from_search(res, res.method)
+        return search_regular(group, kind, "full" if method == "direct" else "sylow")
     if method == "structured":
         if odd.order != 1:
             raise InvalidInputError("structured solvers cover 2-groups only")
-        solved = solve_family(group, kind.family)
-        return _result(group, kind, solved.r, solved.class_sizes, "structured")
+        return _solved(group, kind)
     if method == "reduction":
-        if odd.order < 3:
-            raise InvalidInputError("reduction needs an odd part s >= 3")
-        r, _, sizes = reduce_counts(group, kind)
-        return _result(group, kind, r, sizes, "reduction")
+        return reduce_counts(group, kind)
     if method == "auto":
-        return _census_auto(group, kind, odd, two)
+        if odd.order == 1:
+            return two_power_census(group, kind.family)
+        if not odd.is_cyclic():
+            return SearchResult.from_orbits(group, kind, 0, (), "odd-noncyclic")
+        return reduce_counts(group, kind)
     raise InvalidInputError(f"unknown census method {method!r}")
-
-
-def _census_auto(group: GroupSpec, kind: TargetKind, odd: GroupSpec, two: GroupSpec) -> CensusResult:
-    if odd.order == 1:
-        return two_power_census(group, kind.family)
-    if not odd.is_cyclic():
-        return _result(group, kind, 0, (), "odd-noncyclic")
-    return _census_by_method(group, kind, "reduction", odd, two)
 
 
 def hgs_reduce(group: GroupSpec, kind: TargetKind) -> int:

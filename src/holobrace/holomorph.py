@@ -129,14 +129,3 @@ def order_spectrum(group: GroupSpec) -> dict[int, int]:
         counts = merged
     return dict(sorted(counts.items()))
 
-
-# -- conversions between algebraic and kernel forms ---------------------------
-
-
-def to_kernel(x: HolElement):
-    return get_kernel(x.group).from_parts(x.aut, x.trans)
-
-
-def from_kernel(group: GroupSpec, elem) -> HolElement:
-    aut, trans = get_kernel(group).to_parts(elem)
-    return HolElement(group, aut, trans)

@@ -305,9 +305,6 @@ class HolKernel:
     def compose(self, x: KernelElement, y: KernelElement) -> KernelElement:
         return tuple(map(PrimeSpace.compose, self.spaces, x, y))
 
-    def invert(self, x: KernelElement) -> KernelElement:
-        return tuple(sp.inverse(a) for sp, a in zip(self.spaces, x))
-
     def order(self, x: KernelElement) -> int:
         return lcm(*(sp.order(a) for sp, a in zip(self.spaces, x))) if x else 1
 
@@ -361,29 +358,6 @@ class HolKernel:
     def images(self, x: KernelElement) -> tuple[int, ...]:
         """x as a permutation of the combined indices: images(x)[i] = x(i)."""
         return tuple(map(sum, product(*([v * s for v in a] for a, s in zip(x, self.strides)))))
-
-    # -- element <-> algebraic form ----------------------------------------------
-
-    def from_parts(self, aut: Aut, trans: Element) -> KernelElement:
-        self.group.check_element(trans)
-        out = []
-        for k, (p, sp) in enumerate(zip(self.primes, self.spaces)):
-            sl = self.group.prime_slice(p)
-            v_idx = sp.index[tuple(trans[sl])]
-            out.append(sp.hol_perm(sp.aut_perm(aut[k]), v_idx))
-        return tuple(out)
-
-    def to_parts(self, x: KernelElement) -> tuple[Aut, Element]:
-        blocks = []
-        trans: list[int] = []
-        for sp, a in zip(self.spaces, x):
-            decoded = sp.decode(a)
-            if decoded is None:
-                raise InvalidInputError("permutation is not affine")
-            mat, v = decoded
-            blocks.append(mat)
-            trans.extend(v)
-        return tuple(blocks), tuple(trans)
 
     # -- pools ---------------------------------------------------------------------
 

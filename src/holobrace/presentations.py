@@ -1,4 +1,4 @@
-"""Generalized quaternion and dihedral targets: recognition and Aut orders.
+"""Generalized quaternion and dihedral targets: kinds, Aut orders, admissible types.
 
 Q_{2^n s} = <x, y : x^{2^{n-1} s} = 1, y x y^{-1} = x^{-1}, y^2 = x^{2^{n-2} s}>
 D_{2^n s} = <x, y : x^{2^{n-1} s} = 1, y x y^{-1} = x^{-1}, y^2 = 1>
@@ -14,8 +14,6 @@ from math import gcd
 
 from .abelian import GroupSpec, make_group
 from .errors import InvalidInputError
-from .holomorph import HolElement, to_kernel
-from .kernel import HolKernel, KernelElement, get_kernel
 
 QUATERNION = "quaternion"
 DIHEDRAL = "dihedral"
@@ -105,66 +103,3 @@ def admissible_types(n: int) -> list[GroupSpec]:
             out.append(spec)
     return out
 
-
-# -- recognition ---------------------------------------------------------------
-
-
-def _classify_kernel(kern: HolKernel, elems: frozenset[KernelElement], check_closed: bool = True):
-    """Kind plus (x, y) witnesses, or None.  `elems` must form a subgroup."""
-    if check_closed:
-        for a in elems:
-            if kern.invert(a) not in elems:
-                raise InvalidInputError("input set is not closed under inversion")
-            for b in elems:
-                if kern.compose(a, b) not in elems:
-                    raise InvalidInputError("input set is not closed under composition")
-    size = len(elems)
-    n = 0
-    s = size
-    while s % 2 == 0:
-        s //= 2
-        n += 1
-    if n < 2:
-        return None
-    mx = (1 << (n - 1)) * s
-    half = (1 << (n - 2)) * s
-    ident = kern.identity
-    for x in sorted(elems, key=kern.code):
-        if kern.order(x) != mx:
-            continue
-        pows = kern.power_list(x, mx)
-        in_x = set(pows)
-        x_inv = kern.invert(x)
-        x_half = pows[half]
-        for y in sorted(elems - in_x, key=kern.code):
-            if kern.compose(kern.compose(y, x), kern.invert(y)) != x_inv:
-                continue
-            y2 = kern.compose(y, y)
-            if y2 == x_half:
-                return TargetKind(QUATERNION, n, s), (x, y)
-            if y2 == ident:
-                return TargetKind(DIHEDRAL, n, s), (x, y)
-        # in Q/D every element outside <x> works, so one <x> decides
-        return None
-    return None
-
-
-def classify_subgroup(elems) -> TargetKind | None:
-    """Recognize a subgroup of Hol(N) as quaternion/dihedral via witnesses.
-
-    `elems` is a collection of HolElement forming a subgroup.  Returns the
-    TargetKind, or None when the group is neither (degenerate order-4 cases
-    report C_4 as quaternion and C_2 x C_2 as dihedral).
-    """
-    elems = list(elems)
-    if not elems:
-        raise InvalidInputError("empty element set")
-    if not isinstance(elems[0], HolElement):
-        raise InvalidInputError("classify_subgroup expects HolElement values")
-    group = elems[0].group
-    kern = get_kernel(group)
-    kelems = frozenset(to_kernel(e) for e in elems)
-    if len(kelems) != len(elems):
-        raise InvalidInputError("duplicate elements in subgroup")
-    got = _classify_kernel(kern, kelems)
-    return got[0] if got else None

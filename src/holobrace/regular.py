@@ -28,9 +28,10 @@ from . import config
 from .abelian import GroupSpec, reach
 from .endo import aut_order
 from .errors import CapacityError, InternalConsistencyError, InvalidInputError
-from .holomorph import HolElement, exponent_bound, from_kernel
+from .holomorph import exponent_bound
 from .kernel import HolKernel, KernelElement, Pool, PrimeSpace, get_kernel
 from .presentations import QUATERNION, TargetKind
+from .presentations import aut_order as target_aut_order
 
 SubgroupKey = tuple[bytes, ...]
 
@@ -52,13 +53,6 @@ class RegularSubgroup:
         ends = list(accumulate(get_kernel(self.group).sizes, initial=0))
         spans = list(zip(ends, ends[1:]))
         return tuple(tuple(c[a:b] for a, b in spans) for c in self.key)
-
-    def hol_elements(self) -> tuple[HolElement, ...]:
-        return tuple(from_kernel(self.group, e) for e in self.elements)
-
-    def witnesses(self) -> tuple[HolElement, HolElement]:
-        x, y = self.witness
-        return from_kernel(self.group, x), from_kernel(self.group, y)
 
 
 @dataclass(frozen=True)
@@ -375,10 +369,26 @@ def _class_sizes(kern: HolKernel, kind: TargetKind, seeds: dict[SubgroupKey, See
     return tuple((total // stab, stab) for stab, _ in classes)
 
 
+def hgs_count(kind: TargetKind, group: GroupSpec, r: int) -> int:
+    """h = |Aut(G)| * r / |Aut(N)|; the division is exact by theory."""
+    if r == 0:
+        return 0
+    num = target_aut_order(kind) * r
+    den = aut_order(group)
+    h, rem = divmod(num, den)
+    if rem:
+        raise InternalConsistencyError(
+            f"|Aut({kind.label()})| * r = {num} is not divisible by |Aut({group})| = {den}"
+        )
+    return h
+
+
 @dataclass(frozen=True)
 class SearchResult:
-    """A census of the regular `kind` subgroups of Hol(N): r and the (orbit
-    size, stabilizer order) of each class, in class order.
+    """A census of the regular `kind` subgroups of Hol(N): r, the (orbit
+    size, stabilizer order) of each class, in class order, and the path
+    that answered.  Every census path answers with one, built by
+    `from_orbits`.
 
     It keeps no subgroup: `list_regular` lists the subgroups and the class
     representatives by rerunning the scan."""
@@ -389,9 +399,28 @@ class SearchResult:
     class_sizes: tuple[tuple[int, int], ...]
     method: str
 
+    @classmethod
+    def from_orbits(cls, group: GroupSpec, kind: TargetKind, r: int, orbits: Iterable[int], method: str) -> SearchResult:
+        """The answer whose classes have the orbit sizes `orbits`; each must
+        divide |Aut(N)|, and h must be an integer."""
+        total = aut_order(group)
+        classes = []
+        for orbit in orbits:
+            stab, rem = divmod(total, orbit)
+            if rem:
+                raise InternalConsistencyError(f"orbit size {orbit} does not divide |Aut({group})| = {total}")
+            classes.append((orbit, stab))
+        hgs_count(kind, group, r)
+        return cls(group, kind, r, tuple(classes), method)
+
     @property
     def c(self) -> int:
         return len(self.class_sizes)
+
+    @property
+    def h(self) -> int:
+        """The Hopf-Galois structures of type N, `hgs_count` of r."""
+        return hgs_count(self.kind, self.group, self.r)
 
 
 def search_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> SearchResult:
@@ -415,12 +444,12 @@ def _search_cached(group: GroupSpec, kind: TargetKind, method: str) -> SearchRes
     kern = get_kernel(group)
     seeds = _seed_search(kern, kind, _pool_for(kern, method))
     if method == "sylow":
-        sizes = _class_sizes(kern, kind, seeds)
-        return SearchResult(group, kind, sum(size for size, _ in sizes), sizes, method)
+        orbits = [size for size, _ in _class_sizes(kern, kind, seeds)]
+        return SearchResult.from_orbits(group, kind, sum(orbits), orbits, method)
     found, raw_classes = _expand_orbits(kern, seeds)
     if len(found) != len(seeds):
         raise InternalConsistencyError("the full scan missed conjugates of what it found")
-    return SearchResult(group, kind, len(found), tuple((size, stab) for _, size, stab in raw_classes), method)
+    return SearchResult.from_orbits(group, kind, len(found), (size for _, size, _ in raw_classes), method)
 
 
 def _conjugacy_classes(found: dict[SubgroupKey, RegularSubgroup], raw_classes) -> tuple[ConjugacyClass, ...]:

@@ -8,7 +8,7 @@ membership tests in the cyclic 2-group <X>, so (r, c) and the class sizes
 are computed rather than quoted.
 
 The loops run on plain-integer affine maps in the form of `HolElement.encode()`
-(row i reduced mod the i-th factor); only `instantiate` builds `HolElement`s.
+(row i reduced mod the i-th factor) and build no `HolElement`.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from functools import lru_cache
 
 from . import config
 from .abelian import GroupSpec, make_group, reach
-from .endo import aut_generators, aut_invert, aut_order, make_endo
+from .endo import aut_generators, aut_invert, aut_order
 from .errors import CapacityError, InternalConsistencyError, InvalidInputError
-from .holomorph import HolElement
 from .presentations import QUATERNION, TargetKind
 
 CYCLIC = "cyclic"
@@ -33,39 +32,11 @@ class StructuredRangeError(InvalidInputError):
 
 
 @dataclass(frozen=True)
-class StructuredGeneratorPair:
-    """Solved (X, Y) parameters for one family member."""
-
-    family: str
-    n: int
-    kind: TargetKind
-    params: tuple[int, ...]  # cyclic: (alpha, v, beta, w); rank2: (a,b,r,s,alpha,beta,v1,v2,w1,w2)
-
-    def group(self) -> GroupSpec:
-        if self.family == CYCLIC:
-            return make_group([1 << self.n])
-        return make_group([2, 1 << (self.n - 1)])
-
-    def affine(self) -> tuple[tuple, tuple]:
-        """(X, Y) as plain-integer encodings, equal to `instantiate()`'s."""
-        if self.family == CYCLIC:
-            alpha, v, beta, w = self.params
-            return ((alpha,), (v,)), ((beta,), (w,))
-        a, b, r, s, alpha, beta, v1, v2, w1, w2 = self.params
-        half = 1 << (self.n - 2)
-        return ((1, a, half * b, alpha), (v1, v2)), ((1, r, half * s, beta), (w1, w2))
-
-    def instantiate(self) -> tuple[HolElement, HolElement]:
-        """(X, Y) as validated holomorph elements."""
-        return tuple(_element_from_encoding(self.group(), e) for e in self.affine())
-
-
-@dataclass(frozen=True)
 class StructuredCensus:
     family: str
     n: int
     kind: TargetKind
-    pairs: tuple[StructuredGeneratorPair, ...]  # the solved pairs the orbits start from
+    pairs: tuple[tuple, ...]  # the solved (X, Y) encoding pairs the orbits start from
     r: int
     c: int
     class_sizes: tuple[int, ...]
@@ -244,8 +215,7 @@ def _solve_cyclic(n: int, family: str) -> StructuredCensus:
     witnesses, sizes = _classes(found, n - 1, mods)
     if kept != 2 or len(witnesses) != len(found):
         raise InternalConsistencyError(f"cyclic family n={n}: {kept} <X>, {len(found)} of {len(witnesses)} found")
-    pairs = tuple(StructuredGeneratorPair(CYCLIC, n, kind, (*x[0], *x[1], *y[0], *y[1])) for x, y in found)
-    return StructuredCensus(CYCLIC, n, kind, pairs, len(witnesses), len(sizes), sizes, witnesses)
+    return StructuredCensus(CYCLIC, n, kind, tuple(found), len(witnesses), len(sizes), sizes, witnesses)
 
 
 # -- C_2 x C_{2^{n-1}} -------------------------------------------------------------
@@ -270,7 +240,7 @@ def _solve_rank2(n: int, family: str) -> StructuredCensus:
     half = 1 << (n - 2)
     kind = TargetKind(family, n, 1)
     s = 1 if family == QUATERNION else 0
-    fundamentals: list[StructuredGeneratorPair] = []
+    fundamentals = []
     for a in (0, 1):
         for b in (0, 1):
             target = (1 + half * a * s) % mod
@@ -278,19 +248,16 @@ def _solve_rank2(n: int, family: str) -> StructuredCensus:
                 if alpha * alpha % mod != target:
                     continue
                 beta = (half * b * (1 + a) - pow(alpha, -1, mod)) % mod
-                fundamentals.append(
-                    StructuredGeneratorPair(RANK2, n, kind, (a, b, a, s, alpha, beta, 0, 1, 1, 0))
-                )
+                fundamentals.append((((1, a, half * b, alpha), (0, 1)), ((1, a, half * s, beta), (1, 0))))
     if len(fundamentals) != 8:
         raise InternalConsistencyError(f"expected 8 fundamental solutions, got {len(fundamentals)}")
     mods = (2, mod)
-    for pair in fundamentals:
-        x, y = pair.affine()
+    for x, y in fundamentals:
         marks = bytearray(1 << n)
         walks = _mark_orbit(marks, x, (0, 0), mod, mods) and _mark_orbit(marks, x, y[1], mod, mods)
         if not (walks and _presents(x, y, n - 1, s == 1, mods)):
-            raise InternalConsistencyError(f"fundamental pair {pair.params} is not regular")
-    witnesses, sizes = _classes([pair.affine() for pair in fundamentals], n - 1, mods)
+            raise InternalConsistencyError(f"fundamental pair {(x, y)} is not regular")
+    witnesses, sizes = _classes(fundamentals, n - 1, mods)
     return StructuredCensus(RANK2, n, kind, tuple(fundamentals), len(witnesses), len(sizes), sizes, witnesses)
 
 
@@ -305,11 +272,3 @@ def solve_family(group: GroupSpec, family: str) -> StructuredCensus:
         return solve_rank2(n, family)
     raise StructuredRangeError(f"{group} is not one of the structured families")
 
-
-def _element_from_encoding(group: GroupSpec, enc) -> HolElement:
-    flat, trans = enc
-    p = group.primes[0]
-    exps = group.exponents(p)
-    r = len(exps)
-    rows = [list(flat[i * r : (i + 1) * r]) for i in range(r)]
-    return HolElement(group, (make_endo(p, exps, rows),), trans)

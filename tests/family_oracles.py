@@ -1,5 +1,6 @@
 """Closure-based oracles: subgroup closures in Hol(N), the regularity test,
-and the family solvers in `holobrace.structured` redone by closure.
+the solved (X, Y) parameter pairs as validated `HolElement`s, and the family
+solvers in `holobrace.structured` redone by closure.
 
 The family oracles close every candidate subgroup into a frozenset of
 plain-integer encodings (the form of `HolElement.encode()`), filter the
@@ -11,17 +12,72 @@ no budget: keep n small.
 
 from dataclasses import dataclass
 
-from holobrace.abelian import make_group, reach
-from holobrace.endo import aut_generators, aut_order
-from holobrace.holomorph import from_kernel, to_kernel
+from holobrace.abelian import GroupSpec, make_group, reach
+from holobrace.endo import aut_generators, aut_order, make_endo
+from holobrace.holomorph import HolElement
 from holobrace.kernel import get_kernel
 from holobrace.presentations import QUATERNION, TargetKind
-from holobrace.structured import (
-    CYCLIC,
-    RANK2,
-    StructuredGeneratorPair,
-    _element_from_encoding,
-)
+from holobrace.structured import CYCLIC, RANK2
+
+from subgroup_oracles import from_kernel, to_kernel
+
+
+def family_group(family, n):
+    """C_{2^n} for the cyclic family, C_2 x C_{2^(n-1)} for the rank-2 one."""
+    return make_group([1 << n]) if family == CYCLIC else make_group([2, 1 << (n - 1)])
+
+
+def element_from_encoding(group: GroupSpec, enc) -> HolElement:
+    """The validated holomorph element of a plain-integer encoding."""
+    flat, trans = enc
+    p = group.primes[0]
+    exps = group.exponents(p)
+    r = len(exps)
+    rows = [list(flat[i * r : (i + 1) * r]) for i in range(r)]
+    return HolElement(group, (make_endo(p, exps, rows),), trans)
+
+
+@dataclass(frozen=True)
+class StructuredGeneratorPair:
+    """Solved (X, Y) parameters for one family member."""
+
+    family: str
+    n: int
+    kind: TargetKind
+    params: tuple[int, ...]  # cyclic: (alpha, v, beta, w); rank2: (a,b,r,s,alpha,beta,v1,v2,w1,w2)
+
+    def group(self) -> GroupSpec:
+        return family_group(self.family, self.n)
+
+    def affine(self) -> tuple[tuple, tuple]:
+        """(X, Y) as plain-integer encodings, equal to `instantiate()`'s."""
+        if self.family == CYCLIC:
+            alpha, v, beta, w = self.params
+            return ((alpha,), (v,)), ((beta,), (w,))
+        a, b, r, s, alpha, beta, v1, v2, w1, w2 = self.params
+        half = 1 << (self.n - 2)
+        return ((1, a, half * b, alpha), (v1, v2)), ((1, r, half * s, beta), (w1, w2))
+
+    def instantiate(self) -> tuple[HolElement, HolElement]:
+        """(X, Y) as validated holomorph elements."""
+        return tuple(element_from_encoding(self.group(), e) for e in self.affine())
+
+
+def solved_pairs(census):
+    """A solver census's (X, Y) encodings read back into parameters; each
+    pair must encode to the same (X, Y) again."""
+    half = 1 << (census.n - 2)
+    pairs = []
+    for x, y in census.pairs:
+        if census.family == CYCLIC:
+            params = (*x[0], *x[1], *y[0], *y[1])
+        else:
+            ((_, a, hb, alpha), v), ((_, r, hs, beta), w) = x, y
+            params = (a, hb // half, r, hs // half, alpha, beta, *v, *w)
+        pair = StructuredGeneratorPair(census.family, census.n, census.kind, params)
+        assert pair.affine() == (x, y), (x, y)
+        pairs.append(pair)
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -88,14 +144,14 @@ def subgroup_elements(pair):
 
 def witness_elements(census, witness):
     """Encodings of the subgroup a census witness (X, Y) generates."""
-    return closure(witness, census.pairs[0].group().factors, 2 * census.kind.order)
+    return closure(witness, family_group(census.family, census.n).factors, 2 * census.kind.order)
 
 
 def kernel_keys(group, subgroups):
     """Subgroup canonical keys in the generic engine's representation."""
     kern = get_kernel(group)
     return frozenset(
-        tuple(sorted(kern.code(to_kernel(_element_from_encoding(group, e))) for e in elems))
+        tuple(sorted(kern.code(to_kernel(element_from_encoding(group, e))) for e in elems))
         for elems in subgroups
     )
 

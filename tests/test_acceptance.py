@@ -17,12 +17,12 @@ from holobrace.counts import (
     table1_report,
 )
 from holobrace.holomorph import order_spectrum
-from holobrace.oddpart import semidirect_subgroup, tau_set
 from holobrace.presentations import DIHEDRAL, QUATERNION, TargetKind, admissible_types, parse_kind
 from holobrace.regular import list_regular, search_regular
 from holobrace.structured import solve_cyclic, solve_rank2
 
-from family_oracles import kernel_keys, witness_elements
+from family_oracles import family_group, kernel_keys, witness_elements
+from subgroup_oracles import semidirect_subgroup, tau_set
 from test_brace import lambda_is_homomorphism_reference
 
 PASS = "ACCEPT {}: PASS  {}"
@@ -67,7 +67,7 @@ def test_criterion_1_table1_exact():
 
 def engine_keys_of_witnesses(solved):
     """The solver's witnesses, closed by the test oracle, as engine keys."""
-    return kernel_keys(solved.pairs[0].group(), [witness_elements(solved, w) for w in solved.witnesses])
+    return kernel_keys(family_group(solved.family, solved.n), [witness_elements(solved, w) for w in solved.witnesses])
 
 
 def test_criterion_2_structured_families():

@@ -19,10 +19,12 @@ from holobrace.brace import (
     ybe_violation,
 )
 from holobrace.errors import InvalidInputError
-from holobrace.holomorph import from_kernel, hol_apply, hol_from_translation, to_kernel
+from holobrace.holomorph import hol_apply, hol_from_translation
 from holobrace.kernel import HolKernel, get_kernel
 from holobrace.presentations import TargetKind, admissible_types, parse_kind
 from holobrace.regular import _subgroup, list_regular
+
+from subgroup_oracles import from_kernel, to_kernel
 
 
 def translation_subgroup(orders):

@@ -250,6 +250,15 @@ def test_table1_refuses_range_flags(capsys, flags):
     assert err.startswith(f"usage error: {flags[0]} {flags[1]} ")
 
 
+@pytest.mark.parametrize("which", ["3", "4"])
+@pytest.mark.parametrize("s", ["2", "0", "-3"])
+def test_an_s_that_is_no_odd_part_names_the_flag(capsys, which, s):
+    # n = 2 is a row the table would print, not a value the user chose
+    code, out, err = run(capsys, "tables", "--which", which, "--n-max", "3", "--s", s)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"usage error: --s {s} ") and "n=" not in err
+
+
 def test_table_range_defaults_still_apply(capsys):
     explicit = run(capsys, "tables", "--which", "4", "--n-max", "3", "--s", "3", "--format", "csv")
     assert run(capsys, "tables", "--which", "4", "--n-max", "3", "--format", "csv") == explicit

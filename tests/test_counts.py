@@ -4,6 +4,7 @@ from holobrace.abelian import make_group, parse_group
 from holobrace.counts import (
     census,
     conjecture_report,
+    cross_check,
     d_closed,
     d_computed,
     hgs_count,
@@ -62,10 +63,44 @@ def test_census_dispatch_methods():
 
 
 def test_census_cross_check_agrees():
-    res = census(parse_group("c3xc2xc4"), parse_kind("q24"), cross_check=True)
-    assert (res.c, res.r) == (3, 6)
-    res = census(parse_group("c32"), parse_kind("d32"), cross_check=True)
-    assert (res.c, res.r) == (1, 1)
+    res = census(parse_group("c3xc2xc4"), parse_kind("q24"))
+    assert (res.c, res.r) == (3, 6) and cross_check(res) is None
+    res = census(parse_group("c32"), parse_kind("d32"))
+    assert (res.c, res.r) == (1, 1) and cross_check(res) is None
+
+
+@pytest.mark.parametrize(
+    "nspec,kind,method,path",
+    [
+        ("c2xc4", "d8", "auto", "direct"),
+        ("c2xc4", "d8", "direct", "full"),
+        ("c2xc2xc2xc2", "q16", "auto", "sylow"),
+        ("c2xc16", "q32", "auto", "structured"),
+        ("c3xc2xc8", "q48", "auto", "reduction"),
+        ("c5xc2xc4", "q40", "auto", "reduction"),  # exceptional: the s = 3 base search
+        ("c2xc4xc4", "q32", "auto", "type-theorem"),
+        ("c4xc16", "q64", "auto", "zero-family"),
+        ("c3xc3xc4", "q36", "auto", "odd-noncyclic"),
+        ("c3xc3xc4", "q36", "reduction", "reduction"),
+    ],
+)
+def test_every_census_path_answers_with_one_type(nspec, kind, method, path):
+    from holobrace.endo import aut_order
+    from holobrace.regular import SearchResult
+
+    group, k = parse_group(nspec), parse_kind(kind)
+    res = census(group, k, method)
+    assert isinstance(res, SearchResult) and res.method == path
+    assert (res.group, res.kind) == (group, k)
+    assert res.h == hgs_count(k, group, res.r)
+    assert res.c == len(res.class_sizes) and sum(orbit for orbit, _ in res.class_sizes) == res.r
+    assert all(orbit * stab == aut_order(group) for orbit, stab in res.class_sizes)
+
+
+def test_census_takes_no_cross_check_flag():
+    import inspect
+
+    assert list(inspect.signature(census).parameters) == ["group", "kind", "method"]
 
 
 def test_census_rejects_wrong_order():
@@ -221,7 +256,8 @@ def test_cross_check_runs_the_full_scan_and_the_sylow_path(monkeypatch):
         return res
 
     monkeypatch.setattr(counts, "search_regular", spy)
-    res = census(parse_group("c2xc4"), parse_kind("d8"), cross_check=True)
+    res = census(parse_group("c2xc4"), parse_kind("d8"))
+    assert cross_check(res) is None
     assert (res.c, res.r, res.method) == (5, 14, "direct")
     assert ran == ["full", "sylow"]
 
@@ -231,14 +267,15 @@ def test_cross_check_runs_the_full_scan_and_the_sylow_path(monkeypatch):
 
     monkeypatch.setattr(counts, "search_regular", broken)
     with pytest.raises(InternalConsistencyError, match="direct path .* sylow path"):
-        census(parse_group("c2xc4"), parse_kind("d8"), cross_check=True)
+        cross_check(census(parse_group("c2xc4"), parse_kind("d8")))
 
     # Hol(C3 x C2^4) is past the scan cap: the reduction is crossed with the
     # Sylow path, whose pool of 6144 fits
     mixed = parse_group("c3xc2xc2xc2xc2")
     monkeypatch.setattr(counts, "search_regular", spy)
     ran.clear()
-    res = census(mixed, parse_kind("q48"), cross_check=True)
+    res = census(mixed, parse_kind("q48"))
+    assert cross_check(res) is None
     assert (res.c, res.r, res.method) == (1, 5040, "reduction")
     assert ran == ["sylow", "sylow"]  # the 2-part census, then the cross-check
 
@@ -248,7 +285,7 @@ def test_cross_check_runs_the_full_scan_and_the_sylow_path(monkeypatch):
 
     monkeypatch.setattr(counts, "search_regular", broken_mixed)
     with pytest.raises(InternalConsistencyError, match="reduction path .* sylow path"):
-        census(mixed, parse_kind("q48"), cross_check=True)
+        cross_check(census(mixed, parse_kind("q48")))
 
 
 def test_cross_check_compares_class_sizes(monkeypatch):
@@ -260,8 +297,8 @@ def test_cross_check_compares_class_sizes(monkeypatch):
     from holobrace.structured import solve_family
 
     pair = (parse_group("c2xc16"), parse_kind("q32"))
-    res = census(*pair, method="structured", cross_check=True)
-    assert (res.c, res.r) == (6, 16) and res.unchecked is None
+    res = census(*pair, method="structured")
+    assert (res.c, res.r) == (6, 16) and cross_check(res) is None
 
     def skewed(group, family):
         # still 16 subgroups in 6 classes, each orbit dividing |Aut(C2 x C16)| = 32
@@ -269,7 +306,7 @@ def test_cross_check_compares_class_sizes(monkeypatch):
 
     monkeypatch.setattr(counts, "solve_family", skewed)
     with pytest.raises(InternalConsistencyError) as err:
-        census(*pair, method="structured", cross_check=True)
+        cross_check(census(*pair, method="structured"))
     assert str(err.value) == (
         "cross-check: the structured path gives (c=6, r=16, h=64) and (orbit, stabilizer) classes "
         "[(1, 32), (1, 32), (2, 16), (4, 8), (4, 8), (4, 8)] but the full path gives (c=6, r=16, h=64) "

@@ -9,23 +9,20 @@ from holobrace.brace import brace_from_subgroup
 import holobrace.oddpart as oddpart
 from holobrace.errors import InternalConsistencyError, InvalidInputError
 from holobrace.kernel import get_kernel
-from holobrace.oddpart import (
+from holobrace.oddpart import is_exceptional, reduce_counts
+from holobrace.presentations import TargetKind, admissible_types, parse_kind
+from holobrace.regular import SearchResult, list_regular, search_regular
+
+from family_oracles import kernel_closure
+from subgroup_oracles import (
     TauMap,
-    is_exceptional,
-    reduce_counts,
+    classify_kernel,
+    classify_subgroup,
+    hol_elements,
+    kernel_invert,
     semidirect_subgroup,
     tau_set,
 )
-from holobrace.presentations import (
-    TargetKind,
-    _classify_kernel,
-    admissible_types,
-    classify_subgroup,
-    parse_kind,
-)
-from holobrace.regular import list_regular, search_regular
-
-from family_oracles import kernel_closure
 
 C3 = make_group([3])
 
@@ -44,7 +41,7 @@ def index2_subgroups(sub):
     for a in sub.elements:
         gens.add(kern.compose(a, a))
         for b in sub.elements:
-            gens.add(kern.compose(kern.compose(a, b), kern.invert(kern.compose(b, a))))
+            gens.add(kern.compose(kern.compose(a, b), kernel_invert(kern, kern.compose(b, a))))
     phi = {kern.code(e) for e in kernel_closure(kern, list(gens), len(codes))}
     cosets, assigned = [], set()
     for c in sorted(codes):
@@ -85,7 +82,7 @@ def probed_kernels(sub):
     out = []
     for kernel_codes in index2_subgroups(sub):
         kern, elems = lift_elements(sub, kernel_codes, C3)
-        got = _classify_kernel(kern, frozenset(elems), check_closed=False)
+        got = classify_kernel(kern, frozenset(elems), check_closed=False)
         if got is not None and got[0] == kind:
             out.append(kernel_codes)
     return out
@@ -194,7 +191,7 @@ def test_semidirect_q32_to_q96():
     g = semidirect_subgroup(h, taus[0], C3)
     assert g.group == make_group([3, 32])
     assert g.kind == parse_kind("q96")
-    assert classify_subgroup(g.hol_elements()) == parse_kind("q96")
+    assert classify_subgroup(hol_elements(g)) == parse_kind("q96")
 
 
 def test_semidirect_rejects_noncyclic_odd():
@@ -328,18 +325,19 @@ def _elem(kern, sub, code):
     ],
 )
 def test_reduce_counts(nspec, kind, r, c):
-    got_r, got_c, sizes = reduce_counts(parse_group(nspec), parse_kind(kind))
-    assert (got_r, got_c) == (r, c)
-    assert len(sizes) == c
+    res = reduce_counts(parse_group(nspec), parse_kind(kind))
+    assert isinstance(res, SearchResult) and res.method == "reduction"
+    assert (res.r, res.c) == (r, c)
+    assert len(res.class_sizes) == c
 
 
 def test_reduce_matches_direct_at_s3():
     for nspec, kind in [("[24]", "q24"), ("c3xc2xc4", "d24"), ("[12]", "q12"), ("c3xc2xc2", "d12")]:
         group = parse_group(nspec)
         k = parse_kind(kind)
-        r, c, _ = reduce_counts(group, k)
+        res = reduce_counts(group, k)
         direct = search_regular(group, k)
-        assert (r, c) == (direct.r, direct.c)
+        assert (res.r, res.c) == (direct.r, direct.c)
 
 
 def test_exceptional_flags():
@@ -351,8 +349,8 @@ def test_exceptional_flags():
 
 
 def test_noncyclic_odd_part_gives_zero():
-    r, c, sizes = reduce_counts(make_group([3, 3, 4]), TargetKind("quaternion", 2, 9))
-    assert (r, c, sizes) == (0, 0, ())
+    res = reduce_counts(make_group([3, 3, 4]), TargetKind("quaternion", 2, 9))
+    assert (res.r, res.c, res.class_sizes) == (0, 0, ())
 
 
 # the five exceptional 2-parts: C8, C2xC4 and C2^3 for Q; C4 and C2^2 for D
@@ -370,7 +368,7 @@ def test_exceptional_reduction_checks_its_base_search(nspec, kind, monkeypatch):
     # r = 3·r(N_2) is checked against the s = 3 base search that gives the
     # class sizes; a base result that disagrees is an internal error
     group, k = parse_group(nspec), parse_kind(kind)
-    r, _, _ = reduce_counts(group, k)
+    r = reduce_counts(group, k).r
     assert r > 0
     real = oddpart.search_regular
 

@@ -9,7 +9,7 @@ from holobrace.endo import aut_order, make_endo
 from holobrace.errors import CapacityError, InternalConsistencyError, InvalidInputError
 from holobrace.holomorph import HolElement, hol_from_translation
 from holobrace.kernel import Pool, PrimeSpace, get_kernel
-from holobrace.presentations import QUATERNION, admissible_types, classify_subgroup, parse_kind
+from holobrace.presentations import QUATERNION, admissible_types, parse_kind
 from holobrace.presentations import aut_order as target_aut_order
 from holobrace.regular import (
     RegularSubgroup,
@@ -28,6 +28,7 @@ from holobrace.regular import (
 )
 
 from family_oracles import generate_closure, is_regular, kernel_closure
+from subgroup_oracles import classify_kernel, classify_subgroup, hol_elements, kernel_invert, witnesses
 
 
 def canonical_cyclic_generators(n, family):
@@ -106,7 +107,7 @@ def test_every_subgroup_has_requested_kind():
         k = parse_kind(kind)
         for sub in list_regular(parse_group(nspec), k)[0]:
             assert sub.kind == k
-            assert classify_subgroup(sub.hol_elements()) == k
+            assert classify_subgroup(hol_elements(sub)) == k
 
 
 def test_classify_d16_on_c2xc8():
@@ -159,12 +160,12 @@ def check_witnesses(g, k, method):
     for sub in subgroups:
         x, y = sub.witness
         assert kern.order(x) == mx
-        assert kern.compose(kern.compose(y, x), kern.invert(y)) == kern.invert(x)
+        assert kern.compose(kern.compose(y, x), kernel_invert(kern, y)) == kernel_invert(kern, x)
         assert kern.compose(y, y) == (kern.power_list(x, mx)[mx // 2] if quat else kern.identity)
         assert kernel_closure(kern, sub.witness, g.order) == frozenset(sub.elements)
     # the same relations on the validated HolElement surface (slower)
     for sub in subgroups[:32]:
-        x, y = sub.witnesses()
+        x, y = witnesses(sub)
         assert hol_order(x) == mx
         assert hol_compose(hol_compose(y, x), hol_invert(y)) == hol_invert(x)
         assert hol_compose(y, y) == (hol_power(x, mx // 2) if quat else hol_identity(g))
@@ -321,6 +322,18 @@ def test_a_search_result_keeps_only_its_answer():
         res = search_regular(make_group([2, 8]), parse_kind("q16"), method)
         assert not any(hasattr(res, name) for name in ("subgroups", "classes", "keys", "representatives"))
         assert res.c == len(res.class_sizes) == len(list_regular(res.group, res.kind, method)[1])
+
+
+def test_an_answer_is_built_from_orbits_that_divide_aut_n():
+    # |Aut(C2 x C4)| = 8, |Aut(D8)| = 8; |Aut(C2^3)| = 168, |Aut(Q8)| = 24
+    g, k = make_group([2, 4]), parse_kind("d8")
+    res = SearchResult.from_orbits(g, k, 14, [2, 2, 4, 2, 4], "direct")
+    assert res.class_sizes == ((2, 4), (2, 4), (4, 2), (2, 4), (4, 2)) == search_regular(g, k, "full").class_sizes
+    assert (res.c, res.h) == (5, 14)
+    with pytest.raises(InternalConsistencyError, match=r"orbit size 3 does not divide \|Aut\(C_2×C_4\)\| = 8"):
+        SearchResult.from_orbits(g, k, 3, [3], "direct")
+    with pytest.raises(InternalConsistencyError, match=r"\* r = 24 is not divisible by \|Aut\(C_2×C_2×C_2\)\| = 168"):
+        SearchResult.from_orbits(make_group([2, 2, 2]), parse_kind("q8"), 1, [1], "direct")
 
 
 def test_warm_search_meets_lowered_budgets(monkeypatch):
@@ -521,8 +534,6 @@ def brute_force_regular_subgroups(group, kind):
     Quaternion and dihedral groups are 2-generated, so sweeping all pairs
     finds every candidate subgroup; keep the regular ones of the right shape.
     """
-    from holobrace.presentations import _classify_kernel
-
     kern = get_kernel(group)
     pool = list(kern.full_pool())
     found = set()
@@ -546,7 +557,7 @@ def brute_force_regular_subgroups(group, kind):
                 continue
             if len({kern.trans_index(e) for e in closure}) != n:
                 continue
-            got = _classify_kernel(kern, frozenset(closure), check_closed=False)
+            got = classify_kernel(kern, frozenset(closure), check_closed=False)
             if got is not None and got[0] == kind:
                 found.add(tuple(sorted(kern.code(e) for e in closure)))
     return found

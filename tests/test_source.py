@@ -162,3 +162,94 @@ def test_every_benchmark_trace_entry_point_resolves():
     ]
     names = [(module, attr) for module, attr, _ in entries] + read
     assert [name for name in names if not _resolves(*name)] == []
+
+
+def _exports() -> dict[str, str]:
+    """Each name `holobrace/__init__.py` imports, by the module it comes from."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def _readme_public_surface() -> list[tuple[str, str]]:
+    """(name, module) for each name of README's "Public surface" list: the
+    first run of `- `module`: `name`, ...` lines under that heading."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    i = lines.index("## Public surface") + 1
+    while not lines[i].startswith("- "):
+        i += 1
+    listed = []
+    while lines[i].startswith("- "):
+        module, _, names = lines[i][2:].partition(": ")
+        listed += [(name, module.strip("`")) for name in re.findall(r"`(\w+)`", names)]
+        i += 1
+    return listed
+
+
+def test_readme_lists_the_public_surface():
+    # a name added to or dropped from `holobrace/__init__.py` must be added
+    # to or dropped from README's list, under the module it comes from
+    listed = _readme_public_surface()
+    exports = _exports()
+    assert "census" in exports and "SearchResult" in exports
+    assert len(listed) == len(dict(listed))
+    assert dict(listed) == exports
+
+
+# test oracles that no command runs, and what each was called in `src/`
+MOVED_TO_TESTS = {
+    "subgroup_oracles.py": {
+        "classify_subgroup": "classify_subgroup",
+        "classify_kernel": "_classify_kernel",
+        "TauMap": "TauMap",
+        "cyclic_halves": "_cyclic_halves",
+        "semidirect_subgroup": "semidirect_subgroup",
+        "tau_set": "tau_set",
+        "to_kernel": "to_kernel",
+        "from_kernel": "from_kernel",
+        "kernel_invert": "HolKernel.invert",
+        "hol_elements": "RegularSubgroup.hol_elements",
+        "witnesses": "RegularSubgroup.witnesses",
+    },
+    "family_oracles.py": {
+        "StructuredGeneratorPair": "StructuredGeneratorPair",
+        "element_from_encoding": "_element_from_encoding",
+    },
+}
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The functions and classes a module defines at top level, and the
+    methods of its top-level classes as `Class.method`."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            out.update(f"{node.name}.{m.name}" for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return out
+
+
+def test_oracles_no_command_runs_live_in_the_tests():
+    # the census answer has one type, and code that only tests run stays
+    # out of the package
+    in_src = set().union(*(_defined(ast.parse(p.read_text())) for p in SRC.rglob("*.py")))
+    gone = {"CensusResult", "_from_search", "_result", "HolKernel.from_parts", "HolKernel.to_parts"}
+    for module, names in MOVED_TO_TESTS.items():
+        assert set(names) <= _defined(ast.parse((ROOT / "tests" / module).read_text())), module
+        gone.update(names.values())
+    assert sorted(in_src & gone) == []
+    assert "SearchResult.from_orbits" in in_src and "SearchResult.h" in in_src
+
+
+def test_ci_runs_the_roadmap_tier1_command():
+    # the workflow's test step and ROADMAP's Tier-1 command must not drift apart
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text()).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    runs = [line.split("run:", 1)[1].strip() for line in workflow.splitlines() if line.strip().startswith("run:")]
+    assert tier1 in runs
+    assert "python-version: \"3.11\"" in workflow and "pytest hypothesis" in workflow
