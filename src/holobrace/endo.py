@@ -57,18 +57,9 @@ def make_endo(p: int, exponents, rows) -> EndoMatrix:
     return EndoMatrix(p, exponents, reduced)
 
 
-def from_json(data: dict) -> EndoMatrix:
-    return make_endo(data["p"], tuple(data["exponents"]), data["rows"])
-
-
 def identity_endo(p: int, exponents) -> EndoMatrix:
     r = len(exponents)
     return make_endo(p, exponents, [[int(i == j) for j in range(r)] for i in range(r)])
-
-
-def zero_endo(p: int, exponents) -> EndoMatrix:
-    r = len(exponents)
-    return make_endo(p, exponents, [[0] * r for _ in range(r)])
 
 
 def endo_apply(m: EndoMatrix, g: Element) -> Element:

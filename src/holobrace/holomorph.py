@@ -43,10 +43,6 @@ def hol_identity(group: GroupSpec) -> HolElement:
     return HolElement(group, identity_aut(group), group.identity())
 
 
-def hol_from_translation(group: GroupSpec, v: Element) -> HolElement:
-    return HolElement(group, identity_aut(group), v)
-
-
 def _check_same_group(x: HolElement, y) -> None:
     other = y.group if isinstance(y, HolElement) else None
     if other is not None and other != x.group:

@@ -1,5 +1,6 @@
 """Oracles on subgroups of Hol(N) that no command runs: the validated
-`HolElement` views of kernel elements, recognition of a quaternion or
+`HolElement` views of kernel elements and the constructors of pure
+translations and of endomorphism matrices, recognition of a quaternion or
 dihedral subgroup by brute-force witnesses, and the odd-part lifts of
 README "Odd-part lifts".
 
@@ -12,12 +13,31 @@ against definitions.
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from holobrace.abelian import GroupSpec, make_group
+from holobrace.abelian import Element, GroupSpec, make_group
+from holobrace.endo import EndoMatrix, identity_aut, make_endo
 from holobrace.errors import InvalidInputError
 from holobrace.holomorph import HolElement
 from holobrace.kernel import HolKernel, KernelElement, get_kernel
 from holobrace.presentations import DIHEDRAL, QUATERNION, TargetKind
 from holobrace.regular import RegularSubgroup, _generated
+
+# -- HolElement and EndoMatrix constructors ------------------------------------------
+
+
+def hol_from_translation(group: GroupSpec, v: Element) -> HolElement:
+    """The pure translation g -> g + v."""
+    return HolElement(group, identity_aut(group), v)
+
+
+def zero_endo(p: int, exponents) -> EndoMatrix:
+    r = len(exponents)
+    return make_endo(p, exponents, [[0] * r for _ in range(r)])
+
+
+def endo_from_json(data: dict) -> EndoMatrix:
+    """The inverse of `EndoMatrix.to_json`."""
+    return make_endo(data["p"], tuple(data["exponents"]), data["rows"])
+
 
 # -- HolElement <-> kernel element ---------------------------------------------------
 

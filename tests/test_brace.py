@@ -12,19 +12,24 @@ from holobrace.brace import (
     BraceTable,
     _add_table,
     brace_from_subgroup,
+    braid_certificate,
     brace_violation,
     circ_generators,
     verify_brace,
     ybe_solution,
-    ybe_violation,
 )
-from holobrace.errors import InvalidInputError
-from holobrace.holomorph import hol_apply, hol_from_translation
+from holobrace.errors import InternalConsistencyError, InvalidInputError
+from holobrace.holomorph import hol_apply
 from holobrace.kernel import HolKernel, get_kernel
 from holobrace.presentations import TargetKind, admissible_types, parse_kind
 from holobrace.regular import _subgroup, list_regular
 
-from subgroup_oracles import from_kernel, to_kernel
+from subgroup_oracles import from_kernel, hol_from_translation, to_kernel
+
+
+def is_trivial(bt):
+    """a o b = a + b for every a, b."""
+    return bt.circ == _add_table(bt.group)
 
 
 def translation_subgroup(orders):
@@ -38,14 +43,14 @@ def translation_subgroup(orders):
 def test_trivial_brace_from_translations():
     bt = brace_from_subgroup(translation_subgroup([8]))
     assert verify_brace(bt)
-    assert bt.is_trivial()
+    assert is_trivial(bt)
 
 
 def test_cyclic_canonical_quaternion_brace():
     subs, _ = list_regular(make_group([16]), parse_kind("q16"))
     bt = brace_from_subgroup(subs[0])
     assert verify_brace(bt)
-    assert not bt.is_trivial()
+    assert not is_trivial(bt)
     # multiplicative group is Q16, additive is C16
     assert subs[0].kind == parse_kind("q16")
 
@@ -168,7 +173,7 @@ def test_add_table_matches_group_addition(spec):
 def test_trivial_brace_past_256_elements():
     # C3 x C8 x C11 has 264 elements: no check depends on a bytes row
     bt = brace_from_subgroup(translation_subgroup([3, 8, 11]))
-    assert bt.is_trivial()
+    assert is_trivial(bt)
     sol = ybe_solution(bt)  # verifies the brace first
     n = bt.size
     assert n == 264
@@ -255,6 +260,40 @@ def ybe_violation_reference(table):
     return None
 
 
+def ybe_violation(table):
+    """First failure of r as an involutive, left non-degenerate solution of
+    the braid relation r12 r23 r12 = r23 r12 r23, or None.
+
+    `table[x][y]` is r(x, y) = (sigma_x(y), tau_y(x)).  ("involutivity", x, y):
+    r(r(x, y)) != (x, y).  ("left-degenerate", x): sigma_x is not a
+    permutation.  ("braid", x, y): sigma_x sigma_y != sigma_u sigma_v for
+    (u, v) = r(x, y); for involutive, left non-degenerate r this identity on
+    N^2 is equivalent to the braid relation on N^3 (Rump's cycle-set identity,
+    Adv. Math. 193, 2005).
+
+    The identity at (x, y) is the identity at r(x, y) = (u, v) read
+    backwards, since r(u, v) = (x, y), and it holds trivially where
+    r(x, y) = (x, y).  So it is checked only where (u, v) > (x, y) in
+    row-major order: the least failing pair is the smaller of its orbit,
+    and the witness is the first failure of the full loop over N^2.
+    """
+    n = len(table)
+    for x, row in enumerate(table):
+        for y, (u, v) in enumerate(row):
+            if table[u][v] != (x, y):
+                return ("involutivity", x, y)
+    sigma = [tuple(u for u, _ in row) for row in table]
+    for x, s in enumerate(sigma):
+        if sorted(s) != list(range(n)):
+            return ("left-degenerate", x)
+    for x, row in enumerate(table):
+        s = sigma[x]
+        for y, (u, v) in enumerate(row):
+            if (u, v) > (x, y) and brace._compose(s, sigma[y]) != brace._compose(sigma[u], sigma[v]):
+                return ("braid", x, y)
+    return None
+
+
 def ybe_violation_full(table):
     """`ybe_violation` with the braid identity checked at every (x, y) of N^2,
     both pairs of each orbit of r included."""
@@ -280,7 +319,7 @@ def assert_checks_agree(bt):
     ref = brace_violation_reference(bt)
     assert brace_violation(bt) == (ref and ref[:3])
     if ref is None:
-        table = ybe_solution(bt).table
+        table = ybe_solution(bt).table  # passes `braid_certificate`
         assert ybe_violation(table) == ybe_violation_full(table) == ybe_violation_reference(table) is None
 
 
@@ -323,7 +362,7 @@ def test_checks_agree_with_oracles_at_order_32():
 
 def nontrivial_brace(nspec, kind):
     return next(
-        bt for bt in class_braces([(parse_group(nspec), parse_kind(kind))]) if not bt.is_trivial()
+        bt for bt in class_braces([(parse_group(nspec), parse_kind(kind))]) if not is_trivial(bt)
     )
 
 
@@ -482,12 +521,13 @@ def test_each_brace_builds_only_the_rows_it_reads(monkeypatch):
 
 
 def test_corrupted_ybe_pair_is_rejected():
-    table = [list(r) for r in ybe_solution(nontrivial_brace("c2xc8", "d16")).table]
+    table = [list(r) for r in d16_table()]
     table[3][5] = table[3][6]
     bad = tuple(map(tuple, table))
     fast, ref = ybe_violation(bad), ybe_violation_reference(bad)
     assert fast is not None and ref is not None and fast[0] == ref[0]
     assert fast == ybe_violation_full(bad)
+    assert braid_certificate(d16_brace(), bad) == ("involutivity", 3, 5)
 
 
 def involutive_table(sigma):
@@ -514,27 +554,48 @@ def test_cycle_set_identity_is_the_braid_relation_on_three_points():
     assert ybe_violation(flat) == ("left-degenerate", 0)
 
 
-def test_braid_check_composes_once_per_orbit_of_r(monkeypatch):
-    # n = 112: the full loop makes 2 n^2 = 25,088 row compositions per brace,
-    # two for each pair (x, y); the check makes two per pair with r(x, y) > (x, y)
+def test_braid_certificate_composes_rows_only_on_the_generators(monkeypatch):
+    # n = 112: the check once per orbit of r made about n^2 = 12,544 row
+    # compositions per brace; the certificate makes n per o-generator
     group, kind = parse_group("c7xc2xc8"), parse_kind("d112")
-    tables = [ybe_solution(bt).table for bt in class_braces([(group, kind)])]
+    braces = class_braces([(group, kind)])
     n = group.order
-    assert len(tables) == 6
+    assert len(braces) == 6
     calls = []
     compose = brace._compose
     monkeypatch.setattr(brace, "_compose", lambda p, q: calls.append(1) or compose(p, q))
-    for table in tables:
+
+    def count(fn, *args):
         before = len(calls)
-        assert ybe_violation(table) is None
-        larger = sum(table[x][y] > (x, y) for x in range(n) for y in range(n))
-        assert len(calls) - before == 2 * larger <= n * n
+        return fn(*args), len(calls) - before
+
+    for bt in braces:
+        assert count(lambda: bt.lam)[1] == n  # lambda_a = tau_{-a} rho_a, derived once
+        ok, verified = count(verify_brace, bt)
+        assert ok
+        sol, solved = count(ybe_solution, bt)  # verifies the brace again
+        assert 0 < solved - verified <= len(circ_generators(bt.circ)) * n
+        assert ybe_violation_full(sol.table) is None
+
+
+@cache
+def d16_brace():
+    """A non-trivial D16 brace on C2 x C8."""
+    return nontrivial_brace("c2xc8", "d16")
 
 
 @cache
 def d16_table():
-    """The YBE solution table of a non-trivial D16 brace on C2 x C8."""
-    return ybe_solution(nontrivial_brace("c2xc8", "d16")).table
+    """The YBE solution table of `d16_brace()`."""
+    return ybe_solution(d16_brace()).table
+
+
+def assert_certificate_is_sound(table):
+    """The certificate of the D16 brace passes exactly its own solution
+    table, and never a table the full braid loop rejects."""
+    cert = braid_certificate(d16_brace(), table)
+    assert (cert is None) == (table == d16_table())
+    assert cert is not None or ybe_violation_full(table) is None
 
 
 def cycle_sets(min_n, max_n):
@@ -579,3 +640,69 @@ def test_orbit_braid_check_matches_full_loop_on_transposed_sigma_rows(swap):
     fast = ybe_violation(table)
     assert fast == ybe_violation_full(table)
     assert (fast is None) == (ybe_violation_reference(table) is None)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.tuples(*[st.integers(0, 15)] * 4))
+def test_braid_certificate_is_sound_on_corrupted_entries(entry):
+    x, y, u, v = entry
+    table = [list(row) for row in d16_table()]
+    table[x][y] = (u, v)
+    assert_certificate_is_sound(tuple(map(tuple, table)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.tuples(*[st.integers(0, 15)] * 3))
+def test_braid_certificate_is_sound_on_transposed_sigma_rows(swap):
+    x, i, j = swap
+    sigma = [[u for u, _ in row] for row in d16_table()]
+    sigma[x][i], sigma[x][j] = sigma[x][j], sigma[x][i]
+    assert_certificate_is_sound(involutive_table(sigma))
+
+
+def test_braid_certificate_names_each_identity():
+    bt, table = d16_brace(), d16_table()
+    assert braid_certificate(bt, table) is None
+    # sigma_3 with two entries swapped, tau rebuilt so that r stays involutive
+    sigma = [[u for u, _ in row] for row in table]
+    sigma[3][4], sigma[3][6] = sigma[3][6], sigma[3][4]
+    assert braid_certificate(bt, involutive_table(sigma)) == ("sigma-is-lambda", 3, 4)
+    # the same swap in lambda_3 itself: sigma = lambda again, but r no longer
+    # preserves o (lambda is derived from circ, so only a stale row can do this)
+    stale = BraceTable(bt.group, bt.circ)
+    stale.__dict__["lam"] = tuple(map(tuple, sigma))
+    assert braid_certificate(stale, involutive_table(sigma))[0] == "preserves-circ"
+
+
+def first_non_homomorphic_pair(bt):
+    """The first (a, b) of the full double loop with lambda_{a o b} !=
+    lambda_a lambda_b, lambda by the group's own arithmetic, or None."""
+    n = bt.size
+    lam = lambda_reference(bt)
+    return next(
+        ((a, b) for a in range(n) for b in range(n)
+         if any(lam[bt.circ[a][b]][c] != lam[a][lam[b][c]] for c in range(n))),
+        None,
+    )
+
+
+def test_groups_that_are_no_brace_fail_the_lambda_homomorphism(monkeypatch):
+    # o' relabelled by a transposition fixing 0 is a group but no brace.
+    # Built past the brace check, its table is involutive, sigma = lambda and
+    # r preserves o', so only the homomorphism is left to fail, and it names
+    # the first failing pair of the full loop: the least failing a is a
+    # o-generator, as for associativity
+    braces = class_braces([(parse_group("c16"), parse_kind("d16"))])
+    braces += [brace_from_subgroup(translation_subgroup(orders)) for orders in ([16], [2, 2, 4])]
+    monkeypatch.setattr(brace, "verify_brace", lambda bt: True)
+    firsts = set()
+    for bt in braces:
+        for i, j in combinations(range(1, 16), 2):
+            bad = relabelled(bt, i, j)
+            assert brace_violation(bad)[0] == "brace-relation"
+            a, b = first_non_homomorphic_pair(bad)
+            with pytest.raises(InternalConsistencyError, match=rf"^lambda-homomorphism fails at \({a}, {b}\)$"):
+                ybe_solution(bad)
+            firsts.add(a)
+    # some first failures are past the least o-generator, which is always 1
+    assert any(a > 1 for a in firsts)

@@ -16,11 +16,12 @@ from holobrace.endo import (
     is_unit,
     make_endo,
     sylow_generators,
-    zero_endo,
     aut_order,
 )
 from holobrace.errors import CapacityError, InternalConsistencyError, InvalidInputError
 from holobrace.kernel import PrimeSpace, get_kernel
+
+from subgroup_oracles import endo_from_json, zero_endo
 
 
 def gl_count_oracle(r, p=2):
@@ -408,10 +409,8 @@ def test_autgroup_generators_generate():
 
 
 def test_endo_json_roundtrip():
-    from holobrace.endo import from_json
-
     m = make_endo(2, (1, 3), [[1, 1], [4, 3]])
-    assert from_json(m.to_json()) == m
+    assert endo_from_json(m.to_json()) == m
 
 
 @pytest.mark.parametrize("orders,non_additive", [([2, 8], 48), ([4, 8], 128), ([2, 2, 4], 576)])

@@ -13,13 +13,14 @@ from holobrace.holomorph import (
     exponent_bound,
     hol_apply,
     hol_compose,
-    hol_from_translation,
     hol_identity,
     hol_invert,
     hol_order,
     hol_power,
     order_spectrum,
 )
+
+from subgroup_oracles import hol_from_translation
 
 
 def affine_spectrum_oracle(m):

@@ -12,7 +12,7 @@ from holobrace.presentations import (
 )
 from holobrace.regular import list_regular
 
-from subgroup_oracles import classify_kernel, classify_subgroup, hol_elements
+from subgroup_oracles import classify_kernel, classify_subgroup, hol_elements, hol_from_translation
 
 
 def abstract_target(family, n, s):
@@ -109,8 +109,6 @@ def test_classify_q8_in_hol_c2xc4():
 
 def test_classify_cyclic_is_other():
     # the translation subgroup of Hol(C8) is cyclic: no quaternion/dihedral shape
-    from holobrace.holomorph import hol_from_translation
-
     g = make_group([8])
     elems = [hol_from_translation(g, (v,)) for v in range(8)]
     assert classify_subgroup(elems) is None
@@ -125,8 +123,6 @@ def test_classify_d12_with_odd_part():
 
 
 def test_classify_rejects_non_closed():
-    from holobrace.holomorph import hol_from_translation
-
     g = make_group([8])
     elems = [hol_from_translation(g, (v,)) for v in (0, 1, 2, 3, 4, 5, 6, 6)]
     with pytest.raises(InvalidInputError):

@@ -7,7 +7,7 @@ import pytest
 from holobrace.abelian import make_group, parse_group
 from holobrace.endo import aut_order, make_endo
 from holobrace.errors import CapacityError, InternalConsistencyError, InvalidInputError
-from holobrace.holomorph import HolElement, hol_from_translation
+from holobrace.holomorph import HolElement
 from holobrace.kernel import Pool, PrimeSpace, get_kernel
 from holobrace.presentations import QUATERNION, admissible_types, parse_kind
 from holobrace.presentations import aut_order as target_aut_order
@@ -28,7 +28,14 @@ from holobrace.regular import (
 )
 
 from family_oracles import generate_closure, is_regular, kernel_closure
-from subgroup_oracles import classify_kernel, classify_subgroup, hol_elements, kernel_invert, witnesses
+from subgroup_oracles import (
+    classify_kernel,
+    classify_subgroup,
+    hol_elements,
+    hol_from_translation,
+    kernel_invert,
+    witnesses,
+)
 
 
 def canonical_cyclic_generators(n, family):

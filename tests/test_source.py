@@ -214,10 +214,17 @@ MOVED_TO_TESTS = {
         "kernel_invert": "HolKernel.invert",
         "hol_elements": "RegularSubgroup.hol_elements",
         "witnesses": "RegularSubgroup.witnesses",
+        "hol_from_translation": "hol_from_translation",
+        "zero_endo": "zero_endo",
+        "endo_from_json": "from_json",
     },
     "family_oracles.py": {
         "StructuredGeneratorPair": "StructuredGeneratorPair",
         "element_from_encoding": "_element_from_encoding",
+    },
+    "test_brace.py": {
+        "ybe_violation": "ybe_violation",
+        "is_trivial": "BraceTable.is_trivial",
     },
 }
 
@@ -253,3 +260,11 @@ def test_ci_runs_the_roadmap_tier1_command():
     runs = [line.split("run:", 1)[1].strip() for line in workflow.splitlines() if line.strip().startswith("run:")]
     assert tier1 in runs
     assert "python-version: \"3.11\"" in workflow and "pytest hypothesis" in workflow
+
+
+def test_ci_checks_the_benchmark_outputs():
+    # every push runs each benchmark workload briefly and fails unless every
+    # output still matches `perfbench/fixtures/expected.json`
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert "python3 perfbench/run.py --seconds 1 |" in workflow
+    assert '["correct"] is True' in workflow
