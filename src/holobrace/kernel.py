@@ -10,7 +10,7 @@ orders, conjugation) on C-speed bytes operations.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Container, Iterator
 from functools import lru_cache
 from itertools import product, repeat
 from math import gcd, lcm, prod
@@ -221,45 +221,66 @@ class PrimeSpace:
     def hol_elements(self, aut_list: list[bytes]) -> list[bytes]:
         return [self.hol_perm(a, v) for a in aut_list for v in range(self.m)]
 
+    def powers(self, p: bytes) -> list[bytes]:
+        """[p, p^2, ..., p^order(p) = id]: p^k is at (k - 1) % order(p)."""
+        tab, pows = p + self._pad, [p]
+        while pows[-1] != self.identity:
+            pows.append(pows[-1].translate(tab))
+        return pows
+
     def cyclic_leaders(self, aut_list: list[bytes], mx: int) -> list[bytes]:
         """The least generator, in the order of `aut_list`, of each cyclic
         <A> with order(A) | mx, for `aut_list` closed under powers.
 
         Each A not yet met is walked through its powers once, and the
         generators A^k, gcd(k, order(A)) = 1, are marked as met."""
-        pad, identity = self._pad, self.identity
         met: set[bytes] = set()
         leaders = []
         for a in aut_list:
             if a in met:
                 continue
-            tab, pows = a + pad, [a]
-            while pows[-1] != identity:
-                pows.append(pows[-1].translate(tab))
+            pows = self.powers(a)
             k = len(pows)
             met.update(pows[j - 1] for j in range(1, k + 1) if gcd(j, k) == 1)
             if mx % k == 0:
                 leaders.append(a)
         return leaders
 
-    def cycles_dividing(self, aut_list: list[bytes], mx: int) -> Iterator[tuple[bytes, int, int]]:
-        """(A, v, c) for each x = (A, v) of `hol_elements(aut_list)`, in that
-        order, whose order divides mx, c the length of its cycle through 0.
-        `Pool.candidates` passes the first component's `cyclic_leaders` here,
-        and builds x (`hol_perm(A, v)`) only for the survivors it keeps.
+    def cycles_dividing(
+        self, aut_list: list[bytes], mx: int, marking: Container[int] = ()
+    ) -> Iterator[tuple[bytes, int, int, int]]:
+        """(A, v, c, o) for each x = (A, v) of `hol_elements(aut_list)`, in
+        that order, whose order o divides mx, c the length of its cycle
+        pts = [0, v, x(v), ...] through 0.  x^k = (A^k, x^k(0)), so
+        o = lcm(order(A), c).  `Pool.candidates` builds x (`hol_perm(A, v)`)
+        only for the survivors it keeps.
 
-        x^k = (A^k, x^k(0)), so order(x) = lcm(order(A), c)."""
+        The generators of <x> with linear part A are the x^k = (A, pts[k mod c]),
+        k a unit mod mx with k = 1 mod order(A).  A cycle whose c is in
+        `marking` marks their points, and a marked v is not walked."""
         add_rows = self.add_rows
         for a in aut_list:
-            if mx % self.order(a):
+            order_a = self.order(a)
+            if mx % order_a:
                 continue
+            done = bytearray(self.m)
             for v, row in enumerate(add_rows):
+                if done[v]:
+                    continue
                 c, cur = 1, v
                 while cur and c < mx:
                     c += 1
                     cur = row[a[cur]]
-                if not cur and mx % c == 0:
-                    yield a, v, c
+                if cur or mx % c:
+                    continue
+                if c in marking:
+                    pts = [0]
+                    while len(pts) < c:
+                        pts.append(row[a[pts[-1]]])
+                    for k in range(1, mx, order_a):
+                        if gcd(k, mx) == 1:
+                            done[pts[k % c]] = 1
+                yield a, v, c, lcm(order_a, c)
 
 
 def tile(seq, count: int):
@@ -281,6 +302,7 @@ class HolKernel:
         self.primes = group.primes
         self.spaces = tuple(_prime_space(group.component(p)) for p in self.primes)
         self.n = group.order
+        self.aut_size = prod(sp.aut_size for sp in self.spaces)  # |Aut(N)| = prod |Aut(N_p)|
         sizes = [sp.m for sp in self.spaces]
         self.sizes = sizes
         strides = []
@@ -368,7 +390,7 @@ class HolKernel:
         return [self.aut_perm_tuple(a) for a in aut_generators(self.group)]
 
     def hol_order(self) -> int:
-        return self.group.order * aut_order(self.group)
+        return self.n * self.aut_size
 
     def full_pool(self) -> Pool:
         """Every element of Hol(N), as the product of per-component pools."""
@@ -425,14 +447,14 @@ class Pool:
         return product(*(sp.hol_elements(a) for sp, a in zip(self.spaces, self.auts)))
 
     def candidates(self, mx: int) -> Iterator[KernelElement]:
-        """The elements of order mx whose orbit through 0 has mx points and
-        whose first (2-part) linear part A is the least generator of its
-        cyclic <A> in the block's order (`PrimeSpace.cyclic_leaders`), in
-        pool order.  Every cyclic <x> of the pool's candidates has such a
-        generator: x^k has linear part A^k there, the units k mod mx reach
-        every generator of <A> as order(A) | mx, and a unit power keeps the
-        order and the orbit through 0.  The blocks are groups, so closed
-        under powers.
+        """One generator of each cyclic <x> generated by an element of
+        order mx whose orbit through 0 has mx points: the first in pool
+        order among those whose first (2-part) linear part A is the least
+        generator of its cyclic <A> in the block's order
+        (`PrimeSpace.cyclic_leaders`).  Every such <x> has one: x^k has
+        linear part A^k there, the units k mod mx reach every generator of
+        <A> as order(A) | mx, and a unit power keeps the order and the orbit
+        through 0.  The blocks are groups, so closed under powers.
 
         For x = (x_p), order(x) = lcm o_p and the orbit of 0 has lcm c_p
         points, c_p the cycle length of 0_p under x_p and c_p | o_p.  Both
@@ -441,22 +463,38 @@ class Pool:
         survivors only, and the first (the 2-part, the largest) is streamed
         against them.  A first-component element is built as a permutation
         only once its cycle length c fits some tail, lcm(c, c_tail) = mx.
+
+        The other generators with linear part A are x^k, k = 1 mod
+        order(A): `cycles_dividing` drops their first components, marking
+        every c that fits a tail (C3 x C2 x C2 has x with
+        (c_2, c_3) = (3, 2)); under one x_2, the tails t^k with
+        k = 1 mod order(x_2) are dropped after the first.
         """
         head = self.spaces[0]
-        leaders = head.cyclic_leaders(self.auts[0], mx)
-        first, *rest = (sp.cycles_dividing(a, mx) for sp, a in zip(self.spaces, [leaders, *self.auts[1:]]))
         tails: list[tuple[KernelElement, int]] = [((), 1)]
-        for sp, comp in zip(self.spaces[1:], rest):
-            survivors = [(sp.hol_perm(a, v), c) for a, v, c in comp]
+        powers: dict[bytes, list[bytes]] = {}  # of each tail component
+        for sp, auts in zip(self.spaces[1:], self.auts[1:]):
+            survivors = [(sp.hol_perm(a, v), c) for a, v, c, _ in sp.cycles_dividing(auts, mx)]
+            powers.update((x, sp.powers(x)) for x, _ in survivors)
             tails = [(t + (x,), lcm(c, cx)) for t, c in tails for x, cx in survivors]
-        fitting: dict[int, list[KernelElement]] = {}
-        for a, v, c in first:
-            fits = fitting.get(c)
-            if fits is None:
-                fits = fitting[c] = [t for t, ct in tails if lcm(c, ct) == mx]
-            if fits:
+        fitting = {c: [t for t, ct in tails if lcm(c, ct) == mx] for c in range(1, mx + 1) if mx % c == 0}
+        kept: dict[tuple[int, int], list[KernelElement]] = {}  # the tails under x_2, by (c, o)
+        leaders = head.cyclic_leaders(self.auts[0], mx)
+        for a, v, c, o in head.cycles_dividing(leaders, mx, [c for c, fits in fitting.items() if fits]):
+            ts = kept.get((c, o))
+            if ts is None:
+                ts, dropped = kept.setdefault((c, o), []), set()
+                for t in fitting[c]:
+                    if t not in dropped:
+                        ts.append(t)
+                        dropped.update(
+                            tuple(powers[y][(k - 1) % len(powers[y])] for y in t)
+                            for k in range(1, mx, o)
+                            if gcd(k, mx) == 1
+                        )
+            if ts:
                 x = head.hol_perm(a, v)
-                for t in fits:
+                for t in ts:
                     yield (x,) + t
 
 

@@ -113,29 +113,23 @@ def _unit_codes(kern: HolKernel, pows: list[KernelElement], mx: int) -> tuple[by
 def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, tuple[bytes, ...]], ...]:
     """The kind-free half of a search, which a quaternion and a dihedral
     search of N share (X has order |N|/2 in both): (X, sources) for each X
-    of order mx in `pool`, one per cyclic <X>, in candidate order, whose
-    orbit through 0 has mx points and whose other mx points are one
-    <X>-orbit; sources[p] holds the component indices of the orbit of 0,
-    then of the orbit of t, the least of those other points, which
-    `_build_y` maps.  The candidates meet each cyclic <X> through the
-    generators whose 2-part linear part leads its <A>; the unit powers X^k
-    with A^k = A among them are skipped here.
-    Each X's cycles are walked once, and its unit powers and both orbits
-    are read off them.  The stream yields only X of order mx with mx points
-    through 0, so any other is an internal error."""
+    that `pool.candidates(mx)` streams, one per cyclic <X>, in its order,
+    whose other mx points, off its orbit through 0, are one <X>-orbit;
+    sources[p] holds the component indices of the orbit of 0, then of the
+    orbit of t, the least of those other points, which `_build_y` maps.
+    Each X's cycles are walked once, and both orbits are read off them.
+    The stream yields only X of order mx with mx points through 0, so any
+    other is an internal error: X^mx = 1 iff each component's cycle closes
+    on a length that divides mx."""
     group, _ = pool.name
     kern = get_kernel(group)
-    seen_x: set[bytes] = set()
     frames = []
     for x in pool.candidates(mx):
-        if kern.code(x) in seen_x:
-            continue
         cycles = kern.cycles(x, mx)
-        pows = kern.powers(cycles, mx)
-        seen_x.update(_unit_codes(kern, pows, mx))
         at_0 = kern.orbit(cycles, 0, mx)
         orb0 = set(kern.combined(at_0))
-        if len(orb0) != mx or kern.compose(x, pows[-1]) != kern.identity:
+        closed = kern.compose(x, tuple(c[-1] for c in cycles)) == kern.identity
+        if len(orb0) != mx or not closed or any(mx % len(c) for c in cycles):
             # the order walk never ends on a map that is no permutation
             perm = all(bytes(sorted(a)) == sp.identity for sp, a in zip(kern.spaces, x))
             what = f"of order {kern.order(x)}" if perm else "that is no permutation,"
@@ -196,7 +190,7 @@ def _expand_orbits(kern: HolKernel, seeds: dict[SubgroupKey, Seed]):
     Returns (all subgroups by key, classes as (rep_key, orbit_size,
     stabilizer_order)) with classes in the order of their least seed key.
     """
-    total = aut_order(kern.group)
+    total = kern.aut_size
     conjs = [kern.conjugator(g) for g in kern.aut_generator_tuples()]
     code = kern.code
     known: dict[SubgroupKey, RegularSubgroup] = {}
@@ -353,7 +347,7 @@ def _class_sizes(kern: HolKernel, kind: TargetKind, seeds: dict[SubgroupKey, See
     joins an earlier class, of equal stabilizer order, when some pair of
     that class's first seed induces an additive φ from its own points.
     """
-    total = aut_order(kern.group)
+    total = kern.aut_size
     quat = kind.family == QUATERNION
     classes: list[tuple[int, list]] = []  # (stabilizer order, frames of the first seed)
     for key in sorted(seeds):

@@ -4,7 +4,8 @@ For N = C_{2^n} (n >= 4) and N = C_2 x C_{2^{n-1}} (n >= 5) the generator
 relations collapse to small congruence systems; solving them directly gives
 regular subgroups without scanning Hol(N).  A subgroup is never closed: it
 is kept as one witness pair (X, Y), whose Aut(N)-orbit is walked by
-membership tests in the cyclic 2-group <X>, so (r, c) and the class sizes
+membership tests in the cyclic <X>, each read off X^d = τ_w (d the order
+of X's linear part) with one modular solve, so (r, c) and the class sizes
 are computed rather than quoted.
 
 The loops run on plain-integer affine maps in the form of `HolElement.encode()`
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from . import config
 from .abelian import GroupSpec, make_group, reach
@@ -65,14 +67,6 @@ def _identity(mods: tuple[int, ...]):
     return ((1,), (0,)) if len(mods) == 1 else ((1, 0, 0, 1), (0, 0))
 
 
-def _squares(x, k: int, mods: tuple[int, ...]) -> list:
-    """[X^(2^j) for j < k]."""
-    out = [x]
-    while len(out) < k:
-        out.append(_compose(out[-1], out[-1], mods))
-    return out
-
-
 def _mark_orbit(marks: bytearray, x, start: tuple[int, ...], steps: int, mods: tuple[int, ...]) -> bool:
     """Mark the points X^i(start), i < steps; False if one was marked already.
     C_m is walked as C_1 x C_m; the point (p0, p1) of C_2 x C_m is p0 * m + p1."""
@@ -90,7 +84,9 @@ def _mark_orbit(marks: bytearray, x, start: tuple[int, ...], steps: int, mods: t
 def _presents(x, y, k: int, quat: bool, mods: tuple[int, ...]) -> bool:
     """X^(2^k) = 1, Y^2 = X^(2^(k-1)) (Q) or 1 (D) and XYX = Y: then
     <X, Y> = {X^i Y^e} is a quotient of Q or D of order 2^(k+1)."""
-    z, ident = _squares(x, k, mods)[-1], _identity(mods)
+    z, ident = x, _identity(mods)
+    for _ in range(k - 1):
+        z = _compose(z, z, mods)
     return (
         _compose(z, z, mods) == ident
         and _compose(y, y, mods) == (z if quat else ident)
@@ -98,32 +94,52 @@ def _presents(x, y, k: int, quat: bool, mods: tuple[int, ...]) -> bool:
     )
 
 
-def _in_cyclic(g, pows: list, mods: tuple[int, ...]) -> bool:
-    """Whether g lies in <X>, pows = [X^(2^j) for j < k], by its discrete
-    logarithm bit by bit.  For g in <X>, h = g X^e (e the bits found so far)
-    lies in <X^(2^j)>, and h^(2^(k-1-j)) is 1 if bit j of its logarithm is 0,
-    or the involution X^(2^(k-1)) if it is 1, which X^(2^j) clears; any other
-    value rules g out.  O(k^2) compositions."""
-    k, ident = len(pows), _identity(mods)
-    for j in range(k):
-        h = g
-        for _ in range(k - 1 - j):
-            h = _compose(h, h, mods)
-        if h == pows[-1]:
-            g = _compose(g, pows[j], mods)
-        elif h != ident:
-            return False
-    return True
+def _in_span(u: tuple[int, ...], w: tuple[int, ...], mods: tuple[int, ...]) -> bool:
+    """Whether the point u lies in the cyclic subgroup <w> of N: j w = u is
+    solved in the last factor, j = j0 mod step, and on C_2 x C_m then
+    checked in the first, where j runs over both parities iff step is odd."""
+    hi, g = mods[-1], gcd(w[-1], mods[-1])
+    if u[-1] % g:
+        return False
+    if len(mods) == 1:
+        return True
+    step = hi // g
+    if step % 2:
+        return u[0] == 0 or w[0] == 1
+    return (u[1] // g * pow(w[1] // g, -1, step) * w[0] - u[0]) % 2 == 0
 
 
-def _classes(found: list, k: int, mods: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+def _translation_power(x, mods: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(d, w) with d the order of X's linear part A and X^d = τ_w."""
+    p, d, ident = x, 1, _identity(mods)[0]
+    while p[0] != ident:
+        p, d = _compose(x, p, mods), d + 1
+    return d, p[1]
+
+
+def _member(g, x, d: int, w: tuple[int, ...], mods: tuple[int, ...]) -> bool:
+    """Whether g = (B, u) lies in <X>, X = (A, v) with A of order d and
+    X^d = τ_w.  X^(qd + r) = τ_(qw) X^r = (A^r, X^r(0) + qw), so g is in <X>
+    iff B = A^r for some r < d, which fixes r, and u - X^r(0) lies in <w>.
+    O(d) compositions."""
+    (b, u), p = g, _identity(mods)
+    for _ in range(d):
+        if p[0] == b:
+            return _in_span(tuple((ui - pi) % m for ui, pi, m in zip(u, p[1], mods)), w, mods)
+        p = _compose(x, p, mods)
+    return False
+
+
+def _classes(found: list, mods: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
     """(one (X, Y) per subgroup, sorted orbit sizes) for the Aut(N)-orbits of
     the subgroups that the pairs in `found`, one per subgroup, generate.
 
     a<X, Y>a^-1 = <aXa^-1, aYa^-1>, so an orbit is walked by conjugating
     witnesses with the generators of Aut(N).  A conjugate (x, y) is a known
-    <X, Y> iff x and yY lie in <X> (Y^2 does).  Orbits are disjoint, so a
-    conjugate is compared with its own orbit only.
+    <X, Y> iff x and yY lie in <X> (Y^2 does), each tested by `_member`
+    through X^d = τ_w, d the order of X's linear part, which a known
+    subgroup keeps beside its witness.  Orbits are disjoint, so a conjugate
+    is compared with its own orbit only.
     """
     group, zero = make_group(mods), (0,) * len(mods)
     conjugators = [tuple((a.flat(), zero) for (a,) in (g, aut_invert(g))) for g in aut_generators(group)]
@@ -131,10 +147,10 @@ def _classes(found: list, k: int, mods: tuple[int, ...]) -> tuple[tuple, tuple[i
 
     def place(x, y, start: int) -> int:
         for i in range(start, len(known)):
-            _, known_y, pows = known[i]
-            if _in_cyclic(x, pows, mods) and _in_cyclic(_compose(y, known_y, mods), pows, mods):
+            known_x, known_y, d, w = known[i]
+            if _member(x, known_x, d, w, mods) and _member(_compose(y, known_y, mods), known_x, d, w, mods):
                 return i
-        known.append((x, y, _squares(x, k, mods)))
+        known.append((x, y, *_translation_power(x, mods)))
         return len(known) - 1
 
     named: set[int] = set()  # the subgroups that `found` generates
@@ -212,7 +228,7 @@ def _solve_cyclic(n: int, family: str) -> StructuredCensus:
             if _mark_orbit(marks, x, (t,), half, mods):
                 found += [(x, ((beta,), (t,))) for beta in roots]
     found = [(x, y) for x, y in found if _presents(x, y, n - 1, family == QUATERNION, mods)]
-    witnesses, sizes = _classes(found, n - 1, mods)
+    witnesses, sizes = _classes(found, mods)
     if kept != 2 or len(witnesses) != len(found):
         raise InternalConsistencyError(f"cyclic family n={n}: {kept} <X>, {len(found)} of {len(witnesses)} found")
     return StructuredCensus(CYCLIC, n, kind, tuple(found), len(witnesses), len(sizes), sizes, witnesses)
@@ -257,7 +273,7 @@ def _solve_rank2(n: int, family: str) -> StructuredCensus:
         walks = _mark_orbit(marks, x, (0, 0), mod, mods) and _mark_orbit(marks, x, y[1], mod, mods)
         if not (walks and _presents(x, y, n - 1, s == 1, mods)):
             raise InternalConsistencyError(f"fundamental pair {(x, y)} is not regular")
-    witnesses, sizes = _classes(fundamentals, n - 1, mods)
+    witnesses, sizes = _classes(fundamentals, mods)
     return StructuredCensus(RANK2, n, kind, tuple(fundamentals), len(witnesses), len(sizes), sizes, witnesses)
 
 

@@ -7,7 +7,8 @@ plain-integer encodings (the form of `HolElement.encode()`), filter the
 cyclic family's (X, Y) pairs over all solutions of the X and the Y
 congruences, and walk Aut(N)-orbits over the closed sets.  They share no
 membership test, orbit walk or regularity check with the solvers, and have
-no budget: keep n small.
+no budget: keep n small.  `in_cyclic` is a membership test in a cyclic
+2-group <X> by discrete logarithm, the oracle of the solvers' own test.
 """
 
 from dataclasses import dataclass
@@ -102,6 +103,34 @@ def compose(x, y, mods):
         (a2 * b1 + a3 * b3) % hi,
     )
     return matrix, ((a0 * w0 + a1 * w1 + v0) % lo, (a2 * w0 + a3 * w1 + v1) % hi)
+
+
+def in_cyclic(g, pows, mods):
+    """Whether g lies in <X>, pows = [X^(2^j) for j < k], X of order 2^k, by
+    its discrete logarithm bit by bit.  For g in <X>, h = g X^e (e the bits
+    found so far) lies in <X^(2^j)>, and h^(2^(k-1-j)) is 1 if bit j of its
+    logarithm is 0, or the involution X^(2^(k-1)) if it is 1, which X^(2^j)
+    clears; any other value rules g out.  O(k^2) compositions."""
+    k = len(pows)
+    ident = ((1,), (0,)) if len(mods) == 1 else ((1, 0, 0, 1), (0, 0))
+    for j in range(k):
+        h = g
+        for _ in range(k - 1 - j):
+            h = compose(h, h, mods)
+        if h == pows[-1]:
+            g = compose(g, pows[j], mods)
+        elif h != ident:
+            return False
+    return True
+
+
+def squares(x, mods):
+    """[X^(2^j) for j < k], X of order 2^k > 1."""
+    ident = ((1,), (0,)) if len(mods) == 1 else ((1, 0, 0, 1), (0, 0))
+    pows = [x]
+    while (sq := compose(pows[-1], pows[-1], mods)) != ident:
+        pows.append(sq)
+    return pows
 
 
 def closure(gens, mods, bound):

@@ -449,29 +449,72 @@ ORACLE_CAP = "655360"
 def test_candidate_stream_matches_scan_oracle(group, monkeypatch):
     # the stream is the oracle's list, thinned to the x whose 2-part linear
     # part A is the least generator of <A> in the block's (sorted) order,
-    # and it still meets every cyclic subgroup <x> of the oracle's list
+    # and it meets every cyclic subgroup <x> of the oracle's list exactly once
     monkeypatch.setenv("HOLOBRACE_HOL_CAP", ORACLE_CAP)
     kern = get_kernel(group)
     sp = kern.spaces[0]
     mx = parse_kind(f"q{group.order}").x_order
-    least: dict[bytes, bytes] = {}
     scanned = 0
     for pool in oracle_pools(kern):
         oracle, cyclic = scan_oracle(pool, mx)
         stream = list(pool.candidates(mx))
         rest = iter(oracle)
         assert all(x in rest for x in stream)  # a subsequence, in pool order
-        assert {cyclic[kern.code(x)] for x in stream} == set(cyclic.values())
-        for x in stream:
-            a = sp.compose(sp.add_rows[sp.neg_idx[x[0][0]]], x[0])
-            if a not in least:
-                pows = [a]
-                while pows[-1] != sp.identity:
-                    pows.append(sp.compose(a, pows[-1]))
-                least[a] = min(pows[j - 1] for j in range(1, len(pows) + 1) if gcd(j, len(pows)) == 1)
-            assert least[a] == a
+        met = [cyclic[kern.code(x)] for x in stream]
+        assert len(met) == len(set(met)) and set(met) == set(cyclic.values())  # each <x> once
+        for a in {sp.compose(sp.add_rows[sp.neg_idx[x[0][0]]], x[0]) for x in stream}:
+            assert least_generator(sp, a) == a
         scanned += 1
     assert scanned
+
+
+def least_generator(sp, a):
+    """The least generator of the cyclic <a>, a a permutation of N_p."""
+    pows = [a]
+    while pows[-1] != sp.identity:
+        pows.append(sp.compose(a, pows[-1]))
+    return min(pows[j - 1] for j in range(1, len(pows) + 1) if gcd(j, len(pows)) == 1)
+
+
+def seen_set_x_scan(pool, mx):
+    """The X scan with a seen-set, on the oracle's list thinned to the x
+    whose 2-part linear part leads its <A>: each x that is a unit power of
+    one kept before is dropped, and (x, sources) is kept for the others
+    whose points off the orbit of 0 are one <x>-orbit."""
+    kern = get_kernel(pool.name[0])
+    sp = kern.spaces[0]
+    units = [k for k in range(1, mx) if gcd(k, mx) == 1]
+    seen, frames = set(), []
+    for x in scan_oracle(pool, mx)[0]:
+        a = sp.compose(sp.add_rows[sp.neg_idx[x[0][0]]], x[0])
+        if least_generator(sp, a) != a or kern.code(x) in seen:
+            continue
+        pows = kern.power_list(x, mx)
+        seen.update(kern.code(pows[k]) for k in units)
+        cycles = kern.cycles(x, mx)
+        at_0 = kern.orbit(cycles, 0, mx)
+        orb0 = set(kern.combined(at_0))
+        t = next(i for i in range(kern.n) if i not in orb0)
+        at_t = kern.orbit(cycles, t, mx)
+        if lcm(*map(len, map(set, at_t))) == mx:
+            frames.append((x, tuple(map(bytes.__add__, at_0, at_t))))
+    return tuple(frames)
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS, ids=str)
+def test_x_scan_frames_match_the_seen_set_scan(group, monkeypatch):
+    # the stream yields exactly the x that a seen-set over its unit powers
+    # keeps, in the same order, so the frames are the same bytes; C3 x C2 x C2
+    # has x with (c_2, c_3) = (3, 2), whose 2-part cycle is no 2-power
+    monkeypatch.setenv("HOLOBRACE_HOL_CAP", ORACLE_CAP)
+    kern = get_kernel(group)
+    mx = parse_kind(f"q{group.order}").x_order
+    pools = list(oracle_pools(kern))
+    assert pools
+    for pool in pools:
+        _x_scan.cache_clear()
+        assert _x_scan(pool, mx) == seen_set_x_scan(pool, mx)
+    _x_scan.cache_clear()
 
 
 @pytest.mark.parametrize("group", ORACLE_GROUPS, ids=str)

@@ -221,6 +221,7 @@ MOVED_TO_TESTS = {
     "family_oracles.py": {
         "StructuredGeneratorPair": "StructuredGeneratorPair",
         "element_from_encoding": "_element_from_encoding",
+        "in_cyclic": "_in_cyclic",
     },
     "test_brace.py": {
         "ybe_violation": "ybe_violation",
@@ -259,7 +260,9 @@ def test_ci_runs_the_roadmap_tier1_command():
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     runs = [line.split("run:", 1)[1].strip() for line in workflow.splitlines() if line.strip().startswith("run:")]
     assert tier1 in runs
-    assert "python-version: \"3.11\"" in workflow and "pytest hypothesis" in workflow
+    # derandomized Hypothesis examples can change across releases, so the
+    # versions the suite passes with are pinned
+    assert "python-version: \"3.11\"" in workflow and "pytest==9.0.3 hypothesis==6.155.2" in workflow
 
 
 def test_ci_checks_the_benchmark_outputs():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import family_oracles as oracle
 from family_oracles import StructuredGeneratorPair, canonical_cyclic_pair, solved_pairs, subgroup_elements
@@ -363,3 +364,76 @@ def test_solve_family_dispatch():
     assert solve_family(make_group([2, 16]), DIHEDRAL).r == 16
     with pytest.raises(InvalidInputError):
         solve_family(make_group([3, 8]), QUATERNION)
+
+
+def oracle_member(g, x, d, w, mods):
+    """`structured._member` answered by the discrete-log oracle instead."""
+    return oracle.in_cyclic(g, oracle.squares(x, mods), mods)
+
+
+def affine_maps(mods):
+    """Automorphisms with translations, in encoding form: a unit on C_m; on
+    C_2 x C_m, m >= 4, the matrices (1, a1; (m/2) a2, a3), a3 odd."""
+    trans = st.tuples(*(st.integers(0, m - 1) for m in mods))
+    if len(mods) == 1:
+        return st.tuples(st.tuples(st.integers(0, mods[0] // 2 - 1).map(lambda a: 2 * a + 1)), trans)
+    half = mods[1] // 2
+    matrix = st.tuples(
+        st.just(1), st.integers(0, 1), st.sampled_from((0, half)), st.integers(0, half - 1).map(lambda a: 2 * a + 1)
+    )
+    return st.tuples(matrix, trans)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.data())
+def test_membership_through_the_translation_power_matches_the_discrete_log(data):
+    # g is a random map, a power of X, a random translation after a power
+    # of X, or a power of X conjugated by a random automorphism, on C_{2^n}
+    # or C_2 x C_{2^(n-1)}, n <= 12
+    rank = data.draw(st.sampled_from((1, 2)), label="rank")
+    n = data.draw(st.integers(3, 12), label="n")
+    mods = (1 << n,) if rank == 1 else (2, 1 << (n - 1))
+    maps = affine_maps(mods)
+    x = data.draw(maps, label="X")
+    power = x
+    for _ in range(data.draw(st.integers(0, 1 << (n - 1)), label="j")):
+        power = structured._compose(power, x, mods)
+    how = data.draw(st.sampled_from(("random", "power", "shifted", "conjugate")), label="g")
+    if how == "random":
+        g = data.draw(maps, label="g")
+    elif how == "power":
+        g = power
+    elif how == "shifted":  # τ_e X^j is in <X> iff e lies in <w>, X^d = τ_w
+        g = structured._compose((structured._identity(mods)[0], data.draw(maps, label="e")[1]), power, mods)
+    else:
+        a = (data.draw(maps, label="a")[0], (0,) * len(mods))
+        a_inv = a
+        while (nxt := structured._compose(a_inv, a, mods)) != structured._identity(mods):
+            a_inv = nxt
+        g = structured._compose(structured._compose(a, power, mods), a_inv, mods)
+    d, w = structured._translation_power(x, mods)
+    assert structured._member(g, x, d, w, mods) == oracle_member(g, x, d, w, mods)
+    assert how != "power" or structured._member(g, x, d, w, mods)
+
+
+def test_membership_when_x_to_the_d_translates_the_c2_factor():
+    # X = τ_(1, 0) on C_2 x C_8: d = 1, w = (1, 0), and <X> = {1, X}
+    mods = (2, 8)
+    x = ((1, 0, 0, 1), (1, 0))
+    assert structured._translation_power(x, mods) == (1, (1, 0))
+    for v, inside in (((0, 0), True), ((1, 0), True), ((0, 4), False), ((1, 4), False)):
+        g = ((1, 0, 0, 1), v)
+        assert structured._member(g, x, 1, (1, 0), mods) == oracle_member(g, x, 1, (1, 0), mods) == inside
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_solvers_answer_as_with_the_discrete_log(family, monkeypatch):
+    # r, the class sizes and the witnesses in their order are those the
+    # orbit walk gives with the discrete-log membership test
+    for solve, ns in ((structured._solve_cyclic, range(4, 15)), (structured._solve_rank2, range(5, 15))):
+        for n in ns:
+            res = solve(n, family)
+            with monkeypatch.context() as m:
+                m.setattr(structured, "_member", oracle_member)
+                ref = solve.__wrapped__(n, family)
+            assert (res.r, res.class_sizes, res.witnesses) == (ref.r, ref.class_sizes, ref.witnesses), n
