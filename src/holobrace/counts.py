@@ -24,7 +24,7 @@ from .presentations import (
     admissible_types,
 )
 # hgs_count is defined beside SearchResult.h and kept importable from here
-from .regular import SearchResult, fits_full_scan, hgs_count, scan_refusal, search_regular
+from .regular import SearchResult, hgs_count, scan_refusal, search_regular
 from .structured import solve_family
 
 
@@ -103,61 +103,6 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto") -> SearchRe
         )
     if group.two_adic < 2:
         raise InvalidInputError("quaternion/dihedral targets need 4 | |N|")
-    return _census_by_method(group, kind, method)
-
-
-def cross_check(result: SearchResult) -> str | None:
-    """Run a second path on the pair of a census answer: it must agree on
-    (c, r, h) and on the multiset of (orbit, stabilizer) classes, or
-    InternalConsistencyError names both.  Where none can run, returns the
-    reason, and None otherwise.
-
-    The second path reuses no memo entry of the first, but the full scan
-    and the Sylow path run the same code of `Pool.candidates`,
-    `regular._x_scan` and `regular._build_y`, so a fault there can pass both.
-    """
-    group, kind = result.group, result.kind
-    alt = _cross_method(group, result.method)
-    if alt is None:
-        return _no_second_path(group, kind, result.method)
-    other = _census_by_method(group, kind, alt)
-    said = [f"(c={x.c}, r={x.r}, h={x.h}) and (orbit, stabilizer) classes {sorted(x.class_sizes)}" for x in (result, other)]
-    if said[0] != said[1]:
-        raise InternalConsistencyError(
-            f"cross-check: the {result.method} path gives {said[0]} but the {other.method} path gives {said[1]}"
-        )
-    return None
-
-
-def _cross_method(group: GroupSpec, method: str):
-    """The census method of a second path that reuses no memo entry of
-    `method`'s answer (the two searches still share the candidate stream,
-    the X scan and the Y construction).
-
-    A full scan is checked by the Sylow path; every other answer by a full
-    scan, when Hol(N) fits the scan cap and the byte kernel, and otherwise
-    by the Sylow path, when its pool fits and the answer is not that search.
-    """
-    if method in ("direct", "full"):
-        return "sylow"
-    if fits_full_scan(group):
-        return "direct"
-    return "sylow" if method != "sylow" and scan_refusal(group, "sylow") is None else None
-
-
-def _no_second_path(group: GroupSpec, kind: TargetKind, method: str) -> str:
-    """What rules out each search when `_cross_method` finds none: the full
-    scan does not fit, and the Sylow path gave the answer or does not fit."""
-    reasons = []
-    for path, label in (("full", "full scan"), ("sylow", "Sylow path")):
-        if path == method:
-            reasons.append(f"the {label} gave the answer")
-        else:
-            reasons.append(f"the {label}: {scan_refusal(group, path).describe()}")
-    return f"no second path for ({group}, {kind.display_name()}); " + "; ".join(reasons)
-
-
-def _census_by_method(group: GroupSpec, kind: TargetKind, method: str) -> SearchResult:
     odd, _ = sylow_decompose(group)
     if method in ("direct", "sylow"):
         return search_regular(group, kind, "full" if method == "direct" else "sylow")
@@ -174,6 +119,38 @@ def _census_by_method(group: GroupSpec, kind: TargetKind, method: str) -> Search
             return SearchResult.from_orbits(group, kind, 0, (), "odd-noncyclic")
         return reduce_counts(group, kind)
     raise InvalidInputError(f"unknown census method {method!r}")
+
+
+def cross_check(result: SearchResult) -> str | None:
+    """Run a second path on the pair of a census answer: the full scan,
+    else the Sylow path, skipping the search that gave the answer (a
+    "direct" answer is the full scan) and any that a budget refuses.  The
+    second path must agree on (c, r, h) and on the multiset of (orbit,
+    stabilizer) classes, or InternalConsistencyError names both.  Returns
+    None once one has run, and otherwise the reason each search was skipped.
+
+    The second path reuses no memo entry of the first, but the full scan
+    and the Sylow path run the same code of `Pool.candidates`,
+    `regular._x_scan` and `regular._build_y`, so a fault there can pass both.
+    """
+    group, kind = result.group, result.kind
+    answered = "full" if result.method == "direct" else result.method
+    reasons = []
+    # probe, then run: a fault inside a search is never reported as a budget
+    for path, label in (("full", "full scan"), ("sylow", "Sylow path")):
+        if path == answered:
+            reasons.append(f"the {label} gave the answer")
+        elif (refusal := scan_refusal(group, path)) is not None:
+            reasons.append(f"the {label}: {refusal.describe()}")
+        else:
+            other = search_regular(group, kind, path)
+            said = [f"(c={x.c}, r={x.r}, h={x.h}) and (orbit, stabilizer) classes {sorted(x.class_sizes)}" for x in (result, other)]
+            if said[0] != said[1]:
+                raise InternalConsistencyError(
+                    f"cross-check: the {result.method} path gives {said[0]} but the {other.method} path gives {said[1]}"
+                )
+            return None
+    return f"no second path for ({group}, {kind.display_name()}); " + "; ".join(reasons)
 
 
 def hgs_reduce(group: GroupSpec, kind: TargetKind) -> int:

@@ -10,9 +10,9 @@ are included: Q_4 ~ C_4 and D_4 ~ C_2 x C_2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import prod
 
-from .abelian import GroupSpec, make_group
+from .abelian import GroupSpec, _factorize, make_group
 from .errors import InvalidInputError
 
 QUATERNION = "quaternion"
@@ -82,7 +82,7 @@ def aut_order(kind: TargetKind) -> int:
         if kind.family == DIHEDRAL and n == 2:
             return 6  # C_2 x C_2
         return 1 << (2 * n - 3)
-    phi = sum(1 for k in range(1, s) if gcd(k, s) == 1)
+    phi = prod(p ** (e - 1) * (p - 1) for p, e in _factorize(s))
     return (1 << (2 * n - 3)) * s * phi
 
 

@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import itemgetter
 
 from . import config
@@ -236,14 +236,6 @@ def _pool_for(kern: HolKernel, method: str):
     raise InvalidInputError(f"unknown search method {method!r}")
 
 
-def fits_full_scan(group: GroupSpec) -> bool:
-    """True when Hol(N) fits the byte kernel and the full-scan cap."""
-    try:
-        return get_kernel(group).hol_order() <= config.full_hol_cap()
-    except CapacityError:
-        return False
-
-
 def scan_refusal(group: GroupSpec, method: str) -> CapacityError | None:
     """The CapacityError that stops a `method` search of N before it scans
     (the byte kernel's limit or a budget of its pool), or None."""
@@ -365,10 +357,12 @@ def _class_sizes(kern: HolKernel, kind: TargetKind, seeds: dict[SubgroupKey, See
 
 def hgs_count(kind: TargetKind, group: GroupSpec, r: int) -> int:
     """h = |Aut(G)| * r / |Aut(N)|; the division is exact by theory."""
-    if r == 0:
-        return 0
+    return _hgs(kind, group, r, aut_order(group)) if r else 0
+
+
+def _hgs(kind: TargetKind, group: GroupSpec, r: int, den: int) -> int:
+    """`hgs_count` with |Aut(N)| = den given."""
     num = target_aut_order(kind) * r
-    den = aut_order(group)
     h, rem = divmod(num, den)
     if rem:
         raise InternalConsistencyError(
@@ -404,7 +398,10 @@ class SearchResult:
             if rem:
                 raise InternalConsistencyError(f"orbit size {orbit} does not divide |Aut({group})| = {total}")
             classes.append((orbit, stab))
-        hgs_count(kind, group, r)
+        if r:
+            if not classes:  # `h` reads |Aut(N)| off the first class
+                raise InternalConsistencyError(f"r = {r} regular subgroups in no class")
+            _hgs(kind, group, r, total)
         return cls(group, kind, r, tuple(classes), method)
 
     @property
@@ -413,8 +410,9 @@ class SearchResult:
 
     @property
     def h(self) -> int:
-        """The Hopf-Galois structures of type N, `hgs_count` of r."""
-        return hgs_count(self.kind, self.group, self.r)
+        """The Hopf-Galois structures of type N, `hgs_count` of r, reading
+        |Aut(N)| as orbit times stabilizer of the first class."""
+        return _hgs(self.kind, self.group, self.r, prod(self.class_sizes[0])) if self.r else 0
 
 
 def search_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> SearchResult:
@@ -425,7 +423,7 @@ def search_regular(group: GroupSpec, kind: TargetKind, method: str = "auto") -> 
     """
     kern = get_kernel(group)
     if method == "auto":
-        method = "full" if fits_full_scan(group) else "sylow"
+        method = "full" if kern.hol_order() <= config.full_hol_cap() else "sylow"
     _pool_for(kern, method)
     return _search_cached(group, kind, method)
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from math import prod
 from pathlib import Path
@@ -359,23 +360,46 @@ def test_budgets_fire_after_the_x_scan_memo_is_filled(capsys, monkeypatch, flags
 
 
 @pytest.mark.parametrize(
-    "nspec,kind,full,sylow",
+    "nspec,kind,full,sylow,flags,env",
     [
         # neither pool fits the byte kernel: only the family solver answers
-        ("c2xc128", "q256", "(needed 256, cap 255)", "(needed 256, cap 255)"),
+        ("c2xc128", "q256", "(needed 256, cap 255)", "(needed 256, cap 255)", (), {}),
         # Hol(C2^4) is past the scan cap, and the Sylow path gave the answer
-        ("c2xc2xc2xc2", "q16", "(needed 322560, cap 65536)", "gave the answer"),
+        ("c2xc2xc2xc2", "q16", "(needed 322560, cap 65536)", "gave the answer", (), {}),
+        # |Hol(C2^3)| = 1344 fits the scan cap, but the block of 168
+        # automorphisms does not fit HOLOBRACE_CAP, which only the full scan needs
+        ("c2xc2xc2", "d8", "(needed 168, cap 100)", "gave the answer", ("--sylow",), {"HOLOBRACE_CAP": "100"}),
     ],
 )
-def test_a_cross_check_without_a_second_path_says_why(capsys, nspec, kind, full, sylow):
-    code, plain, err = run(capsys, "census", "--N", nspec, "--G", kind)
+def test_a_cross_check_without_a_second_path_says_why(capsys, monkeypatch, nspec, kind, full, sylow, flags, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, plain, err = run(capsys, "census", "--N", nspec, "--G", kind, *flags)
     assert (code, err) == (EXIT_OK, "")
-    code, out, err = run(capsys, "census", "--N", nspec, "--G", kind, "--cross-check")
+    code, out, err = run(capsys, "census", "--N", nspec, "--G", kind, *flags, "--cross-check")
     assert code == EXIT_OK and out == plain
     assert err.startswith("cross-check: no second path for ") and err.count("\n") == 1
     full_part, sylow_part = err.rstrip().split("; ")[1:]
     assert full_part.startswith("the full scan: ") and full_part.endswith(full)
     assert sylow_part.startswith("the Sylow path") and sylow_part.endswith(sylow)
+
+
+def _readme_cli_lines() -> list[str]:
+    """The `holobrace ...` lines of the code block under README's "## CLI"."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("holobrace ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_every_readme_cli_line_runs(capsys, monkeypatch, tmp_path, line):
+    # files the lines write land in a temp dir; the golden file is the repo's
+    monkeypatch.chdir(tmp_path)
+    argv = [str(GOLDEN) if arg == "tests/golden/table1.txt" else arg for arg in shlex.split(line)[1:]]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
+    if "c2xc128" in argv:
+        assert err.startswith("cross-check: no second path for ")
 
 
 def test_a_cross_check_with_a_second_path_writes_no_stderr(capsys):

@@ -1,3 +1,9 @@
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from holobrace.abelian import make_group, parse_group
@@ -286,6 +292,74 @@ def test_cross_check_runs_the_full_scan_and_the_sylow_path(monkeypatch):
     monkeypatch.setattr(counts, "search_regular", broken_mixed)
     with pytest.raises(InternalConsistencyError, match="reduction path .* sylow path"):
         cross_check(census(mixed, parse_kind("q48")))
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, which imports nothing from holobrace."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cross_check_runs_one_search_on_the_family_pairs(monkeypatch):
+    """The full scan crosses each structured family answer that fits the
+    byte kernel, and C2 x C128, past it, runs no search at all."""
+    import holobrace.counts as counts
+    from holobrace.regular import search_regular
+
+    ran = []
+
+    def spy(group, kind, method="auto"):
+        ran.append(method)
+        return search_regular(group, kind, method)
+
+    monkeypatch.setattr(counts, "search_regular", spy)
+    for nspec, gspec in _benchmark_workloads().FAMILY_PAIRS:
+        res = census(parse_group(nspec), parse_kind(gspec))
+        assert res.method == "structured"
+        ran.clear()
+        note = cross_check(res)
+        if nspec == "c2xc128":
+            assert ran == [] and note.startswith("no second path for ")
+        else:
+            assert ran == ["full"] and note is None
+
+
+_AUT_ORDER_SPY = """
+import contextlib, io, sys
+import holobrace.cli, holobrace.endo
+sys.path.insert(0, "perfbench")
+import workloads
+calls, original = [], holobrace.endo.aut_order
+
+def spy(group):
+    calls.append(group)
+    return original(group)
+
+for name, module in list(sys.modules.items()):
+    if name == "holobrace" or name.startswith("holobrace."):
+        for key, value in list(vars(module).items()):
+            if value is original:
+                setattr(module, key, spy)
+for argv in workloads.CENSUS_SWEEP:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert holobrace.cli.main(list(argv)) == 0
+print(len(calls))
+"""
+
+
+def test_a_census_sweep_pass_computes_aut_n_once_per_answer():
+    """One cold pass of the benchmark's census-sweep ops, in a fresh
+    interpreter, makes at most 150 `endo.aut_order` calls: a SearchResult
+    computes |Aut(N)| once, and `h` reads it off its first class."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _AUT_ORDER_SPY], cwd=root, env=env, capture_output=True, text=True, check=True
+    )
+    assert int(done.stdout) <= 150
 
 
 def test_cross_check_compares_class_sizes(monkeypatch):

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from holobrace.abelian import make_group
@@ -156,6 +158,11 @@ def test_aut_order_formulas():
     assert aut_order(parse_kind("d16")) == 32
     assert aut_order(parse_kind("q12")) == 12
     assert aut_order(parse_kind("d12")) == 12
+    # phi(s) from the factorization is the gcd count, for every odd s < 2000
+    for s in range(3, 2000, 2):
+        phi = sum(1 for k in range(1, s) if gcd(k, s) == 1)
+        for family, n in ((QUATERNION, 3), (DIHEDRAL, 2)):
+            assert aut_order(TargetKind(family, n, s)) == (1 << (2 * n - 3)) * s * phi
 
 
 @pytest.mark.parametrize(

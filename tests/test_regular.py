@@ -341,6 +341,10 @@ def test_an_answer_is_built_from_orbits_that_divide_aut_n():
         SearchResult.from_orbits(g, k, 3, [3], "direct")
     with pytest.raises(InternalConsistencyError, match=r"\* r = 24 is not divisible by \|Aut\(C_2×C_2×C_2\)\| = 168"):
         SearchResult.from_orbits(make_group([2, 2, 2]), parse_kind("q8"), 1, [1], "direct")
+    # h reads |Aut(N)| off the first class, so an answer with r > 0 needs one
+    with pytest.raises(InternalConsistencyError, match="r = 14 regular subgroups in no class"):
+        SearchResult.from_orbits(g, k, 14, [], "direct")
+    assert SearchResult.from_orbits(g, k, 0, [], "type-theorem").h == 0
 
 
 def test_warm_search_meets_lowered_budgets(monkeypatch):
