@@ -87,10 +87,6 @@ class GroupSpec:
     def rank(self, p: int) -> int:
         return len(self.exponents(p))
 
-    def exponent(self, p: int) -> int:
-        exps = self.exponents(p)
-        return p ** exps[-1] if exps else 1
-
     def prime_slice(self, p: int) -> slice:
         """Positions of the p-part factors (contiguous by canonicality)."""
         idxs = [i for i, (q, _) in enumerate(self.prime_of_factor) if q == p]

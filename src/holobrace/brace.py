@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Optional
 
@@ -71,8 +71,10 @@ def _translation(kern: HolKernel, a: int) -> Row:
     return kern.images(tuple(sp.add_rows[tab[a]] for sp, tab in zip(kern.spaces, kern.split_tabs)))
 
 
+@lru_cache(maxsize=1)
 def _add_table(group: GroupSpec) -> tuple[Row, ...]:
-    """add[a] is tau_a for every a."""
+    """add[a] is tau_a for every a; the braces of one op share their group,
+    so the table of the last group is kept."""
     kern = get_kernel(group)
     return tuple(_translation(kern, a) for a in range(group.order))
 

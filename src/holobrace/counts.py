@@ -25,7 +25,7 @@ from .presentations import (
 )
 # hgs_count is defined beside SearchResult.h and kept importable from here
 from .regular import SearchResult, hgs_count, scan_refusal, search_regular
-from .structured import solve_family
+from .structured import family_types, solve_family
 
 
 def q_closed(m: int) -> int:
@@ -55,14 +55,6 @@ def d_closed(m: int) -> int:
 # -- dispatch -------------------------------------------------------------------
 
 
-def _cyclic_2group(n: int) -> GroupSpec:
-    return make_group([1 << n])
-
-
-def _rank2_2group(n: int) -> GroupSpec:
-    return make_group([2, 1 << (n - 1)])
-
-
 def _solved(group: GroupSpec, kind: TargetKind) -> SearchResult:
     solved = solve_family(group, kind.family)
     return SearchResult.from_orbits(group, kind, solved.r, solved.class_sizes, "structured")
@@ -80,7 +72,7 @@ def two_power_census(group: GroupSpec, family: str) -> SearchResult:
     if group.odd_order != 1:
         raise InvalidInputError(f"{group} is not a 2-group")
     kind = TargetKind(family, n, 1)
-    if n >= 5 and group in (_cyclic_2group(n), _rank2_2group(n)):
+    if n >= 5 and group in family_types(n):
         return _solved(group, kind)
     if group not in admissible_types(n):
         return SearchResult.from_orbits(group, kind, 0, (), "type-theorem")
@@ -154,11 +146,9 @@ def cross_check(result: SearchResult) -> str | None:
 
 
 def hgs_reduce(group: GroupSpec, kind: TargetKind) -> int:
-    """h(N, J) = h(N_2, J_2) * s; with s = 1 this is the direct count."""
-    odd, two = sylow_decompose(group)
-    if not odd.is_cyclic():
-        return 0
-    return two_power_census(two, kind.family).h * odd.order
+    """h(N, J) of table 4, read off the census of the pair; it equals
+    h(N_2, J_2) * s, and 0 when the odd part is not cyclic."""
+    return census(group, kind).h
 
 
 def q_computed(order: int) -> int:
@@ -245,7 +235,7 @@ def _family_rows(n_max: int, s_values, cell) -> tuple[tuple, ...]:
     rows = []
     for s in s_values:
         for n in range(2, n_max + 1):
-            for two_type in [_cyclic_2group(n), _rank2_2group(n)] if n >= 5 else admissible_types(n):
+            for two_type in family_types(n) if n >= 5 else admissible_types(n):
                 group = make_group((s,) + two_type.factors) if s > 1 else two_type
                 cells = [cell(group, TargetKind(family, n, s)) for family in (QUATERNION, DIHEDRAL)]
                 rows.append((group.display_name(), n, s, *cells))

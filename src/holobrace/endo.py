@@ -85,31 +85,13 @@ def endo_compose(m1: EndoMatrix, m2: EndoMatrix) -> EndoMatrix:
     return make_endo(m1.p, m1.exponents, rows)
 
 
-def _invertible_mod_p(rows, p: int, r: int) -> bool:
-    """Gaussian elimination over F_p."""
-    m = [[v % p for v in row] for row in rows]
-    for col in range(r):
-        pivot = next((i for i in range(col, r) if m[i][col]), None)
-        if pivot is None:
-            return False
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = pow(m[col][col], -1, p)
-        for i in range(col + 1, r):
-            f = (m[i][col] * inv) % p
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[col])]
-    return True
-
-
-def is_unit(m: EndoMatrix) -> bool:
-    """True iff the mod-p reduction is invertible over F_p."""
-    return _invertible_mod_p(m.rows, m.p, m.rank)
-
-
-def _inverse_mod_p(rows, p: int, r: int) -> list[list[int]]:
+def _inverse_mod_p(rows, p: int, r: int) -> list[list[int]] | None:
+    """Inverse over F_p by Gauss-Jordan elimination, or None if singular."""
     aug = [[rows[i][j] % p for j in range(r)] + [int(i == j) for j in range(r)] for i in range(r)]
     for col in range(r):
-        pivot = next(i for i in range(col, r) if aug[i][col])
+        pivot = next((i for i in range(col, r) if aug[i][col]), None)
+        if pivot is None:
+            return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = pow(aug[col][col], -1, p)
         aug[col] = [(v * inv) % p for v in aug[col]]
@@ -120,14 +102,19 @@ def _inverse_mod_p(rows, p: int, r: int) -> list[list[int]]:
     return [row[r:] for row in aug]
 
 
+def is_unit(m: EndoMatrix) -> bool:
+    """True iff the mod-p reduction is invertible over F_p."""
+    return _inverse_mod_p(m.rows, m.p, m.rank) is not None
+
+
 def invert(m: EndoMatrix) -> EndoMatrix:
     """Inverse of a unit, by Newton lifting of the mod-p inverse."""
-    if not is_unit(m):
-        raise InvalidInputError("matrix is not a unit")
     p, r = m.p, m.rank
+    x = _inverse_mod_p(m.rows, p, r)
+    if x is None:
+        raise InvalidInputError("matrix is not a unit")
     q = p ** m.exponents[-1]
     a = [list(row) for row in m.rows]
-    x = _inverse_mod_p(m.rows, p, r)
     prec = 1
     while p**prec < q:
         # X <- X (2I - A X), doubling the precision each pass

@@ -305,12 +305,8 @@ class HolKernel:
         self.aut_size = prod(sp.aut_size for sp in self.spaces)  # |Aut(N)| = prod |Aut(N_p)|
         sizes = [sp.m for sp in self.spaces]
         self.sizes = sizes
-        strides = []
-        acc = 1
-        for m in reversed(sizes):
-            strides.append(acc)
-            acc *= m
-        self.strides = list(reversed(strides))
+        # a component's stride is the group's stride at its last factor
+        self.strides = [group.strides[group.prime_slice(p).stop - 1] for p in self.primes]
         # combined index <-> per-component index tables
         self.split_tabs: list[list[int]] = []
         for k in range(len(sizes)):

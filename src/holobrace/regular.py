@@ -249,12 +249,6 @@ def scan_refusal(group: GroupSpec, method: str) -> CapacityError | None:
 # -- class sizes from stabilizers -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _unit_getters(mx: int) -> tuple[itemgetter, ...]:
-    """For each unit k mod mx, 1 first, the getter of positions k*i mod mx."""
-    return tuple(itemgetter(*(k * i % mx for i in range(mx))) for k in _units(mx))
-
-
 def _frames(kern: HolKernel, sub: RegularSubgroup, quat: bool) -> list[tuple[list[int], list[list[bytes]]]]:
     """The generating pairs of `sub` with the relations of its kind, as frames.
 
@@ -273,7 +267,9 @@ def _frames(kern: HolKernel, sub: RegularSubgroup, quat: bool) -> list[tuple[lis
     mx = kern.n // 2
     cycles = kern.cycles(x, mx)
     orb0, orbt = kern.orbit(cycles, 0, mx), kern.orbit(cycles, kern.trans_index(y), mx)
-    pairs = [([bytes(get(a)) for a in orb0], [bytes(get(b)) for b in orbt]) for get in _unit_getters(mx)]
+    # for each unit k mod mx, 1 first, the orbits of X^k: positions k*i mod mx
+    getters = (itemgetter(*(k * i % mx for i in range(mx))) for k in _units(mx))
+    pairs = [([bytes(get(a)) for a in orb0], [bytes(get(b)) for b in orbt]) for get in getters]
     if mx == (4 if quat else 2):
         for u in kern.power_list(x, mx, y):
             u_cycles = kern.cycles(u, mx)

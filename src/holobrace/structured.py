@@ -277,14 +277,20 @@ def _solve_rank2(n: int, family: str) -> StructuredCensus:
     return StructuredCensus(RANK2, n, kind, tuple(fundamentals), len(witnesses), len(sizes), sizes, witnesses)
 
 
+def family_types(n: int) -> tuple[GroupSpec, GroupSpec]:
+    """The additive types of the two families of order 2^n (n >= 2):
+    C_{2^n} and C_2 x C_{2^(n-1)}."""
+    return make_group([1 << n]), make_group([2, 1 << (n - 1)])
+
+
 def solve_family(group: GroupSpec, family: str) -> StructuredCensus:
     """Dispatch to the matching family solver, or StructuredRangeError."""
     n = group.two_adic
     if group.odd_order != 1:
         raise InvalidInputError(f"{group} is not a 2-group")
-    if group == make_group([1 << n]):
-        return solve_cyclic(n, family)
-    if n >= 2 and group == make_group([2, 1 << (n - 1)]):
-        return solve_rank2(n, family)
+    if n >= 2:
+        for family_type, solver in zip(family_types(n), (solve_cyclic, solve_rank2)):
+            if group == family_type:
+                return solver(n, family)
     raise StructuredRangeError(f"{group} is not one of the structured families")
 

@@ -511,6 +511,36 @@ def test_ybe_check_verifies_each_brace_once(capsys, monkeypatch):
     assert "brace axioms failed" in err
 
 
+def test_one_ybe_check_builds_one_addition_table(capsys, monkeypatch):
+    # the braces of one op share their group, so `BraceTable.lam` reads one
+    # table of the n translations instead of building it per brace;
+    # `brace_violation` makes the few translations it reads and is not counted
+    import holobrace.brace as brace
+
+    calls, checking = [], []
+    real_translation, real_violation = brace._translation, brace.brace_violation
+
+    def translation(kern, a):
+        if not checking:
+            calls.append(a)
+        return real_translation(kern, a)
+
+    def violation(bt):
+        checking.append(bt)
+        try:
+            return real_violation(bt)
+        finally:
+            checking.pop()
+
+    brace._add_table.cache_clear()
+    monkeypatch.setattr(brace, "_translation", translation)
+    monkeypatch.setattr(brace, "brace_violation", violation)
+    code, out, _ = run(capsys, "ybe-check", "--N", "c7xc2xc8", "--G", "d112")
+    assert code == EXIT_OK
+    assert json.loads(out)["braces_checked"] == 6
+    assert sorted(calls) == list(range(112))
+
+
 def test_brace_export_verifies_each_brace_before_its_rows(capsys, monkeypatch):
     import holobrace.brace as brace
 

@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,29 @@ def test_total_hgs_per_degree():
         assert total(3, s, QUATERNION) == 14 * s
         assert total(4, s, DIHEDRAL) == 36 * s
         assert total(5, s, QUATERNION) == 9 * 8 * s
+
+
+ODD_PARTS = ((), (3,), (5,), (7,), (9,), (15,), (21,), (3, 3))
+
+
+@pytest.mark.parametrize("family", ["quaternion", "dihedral"])
+def test_table4_h_is_the_two_part_h_times_s(family):
+    """h(N, J) = h(N_2, J_2) * s, or 0 when the odd part of N is not cyclic:
+    the reduction of the paper, computed here from the 2-part's census."""
+    from holobrace.counts import two_power_census
+    from holobrace.presentations import TargetKind, admissible_types
+
+    checked = 0
+    for n in range(2, 7):
+        for two in admissible_types(n):
+            base = two_power_census(two, family).h
+            for odd in ODD_PARTS:
+                group = make_group(odd + two.factors)
+                s = prod(odd)
+                expected = base * s if len(odd) <= 1 else 0
+                assert hgs_reduce(group, TargetKind(family, n, s)) == expected, (group, family)
+                checked += 1
+    assert checked == 160
 
 
 def test_table4_quaternion_total_n5():

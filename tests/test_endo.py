@@ -6,7 +6,7 @@ import pytest
 from holobrace.abelian import make_group
 from holobrace.endo import (
     EndoMatrix,
-    _invertible_mod_p,
+    _inverse_mod_p,
     aut_generators,
     endo_apply,
     endo_compose,
@@ -75,7 +75,7 @@ def unit_filter_reference(group):
         fibres.append(by_reduction)
     units = set()
     for reductions in itertools.product(*fibres):
-        if _invertible_mod_p(tuple(zip(*reductions)), p, r):
+        if _inverse_mod_p(tuple(zip(*reductions)), p, r) is not None:
             for cols in itertools.product(*(f[red] for f, red in zip(fibres, reductions))):
                 units.add(EndoMatrix(p, exps, tuple(zip(*cols))))
     return units

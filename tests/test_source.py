@@ -103,9 +103,10 @@ def test_every_unbounded_memo_is_in_the_readme_memo_table():
     assert [m for m in memos if m not in listed] == []
 
 
-def _constructor_sites(name: str):
-    """`module.function` for each call of `name` in `src/`, by the innermost
-    enclosing function (`module.<module>` at top level)."""
+def _constructor_sites(name: str, where=lambda call: True):
+    """`module.function` for each call of `name` in `src/` that `where`
+    accepts, by the innermost enclosing function (`module.<module>` at top
+    level)."""
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {}
@@ -116,7 +117,7 @@ def _constructor_sites(name: str):
             if isinstance(node, ast.Call):
                 func = node.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called == name:
+                if called == name and where(node):
                     yield f"{path.stem}.{owner.get(node, '<module>')}"
 
 
@@ -124,6 +125,24 @@ def test_only_subgroup_builds_a_regular_subgroup():
     # `_subgroup` sorts the element codes into the key; a subgroup built
     # anywhere else could carry a key that is not its sorted codes
     assert list(_constructor_sites("RegularSubgroup")) == ["regular._subgroup"]
+
+
+def _lists_a_power_of_two(call: ast.Call) -> bool:
+    """An argument is a list or tuple display with an entry `1 << k` or `2 ** k`."""
+    return any(
+        isinstance(e, ast.BinOp) and isinstance(e.op, (ast.LShift, ast.Pow))
+        for arg in call.args
+        if isinstance(arg, (ast.List, ast.Tuple))
+        for e in arg.elts
+    )
+
+
+def test_only_family_types_builds_the_two_family_groups():
+    # C_{2^n} and C_2 x C_{2^(n-1)} built in two places could drift apart,
+    # and a pair would then reach the wrong family solver; `admissible_types`
+    # lists every type of order 2^n from its own rows and is not counted
+    sites = list(_constructor_sites("make_group", _lists_a_power_of_two))
+    assert sites == ["structured.family_types"] * 2
 
 
 def _trace_entry_points():
