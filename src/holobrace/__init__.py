@@ -43,11 +43,6 @@ from .regular import (
     list_regular,
     search_regular,
 )
-from .structured import (
-    StructuredCensus,
-    StructuredRangeError,
-    solve_cyclic,
-    solve_rank2,
-)
+from .structured import StructuredRangeError
 
 __version__ = "0.1.0"

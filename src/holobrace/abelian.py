@@ -95,7 +95,8 @@ class GroupSpec:
         return slice(idxs[0], idxs[-1] + 1)
 
     def component(self, p: int) -> "GroupSpec":
-        return GroupSpec(tuple(q for q, (pp, _) in zip(self.factors, self.prime_of_factor) if pp == p))
+        part = [q for q, (pp, _) in zip(self.factors, self.prime_of_factor) if pp == p]
+        return make_group(part) if part else _TRIVIAL
 
     @cached_property
     def strides(self) -> tuple[int, ...]:
@@ -230,7 +231,11 @@ def parse_group(text: str) -> GroupSpec:
     raise InvalidInputError(f"cannot parse group spec {text!r}")
 
 
+_TRIVIAL = GroupSpec(())  # the trivial group, which `make_group` refuses to build
+
+
 def sylow_decompose(group: GroupSpec) -> tuple[GroupSpec, GroupSpec]:
-    """Split N into its odd part N_s and its 2-part N_2."""
-    odd = GroupSpec(tuple(q for q, (p, _) in zip(group.factors, group.prime_of_factor) if p != 2))
-    return odd, group.component(2)
+    """Split N into its odd part N_s and its 2-part N_2, each built through
+    the memo of `make_group`, so that one group is one object."""
+    odd = [q for q in group.factors if q % 2]
+    return (make_group(odd) if odd else _TRIVIAL), group.component(2)

@@ -173,7 +173,6 @@ def verify_brace(bt: BraceTable) -> bool:
 class YbeSolution:
     group: GroupSpec
     table: tuple[tuple[tuple[int, int], ...], ...]  # r(x, y) as (u, v) pairs
-    right_bijective: bool
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
         return self.table[x][y]
@@ -226,6 +225,8 @@ def ybe_solution(bt: BraceTable) -> YbeSolution:
     (' is inverse in (N, o).)  Involutivity, left non-degeneracy and the
     braid relation are certified by `braid_certificate`; failure raises
     InternalConsistencyError since the brace construction guarantees them.
+    A finite involutive left non-degenerate solution is right non-degenerate
+    too (Rump, Adv. Math. 193, 2005).
     """
     if not verify_brace(bt):
         raise InvalidInputError("not a brace table")
@@ -238,5 +239,4 @@ def ybe_solution(bt: BraceTable) -> YbeSolution:
     bad = braid_certificate(bt, table)
     if bad is not None:
         raise InternalConsistencyError(f"{bad[0]} fails at {bad[1:]}")
-    right = all(sorted(v for _, v in col) == list(range(n)) for col in zip(*table))
-    return YbeSolution(bt.group, table, right)
+    return YbeSolution(bt.group, table)

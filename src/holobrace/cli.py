@@ -211,11 +211,11 @@ def _cmd_ybe_check(args) -> int:
     for rep in reps:
         try:
             # verifies the brace axioms, then involutivity and the braid relation
-            sol = ybe_solution(brace_from_subgroup(rep))
+            ybe_solution(brace_from_subgroup(rep))
         except InvalidInputError as exc:
             raise HolobraceError("brace axioms failed") from exc
-        # ybe_solution refuses a left-degenerate table
-        checked.append({"left_nondegenerate": True, "right_nondegenerate": sol.right_bijective})
+        # involutive and left non-degenerate, hence right non-degenerate (Rump 2005)
+        checked.append({"left_nondegenerate": True, "right_nondegenerate": True})
     _emit(
         _dump(
             {

@@ -22,10 +22,11 @@ from .presentations import (
     TargetKind,
     _kind_of_order,
     admissible_types,
+    family_types,
 )
 # hgs_count is defined beside SearchResult.h and kept importable from here
 from .regular import SearchResult, hgs_count, scan_refusal, search_regular
-from .structured import family_types, solve_family
+from .structured import solve_family
 
 
 def q_closed(m: int) -> int:
@@ -55,11 +56,6 @@ def d_closed(m: int) -> int:
 # -- dispatch -------------------------------------------------------------------
 
 
-def _solved(group: GroupSpec, kind: TargetKind) -> SearchResult:
-    solved = solve_family(group, kind.family)
-    return SearchResult.from_orbits(group, kind, solved.r, solved.class_sizes, "structured")
-
-
 def two_power_census(group: GroupSpec, family: str) -> SearchResult:
     """Complete census for a 2-group: search, family solver, or theorem zero.
 
@@ -73,7 +69,7 @@ def two_power_census(group: GroupSpec, family: str) -> SearchResult:
         raise InvalidInputError(f"{group} is not a 2-group")
     kind = TargetKind(family, n, 1)
     if n >= 5 and group in family_types(n):
-        return _solved(group, kind)
+        return solve_family(group, family)
     if group not in admissible_types(n):
         return SearchResult.from_orbits(group, kind, 0, (), "type-theorem")
     if n >= 6:
@@ -101,7 +97,7 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto") -> SearchRe
     if method == "structured":
         if odd.order != 1:
             raise InvalidInputError("structured solvers cover 2-groups only")
-        return _solved(group, kind)
+        return solve_family(group, kind.family)
     if method == "reduction":
         return reduce_counts(group, kind)
     if method == "auto":

@@ -86,18 +86,20 @@ def aut_order(kind: TargetKind) -> int:
     return (1 << (2 * n - 3)) * s * phi
 
 
+def family_types(n: int) -> tuple[GroupSpec, GroupSpec]:
+    """The additive types of the two families of order 2^n (n >= 2):
+    C_{2^n} and C_2 x C_{2^(n-1)}."""
+    return make_group([1 << n]), make_group([2, 1 << (n - 1)])
+
+
 def admissible_types(n: int) -> list[GroupSpec]:
-    """Abelian 2-groups of order 2^n that can carry a regular target subgroup."""
+    """Abelian 2-groups of order 2^n that can carry a regular target subgroup,
+    the two family types first."""
     if n < 2:
         raise InvalidInputError("need n >= 2")
-    rows: list[list[int]] = [[2**n], [2, 2 ** (n - 1)]]
-    if n >= 3:
-        rows.append([4, 2 ** (n - 2)])
-        rows.append([2, 2, 2 ** (n - 2)])
-    if n >= 4:
-        rows.append([2, 2, 2, 2 ** (n - 3)])
-    out: list[GroupSpec] = []
-    for row in rows:
+    out = list(family_types(n))
+    rows = ([4, 2 ** (n - 2)], [2, 2, 2 ** (n - 2)], [2, 2, 2, 2 ** (n - 3)]) if n >= 3 else ()
+    for row in rows:  # a factor 1 is dropped, and a type met before kept once
         spec = make_group([q for q in row if q > 1])
         if spec not in out:
             out.append(spec)

@@ -187,8 +187,8 @@ def _expand_orbits(kern: HolKernel, seeds: dict[SubgroupKey, Seed]):
     by another <x>, as in Q8) y is conjugated too and the image is built
     from the pair (README, "Class sizes and orbit expansion").
 
-    Returns (all subgroups by key, classes as (rep_key, orbit_size,
-    stabilizer_order)) with classes in the order of their least seed key.
+    Returns (all subgroups by key, classes) with each class represented
+    by the least key of its orbit, in the order of their least seed key.
     """
     total = kern.aut_size
     conjs = [kern.conjugator(g) for g in kern.aut_generator_tuples()]
@@ -223,9 +223,9 @@ def _expand_orbits(kern: HolKernel, seeds: dict[SubgroupKey, Seed]):
         stab, rem = divmod(total, len(orbit))
         if rem:
             raise InternalConsistencyError("orbit size does not divide |Aut(N)|")
-        classes.append((min(orbit), len(orbit), stab))
+        classes.append(ConjugacyClass(known[min(orbit)], len(orbit), stab))
         visited.update(orbit)
-    return known, classes
+    return known, tuple(classes)
 
 
 def _pool_for(kern: HolKernel, method: str):
@@ -434,15 +434,10 @@ def _search_cached(group: GroupSpec, kind: TargetKind, method: str) -> SearchRes
     if method == "sylow":
         orbits = [size for size, _ in _class_sizes(kern, kind, seeds)]
         return SearchResult.from_orbits(group, kind, sum(orbits), orbits, method)
-    found, raw_classes = _expand_orbits(kern, seeds)
+    found, classes = _expand_orbits(kern, seeds)
     if len(found) != len(seeds):
         raise InternalConsistencyError("the full scan missed conjugates of what it found")
-    return SearchResult.from_orbits(group, kind, len(found), (size for _, size, _ in raw_classes), method)
-
-
-def _conjugacy_classes(found: dict[SubgroupKey, RegularSubgroup], raw_classes) -> tuple[ConjugacyClass, ...]:
-    """The classes of `_expand_orbits`, each represented by its least key."""
-    return tuple(ConjugacyClass(found[rk], size, stab) for rk, size, stab in raw_classes)
+    return SearchResult.from_orbits(group, kind, len(found), (c.orbit_size for c in classes), method)
 
 
 def list_regular(
@@ -456,8 +451,7 @@ def list_regular(
     and checks them against its r and class sizes; nothing is kept."""
     res = search_regular(group, kind, method)
     kern = get_kernel(group)
-    found, raw_classes = _expand_orbits(kern, _seed_search(kern, kind, _pool_for(kern, res.method)))
-    classes = _conjugacy_classes(found, raw_classes)
+    found, classes = _expand_orbits(kern, _seed_search(kern, kind, _pool_for(kern, res.method)))
     listed = tuple((c.orbit_size, c.stabilizer_order) for c in classes)
     if listed != res.class_sizes or len(found) != res.r:
         raise InternalConsistencyError(
@@ -485,7 +479,7 @@ def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]
         if pows[mx] != ident or ident in pows[1:mx] or y in pows or not codes.issuperset(map(kern.code, pows + [y])):
             raise InvalidInputError("a witness does not generate its subgroup")
         seeds[s.key] = (s, _unit_codes(kern, pows, mx))
-    found, raw_classes = _expand_orbits(kern, seeds)
+    found, classes = _expand_orbits(kern, seeds)
     if len(found) != len(seeds):
         raise InvalidInputError("input list is not closed under conjugation")
-    return _conjugacy_classes(found, raw_classes)
+    return classes

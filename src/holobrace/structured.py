@@ -14,7 +14,6 @@ The loops run on plain-integer affine maps in the form of `HolElement.encode()`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -22,27 +21,13 @@ from . import config
 from .abelian import GroupSpec, make_group, reach
 from .endo import aut_generators, aut_invert, aut_order
 from .errors import CapacityError, InternalConsistencyError, InvalidInputError
-from .presentations import QUATERNION, TargetKind
-
-CYCLIC = "cyclic"
-RANK2 = "rank2"
+from .presentations import QUATERNION, TargetKind, family_types
+from .regular import SearchResult
 
 
 class StructuredRangeError(InvalidInputError):
     """N outside the closed-form families (or n below their range); use the
     generic engine."""
-
-
-@dataclass(frozen=True)
-class StructuredCensus:
-    family: str
-    n: int
-    kind: TargetKind
-    pairs: tuple[tuple, ...]  # the solved (X, Y) encoding pairs the orbits start from
-    r: int
-    c: int
-    class_sizes: tuple[int, ...]
-    witnesses: tuple[tuple, ...]  # one (X, Y) encoding pair per subgroup, orbit by orbit
 
 
 # -- plain-integer affine maps --------------------------------------------------
@@ -169,42 +154,25 @@ def _classes(found: list, mods: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]
     return tuple(w[:2] for w in known), tuple(sorted(sizes))
 
 
-def _admit(solver: str, n: int, least: int, family: str, needed: int) -> None:
-    """Refuse an n below the solver's range, an unknown family, or more points
-    to walk than the budget allows, before any memo answers."""
-    if n < least:
-        raise StructuredRangeError(f"{solver} solver needs n >= {least}, got {n}")
-    TargetKind(family, n, 1)  # an unknown family is an input error
-    cap = config.aut_candidate_cap()
-    if needed > cap:
-        raise CapacityError(f"{solver} family solver at n={n}: too many points to walk", needed=needed, cap=cap)
-
-
 # -- C_{2^n} --------------------------------------------------------------------
 
 
-def solve_cyclic(n: int, family: str) -> StructuredCensus:
-    """Regular quaternion/dihedral subgroups of Hol(C_{2^n}), n >= 4.
+@lru_cache(maxsize=None)
+def _solve_cyclic(n: int, family: str) -> tuple:
+    """Regular quaternion/dihedral subgroups of Hol(C_{2^n}), n >= 4, once
+    `solve_family` has admitted them, memoized on (n, family).
 
     Takes one X per cyclic <X> among the solutions of the X congruences and
     tests Y = (beta, t), beta^2 = 1, t the least point off the orbit of 0.
     That finds each subgroup once: Q and D of order 2^n have one cyclic
-    subgroup of index 2, and one element that sends 0 to t.  The 5 * 2^{n-1}
-    points walked, the generators' translations and the orbits of 0 and t
-    for each of the two cyclic <X>, are bounded by `config.aut_candidate_cap()`.
+    subgroup of index 2, and one element that sends 0 to t.  It walks
+    5 * 2^{n-1} points: the generators' translations and the orbits of 0
+    and t for each of the two cyclic <X>.
     """
-    _admit("cyclic", n, 4, family, 5 << (n - 1))
-    return _solve_cyclic(n, family)
-
-
-@lru_cache(maxsize=None)
-def _solve_cyclic(n: int, family: str) -> StructuredCensus:
-    """solve_cyclic once its budget has passed, memoized on (n, family)."""
     mod = 1 << n
     mods = (mod,)
     half = mod >> 1
     quarter = mod >> 3  # 2^{n-3}, the coefficient of the order-exactness test
-    kind = TargetKind(family, n, 1)
     roots = [a for a in range(1, mod, 2) if a * a % mod == 1]
     seen = {alpha: bytearray(mod) for alpha in roots}  # (alpha, v) in a kept <X>
     kept, found = 0, []
@@ -231,30 +199,24 @@ def _solve_cyclic(n: int, family: str) -> StructuredCensus:
     witnesses, sizes = _classes(found, mods)
     if kept != 2 or len(witnesses) != len(found):
         raise InternalConsistencyError(f"cyclic family n={n}: {kept} <X>, {len(found)} of {len(witnesses)} found")
-    return StructuredCensus(CYCLIC, n, kind, tuple(found), len(witnesses), len(sizes), sizes, witnesses)
+    return tuple(found), witnesses, sizes
 
 
 # -- C_2 x C_{2^{n-1}} -------------------------------------------------------------
 
 
-def solve_rank2(n: int, family: str) -> StructuredCensus:
-    """Regular subgroups of Hol(C_2 x C_{2^{n-1}}), n >= 5.
+@lru_cache(maxsize=None)
+def _solve_rank2(n: int, family: str) -> tuple:
+    """Regular subgroups of Hol(C_2 x C_{2^{n-1}}), n >= 5, once
+    `solve_family` has admitted them, memoized on (n, family).
 
     Solves the normal-form system (v = (0,1), w = (1,0), r = a, s fixed by
     the family) for the eight fundamental subgroups, then walks their
-    Aut(N)-orbits to recover the full census.  The 2^n points walked for
-    each fundamental pair are bounded by `config.aut_candidate_cap()`.
+    Aut(N)-orbits to recover the full census.  It walks 2^n points for
+    each fundamental pair.
     """
-    _admit("rank-2", n, 5, family, 8 << n)
-    return _solve_rank2(n, family)
-
-
-@lru_cache(maxsize=None)
-def _solve_rank2(n: int, family: str) -> StructuredCensus:
-    """solve_rank2 once its budget has passed, memoized on (n, family)."""
     mod = 1 << (n - 1)
     half = 1 << (n - 2)
-    kind = TargetKind(family, n, 1)
     s = 1 if family == QUATERNION else 0
     fundamentals = []
     for a in (0, 1):
@@ -273,24 +235,33 @@ def _solve_rank2(n: int, family: str) -> StructuredCensus:
         walks = _mark_orbit(marks, x, (0, 0), mod, mods) and _mark_orbit(marks, x, y[1], mod, mods)
         if not (walks and _presents(x, y, n - 1, s == 1, mods)):
             raise InternalConsistencyError(f"fundamental pair {(x, y)} is not regular")
-    witnesses, sizes = _classes(fundamentals, mods)
-    return StructuredCensus(RANK2, n, kind, tuple(fundamentals), len(witnesses), len(sizes), sizes, witnesses)
+    return tuple(fundamentals), *_classes(fundamentals, mods)
 
 
-def family_types(n: int) -> tuple[GroupSpec, GroupSpec]:
-    """The additive types of the two families of order 2^n (n >= 2):
-    C_{2^n} and C_2 x C_{2^(n-1)}."""
-    return make_group([1 << n]), make_group([2, 1 << (n - 1)])
+# (solver, its name, least n, points walked / 2^(n-1)) for each of `family_types(n)`;
+# a solver answers (the solved (X, Y) pairs, one (X, Y) per subgroup, orbit
+# by orbit, the sorted orbit sizes), each (X, Y) two plain-integer encodings
+_SOLVERS = ((_solve_cyclic, "cyclic", 4, 5), (_solve_rank2, "rank-2", 5, 16))
 
 
-def solve_family(group: GroupSpec, family: str) -> StructuredCensus:
-    """Dispatch to the matching family solver, or StructuredRangeError."""
+def solve_family(group: GroupSpec, family: str) -> SearchResult:
+    """The census of a family pair from its closed-form solver.  Before the
+    memo answers, refuses N outside the families or n below the solver's
+    range (StructuredRangeError), an unknown family, and more points to walk
+    than `config.aut_candidate_cap()` allows (CapacityError)."""
     n = group.two_adic
     if group.odd_order != 1:
         raise InvalidInputError(f"{group} is not a 2-group")
-    if n >= 2:
-        for family_type, solver in zip(family_types(n), (solve_cyclic, solve_rank2)):
-            if group == family_type:
-                return solver(n, family)
-    raise StructuredRangeError(f"{group} is not one of the structured families")
+    types = family_types(n) if n >= 2 else ()
+    if group not in types:
+        raise StructuredRangeError(f"{group} is not one of the structured families")
+    solver, name, least, points = _SOLVERS[types.index(group)]
+    if n < least:
+        raise StructuredRangeError(f"{name} solver needs n >= {least}, got {n}")
+    kind = TargetKind(family, n, 1)  # an unknown family is an input error
+    needed, cap = points << (n - 1), config.aut_candidate_cap()
+    if needed > cap:
+        raise CapacityError(f"{name} family solver at n={n}: too many points to walk", needed=needed, cap=cap)
+    _, witnesses, sizes = solver(n, family)
+    return SearchResult.from_orbits(group, kind, len(witnesses), sizes, "structured")
 

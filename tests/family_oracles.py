@@ -1,6 +1,8 @@
 """Closure-based oracles: subgroup closures in Hol(N), the regularity test,
 the solved (X, Y) parameter pairs as validated `HolElement`s, and the family
-solvers in `holobrace.structured` redone by closure.
+solvers in `holobrace.structured` redone by closure.  `solved` reads a
+solver's pairs and witnesses from its private memo, which `solve_family`
+reduces to a `SearchResult`.
 
 The family oracles close every candidate subgroup into a frozenset of
 plain-integer encodings (the form of `HolElement.encode()`), filter the
@@ -17,10 +19,13 @@ from holobrace.abelian import GroupSpec, make_group, reach
 from holobrace.endo import aut_generators, aut_order, make_endo
 from holobrace.holomorph import HolElement
 from holobrace.kernel import get_kernel
+from holobrace import structured
 from holobrace.presentations import QUATERNION, TargetKind
-from holobrace.structured import CYCLIC, RANK2
 
 from subgroup_oracles import from_kernel, to_kernel
+
+CYCLIC = "cyclic"
+RANK2 = "rank2"
 
 
 def family_group(family, n):
@@ -64,18 +69,37 @@ class StructuredGeneratorPair:
         return tuple(element_from_encoding(self.group(), e) for e in self.affine())
 
 
-def solved_pairs(census):
-    """A solver census's (X, Y) encodings read back into parameters; each
+@dataclass(frozen=True)
+class Solved:
+    """A family solver's memo entry for (n, target family): the solved (X, Y)
+    pairs and one (X, Y) witness per subgroup, orbit by orbit."""
+
+    family: str
+    n: int
+    kind: TargetKind
+    pairs: tuple
+    witnesses: tuple
+
+
+def solved(family, n, target):
+    """The memo entry of the cyclic or rank-2 solver, asked directly: no budget."""
+    memo = structured._solve_cyclic if family == CYCLIC else structured._solve_rank2
+    pairs, witnesses, _ = memo(n, target)
+    return Solved(family, n, TargetKind(target, n, 1), pairs, witnesses)
+
+
+def solved_pairs(entry):
+    """A `Solved` entry's (X, Y) encodings read back into parameters; each
     pair must encode to the same (X, Y) again."""
-    half = 1 << (census.n - 2)
+    half = 1 << (entry.n - 2)
     pairs = []
-    for x, y in census.pairs:
-        if census.family == CYCLIC:
+    for x, y in entry.pairs:
+        if entry.family == CYCLIC:
             params = (*x[0], *x[1], *y[0], *y[1])
         else:
             ((_, a, hb, alpha), v), ((_, r, hs, beta), w) = x, y
             params = (a, hb // half, r, hs // half, alpha, beta, *v, *w)
-        pair = StructuredGeneratorPair(census.family, census.n, census.kind, params)
+        pair = StructuredGeneratorPair(entry.family, entry.n, entry.kind, params)
         assert pair.affine() == (x, y), (x, y)
         pairs.append(pair)
     return tuple(pairs)
@@ -171,9 +195,9 @@ def subgroup_elements(pair):
     return closure(pair.affine(), pair.group().factors, 2 * pair.kind.order)
 
 
-def witness_elements(census, witness):
-    """Encodings of the subgroup a census witness (X, Y) generates."""
-    return closure(witness, family_group(census.family, census.n).factors, 2 * census.kind.order)
+def witness_elements(entry, witness):
+    """Encodings of the subgroup a `Solved` witness (X, Y) generates."""
+    return closure(witness, family_group(entry.family, entry.n).factors, 2 * entry.kind.order)
 
 
 def kernel_keys(group, subgroups):

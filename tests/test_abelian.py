@@ -123,6 +123,20 @@ def test_sylow_decompose_examples():
     assert odd == make_group([3]) and two == make_group([2, 4])
 
 
+def test_sylow_decompose_returns_one_object_per_part():
+    # the parts come from the memo of `make_group`, so a repeated split
+    # reads the cached fields of the same objects instead of recomputing them
+    for orders in ([24], [2, 16], [3, 2, 4], [9, 3, 5, 8], [5], [16]):
+        g = make_group(orders)
+        first, again = sylow_decompose(g), sylow_decompose(g)
+        assert first[0] is again[0] and first[1] is again[1]
+        assert first[1] is g.component(2)
+    # the trivial part is one constant
+    assert sylow_decompose(make_group([8]))[0] is sylow_decompose(make_group([2, 4]))[0]
+    assert sylow_decompose(make_group([5]))[1] is sylow_decompose(make_group([8]))[0]
+    assert sylow_decompose(make_group([8]))[0].order == 1
+
+
 def test_parse_group_grammar():
     assert parse_group("c2xc8") == make_group([2, 8])
     assert parse_group("  C2 x C8 ") == make_group([2, 8])

@@ -19,11 +19,11 @@ from holobrace.counts import (
 from holobrace.holomorph import order_spectrum
 from holobrace.presentations import DIHEDRAL, QUATERNION, TargetKind, admissible_types, parse_kind
 from holobrace.regular import list_regular, search_regular
-from holobrace.structured import solve_cyclic, solve_rank2
+from holobrace.structured import solve_family
 
-from family_oracles import family_group, kernel_keys, witness_elements
+from family_oracles import CYCLIC, RANK2, family_group, kernel_keys, solved, witness_elements
 from subgroup_oracles import semidirect_subgroup, tau_set
-from test_brace import lambda_is_homomorphism_reference
+from test_brace import is_right_nondegenerate, lambda_is_homomorphism_reference
 
 PASS = "ACCEPT {}: PASS  {}"
 
@@ -65,24 +65,23 @@ def test_criterion_1_table1_exact():
     print(PASS.format(1, "Table 1: all 20 rows exact, including (C2^3, D8) and (C2^4, Q16)"))
 
 
-def engine_keys_of_witnesses(solved):
+def engine_keys_of_witnesses(entry):
     """The solver's witnesses, closed by the test oracle, as engine keys."""
-    return kernel_keys(family_group(solved.family, solved.n), [witness_elements(solved, w) for w in solved.witnesses])
+    return kernel_keys(family_group(entry.family, entry.n), [witness_elements(entry, w) for w in entry.witnesses])
 
 
 def test_criterion_2_structured_families():
     """Closed-form solvers match their counts and the generic engine."""
     for fam in (QUATERNION, DIHEDRAL):
-        assert (solve_cyclic(4, fam).r, solve_cyclic(4, fam).c) == (1, 1)
-        for n in (5, 6):
-            assert (solve_cyclic(n, fam).r, solve_cyclic(n, fam).c) == (1, 1)
-            assert (solve_rank2(n, fam).r, solve_rank2(n, fam).c) == (16, 6)
+        for family, n, counts in ((CYCLIC, 4, (1, 1)), (CYCLIC, 5, (1, 1)), (CYCLIC, 6, (1, 1)), (RANK2, 5, (16, 6)), (RANK2, 6, (16, 6))):
+            res = solve_family(family_group(family, n), fam)
+            assert (res.r, res.c) == counts
         # subgroup-for-subgroup agreement with the generic engine
         for n in (4, 5):
-            solved = solve_cyclic(n, fam)
-            assert engine_keys_of_witnesses(solved) == {s.key for s in list_regular(make_group([1 << n]), solved.kind)[0]}
-        solved = solve_rank2(5, fam)
-        assert engine_keys_of_witnesses(solved) == {s.key for s in list_regular(make_group([2, 16]), solved.kind)[0]}
+            entry = solved(CYCLIC, n, fam)
+            assert engine_keys_of_witnesses(entry) == {s.key for s in list_regular(make_group([1 << n]), entry.kind)[0]}
+        entry = solved(RANK2, 5, fam)
+        assert engine_keys_of_witnesses(entry) == {s.key for s in list_regular(make_group([2, 16]), entry.kind)[0]}
         # h-values: 2^{n-2} cyclic, 2^{n+1} rank 2
         for n in (4, 5, 6):
             assert hgs_count(TargetKind(fam, n, 1), make_group([1 << n]), 1) == 1 << (n - 2)
@@ -322,7 +321,7 @@ def test_criterion_8_property_suites():
                 assert verify_brace(bt)
                 assert lambda_is_homomorphism_reference(bt)
                 sol = ybe_solution(bt)  # involutivity + braid, exhaustively
-                assert sol.right_bijective
+                assert is_right_nondegenerate(sol)
                 braces += 1
     assert braces == sum(row[2] for row in TABLE1)
     print(PASS.format(8, f"Hillar-Rhea/holomorph/brace property suites ({braces} braces checked)"))

@@ -541,6 +541,23 @@ def test_one_ybe_check_builds_one_addition_table(capsys, monkeypatch):
     assert sorted(calls) == list(range(112))
 
 
+@pytest.mark.parametrize("pair", [("c2xc32", "q64"), ("c5xc2xc8", "d80"), ("c7xc2xc8", "d112"), ("c2xc4", "d8")])
+def test_ybe_check_right_nondegeneracy_holds_by_the_column_sort(capsys, monkeypatch, pair):
+    # ybe-check prints right_nondegenerate: true from Rump's theorem; the
+    # column sort confirms it on every solution the command builds
+    import holobrace.cli as cli
+    from test_brace import is_right_nondegenerate
+
+    solutions, real = [], cli.ybe_solution
+    monkeypatch.setattr(cli, "ybe_solution", lambda bt: solutions.append(real(bt)) or solutions[-1])
+    code, out, _ = run(capsys, "ybe-check", "--N", pair[0], "--G", pair[1])
+    assert code == EXIT_OK
+    checked = json.loads(out)["nondegeneracy"]
+    assert len(checked) == len(solutions) > 0
+    assert all(is_right_nondegenerate(sol) for sol in solutions)
+    assert checked == [{"left_nondegenerate": True, "right_nondegenerate": True}] * len(solutions)
+
+
 def test_brace_export_verifies_each_brace_before_its_rows(capsys, monkeypatch):
     import holobrace.brace as brace
 

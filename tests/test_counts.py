@@ -400,7 +400,7 @@ def test_cross_check_compares_class_sizes(monkeypatch):
 
     def skewed(group, family):
         # still 16 subgroups in 6 classes, each orbit dividing |Aut(C2 x C16)| = 32
-        return replace(solve_family(group, family), class_sizes=(1, 1, 2, 4, 4, 4))
+        return replace(solve_family(group, family), class_sizes=((1, 32), (1, 32), (2, 16), (4, 8), (4, 8), (4, 8)))
 
     monkeypatch.setattr(counts, "solve_family", skewed)
     with pytest.raises(InternalConsistencyError) as err:

@@ -10,6 +10,7 @@ from holobrace.presentations import (
     TargetKind,
     admissible_types,
     aut_order,
+    family_types,
     parse_kind,
 )
 from holobrace.regular import list_regular
@@ -183,6 +184,14 @@ def test_admissible_types():
     t5 = admissible_types(5)
     assert len(t5) == 5
     assert make_group([32]) in t5 and make_group([2, 16]) in t5
+
+
+def test_admissible_types_start_with_the_family_types():
+    for n in range(2, 13):
+        types = admissible_types(n)
+        assert types[:2] == list(family_types(n)), n
+        assert len(set(types)) == len(types) == (2 if n == 2 else 3 if n == 3 else 5), n
+        assert all(t.order == 1 << n and t.odd_order == 1 for t in types), n
 
 
 def test_x_order_and_sizes():

@@ -225,9 +225,9 @@ def test_stabilizers_give_the_classes_of_the_orbit_expansion(orders, kind):
     g, k = make_group(orders), parse_kind(kind)
     kern = get_kernel(g)
     seeds = _seed_search(kern, k, kern.sylow_pool())
-    found, raw_classes = _expand_orbits(kern, seeds)
-    assert _class_sizes(kern, k, seeds) == tuple((size, stab) for _, size, stab in raw_classes)
-    assert sum(size for _, size, _ in raw_classes) == len(found)
+    found, classes = _expand_orbits(kern, seeds)
+    assert _class_sizes(kern, k, seeds) == tuple((c.orbit_size, c.stabilizer_order) for c in classes)
+    assert sum(c.orbit_size for c in classes) == len(found)
     for sub, _ in seeds.values():
         frames = _frames(kern, sub, k.family == QUATERNION)
         assert sum(len(a_orders) for a_orders, _ in frames) == target_aut_order(k)
@@ -286,11 +286,11 @@ def test_a_listing_is_rebuilt_alike_on_every_use(nspec, kind, method):
     (first, classes), (second, _) = list_regular(g, k, method), list_regular(g, k, method)
     assert first[0] is not second[0]  # rebuilt, not kept on the memoized result
     pool = kern.full_pool() if method == "full" else kern.sylow_pool()
-    found, raw_classes = _expand_orbits(kern, _seed_search(kern, k, pool))
+    found, expanded = _expand_orbits(kern, _seed_search(kern, k, pool))
     assert [s.key for s in first] == [s.key for s in second] == sorted(found)
     assert res.r == len(found)
-    assert [c.representative for c in classes] == [found[rk] for rk, _, _ in raw_classes]
-    assert [(c.orbit_size, c.stabilizer_order) for c in classes] == [(n, st) for _, n, st in raw_classes]
+    assert [c.representative for c in classes] == [c.representative for c in expanded]
+    assert [(c.orbit_size, c.stabilizer_order) for c in classes] == [(c.orbit_size, c.stabilizer_order) for c in expanded]
 
 
 def test_the_search_memo_keeps_no_subgroup_lists():
@@ -701,7 +701,8 @@ def test_expand_orbits_matches_reference(nspec):
                 kern, {k: s.elements for k, (s, _) in seeds.items()}
             )
             assert sorted(found) == sorted(ref_found)
-            assert classes == ref_classes
+            assert [(c.representative.key, c.orbit_size, c.stabilizer_order) for c in classes] == ref_classes
+            assert all(found[c.representative.key] is c.representative for c in classes)
         checked += 1
     assert checked
 

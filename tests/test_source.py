@@ -142,7 +142,26 @@ def test_only_family_types_builds_the_two_family_groups():
     # and a pair would then reach the wrong family solver; `admissible_types`
     # lists every type of order 2^n from its own rows and is not counted
     sites = list(_constructor_sites("make_group", _lists_a_power_of_two))
-    assert sites == ["structured.family_types"] * 2
+    assert sites == ["presentations.family_types"] * 2
+
+
+def _dataclass_fields():
+    """(module.Class, its annotated field names) for each dataclass in `src/`."""
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(dec) for dec in node.decorator_list
+            ):
+                names = {f.target.id for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)}
+                yield f"{path.stem}.{node.name}", names
+
+
+def test_only_search_result_carries_a_census():
+    # a census is r and its Aut(N)-classes, whichever path computes it; a
+    # second type holding both would need an adapter into `SearchResult`
+    classes = dict(_dataclass_fields())
+    assert "regular.SearchResult" in classes and "brace.YbeSolution" in classes
+    assert [name for name, fields in classes.items() if {"r", "class_sizes"} <= fields] == ["regular.SearchResult"]
 
 
 def _trace_entry_points():
