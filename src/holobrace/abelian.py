@@ -95,8 +95,9 @@ class GroupSpec:
         return slice(idxs[0], idxs[-1] + 1)
 
     def component(self, p: int) -> "GroupSpec":
-        part = [q for q, (pp, _) in zip(self.factors, self.prime_of_factor) if pp == p]
-        return make_group(part) if part else _TRIVIAL
+        # the p-part factors of a canonical tuple are canonical themselves
+        part = tuple(q for q, (pp, _) in zip(self.factors, self.prime_of_factor) if pp == p)
+        return _canonical(part) if part else _TRIVIAL
 
     @cached_property
     def strides(self) -> tuple[int, ...]:
@@ -190,17 +191,9 @@ class GroupSpec:
 
 
 @lru_cache(maxsize=None)
-def _canonical(orders: tuple[int, ...]) -> GroupSpec:
-    if not orders:
-        raise InvalidInputError("need at least one cyclic order")
-    prime_powers = []
-    for q in orders:
-        if not isinstance(q, int) or q < 2:
-            raise InvalidInputError(f"cyclic order {q!r} must be an integer >= 2")
-        for p, e in _factorize(q):
-            prime_powers.append((p, e))
-    prime_powers.sort()
-    return GroupSpec(tuple(p**e for p, e in prime_powers))
+def _canonical(factors: tuple[int, ...]) -> GroupSpec:
+    """The one GroupSpec of a canonical tuple of prime powers."""
+    return GroupSpec(factors)
 
 
 def make_group(orders) -> GroupSpec:
@@ -208,9 +201,17 @@ def make_group(orders) -> GroupSpec:
 
     Orders are factored into prime powers, grouped per prime and sorted, so
     [4, 2], [2, 4] and [8] vs [2, 2, 2] behave predictably: isomorphic inputs
-    give identical specs.
+    give the same spec object, memoized on the prime powers.
     """
-    return _canonical(tuple(orders))
+    orders = tuple(orders)
+    if not orders:
+        raise InvalidInputError("need at least one cyclic order")
+    prime_powers = []
+    for q in orders:
+        if not isinstance(q, int) or q < 2:
+            raise InvalidInputError(f"cyclic order {q!r} must be an integer >= 2")
+        prime_powers += _factorize(q)
+    return _canonical(tuple(p**e for p, e in sorted(prime_powers)))
 
 
 _SPEC_BRACKET = re.compile(r"^\[([0-9,\s]*)\]$")
@@ -235,7 +236,7 @@ _TRIVIAL = GroupSpec(())  # the trivial group, which `make_group` refuses to bui
 
 
 def sylow_decompose(group: GroupSpec) -> tuple[GroupSpec, GroupSpec]:
-    """Split N into its odd part N_s and its 2-part N_2, each built through
-    the memo of `make_group`, so that one group is one object."""
-    odd = [q for q in group.factors if q % 2]
-    return (make_group(odd) if odd else _TRIVIAL), group.component(2)
+    """Split N into its odd part N_s and its 2-part N_2, each the memoized
+    spec of its canonical factors, so that one group is one object."""
+    odd = tuple(q for q in group.factors if q % 2)
+    return (_canonical(odd) if odd else _TRIVIAL), group.component(2)

@@ -92,12 +92,21 @@ class PrimeSpace:
         return bytes(out)
 
     def order(self, p: bytes) -> int:
-        """Least k >= 1 with p^k = id: one translate per power."""
-        tab, cur, k = p + self._pad, p, 1
-        while cur != self.identity:
+        """Least k >= 1 with p^k = id."""
+        return len(self.cycle(p))
+
+    def cycle(self, p: bytes, start: bytes | None = None, count: int | None = None) -> list[bytes]:
+        """The cycle [s, p s, p^2 s, ...] of s = start (the identity by
+        default) under p: p^i s for i below the order of p, or below `count`
+        where that is smaller, so p^k s is at k % len for every k below
+        `count`.  One translate per step, through p padded once."""
+        s = self.identity if start is None else start
+        tab, out = p + self._pad, [s]
+        cur = s.translate(tab)
+        while cur != s and len(out) != count:  # count None: the whole cycle
+            out.append(cur)
             cur = cur.translate(tab)
-            k += 1
-        return k
+        return out
 
     # -- affine maps ----------------------------------------------------------
 
@@ -221,13 +230,6 @@ class PrimeSpace:
     def hol_elements(self, aut_list: list[bytes]) -> list[bytes]:
         return [self.hol_perm(a, v) for a in aut_list for v in range(self.m)]
 
-    def powers(self, p: bytes) -> list[bytes]:
-        """[p, p^2, ..., p^order(p) = id]: p^k is at (k - 1) % order(p)."""
-        tab, pows = p + self._pad, [p]
-        while pows[-1] != self.identity:
-            pows.append(pows[-1].translate(tab))
-        return pows
-
     def cyclic_leaders(self, aut_list: list[bytes], mx: int) -> list[bytes]:
         """The least generator, in the order of `aut_list`, of each cyclic
         <A> with order(A) | mx, for `aut_list` closed under powers.
@@ -239,9 +241,9 @@ class PrimeSpace:
         for a in aut_list:
             if a in met:
                 continue
-            pows = self.powers(a)
+            pows = self.cycle(a)
             k = len(pows)
-            met.update(pows[j - 1] for j in range(1, k + 1) if gcd(j, k) == 1)
+            met.update(pows[j] for j in range(k) if gcd(j, k) == 1)
             if mx % k == 0:
                 leaders.append(a)
         return leaders
@@ -330,21 +332,11 @@ class HolKernel:
     code = staticmethod(b"".join)
 
     def cycles(self, x: KernelElement, count: int, start: KernelElement | None = None) -> list[list[bytes]]:
-        """Per component, the cycle [s_p, x_p s_p, x_p^2 s_p, ...] of
-        s = start (the identity by default) under x_p: x_p^i s_p for i below
-        the order o_p of x_p, or below `count` where o_p > count.  One
-        translate per step, through x_p padded once.  x^i s has component
-        cycle[i % len(cycle)] for every i < count (`tile`)."""
-        out = []
-        for sp, a, s in zip(self.spaces, x, self.identity if start is None else start):
-            tab = a + sp._pad
-            cycle = [s]
-            cur = s.translate(tab)
-            while cur != s and len(cycle) < count:
-                cycle.append(cur)
-                cur = cur.translate(tab)
-            out.append(cycle)
-        return out
+        """Per component, `PrimeSpace.cycle(x_p, s_p, count)` for s = start
+        (the identity by default): x^i s has component cycle[i % len(cycle)]
+        for every i < count (`tile`)."""
+        starts = self.identity if start is None else start
+        return [sp.cycle(a, s, count) for sp, a, s in zip(self.spaces, x, starts)]
 
     @staticmethod
     def powers(cycles: list[list[bytes]], count: int) -> list[KernelElement]:
@@ -468,10 +460,10 @@ class Pool:
         """
         head = self.spaces[0]
         tails: list[tuple[KernelElement, int]] = [((), 1)]
-        powers: dict[bytes, list[bytes]] = {}  # of each tail component
+        powers: dict[bytes, list[bytes]] = {}  # the cycle of each tail component
         for sp, auts in zip(self.spaces[1:], self.auts[1:]):
             survivors = [(sp.hol_perm(a, v), c) for a, v, c, _ in sp.cycles_dividing(auts, mx)]
-            powers.update((x, sp.powers(x)) for x, _ in survivors)
+            powers.update((x, sp.cycle(x)) for x, _ in survivors)
             tails = [(t + (x,), lcm(c, cx)) for t, c in tails for x, cx in survivors]
         fitting = {c: [t for t, ct in tails if lcm(c, ct) == mx] for c in range(1, mx + 1) if mx % c == 0}
         kept: dict[tuple[int, int], list[KernelElement]] = {}  # the tails under x_2, by (c, o)
@@ -484,7 +476,7 @@ class Pool:
                     if t not in dropped:
                         ts.append(t)
                         dropped.update(
-                            tuple(powers[y][(k - 1) % len(powers[y])] for y in t)
+                            tuple(powers[y][k % len(powers[y])] for y in t)
                             for k in range(1, mx, o)
                             if gcd(k, mx) == 1
                         )

@@ -1,12 +1,12 @@
 """Closed-form solvers for the two infinite 2-power families.
 
 For N = C_{2^n} (n >= 4) and N = C_2 x C_{2^{n-1}} (n >= 5) the generator
-relations collapse to small congruence systems; solving them directly gives
-regular subgroups without scanning Hol(N).  A subgroup is never closed: it
-is kept as one witness pair (X, Y), whose Aut(N)-orbit is walked by
-membership tests in the cyclic <X>, each read off X^d = τ_w (d the order
-of X's linear part) with one modular solve, so (r, c) and the class sizes
-are computed rather than quoted.
+relations collapse to small congruence systems in a normal form, whose
+solutions meet every Aut(N)-orbit of regular subgroups without scanning
+Hol(N).  A subgroup is never closed: it is kept as one witness pair (X, Y),
+whose Aut(N)-orbit is walked by membership tests in the cyclic <X>, each
+read off X^d = τ_w (d the order of X's linear part) with one modular
+solve, so (r, c) and the class sizes are computed rather than quoted.
 
 The loops run on plain-integer affine maps in the form of `HolElement.encode()`
 (row i reduced mod the i-th factor) and build no `HolElement`.
@@ -162,43 +162,35 @@ def _solve_cyclic(n: int, family: str) -> tuple:
     """Regular quaternion/dihedral subgroups of Hol(C_{2^n}), n >= 4, once
     `solve_family` has admitted them, memoized on (n, family).
 
-    Takes one X per cyclic <X> among the solutions of the X congruences and
-    tests Y = (beta, t), beta^2 = 1, t the least point off the orbit of 0.
-    That finds each subgroup once: Q and D of order 2^n have one cyclic
-    subgroup of index 2, and one element that sends 0 to t.  It walks
-    5 * 2^{n-1} points: the generators' translations and the orbits of 0
-    and t for each of the two cyclic <X>.
+    Searches the normal form only.  Aut(C_{2^n}) is the unit group, and a
+    unit u conjugates X = (alpha, v) to (alpha, u v), so every Aut(N)-orbit
+    holds a subgroup whose X has v = 2^(2-a), 2^a exactly dividing
+    1 + alpha; `_classes` recovers the orbits.  For each such X it tests
+    Y = (beta, t), beta^2 = 1, t the least point off the orbit of 0: Q and
+    D of order 2^n have one cyclic subgroup of index 2, and one element
+    that sends 0 to t.  It walks 4 * 2^{n-1} points: the orbits of 0 and t
+    for each of the two normal-form X.
     """
     mod = 1 << n
     mods = (mod,)
     half = mod >> 1
     quarter = mod >> 3  # 2^{n-3}, the coefficient of the order-exactness test
     roots = [a for a in range(1, mod, 2) if a * a % mod == 1]
-    seen = {alpha: bytearray(mod) for alpha in roots}  # (alpha, v) in a kept <X>
-    kept, found = 0, []
-    for alpha in roots:
-        # (1 + alpha) v = 4 mod 8 with 2^a exactly dividing 1 + alpha holds
-        # iff v = 2^(2-a) mod 2^(3-a); no v solves it when a > 2
-        a = ((1 + alpha) & -(1 + alpha)).bit_length() - 1
-        if a > 2:
+    # (1 + alpha) v = 4 mod 8 holds for v = 2^(2-a) = 4 / 2^a; no v solves it when a > 2
+    normal = {alpha: 4 // ((1 + alpha) & -(1 + alpha)) for alpha in roots if (1 + alpha) % 8}
+    xs = [((alpha,), (v,)) for alpha, v in normal.items() if quarter * (1 + alpha) * v % mod]
+    found = []
+    for x in xs:
+        marks = bytearray(mod)
+        if not _mark_orbit(marks, x, (0,), half, mods):
             continue
-        for v in range(1 << (2 - a), mod, 1 << (3 - a)):
-            if seen[alpha][v] or quarter * (1 + alpha) * v % mod == 0:
-                continue
-            kept += 1
-            x = ((alpha,), (v,))
-            # X^u = (alpha, X^u(0)) for odd u, as alpha^2 = 1: the generators of <X>
-            _mark_orbit(seen[alpha], _compose(x, x, mods), (v,), half >> 1, mods)
-            marks = bytearray(mod)
-            if not _mark_orbit(marks, x, (0,), half, mods):
-                continue
-            t = marks.index(0)
-            if _mark_orbit(marks, x, (t,), half, mods):
-                found += [(x, ((beta,), (t,))) for beta in roots]
+        t = marks.index(0)
+        if _mark_orbit(marks, x, (t,), half, mods):
+            found += [(x, ((beta,), (t,))) for beta in roots]
     found = [(x, y) for x, y in found if _presents(x, y, n - 1, family == QUATERNION, mods)]
     witnesses, sizes = _classes(found, mods)
-    if kept != 2 or len(witnesses) != len(found):
-        raise InternalConsistencyError(f"cyclic family n={n}: {kept} <X>, {len(found)} of {len(witnesses)} found")
+    if len(xs) != 2 or len(witnesses) != len(found):
+        raise InternalConsistencyError(f"cyclic family n={n}: {len(xs)} X, {len(found)} of {len(witnesses)} found")
     return tuple(found), witnesses, sizes
 
 
@@ -241,7 +233,7 @@ def _solve_rank2(n: int, family: str) -> tuple:
 # (solver, its name, least n, points walked / 2^(n-1)) for each of `family_types(n)`;
 # a solver answers (the solved (X, Y) pairs, one (X, Y) per subgroup, orbit
 # by orbit, the sorted orbit sizes), each (X, Y) two plain-integer encodings
-_SOLVERS = ((_solve_cyclic, "cyclic", 4, 5), (_solve_rank2, "rank-2", 5, 16))
+_SOLVERS = ((_solve_cyclic, "cyclic", 4, 4), (_solve_rank2, "rank-2", 5, 16))
 
 
 def solve_family(group: GroupSpec, family: str) -> SearchResult:

@@ -27,6 +27,16 @@ def test_make_group_canonical_sorting():
     assert g.order == 8
 
 
+def test_one_group_is_one_object():
+    # the memo is keyed on the canonical prime powers, not on the input, so
+    # isomorphic inputs share one spec and its cached fields
+    assert make_group([8, 2]) is make_group([2, 8])
+    assert parse_group("c2xc8") is parse_group("[8,2]")
+    assert make_group([6]) is make_group([2, 3])
+    assert make_group([12, 2]) is make_group((2, 4, 3))
+    assert make_group([2, 24]).component(2) is make_group([8, 2])
+
+
 def test_make_group_factors_composites():
     g = make_group([24])
     assert g.factors == (8, 3)

@@ -878,6 +878,16 @@ def test_power_cycles_match_the_step_by_step_walk(spec):
             for count in counts:
                 assert kern.powers(kern.cycles(x, count, s), count) == want[:count]
                 assert kern.power_list(x, count, s) == want[:count]
+        # each component's cycle from s_p, composed until it returns to s_p,
+        # has the order of x_p points, in full and cut below the order
+        for sp, a, s in zip(kern.spaces, x, start):
+            want = [s]
+            while sp.compose(a, want[-1]) != s:
+                want.append(sp.compose(a, want[-1]))
+            assert len(sp.cycle(a)) == sp.order(a) == len(want)
+            assert sp.cycle(a, s) == want
+            below = max(len(want) - 1, 1)
+            assert sp.cycle(a, s, below) == want[:below]
         img = kern.images(x)
         for count in counts:
             cycles = kern.cycles(x, count)

@@ -267,6 +267,33 @@ def walked_points(monkeypatch, solve, n, family):
     return sum(walked)
 
 
+def test_the_cyclic_solver_walks_normal_form_orbits_only(monkeypatch):
+    # every Aut(N)-orbit holds a subgroup whose X = (alpha, v) has
+    # v = 2^(2-a), 2^a exactly dividing 1 + alpha, so a cold solve walks the
+    # orbits of 0 and t under those X only, and no generators of <X>
+    walks = []
+    mark = structured._mark_orbit
+
+    def spying(marks, x, start, steps, mods):
+        walks.append((x, start, mods[0]))
+        return mark(marks, x, start, steps, mods)
+
+    monkeypatch.setattr(structured, "_mark_orbit", spying)
+    for n in range(4, 13):
+        for family in FAMILIES:
+            walks.clear()
+            structured._solve_cyclic.__wrapped__(n, family)
+            assert len(walks) == 4
+            for ((alpha,), (v,)), start, mod in walks:
+                assert v == 4 // ((1 + alpha) & -(1 + alpha))
+                orbit, p = {0}, v
+                while p:
+                    orbit.add(p)
+                    p = (alpha * p + v) % mod
+                t = min(set(range(mod)) - orbit)
+                assert start in ((0,), (t,))
+
+
 def test_the_regularity_walk_refuses_a_repeated_point():
     # X = (1, 2) on C_16 walks the 8 even points; X = (1, 4) has order 4
     marks = bytearray(16)
@@ -282,20 +309,20 @@ def test_the_regularity_walk_refuses_a_repeated_point():
 
 def test_cyclic_point_budget(monkeypatch):
     monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
-    # 5 * 2^{n-2} points for each of the two cyclic <X>: n = 19 fits the default 2^21
+    # 2^n points for each of the two normal-form X: n = 20 fits the default 2^21
     with pytest.raises(CapacityError) as err:
-        solve_family(family_group(CYCLIC, 20), DIHEDRAL)
-    assert (err.value.needed, err.value.cap) == (5 << 19, 1 << 21)
-    monkeypatch.setenv("HOLOBRACE_CAP", str(160 - 1))
+        solve_family(family_group(CYCLIC, 21), DIHEDRAL)
+    assert (err.value.needed, err.value.cap) == (4 << 20, 1 << 21)
+    monkeypatch.setenv("HOLOBRACE_CAP", str(128 - 1))
     with pytest.raises(CapacityError) as err:
         solve_family(family_group(CYCLIC, 6), DIHEDRAL)
-    assert (err.value.needed, err.value.cap) == (160, 159)
-    monkeypatch.setenv("HOLOBRACE_CAP", str(160))
+    assert (err.value.needed, err.value.cap) == (128, 127)
+    monkeypatch.setenv("HOLOBRACE_CAP", str(128))
     assert solve_family(family_group(CYCLIC, 6), DIHEDRAL).r == 1
 
 
 def test_cyclic_point_budget_is_closed_form(monkeypatch):
-    # the solver refuses from 5 * 2^{n-1} before it walks; a cold solve must
+    # the solver refuses from 4 * 2^{n-1} before it walks; a cold solve must
     # walk exactly that many points
     for n in range(4, 13):
         for family in FAMILIES:
@@ -303,7 +330,7 @@ def test_cyclic_point_budget_is_closed_form(monkeypatch):
             with pytest.raises(CapacityError) as err:
                 solve_family(family_group(CYCLIC, n), family)
             monkeypatch.delenv("HOLOBRACE_CAP")
-            assert err.value.needed == 5 << (n - 1) == walked_points(monkeypatch, structured._solve_cyclic, n, family)
+            assert err.value.needed == 4 << (n - 1) == walked_points(monkeypatch, structured._solve_cyclic, n, family)
 
 
 def test_rank2_point_budget(monkeypatch):
@@ -355,9 +382,9 @@ def test_fundamental_distinctness():
 
 def test_family_budgets_fire_on_a_warm_memo(monkeypatch):
     monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
-    # points walked: C32, 5 * 2^4; C2 x C16, 8 * 2^5
+    # points walked: C32, 4 * 2^4; C2 x C16, 8 * 2^5
     for group, memo, needed in (
-        (make_group([32]), structured._solve_cyclic, 80),
+        (make_group([32]), structured._solve_cyclic, 64),
         (make_group([2, 16]), structured._solve_rank2, 256),
     ):
         warm = solve_family(group, QUATERNION)
