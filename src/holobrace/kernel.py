@@ -54,25 +54,12 @@ class PrimeSpace:
             bytes(map(sum, product(*([(a + b) % q * s for a in range(q)] for b, (q, s) in zip(v, radix)))))
             for v in self.elems
         ]
+        # row v padded to a translate table, so that p.translate(tab) is v + p
+        self._add_tabs: list[bytes] = [row + self._pad for row in self.add_rows]
         self.neg_idx: list[int] = [self.index[spec.neg(g)] for g in self.elems]
         self.orders: list[int] = [spec.element_order(g) for g in self.elems]
         self.identity: bytes = bytes(range(m))
-        # mixed-radix helpers for building linear maps image-by-image:
-        # index i differs from prev[i] by one step of basis vector which[i]
-        strides = spec.strides
-        r = len(spec.factors)
-        self._basis_idx = [self.index[tuple(int(k == j) for k in range(r))] for j in range(r)]
-        prev = [0] * m
-        which = [0] * m
-        for i in range(1, m):
-            g = spec.element_at(i)
-            pos = max(j for j in range(r) if g[j])
-            prev[i] = i - strides[pos]
-            which[i] = pos
-        self._prev = prev
-        self._which = which
-        # (order q_j, index, translation row) of each basis vector e_j
-        self._basis = [(q, b, self.add_rows[b]) for q, b in zip(spec.factors, self._basis_idx)]
+        self._basis_idx = list(spec.strides)  # e_j sits at index stride_j
         self._aut_perm_memo: dict[EndoMatrix, bytes] = {}
         self._blocks: dict[str, list[bytes]] = {}
         self.p = spec.primes[0]
@@ -86,10 +73,7 @@ class PrimeSpace:
         return q.translate(p + self._pad)
 
     def inverse(self, p: bytes) -> bytes:
-        out = bytearray(self.m)
-        for i, v in enumerate(p):
-            out[v] = i
-        return bytes(out)
+        return bytes.maketrans(p, self.identity)[: self.m]
 
     def order(self, p: bytes) -> int:
         """Least k >= 1 with p^k = id."""
@@ -111,12 +95,19 @@ class PrimeSpace:
     # -- affine maps ----------------------------------------------------------
 
     def linear_perm(self, col_idx: list[int]) -> bytes:
-        """Permutation of the linear map sending basis vector j to col_idx[j]."""
-        img = bytearray(self.m)
-        add_rows, prev, which = self.add_rows, self._prev, self._which
-        for i in range(1, self.m):
-            img[i] = add_rows[img[prev[i]]][col_idx[which[i]]]
-        return bytes(img)
+        """Permutation of the mixed-radix map g -> sum_j g_j c_j, c_j = col_idx[j]:
+        the linear map sending basis vector j to c_j when every q_j c_j = 0.
+
+        The factors are taken last first.  The images of the points k e_j + h,
+        h over the later factors, are block k, and block k is block k-1
+        translated by c_j."""
+        img = bytes(1)
+        for q, c in zip(reversed(self.spec.factors), reversed(col_idx)):
+            tab, block = self._add_tabs[c], img
+            for _ in range(q - 1):
+                block = block.translate(tab)
+                img += block
+        return img
 
     def aut_perm(self, m: EndoMatrix) -> bytes:
         cached = self._aut_perm_memo.get(m)
@@ -128,7 +119,11 @@ class PrimeSpace:
 
     def hol_perm(self, aut_bytes: bytes, v_idx: int) -> bytes:
         """g -> A(g) + v as a permutation."""
-        return self.compose(self.add_rows[v_idx], aut_bytes)
+        return aut_bytes.translate(self._add_tabs[v_idx])
+
+    def linear_part(self, p: bytes) -> bytes:
+        """A of the affine permutation p = (A, v): p followed by the translation by -v, v = p(0)."""
+        return p.translate(self._add_tabs[self.neg_idx[p[0]]])
 
     def is_linear(self, p: bytes) -> bool:
         """True iff the permutation p of N_p is additive.
@@ -138,28 +133,23 @@ class PrimeSpace:
         condition q_j c_j = 0 on the image c_j of each basis vector e_j,
         which is checked first because it is cheaper.
         """
-        orders, basis = self.orders, self._basis
-        for q, b, _ in basis:
+        orders, basis, tabs = self.orders, self._basis_idx, self._add_tabs
+        for q, b in zip(self.spec.factors, basis):
             if q % orders[p[b]]:
                 return False
-        pad = self._pad
-        tab = p + pad
-        add_rows = self.add_rows
-        for _, b, row in basis:
-            if row.translate(tab) != p.translate(add_rows[p[b]] + pad):
+        tab = p + self._pad
+        for b in basis:
+            if self.add_rows[b].translate(tab) != p.translate(tabs[p[b]]):
                 return False
         return True
 
     def decode(self, p: bytes) -> tuple[EndoMatrix, Element] | None:
         """Recover (A, v) from an affine permutation; None if p is not affine."""
-        v_idx = p[0]
-        lin = self.compose(self.add_rows[self.neg_idx[v_idx]], p)
+        lin = self.linear_part(p)
         if not self.is_linear(lin):
             return None
-        cols = [lin[b] for b in self._basis_idx]
-        r = len(self.spec.factors)
-        rows = tuple(tuple(self.elems[cols[j]][i] for j in range(r)) for i in range(r))
-        return make_endo(self.p, self.spec.exponents(self.p), rows), self.elems[v_idx]
+        rows = tuple(zip(*(self.elems[lin[b]] for b in self._basis_idx)))  # column j is A(e_j)
+        return make_endo(self.p, self.spec.exponents(self.p), rows), self.elems[p[0]]
 
     # -- element pools ---------------------------------------------------------
 
@@ -338,15 +328,10 @@ class HolKernel:
         starts = self.identity if start is None else start
         return [sp.cycle(a, s, count) for sp, a, s in zip(self.spaces, x, starts)]
 
-    @staticmethod
-    def powers(cycles: list[list[bytes]], count: int) -> list[KernelElement]:
-        """[s, x s, ..., x^(count-1) s] from `cycles(x, count, s)`."""
-        return list(zip(*(tile(c, count) for c in cycles)))
-
     def power_list(self, x: KernelElement, count: int, start: KernelElement | None = None) -> list[KernelElement]:
         """[s, x s, x^2 s, ..., x^(count-1) s] for s = start (the identity by
         default): each component's cycle, repeated."""
-        return self.powers(self.cycles(x, count, start), count)
+        return list(zip(*(tile(c, count) for c in self.cycles(x, count, start))))
 
     def orbit(self, cycles: list[list[bytes]], i: int, count: int) -> list[bytes]:
         """The orbit [i, x(i), ..., x^(count-1)(i)] of the combined index i,

@@ -10,6 +10,7 @@ are included: Q_4 ~ C_4 and D_4 ~ C_2 x C_2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from .abelian import GroupSpec, _factorize, make_group
@@ -86,6 +87,7 @@ def aut_order(kind: TargetKind) -> int:
     return (1 << (2 * n - 3)) * s * phi
 
 
+@lru_cache(maxsize=64)
 def family_types(n: int) -> tuple[GroupSpec, GroupSpec]:
     """The additive types of the two families of order 2^n (n >= 2):
     C_{2^n} and C_2 x C_{2^(n-1)}."""
@@ -94,7 +96,12 @@ def family_types(n: int) -> tuple[GroupSpec, GroupSpec]:
 
 def admissible_types(n: int) -> list[GroupSpec]:
     """Abelian 2-groups of order 2^n that can carry a regular target subgroup,
-    the two family types first."""
+    the two family types first, as a fresh list of the types built once per n."""
+    return list(_admissible_types(n))
+
+
+@lru_cache(maxsize=64)
+def _admissible_types(n: int) -> tuple[GroupSpec, ...]:
     if n < 2:
         raise InvalidInputError("need n >= 2")
     out = list(family_types(n))
@@ -103,5 +110,5 @@ def admissible_types(n: int) -> list[GroupSpec]:
         spec = make_group([q for q in row if q > 1])
         if spec not in out:
             out.append(spec)
-    return out
+    return tuple(out)
 

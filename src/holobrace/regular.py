@@ -89,10 +89,10 @@ def _build_y(kern: HolKernel, sources: tuple[bytes, ...], quat: bool, half: int)
     perms = []
     for sp, src in zip(kern.spaces, sources):
         dst = bytes(to(src))
-        y = bytes(itemgetter(*map(src.index, range(sp.m)))(dst))
+        y = bytes.maketrans(src, dst)[: sp.m]
         if sp.compose(y, src) != dst or len(set(y)) != sp.m:
             return None
-        if not sp.is_linear(sp.compose(sp.add_rows[sp.neg_idx[y[0]]], y)):
+        if not sp.is_linear(sp.linear_part(y)):
             return None
         perms.append(y)
     return tuple(perms)
@@ -102,11 +102,6 @@ def _build_y(kern: HolKernel, sources: tuple[bytes, ...], quat: bool, half: int)
 def _units(mx: int) -> tuple[int, ...]:
     """The units k mod mx, 1 first."""
     return tuple(k for k in range(1, mx) if gcd(k, mx) == 1)
-
-
-def _unit_codes(kern: HolKernel, pows: list[KernelElement], mx: int) -> tuple[bytes, ...]:
-    """The codes of the generators X^k, k a unit mod mx, of <X>, from pows = [X^0, X^1, ...]."""
-    return tuple(map(kern.code, map(pows.__getitem__, _units(mx))))
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +149,7 @@ def _generated(kern: HolKernel, kind: TargetKind, x: KernelElement, y: KernelEle
     mx = kind.x_order
     pows = kern.power_list(x, mx)
     sub = _subgroup(kern, kind, pows + kern.power_list(x, mx, y), (x, y))
-    return sub, _unit_codes(kern, pows, mx)
+    return sub, tuple(kern.code(pows[k]) for k in _units(mx))
 
 
 def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool) -> dict[SubgroupKey, Seed]:
@@ -283,13 +278,12 @@ def _frames(kern: HolKernel, sub: RegularSubgroup, quat: bool) -> list[tuple[lis
 
 def _linear_test(sp: PrimeSpace, points: bytes) -> Callable[[bytes], bool]:
     """A memoized test of q: is points[i] -> q[i] a linear map of N_p?"""
-    pick = itemgetter(*map(points.index, range(sp.m)))
     verdicts: dict[bytes, bool] = {}
 
     def test(q: bytes) -> bool:
         ok = verdicts.get(q)
         if ok is None:
-            phi = bytes(pick(q))
+            phi = bytes.maketrans(points, q)[: sp.m]
             ok = verdicts[q] = sp.compose(phi, points) == q and sp.is_linear(phi)
         return ok
 
@@ -467,18 +461,15 @@ def classify(subgroups: Iterable[RegularSubgroup]) -> tuple[ConjugacyClass, ...]
     if not subgroups:
         return ()
     group = subgroups[0].group
-    if any(s.group != group for s in subgroups):
-        raise InvalidInputError("subgroups over different N")
-    kern, mx = get_kernel(group), group.order // 2
+    if any(s.group != group or s.kind.order != group.order for s in subgroups):
+        raise InvalidInputError("subgroups over different N, or of another order than N")
+    kern = get_kernel(group)
     seeds: dict[SubgroupKey, Seed] = {}
-    for s in subgroups:  # the expansion builds on <x, y> = S, x of order |N|/2
-        x, y = s.witness
-        pows = kern.power_list(x, mx + 1)  # x^0 .. x^mx, so x of order mx ends on the identity
-        ident = pows[0]
-        codes = set(s.key)
-        if pows[mx] != ident or ident in pows[1:mx] or y in pows or not codes.issuperset(map(kern.code, pows + [y])):
+    for s in subgroups:  # the expansion builds on <x, y> = S, so the witness must rebuild S
+        seed = _generated(kern, s.kind, *s.witness)
+        if seed[0].key != s.key:
             raise InvalidInputError("a witness does not generate its subgroup")
-        seeds[s.key] = (s, _unit_codes(kern, pows, mx))
+        seeds[s.key] = seed
     found, classes = _expand_orbits(kern, seeds)
     if len(found) != len(seeds):
         raise InvalidInputError("input list is not closed under conjugation")

@@ -436,6 +436,37 @@ def test_decode_refuses_every_non_additive_mixed_radix_map(orders, non_additive)
     assert (refused, accepted) == (non_additive, aut_order(g))
 
 
+@pytest.mark.parametrize("orders", [[3, 3, 3], [2, 4, 4], [5, 25], [2, 2, 2, 2, 2], [7], [16]])
+def test_linear_perm_is_the_sum_of_the_columns(orders):
+    """linear_perm(cols) sends g to g_0 c_0 + ... + g_(r-1) c_(r-1), each
+    g_j c_j added up with GroupSpec.add, for random columns, additive or not."""
+    import random
+
+
+    g = make_group(orders)
+    space = PrimeSpace(g)
+    rng = random.Random(repr(orders))
+    for _ in range(40):
+        cols = [space.elems[rng.randrange(space.m)] for _ in g.factors]
+        want = []
+        for elem in space.elems:
+            acc = g.identity()
+            for k, c in zip(elem, cols):
+                for _ in range(k):
+                    acc = g.add(acc, c)
+            want.append(space.index[acc])
+        assert list(space.linear_perm([space.index[c] for c in cols])) == want
+
+
+@pytest.mark.parametrize("orders", [[2, 4], [3, 3], [2, 2, 2], [4, 4], [3, 9]])
+def test_inverse_undoes_every_affine_map_of_a_block(orders):
+    space = PrimeSpace(make_group(orders))
+    for a in space.aut_perms():
+        for p in (a, space.hol_perm(a, space.m - 1)):
+            inv = space.inverse(p)
+            assert space.compose(p, inv) == space.compose(inv, p) == space.identity
+
+
 @pytest.mark.parametrize("orders", [[4], [2, 2], [3], [5], [7], [8], [2, 4], [2, 2, 2]])
 def test_is_linear_matches_the_additivity_oracle(orders):
     """On every permutation fixing 0, is_linear agrees with p(a + b) =
