@@ -71,9 +71,9 @@ def two_power_census(group: GroupSpec, family: str) -> SearchResult:
     if n >= 5 and group in family_types(n):
         return solve_family(group, family)
     if group not in admissible_types(n):
-        return SearchResult.from_orbits(group, kind, 0, (), "type-theorem")
+        return SearchResult.from_orbits(group, kind, (), "type-theorem")
     if n >= 6:
-        return SearchResult.from_orbits(group, kind, 0, (), "zero-family")
+        return SearchResult.from_orbits(group, kind, (), "zero-family")
     res = search_regular(group, kind)
     return res if res.method == "sylow" else replace(res, method="direct")
 
@@ -104,7 +104,7 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto") -> SearchRe
         if odd.order == 1:
             return two_power_census(group, kind.family)
         if not odd.is_cyclic():
-            return SearchResult.from_orbits(group, kind, 0, (), "odd-noncyclic")
+            return SearchResult.from_orbits(group, kind, (), "odd-noncyclic")
         return reduce_counts(group, kind)
     raise InvalidInputError(f"unknown census method {method!r}")
 

@@ -368,13 +368,13 @@ class HolKernel:
     def full_pool(self) -> Pool:
         """Every element of Hol(N), as the product of per-component pools."""
         total = self.hol_order()
-        _check_scan(total, f"|Hol({self.group})| = {total} exceeds cap")
+        _check_scan(total, lambda: f"|Hol({self.group})| = {total} exceeds cap")
         return Pool(self.group, "full", self.spaces, [sp.aut_perms() for sp in self.spaces])
 
     def sylow_pool(self) -> Pool:
         """Odd components in full, 2-component restricted to N_2 x P."""
         total = prod(sp.m * (sp.sylow_size if sp.p == 2 else sp.aut_size) for sp in self.spaces)
-        _check_scan(total, f"Sylow-restricted pool for {self.group} has {total} elements, cap")
+        _check_scan(total, lambda: f"Sylow-restricted pool for {self.group} has {total} elements, cap")
         return Pool(
             self.group,
             "sylow",
@@ -471,11 +471,12 @@ class Pool:
                     yield (x,) + t
 
 
-def _check_scan(total: int, what: str) -> None:
-    """CapacityError when a pool of `total` elements exceeds the scan cap."""
+def _check_scan(total: int, what: Callable[[], str]) -> None:
+    """CapacityError when a pool of `total` elements exceeds the scan cap;
+    `what()` renders the start of its message only then."""
     cap = config.full_hol_cap()
     if total > cap:
-        raise CapacityError(f"{what} {cap}", needed=total, cap=cap)
+        raise CapacityError(f"{what()} {cap}", needed=total, cap=cap)
 
 
 @lru_cache(maxsize=None)

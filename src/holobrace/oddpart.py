@@ -39,13 +39,13 @@ def reduce_counts(group: GroupSpec, kind: TargetKind) -> SearchResult:
         raise InvalidInputError("reduction needs an odd part s >= 3")
     if kind.order != group.order or kind.s != odd.order:
         raise InvalidInputError(f"target {kind.label()} does not match |{group}|")
-    r, classes = 0, ()
+    classes = ()
     if odd.is_cyclic():
         from .counts import two_power_census  # deferred; counts imports this module
 
         base = two_power_census(two, kind.family)
         if not is_exceptional(kind):
-            r, classes = base.r, base.class_sizes
+            classes = base.class_sizes
         elif base.r:
             # direct enumeration over C_3 x N_2, the s = 3 base of the exceptional cases
             exceptional = search_regular(make_group((3,) + two.factors), TargetKind(kind.family, kind.n, 3))
@@ -53,5 +53,5 @@ def reduce_counts(group: GroupSpec, kind: TargetKind) -> SearchResult:
                 raise InternalConsistencyError(
                     f"the s = 3 base search finds r = {exceptional.r}, the 2-part gives 3·r(N_2) = {3 * base.r}"
                 )
-            r, classes = 3 * base.r, exceptional.class_sizes
-    return SearchResult.from_orbits(group, kind, r, (orbit for orbit, _ in classes), "reduction")
+            classes = exceptional.class_sizes
+    return SearchResult.from_orbits(group, kind, (orbit for orbit, _ in classes), "reduction")

@@ -378,9 +378,9 @@ class SearchResult:
     method: str
 
     @classmethod
-    def from_orbits(cls, group: GroupSpec, kind: TargetKind, r: int, orbits: Iterable[int], method: str) -> SearchResult:
-        """The answer whose classes have the orbit sizes `orbits`; each must
-        divide |Aut(N)|, and h must be an integer."""
+    def from_orbits(cls, group: GroupSpec, kind: TargetKind, orbits: Iterable[int], method: str) -> SearchResult:
+        """The answer whose classes have the orbit sizes `orbits`, so r is
+        their sum; each must divide |Aut(N)|, and h must be an integer."""
         total = aut_order(group)
         classes = []
         for orbit in orbits:
@@ -388,10 +388,8 @@ class SearchResult:
             if rem:
                 raise InternalConsistencyError(f"orbit size {orbit} does not divide |Aut({group})| = {total}")
             classes.append((orbit, stab))
-        if r:
-            if not classes:  # `h` reads |Aut(N)| off the first class
-                raise InternalConsistencyError(f"r = {r} regular subgroups in no class")
-            _hgs(kind, group, r, total)
+        r = sum(orbit for orbit, _ in classes)
+        _hgs(kind, group, r, total)
         return cls(group, kind, r, tuple(classes), method)
 
     @property
@@ -426,12 +424,11 @@ def _search_cached(group: GroupSpec, kind: TargetKind, method: str) -> SearchRes
     kern = get_kernel(group)
     seeds = _seed_search(kern, kind, _pool_for(kern, method))
     if method == "sylow":
-        orbits = [size for size, _ in _class_sizes(kern, kind, seeds)]
-        return SearchResult.from_orbits(group, kind, sum(orbits), orbits, method)
+        return SearchResult.from_orbits(group, kind, (size for size, _ in _class_sizes(kern, kind, seeds)), method)
     found, classes = _expand_orbits(kern, seeds)
     if len(found) != len(seeds):
         raise InternalConsistencyError("the full scan missed conjugates of what it found")
-    return SearchResult.from_orbits(group, kind, len(found), (c.orbit_size for c in classes), method)
+    return SearchResult.from_orbits(group, kind, (c.orbit_size for c in classes), method)
 
 
 def list_regular(

@@ -2,11 +2,14 @@
 
 For N = C_{2^n} (n >= 4) and N = C_2 x C_{2^{n-1}} (n >= 5) the generator
 relations collapse to small congruence systems in a normal form, whose
-solutions meet every Aut(N)-orbit of regular subgroups without scanning
-Hol(N).  A subgroup is never closed: it is kept as one witness pair (X, Y),
-whose Aut(N)-orbit is walked by membership tests in the cyclic <X>, each
-read off X^d = τ_w (d the order of X's linear part) with one modular
-solve, so (r, c) and the class sizes are computed rather than quoted.
+solutions, the fundamental pairs, are written down in closed form: one for
+C_{2^n}, eight for C_2 x C_{2^{n-1}}.  They meet every Aut(N)-orbit of
+regular subgroups without scanning Hol(N).  One memoized routine checks
+each pair regular by walking the 2^n points of N, then walks the orbits.  A
+subgroup is never closed: it is kept as one witness pair (X, Y), whose
+Aut(N)-orbit is walked by membership tests in the cyclic <X>, each read off
+X^d = τ_w (d the order of X's linear part) with one modular solve, so
+(r, c) and the class sizes are computed rather than quoted.
 
 The loops run on plain-integer affine maps in the form of `HolElement.encode()`
 (row i reduced mod the i-th factor) and build no `HolElement`.
@@ -18,7 +21,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import config
-from .abelian import GroupSpec, make_group, reach
+from .abelian import GroupSpec, reach
 from .endo import aut_generators, aut_invert, aut_order
 from .errors import CapacityError, InternalConsistencyError, InvalidInputError
 from .presentations import QUATERNION, TargetKind, family_types
@@ -115,7 +118,7 @@ def _member(g, x, d: int, w: tuple[int, ...], mods: tuple[int, ...]) -> bool:
     return False
 
 
-def _classes(found: list, mods: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+def _classes(found: tuple, group: GroupSpec) -> tuple[tuple, tuple[int, ...]]:
     """(one (X, Y) per subgroup, sorted orbit sizes) for the Aut(N)-orbits of
     the subgroups that the pairs in `found`, one per subgroup, generate.
 
@@ -126,7 +129,7 @@ def _classes(found: list, mods: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]
     subgroup keeps beside its witness.  Orbits are disjoint, so a conjugate
     is compared with its own orbit only.
     """
-    group, zero = make_group(mods), (0,) * len(mods)
+    mods, zero = group.factors, (0,) * len(group.factors)
     conjugators = [tuple((a.flat(), zero) for (a,) in (g, aut_invert(g))) for g in aut_generators(group)]
     known, sizes = [], []
 
@@ -154,106 +157,77 @@ def _classes(found: list, mods: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]
     return tuple(w[:2] for w in known), tuple(sorted(sizes))
 
 
-# -- C_{2^n} --------------------------------------------------------------------
+# -- the fundamental pairs ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _solve_cyclic(n: int, family: str) -> tuple:
-    """Regular quaternion/dihedral subgroups of Hol(C_{2^n}), n >= 4, once
-    `solve_family` has admitted them, memoized on (n, family).
-
-    Searches the normal form only.  Aut(C_{2^n}) is the unit group, and a
-    unit u conjugates X = (alpha, v) to (alpha, u v), so every Aut(N)-orbit
-    holds a subgroup whose X has v = 2^(2-a), 2^a exactly dividing
-    1 + alpha; `_classes` recovers the orbits.  For each such X it tests
-    Y = (beta, t), beta^2 = 1, t the least point off the orbit of 0: Q and
-    D of order 2^n have one cyclic subgroup of index 2, and one element
-    that sends 0 to t.  It walks 4 * 2^{n-1} points: the orbits of 0 and t
-    for each of the two normal-form X.
+def _cyclic_pairs(n: int, family: str) -> tuple:
+    """The one fundamental pair of Hol(C_{2^n}), n >= 4: X = (1, 2) and
+    Y = (2^(n-1) - 1, 1) for Q or (-1, 1) for D.  <X> walks the even points
+    and Y sends 0 to 1, so <X, Y> is regular; `_classes` finds its orbit.
     """
     mod = 1 << n
-    mods = (mod,)
-    half = mod >> 1
-    quarter = mod >> 3  # 2^{n-3}, the coefficient of the order-exactness test
-    roots = [a for a in range(1, mod, 2) if a * a % mod == 1]
-    # (1 + alpha) v = 4 mod 8 holds for v = 2^(2-a) = 4 / 2^a; no v solves it when a > 2
-    normal = {alpha: 4 // ((1 + alpha) & -(1 + alpha)) for alpha in roots if (1 + alpha) % 8}
-    xs = [((alpha,), (v,)) for alpha, v in normal.items() if quarter * (1 + alpha) * v % mod]
-    found = []
-    for x in xs:
-        marks = bytearray(mod)
-        if not _mark_orbit(marks, x, (0,), half, mods):
-            continue
-        t = marks.index(0)
-        if _mark_orbit(marks, x, (t,), half, mods):
-            found += [(x, ((beta,), (t,))) for beta in roots]
-    found = [(x, y) for x, y in found if _presents(x, y, n - 1, family == QUATERNION, mods)]
-    witnesses, sizes = _classes(found, mods)
-    if len(xs) != 2 or len(witnesses) != len(found):
-        raise InternalConsistencyError(f"cyclic family n={n}: {len(xs)} X, {len(found)} of {len(witnesses)} found")
-    return tuple(found), witnesses, sizes
+    beta = (mod >> 1) - 1 if family == QUATERNION else mod - 1
+    return ((((1,), (2,)), ((beta,), (1,))),)
 
 
-# -- C_2 x C_{2^{n-1}} -------------------------------------------------------------
+def _rank2_pairs(n: int, family: str) -> tuple:
+    """The eight fundamental pairs of Hol(C_2 x C_{2^{n-1}}), n >= 5, from
+    the normal-form system: v = (0, 1), w = (1, 0), r = a, s fixed by the
+    family, and for each a, b in {0, 1} the two square roots alpha of
+    1 + half a s that are 1 mod 4, {1, 1 + half} or, when a s = 1,
+    {1 + half/2, 1 + 3 half/2}; each alpha fixes beta.
+    """
+    mod, half, eighth = 1 << (n - 1), 1 << (n - 2), 1 << (n - 3)
+    s = 1 if family == QUATERNION else 0
+    pairs = []
+    for a in (0, 1):
+        for b in (0, 1):
+            for alpha in (1 + eighth, 1 + 3 * eighth) if a * s else (1, 1 + half):
+                beta = (half * b * (1 + a) - pow(alpha, -1, mod)) % mod
+                pairs.append((((1, a, half * b, alpha), (0, 1)), ((1, a, half * s, beta), (1, 0))))
+    return tuple(pairs)
+
+
+# (fundamental pairs, name, least n) for each of `family_types(n)`, so by the rank of N
+_FAMILIES = ((_cyclic_pairs, "cyclic", 4), (_rank2_pairs, "rank-2", 5))
 
 
 @lru_cache(maxsize=None)
-def _solve_rank2(n: int, family: str) -> tuple:
-    """Regular subgroups of Hol(C_2 x C_{2^{n-1}}), n >= 5, once
-    `solve_family` has admitted them, memoized on (n, family).
+def _solved(group: GroupSpec, family: str) -> tuple:
+    """(the fundamental pairs, one (X, Y) per subgroup, orbit by orbit, the
+    sorted orbit sizes) for a family group, once `solve_family` has admitted
+    it, memoized on (N, family); each (X, Y) two plain-integer encodings.
 
-    Solves the normal-form system (v = (0,1), w = (1,0), r = a, s fixed by
-    the family) for the eight fundamental subgroups, then walks their
-    Aut(N)-orbits to recover the full census.  It walks 2^n points for
-    each fundamental pair.
+    Each pair must present Q or D of order 2^n, and X must walk the 2^n
+    points of N as the orbits of 0 and of Y(0), so <X, Y> is regular.
     """
-    mod = 1 << (n - 1)
-    half = 1 << (n - 2)
-    s = 1 if family == QUATERNION else 0
-    fundamentals = []
-    for a in (0, 1):
-        for b in (0, 1):
-            target = (1 + half * a * s) % mod
-            for alpha in range(1, mod, 4):
-                if alpha * alpha % mod != target:
-                    continue
-                beta = (half * b * (1 + a) - pow(alpha, -1, mod)) % mod
-                fundamentals.append((((1, a, half * b, alpha), (0, 1)), ((1, a, half * s, beta), (1, 0))))
-    if len(fundamentals) != 8:
-        raise InternalConsistencyError(f"expected 8 fundamental solutions, got {len(fundamentals)}")
-    mods = (2, mod)
-    for x, y in fundamentals:
-        marks = bytearray(1 << n)
-        walks = _mark_orbit(marks, x, (0, 0), mod, mods) and _mark_orbit(marks, x, y[1], mod, mods)
-        if not (walks and _presents(x, y, n - 1, s == 1, mods)):
+    mods, n, half = group.factors, group.two_adic, group.order >> 1
+    pairs = _FAMILIES[len(mods) - 1][0](n, family)
+    for x, y in pairs:
+        marks = bytearray(group.order)
+        walks = _mark_orbit(marks, x, (0,) * len(mods), half, mods) and _mark_orbit(marks, x, y[1], half, mods)
+        if not (walks and _presents(x, y, n - 1, family == QUATERNION, mods)):
             raise InternalConsistencyError(f"fundamental pair {(x, y)} is not regular")
-    return tuple(fundamentals), *_classes(fundamentals, mods)
-
-
-# (solver, its name, least n, points walked / 2^(n-1)) for each of `family_types(n)`;
-# a solver answers (the solved (X, Y) pairs, one (X, Y) per subgroup, orbit
-# by orbit, the sorted orbit sizes), each (X, Y) two plain-integer encodings
-_SOLVERS = ((_solve_cyclic, "cyclic", 4, 4), (_solve_rank2, "rank-2", 5, 16))
+    return pairs, *_classes(pairs, group)
 
 
 def solve_family(group: GroupSpec, family: str) -> SearchResult:
-    """The census of a family pair from its closed-form solver.  Before the
-    memo answers, refuses N outside the families or n below the solver's
-    range (StructuredRangeError), an unknown family, and more points to walk
-    than `config.aut_candidate_cap()` allows (CapacityError)."""
+    """The census of a family pair from its fundamental pairs.  Before the
+    memo answers, refuses N outside the families or n below their range
+    (StructuredRangeError), an unknown family, and more points to walk, 2^n
+    per fundamental pair, than `config.aut_candidate_cap()` allows
+    (CapacityError)."""
     n = group.two_adic
     if group.odd_order != 1:
         raise InvalidInputError(f"{group} is not a 2-group")
     types = family_types(n) if n >= 2 else ()
     if group not in types:
         raise StructuredRangeError(f"{group} is not one of the structured families")
-    solver, name, least, points = _SOLVERS[types.index(group)]
+    pairs, name, least = _FAMILIES[types.index(group)]
     if n < least:
         raise StructuredRangeError(f"{name} solver needs n >= {least}, got {n}")
     kind = TargetKind(family, n, 1)  # an unknown family is an input error
-    needed, cap = points << (n - 1), config.aut_candidate_cap()
+    needed, cap = len(pairs(n, family)) << n, config.aut_candidate_cap()
     if needed > cap:
         raise CapacityError(f"{name} family solver at n={n}: too many points to walk", needed=needed, cap=cap)
-    _, witnesses, sizes = solver(n, family)
-    return SearchResult.from_orbits(group, kind, len(witnesses), sizes, "structured")
-
+    return SearchResult.from_orbits(group, kind, _solved(group, family)[2], "structured")

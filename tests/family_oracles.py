@@ -1,8 +1,10 @@
 """Closure-based oracles: subgroup closures in Hol(N), the regularity test,
 the solved (X, Y) parameter pairs as validated `HolElement`s, and the family
-solvers in `holobrace.structured` redone by closure.  `solved` reads a
-solver's pairs and witnesses from its private memo, which `solve_family`
-reduces to a `SearchResult`.
+solvers in `holobrace.structured` redone by closure.  `solved` reads the
+fundamental pairs and witnesses from the solvers' private memo, which
+`solve_family` reduces to a `SearchResult`.  `cyclic_normal_form_pairs` and
+`rank2_alpha_loop_pairs` are the searches that the closed-form fundamental
+pairs replaced.
 
 The family oracles close every candidate subgroup into a frozenset of
 plain-integer encodings (the form of `HolElement.encode()`), filter the
@@ -82,9 +84,9 @@ class Solved:
 
 
 def solved(family, n, target):
-    """The memo entry of the cyclic or rank-2 solver, asked directly: no budget."""
-    memo = structured._solve_cyclic if family == CYCLIC else structured._solve_rank2
-    pairs, witnesses, _ = memo(n, target)
+    """The family solvers' memo entry for the cyclic or rank-2 group, asked
+    directly: no budget."""
+    pairs, witnesses, _ = structured._solved(family_group(family, n), target)
     return Solved(family, n, TargetKind(target, n, 1), pairs, witnesses)
 
 
@@ -190,6 +192,68 @@ def canonical_cyclic_pair(n, family):
     return StructuredGeneratorPair(CYCLIC, n, TargetKind(family, n, 1), (1, 2, beta, 1))
 
 
+def presents(x, y, n, family, mods):
+    """X^(2^(n-1)) = 1, Y^2 = X^(2^(n-2)) (Q) or 1 (D) and XYX = Y."""
+    ident = ((1,), (0,)) if len(mods) == 1 else ((1, 0, 0, 1), (0, 0))
+    z = x
+    for _ in range(n - 2):
+        z = compose(z, z, mods)
+    y_squared = z if family == QUATERNION else ident
+    return (
+        compose(z, z, mods) == ident
+        and compose(y, y, mods) == y_squared
+        and compose(compose(x, y, mods), x, mods) == y
+    )
+
+
+def cyclic_normal_form_pairs(n, family):
+    """The cyclic family's solved pairs by the normal-form search: for each
+    X = (alpha, 2^(2-a)), 2^a exactly dividing 1 + alpha, alpha^2 = 1, whose
+    orbits of 0 and of t, the least point off the first, cover C_{2^n} in
+    2^(n-1) points each, the pairs (X, (beta, t)) over beta^2 = 1 that
+    present Q or D.  (1 + alpha) v = 4 mod 8 makes X of order 2^(n-1), so
+    no filter on that order is needed."""
+    mod = 1 << n
+    roots = [a for a in range(1, mod, 2) if a * a % mod == 1]
+    found = []
+    for alpha in roots:
+        if (1 + alpha) % 8 == 0:  # no v solves (1 + alpha) v = 4 mod 8
+            continue
+        v = 4 // ((1 + alpha) & -(1 + alpha))
+
+        def orbit(p, alpha=alpha, v=v):  # X^i(p), i < 2^(n-1)
+            points = []
+            for _ in range(mod >> 1):
+                points.append(p)
+                p = (alpha * p + v) % mod
+            return points
+
+        zeros = orbit(0)
+        t = min(set(range(mod)) - set(zeros))
+        if len(set(zeros + orbit(t))) == mod:
+            found += [(((alpha,), (v,)), ((beta,), (t,))) for beta in roots]
+    return tuple((x, y) for x, y in found if presents(x, y, n, family, (mod,)))
+
+
+def rank2_alpha_loop_pairs(n, family):
+    """The rank-2 family's eight fundamental pairs, with alpha found by a
+    loop over the residues 1 mod 4 whose square is 1 + half a s."""
+    mod, half = 1 << (n - 1), 1 << (n - 2)
+    kind = TargetKind(family, n, 1)
+    s = 1 if family == QUATERNION else 0
+    pairs = []
+    for a in (0, 1):
+        for b in (0, 1):
+            target = (1 + half * a * s) % mod
+            for alpha in range(1, mod, 4):
+                if alpha * alpha % mod != target:
+                    continue
+                beta = (half * b * (1 + a) - pow(alpha, -1, mod)) % mod
+                pairs.append(StructuredGeneratorPair(RANK2, n, kind, (a, b, a, s, alpha, beta, 0, 1, 1, 0)))
+    assert len(pairs) == 8
+    return tuple(pairs)
+
+
 def subgroup_elements(pair):
     """Encodings of the subgroup generated by the solved pair."""
     return closure(pair.affine(), pair.group().factors, 2 * pair.kind.order)
@@ -280,28 +344,13 @@ def solve_cyclic(n, family):
 def solve_rank2(n, family):
     """The eight fundamental pairs, closed, and the Aut(N)-orbits of their
     subgroups walked over the closed sets."""
-    mod = 1 << (n - 1)
-    half = 1 << (n - 2)
     kind = TargetKind(family, n, 1)
-    s = 1 if family == QUATERNION else 0
-    fundamentals = []
-    for a in (0, 1):
-        for b in (0, 1):
-            target = (1 + half * a * s) % mod
-            for alpha in range(1, mod, 4):
-                if alpha * alpha % mod != target:
-                    continue
-                beta = (half * b * (1 + a) - pow(alpha, -1, mod)) % mod
-                fundamentals.append(
-                    StructuredGeneratorPair(RANK2, n, kind, (a, b, a, s, alpha, beta, 0, 1, 1, 0))
-                )
-    assert len(fundamentals) == 8
     subs = {}
-    for pair in fundamentals:
+    for pair in rank2_alpha_loop_pairs(n, family):
         members = subgroup_elements(pair)
         assert is_regular(members, kind.order), pair.params
         subs[members] = pair
     assert len(subs) == 8, "fundamental subgroups are not distinct"
-    subgroups, sizes = _orbits([(k, p.affine()) for k, p in subs.items()], (2, mod), kind.order)
+    subgroups, sizes = _orbits([(k, p.affine()) for k, p in subs.items()], (2, 1 << (n - 1)), kind.order)
     pairs = tuple(subs[k] for k in sorted(subs, key=sorted))
     return OracleCensus(pairs, len(subgroups), len(sizes), sizes, subgroups)

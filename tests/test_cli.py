@@ -408,12 +408,12 @@ def test_a_cross_check_with_a_second_path_writes_no_stderr(capsys):
 
 
 def test_cyclic_family_budget_exit_code(capsys, monkeypatch):
-    # C64 D64: the solver walks 2^6 points for each of its two normal-form X
-    monkeypatch.setenv("HOLOBRACE_CAP", "127")
+    # C64 D64: the solver walks 2^6 points for its one fundamental pair
+    monkeypatch.setenv("HOLOBRACE_CAP", "63")
     code, out, err = run(capsys, "census", "--N", "c64", "--G", "d64")
     assert code == EXIT_CAPACITY and out == ""
-    assert err.endswith("(needed 128, cap 127)\n")
-    monkeypatch.setenv("HOLOBRACE_CAP", "128")
+    assert err.endswith("(needed 64, cap 63)\n")
+    monkeypatch.setenv("HOLOBRACE_CAP", "64")
     code, out, _ = run(capsys, "census", "--N", "c64", "--G", "d64")
     assert code == EXIT_OK and (json.loads(out)["c"], json.loads(out)["r"]) == (1, 1)
 
@@ -421,10 +421,10 @@ def test_cyclic_family_budget_exit_code(capsys, monkeypatch):
 def test_cached_census_still_meets_a_lowered_budget(capsys, monkeypatch):
     code, out, _ = run(capsys, "census", "--N", "c64", "--G", "d64")
     assert code == EXIT_OK and json.loads(out)["c"] == 1
-    monkeypatch.setenv("HOLOBRACE_CAP", "127")
+    monkeypatch.setenv("HOLOBRACE_CAP", "63")
     code, out, err = run(capsys, "census", "--N", "c64", "--G", "d64")
     assert code == EXIT_CAPACITY and out == ""
-    assert err.endswith("(needed 128, cap 127)\n")
+    assert err.endswith("(needed 64, cap 63)\n")
 
 
 def test_warm_search_still_meets_a_lowered_block_budget(capsys, monkeypatch):

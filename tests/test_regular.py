@@ -334,17 +334,15 @@ def test_a_search_result_keeps_only_its_answer():
 def test_an_answer_is_built_from_orbits_that_divide_aut_n():
     # |Aut(C2 x C4)| = 8, |Aut(D8)| = 8; |Aut(C2^3)| = 168, |Aut(Q8)| = 24
     g, k = make_group([2, 4]), parse_kind("d8")
-    res = SearchResult.from_orbits(g, k, 14, [2, 2, 4, 2, 4], "direct")
+    res = SearchResult.from_orbits(g, k, [2, 2, 4, 2, 4], "direct")
     assert res.class_sizes == ((2, 4), (2, 4), (4, 2), (2, 4), (4, 2)) == search_regular(g, k, "full").class_sizes
     assert (res.c, res.h) == (5, 14)
     with pytest.raises(InternalConsistencyError, match=r"orbit size 3 does not divide \|Aut\(C_2×C_4\)\| = 8"):
-        SearchResult.from_orbits(g, k, 3, [3], "direct")
+        SearchResult.from_orbits(g, k, [3], "direct")
     with pytest.raises(InternalConsistencyError, match=r"\* r = 24 is not divisible by \|Aut\(C_2×C_2×C_2\)\| = 168"):
-        SearchResult.from_orbits(make_group([2, 2, 2]), parse_kind("q8"), 1, [1], "direct")
-    # h reads |Aut(N)| off the first class, so an answer with r > 0 needs one
-    with pytest.raises(InternalConsistencyError, match="r = 14 regular subgroups in no class"):
-        SearchResult.from_orbits(g, k, 14, [], "direct")
-    assert SearchResult.from_orbits(g, k, 0, [], "type-theorem").h == 0
+        SearchResult.from_orbits(make_group([2, 2, 2]), parse_kind("q8"), [1], "direct")
+    # r is the sum of the orbits, so an answer with r > 0 has a first class for h to read
+    assert (res.r, SearchResult.from_orbits(g, k, [], "type-theorem").h) == (14, 0)
 
 
 def test_warm_search_meets_lowered_budgets(monkeypatch):

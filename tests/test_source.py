@@ -260,6 +260,8 @@ MOVED_TO_TESTS = {
         "StructuredGeneratorPair": "StructuredGeneratorPair",
         "element_from_encoding": "_element_from_encoding",
         "in_cyclic": "_in_cyclic",
+        "cyclic_normal_form_pairs": "_solve_cyclic",
+        "rank2_alpha_loop_pairs": "_solve_rank2",
     },
     "test_brace.py": {
         "ybe_violation": "ybe_violation",

@@ -91,7 +91,8 @@ def assert_regular_of_its_kind(pair):
 
 
 def unpruned_cyclic_pairs(n, family):
-    """The cyclic solver's search without the translation prune: subgroup -> first pair."""
+    """Every (X, Y) pair of the cyclic congruence system, closed and kept if
+    regular: subgroup -> first pair."""
     mod = 1 << n
     kind = TargetKind(family, n, 1)
     roots = [a for a in range(1, mod, 2) if a * a % mod == 1]
@@ -243,55 +244,58 @@ def test_integer_closure_matches_holelement_closure(n, family, name):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_pruned_cyclic_search_matches_unpruned(n, family):
-    # one Y = (beta, t) per cyclic <X> finds what every (X, Y) pair finds
+    # the one closed-form pair finds what every (X, Y) pair of the congruence system finds
     found = unpruned_cyclic_pairs(n, family)
     entry = solved(CYCLIC, n, family)
     assert witness_subgroups(entry) == list(found)
     assert solved_pairs(entry) == tuple(found.values())
 
 
-def walked_points(monkeypatch, solve, n, family):
-    """The points a cold solve walks, counted at `_mark_orbit`."""
-    walked = []
-    mark = structured._mark_orbit
-
-    def counting(marks, x, start, steps, mods):
-        before = marks.count(0)
-        ok = mark(marks, x, start, steps, mods)
-        walked.append(before - marks.count(0))
-        return ok
-
-    monkeypatch.setattr(structured, "_mark_orbit", counting)
-    solve.__wrapped__(n, family)
-    monkeypatch.setattr(structured, "_mark_orbit", mark)
-    return sum(walked)
-
-
-def test_the_cyclic_solver_walks_normal_form_orbits_only(monkeypatch):
-    # every Aut(N)-orbit holds a subgroup whose X = (alpha, v) has
-    # v = 2^(2-a), 2^a exactly dividing 1 + alpha, so a cold solve walks the
-    # orbits of 0 and t under those X only, and no generators of <X>
+def cold_walks(monkeypatch, group, family):
+    """(X, start, points marked) for each orbit a cold solve of the family
+    group walks, spied at `_mark_orbit`."""
     walks = []
     mark = structured._mark_orbit
 
     def spying(marks, x, start, steps, mods):
-        walks.append((x, start, mods[0]))
-        return mark(marks, x, start, steps, mods)
+        before = marks.count(0)
+        ok = mark(marks, x, start, steps, mods)
+        walks.append((x, start, before - marks.count(0)))
+        return ok
 
-    monkeypatch.setattr(structured, "_mark_orbit", spying)
-    for n in range(4, 13):
-        for family in FAMILIES:
-            walks.clear()
-            structured._solve_cyclic.__wrapped__(n, family)
-            assert len(walks) == 4
-            for ((alpha,), (v,)), start, mod in walks:
-                assert v == 4 // ((1 + alpha) & -(1 + alpha))
-                orbit, p = {0}, v
-                while p:
-                    orbit.add(p)
-                    p = (alpha * p + v) % mod
-                t = min(set(range(mod)) - orbit)
-                assert start in ((0,), (t,))
+    with monkeypatch.context() as m:
+        m.setattr(structured, "_mark_orbit", spying)
+        structured._solved.__wrapped__(group, family)
+    return walks
+
+
+def walked_points(monkeypatch, group, family):
+    """The points a cold solve walks, counted at `_mark_orbit`."""
+    return sum(points for *_, points in cold_walks(monkeypatch, group, family))
+
+
+def test_a_cold_solve_walks_2_to_the_n_points_per_fundamental_pair(monkeypatch):
+    # the orbits of 0 and of Y(0) under X, 2^(n-1) points each, for each
+    # fundamental pair, and nothing else
+    for family in FAMILIES:
+        for name, ns, count in ((CYCLIC, range(4, 13), 1), (RANK2, range(5, 11), 8)):
+            for n in ns:
+                group = family_group(name, n)
+                pairs = structured._solved(group, family)[0]
+                zero, half = (0,) * len(group.factors), 1 << (n - 1)
+                assert cold_walks(monkeypatch, group, family) == [
+                    walk for x, y in pairs for walk in ((x, zero, half), (x, y[1], half))
+                ]
+                assert len(pairs) == count
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_closed_form_pairs_equal_the_searches_they_replace(family):
+    for n in range(4, 17):
+        assert structured._cyclic_pairs(n, family) == oracle.cyclic_normal_form_pairs(n, family), n
+    for n in range(5, 17):
+        pairs = tuple(p.affine() for p in oracle.rank2_alpha_loop_pairs(n, family))
+        assert structured._rank2_pairs(n, family) == pairs, n
 
 
 def test_the_regularity_walk_refuses_a_repeated_point():
@@ -309,28 +313,28 @@ def test_the_regularity_walk_refuses_a_repeated_point():
 
 def test_cyclic_point_budget(monkeypatch):
     monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
-    # 2^n points for each of the two normal-form X: n = 20 fits the default 2^21
+    # 2^n points for its one fundamental pair: n = 21 fits the default 2^21
     with pytest.raises(CapacityError) as err:
-        solve_family(family_group(CYCLIC, 21), DIHEDRAL)
-    assert (err.value.needed, err.value.cap) == (4 << 20, 1 << 21)
-    monkeypatch.setenv("HOLOBRACE_CAP", str(128 - 1))
+        solve_family(family_group(CYCLIC, 22), DIHEDRAL)
+    assert (err.value.needed, err.value.cap) == (1 << 22, 1 << 21)
+    monkeypatch.setenv("HOLOBRACE_CAP", str(64 - 1))
     with pytest.raises(CapacityError) as err:
         solve_family(family_group(CYCLIC, 6), DIHEDRAL)
-    assert (err.value.needed, err.value.cap) == (128, 127)
-    monkeypatch.setenv("HOLOBRACE_CAP", str(128))
+    assert (err.value.needed, err.value.cap) == (64, 63)
+    monkeypatch.setenv("HOLOBRACE_CAP", str(64))
     assert solve_family(family_group(CYCLIC, 6), DIHEDRAL).r == 1
 
 
 def test_cyclic_point_budget_is_closed_form(monkeypatch):
-    # the solver refuses from 4 * 2^{n-1} before it walks; a cold solve must
-    # walk exactly that many points
+    # the solver refuses from 2^n before it walks; a cold solve must walk
+    # exactly that many points
     for n in range(4, 13):
         for family in FAMILIES:
             monkeypatch.setenv("HOLOBRACE_CAP", "1")
             with pytest.raises(CapacityError) as err:
                 solve_family(family_group(CYCLIC, n), family)
             monkeypatch.delenv("HOLOBRACE_CAP")
-            assert err.value.needed == 4 << (n - 1) == walked_points(monkeypatch, structured._solve_cyclic, n, family)
+            assert err.value.needed == 1 << n == walked_points(monkeypatch, family_group(CYCLIC, n), family)
 
 
 def test_rank2_point_budget(monkeypatch):
@@ -347,7 +351,7 @@ def test_rank2_point_budget(monkeypatch):
     assert solve_family(family_group(RANK2, 5), DIHEDRAL).c == 6
     monkeypatch.delenv("HOLOBRACE_CAP")
     for n in range(5, 11):
-        assert walked_points(monkeypatch, structured._solve_rank2, n, QUATERNION) == 8 << n
+        assert walked_points(monkeypatch, family_group(RANK2, n), QUATERNION) == 8 << n
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -382,11 +386,9 @@ def test_fundamental_distinctness():
 
 def test_family_budgets_fire_on_a_warm_memo(monkeypatch):
     monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
-    # points walked: C32, 4 * 2^4; C2 x C16, 8 * 2^5
-    for group, memo, needed in (
-        (make_group([32]), structured._solve_cyclic, 64),
-        (make_group([2, 16]), structured._solve_rank2, 256),
-    ):
+    # points walked: C32, 1 * 2^5; C2 x C16, 8 * 2^5
+    memo = structured._solved
+    for group, needed in ((make_group([32]), 32), (make_group([2, 16]), 256)):
         warm = solve_family(group, QUATERNION)
         hits = memo.cache_info().hits
         assert solve_family(group, QUATERNION) == warm and memo.cache_info().hits == hits + 1
@@ -402,7 +404,7 @@ def test_family_budgets_fire_on_a_warm_memo(monkeypatch):
 
 def test_solve_family_dispatch():
     assert solve_family(make_group([32]), QUATERNION) == SearchResult.from_orbits(
-        make_group([32]), TargetKind(QUATERNION, 5, 1), 1, (1,), "structured"
+        make_group([32]), TargetKind(QUATERNION, 5, 1), (1,), "structured"
     )
     assert solve_family(make_group([2, 16]), DIHEDRAL).r == 16
     with pytest.raises(InvalidInputError):
@@ -473,10 +475,10 @@ def test_membership_when_x_to_the_d_translates_the_c2_factor():
 def test_solvers_answer_as_with_the_discrete_log(family, monkeypatch):
     # the solved pairs, the witnesses in their order (so r) and the class
     # sizes are those the orbit walk gives with the discrete-log membership test
-    for solve, ns in ((structured._solve_cyclic, range(4, 15)), (structured._solve_rank2, range(5, 15))):
+    for name, ns in ((CYCLIC, range(4, 15)), (RANK2, range(5, 15))):
         for n in ns:
-            res = solve(n, family)
+            res = structured._solved(family_group(name, n), family)
             with monkeypatch.context() as m:
                 m.setattr(structured, "_member", oracle_member)
-                ref = solve.__wrapped__(n, family)
+                ref = structured._solved.__wrapped__(family_group(name, n), family)
             assert res == ref, n
