@@ -171,20 +171,13 @@ class GroupSpec:
         return all(self.rank(p) == 1 for p in self.primes)
 
     def display_name(self) -> str:
-        """Display name: cyclic odd part first, then 2-parts ascending."""
+        """Display name: the odd part first, as one C_s when it is cyclic,
+        then the factors of the 2-part ascending."""
         if not self.factors:
             return "1"
-        odd = [q for q, (p, _) in zip(self.factors, self.prime_of_factor) if p != 2]
-        two = [q for q, (p, _) in zip(self.factors, self.prime_of_factor) if p == 2]
-        parts = []
-        if odd:
-            odd_spec = GroupSpec(tuple(odd))
-            if odd_spec.is_cyclic():
-                parts.append(f"C_{odd_spec.order}")
-            else:
-                parts.extend(f"C_{q}" for q in odd)
-        parts.extend(f"C_{q}" for q in two)
-        return "×".join(parts)
+        odd, two = sylow_decompose(self)
+        shown = (odd.order,) if odd.factors and odd.is_cyclic() else odd.factors
+        return "×".join(f"C_{q}" for q in shown + two.factors)
 
     def __str__(self) -> str:
         return self.display_name()

@@ -80,16 +80,15 @@ def _add_table(group: GroupSpec) -> tuple[Row, ...]:
 
 
 def brace_from_subgroup(sub: RegularSubgroup) -> BraceTable:
-    """Materialize (N, +, o) from a regular subgroup: a o b = g_a(b)."""
-    group = sub.group
-    kern = get_kernel(group)
-    n = group.order
-    elements = sub.elements
-    by_trans = {kern.trans_index(e): e for e in elements}
-    if len(by_trans) != n or len(elements) != n:
+    """Materialize (N, +, o) from a regular subgroup: a o b = g_a(b).
+
+    The row of g, `images(g)`, starts with its translation g(0).  So the
+    sorted rows are g_0, g_1, ..., g_{n-1} iff their first column is
+    0, 1, ..., n - 1, which holds iff the subgroup is regular."""
+    circ = tuple(sorted(map(get_kernel(sub.group).images, sub.elements)))
+    if [row[0] for row in circ] != list(range(sub.group.order)):
         raise InvalidInputError("subgroup is not regular")
-    circ = tuple(kern.images(by_trans[a]) for a in range(n))
-    return BraceTable(group, circ)
+    return BraceTable(sub.group, circ)
 
 
 def circ_generators(circ: tuple[Row, ...]) -> list[int]:

@@ -95,8 +95,6 @@ def census(group: GroupSpec, kind: TargetKind, method: str = "auto") -> SearchRe
     if method in ("direct", "sylow"):
         return search_regular(group, kind, "full" if method == "direct" else "sylow")
     if method == "structured":
-        if odd.order != 1:
-            raise InvalidInputError("structured solvers cover 2-groups only")
         return solve_family(group, kind.family)
     if method == "reduction":
         return reduce_counts(group, kind)

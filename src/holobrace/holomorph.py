@@ -68,19 +68,6 @@ def hol_invert(x: HolElement) -> HolElement:
     return HolElement(x.group, inv, x.group.neg(aut_apply(x.group, inv, x.trans)))
 
 
-def hol_power(x: HolElement, k: int) -> HolElement:
-    if k < 0:
-        return hol_power(hol_invert(x), -k)
-    acc = hol_identity(x.group)
-    base = x
-    while k:
-        if k & 1:
-            acc = hol_compose(acc, base)
-        base = hol_compose(base, base)
-        k >>= 1
-    return acc
-
-
 def hol_order(x: HolElement) -> int:
     """Least k >= 1 with x^k = id, by walking powers until the encoding repeats."""
     ident = hol_identity(x.group).encode()

@@ -19,7 +19,6 @@ from operator import add, mul
 from . import config
 from .abelian import Element, GroupSpec, reach
 from .endo import (
-    Aut,
     EndoMatrix,
     aut_generators,
     aut_order,
@@ -217,9 +216,6 @@ class PrimeSpace:
                     out[k * c] += count
         return out
 
-    def hol_elements(self, aut_list: list[bytes]) -> list[bytes]:
-        return [self.hol_perm(a, v) for a in aut_list for v in range(self.m)]
-
     def cyclic_leaders(self, aut_list: list[bytes], mx: int) -> list[bytes]:
         """The least generator, in the order of `aut_list`, of each cyclic
         <A> with order(A) | mx, for `aut_list` closed under powers.
@@ -241,9 +237,9 @@ class PrimeSpace:
     def cycles_dividing(
         self, aut_list: list[bytes], mx: int, marking: Container[int] = ()
     ) -> Iterator[tuple[bytes, int, int, int]]:
-        """(A, v, c, o) for each x = (A, v) of `hol_elements(aut_list)`, in
-        that order, whose order o divides mx, c the length of its cycle
-        pts = [0, v, x(v), ...] through 0.  x^k = (A^k, x^k(0)), so
+        """(A, v, c, o) for each x = (A, v), A in `aut_list` and then v in
+        N_p, in that order, whose order o divides mx, c the length of its
+        cycle pts = [0, v, x(v), ...] through 0.  x^k = (A^k, x^k(0)), so
         o = lcm(order(A), c).  `Pool.candidates` builds x (`hol_perm(A, v)`)
         only for the survivors it keeps.
 
@@ -356,11 +352,8 @@ class HolKernel:
 
     # -- pools ---------------------------------------------------------------------
 
-    def aut_perm_tuple(self, aut: Aut) -> KernelElement:
-        return tuple(sp.aut_perm(m) for sp, m in zip(self.spaces, aut))
-
     def aut_generator_tuples(self) -> list[KernelElement]:
-        return [self.aut_perm_tuple(a) for a in aut_generators(self.group)]
+        return [tuple(map(PrimeSpace.aut_perm, self.spaces, a)) for a in aut_generators(self.group)]
 
     def hol_order(self) -> int:
         return self.n * self.aut_size
@@ -415,9 +408,6 @@ class Pool:
 
     def __len__(self) -> int:
         return prod(sp.m * len(a) for sp, a in zip(self.spaces, self.auts))
-
-    def __iter__(self) -> Iterator[KernelElement]:
-        return product(*(sp.hol_elements(a) for sp, a in zip(self.spaces, self.auts)))
 
     def candidates(self, mx: int) -> Iterator[KernelElement]:
         """One generator of each cyclic <x> generated by an element of

@@ -15,15 +15,8 @@ from __future__ import annotations
 
 from .abelian import GroupSpec, make_group, sylow_decompose
 from .errors import InternalConsistencyError, InvalidInputError
-from .presentations import DIHEDRAL, QUATERNION, TargetKind
+from .presentations import TargetKind
 from .regular import SearchResult, search_regular
-
-
-def is_exceptional(kind: TargetKind) -> bool:
-    """Q_{8s} and D_{4s} carry three kernels per H instead of one."""
-    return (kind.family == QUATERNION and kind.n == 3) or (
-        kind.family == DIHEDRAL and kind.n == 2
-    )
 
 
 def reduce_counts(group: GroupSpec, kind: TargetKind) -> SearchResult:
@@ -44,7 +37,7 @@ def reduce_counts(group: GroupSpec, kind: TargetKind) -> SearchResult:
         from .counts import two_power_census  # deferred; counts imports this module
 
         base = two_power_census(two, kind.family)
-        if not is_exceptional(kind):
+        if not kind.exceptional:
             classes = base.class_sizes
         elif base.r:
             # direct enumeration over C_3 x N_2, the s = 3 base of the exceptional cases

@@ -40,6 +40,12 @@ class TargetKind:
     def x_order(self) -> int:
         return (1 << (self.n - 1)) * self.s
 
+    @property
+    def exceptional(self) -> bool:
+        """The 2-part is Q_8 or C_2×C_2, the groups with three cyclic
+        subgroups of index 2, so Q_{8s} and D_{4s} count apart."""
+        return (self.family, self.n) in ((QUATERNION, 3), (DIHEDRAL, 2))
+
     def label(self) -> str:
         return ("q" if self.family == QUATERNION else "d") + str(self.order)
 
@@ -73,15 +79,13 @@ def aut_order(kind: TargetKind) -> int:
     """|Aut| of the abstract target group.
 
     2^{2n-3} for s = 1 (quaternion n != 3, dihedral n >= 3) and
-    2^{2n-3} s phi(s) for s >= 3; the three exceptional s = 1 groups are
-    pinned to their known orders.
+    2^{2n-3} s phi(s) for s >= 3; the two exceptional s = 1 groups, Q_8
+    and C_2 x C_2, are pinned to their known orders.
     """
     n, s = kind.n, kind.s
     if s == 1:
-        if kind.family == QUATERNION and n == 3:
-            return 24  # Q_8
-        if kind.family == DIHEDRAL and n == 2:
-            return 6  # C_2 x C_2
+        if kind.exceptional:
+            return 24 if kind.family == QUATERNION else 6
         return 1 << (2 * n - 3)
     phi = prod(p ** (e - 1) * (p - 1) for p, e in _factorize(s))
     return (1 << (2 * n - 3)) * s * phi

@@ -70,22 +70,13 @@ def _subgroup(kern: HolKernel, kind: TargetKind, elements, witness) -> RegularSu
 # -- the search ---------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _y_getter(mx: int, half: int, quat: bool) -> itemgetter:
-    """Positions in orb0 + orbt of the images under Y of orb0 + orbt, for
-    orb0 = [X^i(0)] and orbt = [X^i Y(0)]: Y X^i(0) = X^-i Y(0), and
-    Y X^i Y(0) = X^(half-i)(0) (quaternion) or X^-i(0) (dihedral)."""
-    back = [((half - i) if quat else -i) % mx for i in range(mx)]
-    return itemgetter(*[mx + -i % mx for i in range(mx)], *back)
-
-
-def _build_y(kern: HolKernel, sources: tuple[bytes, ...], quat: bool, half: int) -> KernelElement | None:
+def _build_y(kern: HolKernel, sources: tuple[bytes, ...], to: itemgetter) -> KernelElement | None:
     """The Y fixed on all of N by its relations, or None unless it is affine.
 
     sources[p] holds the component indices of orb0 + orbt, which is all of
-    N, so per component the points must map consistently, the map must be
-    a bijection, and its linear part must pass `PrimeSpace.is_linear`."""
-    to = _y_getter(len(sources[0]) // 2, half, quat)
+    N, and `to` picks from them the images under Y (`_seed_search`), so per
+    component the points must map consistently, the map must be a
+    bijection, and its linear part must pass `PrimeSpace.is_linear`."""
     perms = []
     for sp, src in zip(kern.spaces, sources):
         dst = bytes(to(src))
@@ -159,11 +150,16 @@ def _seed_search(kern: HolKernel, kind: TargetKind, pool: Pool) -> dict[Subgroup
         raise InvalidInputError(f"|N| = {kern.group.order} but target has order {kind.order}")
     if kind.s == 1 and kind.x_order > exponent_bound(kern.group, 2):
         return {}  # order-bound prune: Hol(N) has no element of order 2^{n-1}
-    half = (1 << (kind.n - 2)) * kind.s
-    quat = kind.family == QUATERNION
+    # positions in orb0 + orbt of the images under Y of orb0 + orbt, for
+    # orb0 = [X^i(0)] and orbt = [X^i Y(0)]: Y X^i(0) = X^-i Y(0), and
+    # Y X^i Y(0) = X^-i Y^2(0) = X^(h-i)(0) for Y^2 = X^h, h = mx/2
+    # (quaternion) or 0 (dihedral)
+    mx = kind.x_order
+    h = mx // 2 if kind.family == QUATERNION else 0
+    to = itemgetter(*[mx + -i % mx for i in range(mx)], *[(h - i) % mx for i in range(mx)])
     found: dict[SubgroupKey, Seed] = {}
-    for x, sources in _x_scan(pool, kind.x_order):
-        y = _build_y(kern, sources, quat, half)
+    for x, sources in _x_scan(pool, mx):
+        y = _build_y(kern, sources, to)
         if y is not None:
             seed = _generated(kern, kind, x, y)
             found.setdefault(seed[0].key, seed)
@@ -244,7 +240,7 @@ def scan_refusal(group: GroupSpec, method: str) -> CapacityError | None:
 # -- class sizes from stabilizers -------------------------------------------------
 
 
-def _frames(kern: HolKernel, sub: RegularSubgroup, quat: bool) -> list[tuple[list[int], list[list[bytes]]]]:
+def _frames(kern: HolKernel, sub: RegularSubgroup) -> list[tuple[list[int], list[list[bytes]]]]:
     """The generating pairs of `sub` with the relations of its kind, as frames.
 
     A frame holds A = [u^i(0)] and B = [u^i w(0)], i < mx, for an element u
@@ -265,7 +261,7 @@ def _frames(kern: HolKernel, sub: RegularSubgroup, quat: bool) -> list[tuple[lis
     # for each unit k mod mx, 1 first, the orbits of X^k: positions k*i mod mx
     getters = (itemgetter(*(k * i % mx for i in range(mx))) for k in _units(mx))
     pairs = [([bytes(get(a)) for a in orb0], [bytes(get(b)) for b in orbt]) for get in getters]
-    if mx == (4 if quat else 2):
+    if sub.kind.exceptional and sub.kind.s == 1:
         for u in kern.power_list(x, mx, y):
             u_cycles = kern.cycles(u, mx)
             pairs.append((kern.orbit(u_cycles, 0, mx), kern.orbit(u_cycles, kern.trans_index(x), mx)))
@@ -317,7 +313,7 @@ def _additive_pairs(kern: HolKernel, source, frames) -> Iterator[tuple[int, int]
             yield f, j
 
 
-def _class_sizes(kern: HolKernel, kind: TargetKind, seeds: dict[SubgroupKey, Seed]):
+def _class_sizes(kern: HolKernel, seeds: dict[SubgroupKey, Seed]):
     """(orbit size, stabilizer order) of each Aut(N)-class of the seeds, in
     the order of the classes' least seed keys, without listing an orbit.
 
@@ -330,10 +326,9 @@ def _class_sizes(kern: HolKernel, kind: TargetKind, seeds: dict[SubgroupKey, See
     that class's first seed induces an additive φ from its own points.
     """
     total = kern.aut_size
-    quat = kind.family == QUATERNION
     classes: list[tuple[int, list]] = []  # (stabilizer order, frames of the first seed)
     for key in sorted(seeds):
-        frames = _frames(kern, seeds[key][0], quat)
+        frames = _frames(kern, seeds[key][0])
         stab = sum(1 for _ in _additive_pairs(kern, frames[0], frames))
         if total % stab:
             raise InternalConsistencyError(f"stabilizer order {stab} does not divide |Aut(N)| = {total}")
@@ -424,7 +419,7 @@ def _search_cached(group: GroupSpec, kind: TargetKind, method: str) -> SearchRes
     kern = get_kernel(group)
     seeds = _seed_search(kern, kind, _pool_for(kern, method))
     if method == "sylow":
-        return SearchResult.from_orbits(group, kind, (size for size, _ in _class_sizes(kern, kind, seeds)), method)
+        return SearchResult.from_orbits(group, kind, (size for size, _ in _class_sizes(kern, seeds)), method)
     found, classes = _expand_orbits(kern, seeds)
     if len(found) != len(seeds):
         raise InternalConsistencyError("the full scan missed conjugates of what it found")

@@ -1,8 +1,8 @@
 """Oracles on subgroups of Hol(N) that no command runs: the validated
-`HolElement` views of kernel elements and the constructors of pure
-translations and of endomorphism matrices, recognition of a quaternion or
-dihedral subgroup by brute-force witnesses, and the odd-part lifts of
-README "Odd-part lifts".
+`HolElement` views of kernel elements, powers of a `HolElement`, every
+element of a pool, and the constructors of pure translations and of
+endomorphism matrices, recognition of a quaternion or dihedral subgroup by
+brute-force witnesses, and the odd-part lifts of README "Odd-part lifts".
 
 The count paths never build these: the search keeps each subgroup as its
 sorted codes and one (X, Y) witness, and the odd-part reduction transfers
@@ -12,12 +12,13 @@ against definitions.
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import product
 
 from holobrace.abelian import Element, GroupSpec, make_group
 from holobrace.endo import EndoMatrix, identity_aut, make_endo
 from holobrace.errors import InvalidInputError
-from holobrace.holomorph import HolElement
-from holobrace.kernel import HolKernel, KernelElement, get_kernel
+from holobrace.holomorph import HolElement, hol_compose, hol_identity, hol_invert
+from holobrace.kernel import HolKernel, KernelElement, Pool, get_kernel
 from holobrace.presentations import DIHEDRAL, QUATERNION, TargetKind
 from holobrace.regular import RegularSubgroup, _generated
 
@@ -68,6 +69,27 @@ def from_kernel(group: GroupSpec, elem: KernelElement) -> HolElement:
 
 def kernel_invert(kern: HolKernel, x: KernelElement) -> KernelElement:
     return tuple(sp.inverse(a) for sp, a in zip(kern.spaces, x))
+
+
+def hol_power(x: HolElement, k: int) -> HolElement:
+    """x^k by repeated squaring, through validated holomorph elements."""
+    if k < 0:
+        return hol_power(hol_invert(x), -k)
+    acc = hol_identity(x.group)
+    base = x
+    while k:
+        if k & 1:
+            acc = hol_compose(acc, base)
+        base = hol_compose(base, base)
+        k >>= 1
+    return acc
+
+
+def pool_elements(pool: Pool) -> Iterator[KernelElement]:
+    """Every element of the pool multiplied out, in pool order: per
+    component, each automorphism of its block with each translation."""
+    per_component = ([sp.hol_perm(a, v) for a in auts for v in range(sp.m)] for sp, auts in zip(pool.spaces, pool.auts))
+    return product(*per_component)
 
 
 def hol_elements(sub: RegularSubgroup) -> tuple[HolElement, ...]:

@@ -266,7 +266,9 @@ def _matrix_pool(p, exps, cap):
 def test_criterion_8_property_suites():
     """Hillar-Rhea soundness/kernel/unit checks, holomorph identities, brace laws."""
     from holobrace.endo import endo_apply, endo_compose, is_unit, make_endo
-    from holobrace.holomorph import HolElement, exponent_bound, hol_power
+    from holobrace.holomorph import HolElement, exponent_bound
+
+    from subgroup_oracles import hol_power
     from holobrace.endo import enumerate_aut
 
     # matrix model checks for every p-group shape with |N| <= 64, p in {2, 3};

@@ -102,11 +102,13 @@ def test_lambda_reconstructs_subgroup():
 def test_brace_from_non_regular_rejected():
     g = make_group([8])
     kern = get_kernel(g)
-    # duplicate translation parts: not regular
-    elems = [to_kernel(hol_from_translation(g, (v % 4,))) for v in range(8)]
-    sub = _subgroup(kern, parse_kind("q8"), elems, (elems[0], elems[0]))
-    with pytest.raises(InvalidInputError):
-        brace_from_subgroup(sub)
+    translations = [to_kernel(hol_from_translation(g, (v,))) for v in range(8)]
+    inversion = (bytes(kern.spaces[0].neg_idx),)
+    # duplicate translation parts; |N|/2 elements; |N| + 1 elements covering every translation
+    for elems in ([translations[v % 4] for v in range(8)], translations[:4], translations + [inversion]):
+        sub = _subgroup(kern, parse_kind("q8"), elems, (elems[0], elems[0]))
+        with pytest.raises(InvalidInputError):
+            brace_from_subgroup(sub)
 
 
 def test_ybe_trivial_brace_is_flip():

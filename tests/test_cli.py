@@ -205,9 +205,10 @@ def test_usage_errors(capsys):
         assert (code, out) == (EXIT_USAGE, "") and "not positive" in err
     # --structured outside the closed-form families is an input error, like
     # --structured on an odd group or --via-reduction on a 2-group
-    for n, g in (("c4xc4", "q16"), ("c2xc2", "q4")):
+    for n, g in (("c4xc4", "q16"), ("c2xc2", "q4"), ("c3xc4", "q12")):
         code, out, err = run(capsys, "census", "--N", n, "--G", g, "--structured")
         assert (code, out) == (EXIT_USAGE, "") and err.startswith("invalid input: ")
+    assert err == "invalid input: C_3×C_4 is not a 2-group\n"  # the family solver's own refusal
 
 
 @pytest.mark.parametrize(

@@ -16,11 +16,10 @@ from holobrace.holomorph import (
     hol_identity,
     hol_invert,
     hol_order,
-    hol_power,
     order_spectrum,
 )
 
-from subgroup_oracles import hol_from_translation
+from subgroup_oracles import hol_from_translation, hol_power, pool_elements
 
 
 def affine_spectrum_oracle(m):
@@ -142,7 +141,7 @@ def pool_spectrum_oracle(group):
     the lcm of its components' orders (each memoized here)."""
     kern = get_kernel(group)
     orders = [cache(sp.order) for sp in kern.spaces]
-    counts = Counter(lcm(*(o(a) for o, a in zip(orders, x))) for x in kern.full_pool())
+    counts = Counter(lcm(*(o(a) for o, a in zip(orders, x))) for x in pool_elements(kern.full_pool()))
     return dict(sorted(counts.items()))
 
 

@@ -9,8 +9,8 @@ from holobrace.brace import brace_from_subgroup
 import holobrace.oddpart as oddpart
 from holobrace.errors import InternalConsistencyError, InvalidInputError
 from holobrace.kernel import get_kernel
-from holobrace.oddpart import is_exceptional, reduce_counts
-from holobrace.presentations import TargetKind, admissible_types, parse_kind
+from holobrace.oddpart import reduce_counts
+from holobrace.presentations import DIHEDRAL, QUATERNION, TargetKind, admissible_types, parse_kind
 from holobrace.regular import SearchResult, list_regular, search_regular
 
 from family_oracles import kernel_closure
@@ -18,6 +18,7 @@ from subgroup_oracles import (
     TauMap,
     classify_kernel,
     classify_subgroup,
+    cyclic_halves,
     hol_elements,
     kernel_invert,
     semidirect_subgroup,
@@ -341,11 +342,18 @@ def test_reduce_matches_direct_at_s3():
 
 
 def test_exceptional_flags():
-    assert is_exceptional(parse_kind("q24"))
-    assert is_exceptional(parse_kind("d12"))
-    assert not is_exceptional(parse_kind("q48"))
-    assert not is_exceptional(parse_kind("d24"))
-    assert not is_exceptional(parse_kind("q12"))
+    # a kind is exceptional iff its 2-part is Q_8 or C_2×C_2, whatever s is;
+    # a regular H of that 2-part kind then has three cyclic subgroups of
+    # index 2, and otherwise one
+    for family in (QUATERNION, DIHEDRAL):
+        for n in range(2, 6):
+            two_part = TargetKind(family, n, 1)
+            want = two_part.display_name() in ("Q_8", "C_2×C_2")
+            assert [TargetKind(family, n, s).exceptional for s in (1, 3, 5)] == [want] * 3
+            group = next(g for g in admissible_types(n) if search_regular(g, two_part).r)
+            (h_sub, *_), _ = list_regular(group, two_part)
+            halves = list(cyclic_halves(get_kernel(group), h_sub.elements, group.order // 2))
+            assert len(halves) == (3 if want else 1), (family, n)
 
 
 def test_noncyclic_odd_part_gives_zero():

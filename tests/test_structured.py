@@ -15,10 +15,12 @@ from family_oracles import (
 from holobrace import structured
 from holobrace.abelian import make_group
 from holobrace.errors import CapacityError, InvalidInputError
-from holobrace.holomorph import hol_apply, hol_compose, hol_identity, hol_invert, hol_power
+from holobrace.holomorph import hol_apply, hol_compose, hol_identity, hol_invert
 from holobrace.presentations import DIHEDRAL, QUATERNION, TargetKind
 from holobrace.regular import SearchResult, list_regular, search_regular
 from holobrace.structured import StructuredRangeError, solve_family
+
+from subgroup_oracles import hol_power
 
 FAMILIES = (QUATERNION, DIHEDRAL)
 
