@@ -11,6 +11,7 @@ import json
 import sys
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
+from operator import itemgetter
 
 from .abelian import parse_group
 from .brace import BraceTable, brace_from_subgroup, verify_brace, ybe_solution
@@ -175,9 +176,12 @@ def _dump_list(payload: dict, key: str, items: Iterable[Iterable[str]]) -> Itera
 
 
 def _brace_pieces(bt: BraceTable) -> Iterator[str]:
+    """`_dump(bt.to_json())` in pieces, each circ row `_dump(row)` joined
+    from the index strings."""
     payload = bt.to_json()
-    rows = payload.pop("circ")
-    return _dump_list(payload, "circ", ([_dump(row)] for row in rows))
+    strs = list(map(str, range(bt.size)))
+    rows = (["[", ",".join(itemgetter(*row)(strs)), "]"] for row in payload.pop("circ"))
+    return _dump_list(payload, "circ", rows)
 
 
 def _verified_brace(rep) -> BraceTable:

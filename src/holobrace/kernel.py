@@ -46,18 +46,21 @@ class PrimeSpace:
         self.index: dict[Element, int] = {g: i for i, g in enumerate(self.elems)}
         m = self.m
         self._pad = bytes(256 - m)
-        # translation permutations; row v is the perm g -> g + v, where
-        # index(g + v) = sum_j ((g_j + v_j) mod q_j) * stride_j (mixed radix)
-        radix = list(zip(spec.factors, spec.strides))
-        self.add_rows: list[bytes] = [
-            bytes(map(sum, product(*([(a + b) % q * s for a in range(q)] for b, (q, s) in zip(v, radix)))))
-            for v in self.elems
-        ]
-        # row v padded to a translate table, so that p.translate(tab) is v + p
-        self._add_tabs: list[bytes] = [row + self._pad for row in self.add_rows]
-        self.neg_idx: list[int] = [self.index[spec.neg(g)] for g in self.elems]
-        self.orders: list[int] = [spec.element_order(g) for g in self.elems]
         self.identity: bytes = bytes(range(m))
+        # translation permutations; row v is the perm g -> g + v.  As in
+        # `linear_perm`, the rows of k e_j + h, h over the later factors, are
+        # those of (k-1) e_j + h translated by e_j, which rotates each run of
+        # q_j s_j indices by s_j (the stride of e_j)
+        ident, rows = self.identity, [self.identity]
+        for q, s in zip(reversed(spec.factors), reversed(spec.strides)):
+            tab = b"".join(ident[b + s : b + q * s] + ident[b : b + s] for b in range(0, m, q * s)) + self._pad
+            for _ in range(q - 1):
+                rows += [row.translate(tab) for row in rows[-s:]]
+        self.add_rows: list[bytes] = rows
+        # row v padded to a translate table, so that p.translate(tab) is v + p
+        self._add_tabs: list[bytes] = [row + self._pad for row in rows]
+        self.neg_idx: list[int] = [row.index(0) for row in rows]  # -v: the g with g + v = 0
+        self.orders: list[int] = [spec.element_order(g) for g in self.elems]
         self._basis_idx = list(spec.strides)  # e_j sits at index stride_j
         self._aut_perm_memo: dict[EndoMatrix, bytes] = {}
         self._blocks: dict[str, list[bytes]] = {}
@@ -235,7 +238,7 @@ class PrimeSpace:
         return leaders
 
     def cycles_dividing(
-        self, aut_list: list[bytes], mx: int, marking: Container[int] = ()
+        self, aut_list: list[bytes], mx: int, fits: Container[int] | None = None
     ) -> Iterator[tuple[bytes, int, int, int]]:
         """(A, v, c, o) for each x = (A, v), A in `aut_list` and then v in
         N_p, in that order, whose order o divides mx, c the length of its
@@ -244,8 +247,9 @@ class PrimeSpace:
         only for the survivors it keeps.
 
         The generators of <x> with linear part A are the x^k = (A, pts[k mod c]),
-        k a unit mod mx with k = 1 mod order(A).  A cycle whose c is in
-        `marking` marks their points, and a marked v is not walked."""
+        k a unit mod mx with k = 1 mod order(A).  Given `fits`, only the
+        cycles whose c is in it are yielded, each marks their points, and a
+        marked v is not walked."""
         add_rows = self.add_rows
         for a in aut_list:
             order_a = self.order(a)
@@ -261,7 +265,9 @@ class PrimeSpace:
                     cur = row[a[cur]]
                 if cur or mx % c:
                     continue
-                if c in marking:
+                if fits is not None:
+                    if c not in fits:
+                        continue
                     pts = [0]
                     while len(pts) < c:
                         pts.append(row[a[pts[-1]]])
@@ -295,10 +301,8 @@ class HolKernel:
         self.sizes = sizes
         # a component's stride is the group's stride at its last factor
         self.strides = [group.strides[group.prime_slice(p).stop - 1] for p in self.primes]
-        # combined index <-> per-component index tables
-        self.split_tabs: list[list[int]] = []
-        for k in range(len(sizes)):
-            self.split_tabs.append([(i // self.strides[k]) % sizes[k] for i in range(self.n)])
+        # combined index -> per-component index tables, as bytes
+        self.split_tabs: list[bytes] = [bytes((i // st) % m for i in range(self.n)) for st, m in zip(self.strides, sizes)]
         # element (combined residue tuple) index must agree with abelian's
         # lexicographic order: components are contiguous prime slices, so the
         # combined index is the mixed-radix mix of component indices.
@@ -329,11 +333,26 @@ class HolKernel:
         default): each component's cycle, repeated."""
         return list(zip(*(tile(c, count) for c in self.cycles(x, count, start))))
 
-    def orbit(self, cycles: list[list[bytes]], i: int, count: int) -> list[bytes]:
-        """The orbit [i, x(i), ..., x^(count-1)(i)] of the combined index i,
-        read off `cycles(x, count)`: per component, the bytes of the
-        component indices x_p^j(i_p), one lookup per step of the cycle."""
-        return [tile(bytes([c[tab[i]] for c in cycle]), count) for cycle, tab in zip(cycles, self.split_tabs)]
+    def power(self, x: KernelElement, k: int) -> KernelElement:
+        """x^k for k >= 1, by repeated squaring."""
+        if k == 1:
+            return x
+        half = self.power(self.compose(x, x), k // 2)
+        return self.compose(x, half) if k % 2 else half
+
+    def orbit(self, x: KernelElement, i: int, count: int) -> list[bytes]:
+        """The orbit [i, x(i), ..., x^(count-1)(i)] of the combined index i:
+        per component, the bytes of x_p^j(i_p), walked one point at a time
+        until it returns to i_p or has `count` points, repeated (`tile`)."""
+        out = []
+        for a, tab in zip(x, self.split_tabs):
+            pts = [tab[i]]
+            cur = a[pts[0]]
+            while cur != pts[0] and len(pts) < count:
+                pts.append(cur)
+                cur = a[cur]
+            out.append(tile(bytes(pts), count))
+        return out
 
     def combined(self, parts: list[bytes]) -> list[int]:
         """Per-component index sequences, such as an `orbit`, as combined
@@ -347,8 +366,9 @@ class HolKernel:
         return sum(a[0] * s for a, s in zip(x, self.strides))
 
     def images(self, x: KernelElement) -> tuple[int, ...]:
-        """x as a permutation of the combined indices: images(x)[i] = x(i)."""
-        return tuple(map(sum, product(*([v * s for v in a] for a, s in zip(x, self.strides)))))
+        """x as a permutation of the combined indices: images(x)[i] = x(i),
+        the `split_tabs` translated by the x_p and `combined`."""
+        return tuple(self.combined([tab.translate(a + sp._pad) for sp, a, tab in zip(self.spaces, x, self.split_tabs)]))
 
     # -- pools ---------------------------------------------------------------------
 
@@ -425,7 +445,8 @@ class Pool:
         component is filtered alone, the later ones are multiplied out as
         survivors only, and the first (the 2-part, the largest) is streamed
         against them.  A first-component element is built as a permutation
-        only once its cycle length c fits some tail, lcm(c, c_tail) = mx.
+        only once its cycle length c fits some tail, lcm(c, c_tail) = mx;
+        `cycles_dividing` yields no other.
 
         The other generators with linear part A are x^k, k = 1 mod
         order(A): `cycles_dividing` drops their first components, marking
@@ -443,7 +464,7 @@ class Pool:
         fitting = {c: [t for t, ct in tails if lcm(c, ct) == mx] for c in range(1, mx + 1) if mx % c == 0}
         kept: dict[tuple[int, int], list[KernelElement]] = {}  # the tails under x_2, by (c, o)
         leaders = head.cyclic_leaders(self.auts[0], mx)
-        for a, v, c, o in head.cycles_dividing(leaders, mx, [c for c, fits in fitting.items() if fits]):
+        for a, v, c, o in head.cycles_dividing(leaders, mx, [c for c, ts in fitting.items() if ts]):
             ts = kept.get((c, o))
             if ts is None:
                 ts, dropped = kept.setdefault((c, o), []), set()
@@ -455,10 +476,9 @@ class Pool:
                             for k in range(1, mx, o)
                             if gcd(k, mx) == 1
                         )
-            if ts:
-                x = head.hol_perm(a, v)
-                for t in ts:
-                    yield (x,) + t
+            x = head.hol_perm(a, v)
+            for t in ts:
+                yield (x,) + t
 
 
 def _check_scan(total: int, what: Callable[[], str]) -> None:

@@ -103,19 +103,16 @@ def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, tuple[bytes, ...]
     whose other mx points, off its orbit through 0, are one <X>-orbit;
     sources[p] holds the component indices of the orbit of 0, then of the
     orbit of t, the least of those other points, which `_build_y` maps.
-    Each X's cycles are walked once, and both orbits are read off them.
-    The stream yields only X of order mx with mx points through 0, so any
-    other is an internal error: X^mx = 1 iff each component's cycle closes
-    on a length that divides mx."""
+    Both orbits are walked on points (`HolKernel.orbit`).  The stream
+    yields only X of order mx with mx points through 0, so any other is an
+    internal error: X^mx = 1 is tested by repeated squaring."""
     group, _ = pool.name
     kern = get_kernel(group)
     frames = []
     for x in pool.candidates(mx):
-        cycles = kern.cycles(x, mx)
-        at_0 = kern.orbit(cycles, 0, mx)
+        at_0 = kern.orbit(x, 0, mx)
         orb0 = set(kern.combined(at_0))
-        closed = kern.compose(x, tuple(c[-1] for c in cycles)) == kern.identity
-        if len(orb0) != mx or not closed or any(mx % len(c) for c in cycles):
+        if len(orb0) != mx or kern.power(x, mx) != kern.identity:
             # the order walk never ends on a map that is no permutation
             perm = all(bytes(sorted(a)) == sp.identity for sp, a in zip(kern.spaces, x))
             what = f"of order {kern.order(x)}" if perm else "that is no permutation,"
@@ -124,7 +121,7 @@ def _x_scan(pool: Pool, mx: int) -> tuple[tuple[KernelElement, tuple[bytes, ...]
             )
         # the other mx points must be one <X>-orbit, or no Y swaps the two
         t = next(i for i in range(kern.n) if i not in orb0)
-        at_t = kern.orbit(cycles, t, mx)
+        at_t = kern.orbit(x, t, mx)
         if lcm(*map(len, map(set, at_t))) == mx:  # lcm of the cycle lengths of the t_p
             frames.append((x, tuple(map(bytes.__add__, at_0, at_t))))
     return tuple(frames)
@@ -256,15 +253,13 @@ def _frames(kern: HolKernel, sub: RegularSubgroup) -> list[tuple[list[int], list
     """
     x, y = sub.witness
     mx = kern.n // 2
-    cycles = kern.cycles(x, mx)
-    orb0, orbt = kern.orbit(cycles, 0, mx), kern.orbit(cycles, kern.trans_index(y), mx)
+    orb0, orbt = kern.orbit(x, 0, mx), kern.orbit(x, kern.trans_index(y), mx)
     # for each unit k mod mx, 1 first, the orbits of X^k: positions k*i mod mx
     getters = (itemgetter(*(k * i % mx for i in range(mx))) for k in _units(mx))
     pairs = [([bytes(get(a)) for a in orb0], [bytes(get(b)) for b in orbt]) for get in getters]
     if sub.kind.exceptional and sub.kind.s == 1:
         for u in kern.power_list(x, mx, y):
-            u_cycles = kern.cycles(u, mx)
-            pairs.append((kern.orbit(u_cycles, 0, mx), kern.orbit(u_cycles, kern.trans_index(x), mx)))
+            pairs.append((kern.orbit(u, 0, mx), kern.orbit(u, kern.trans_index(x), mx)))
     frames = []
     for a, b in pairs:
         rotations = [[a_p + b_p[j:] + b_p[:j] for j in range(len(set(b_p)))] for a_p, b_p in zip(a, b)]

@@ -18,6 +18,7 @@ from holobrace.brace import (
     verify_brace,
     ybe_solution,
 )
+from holobrace.cli import _brace_pieces, _dump, _dump_list
 from holobrace.errors import InternalConsistencyError, InvalidInputError
 from holobrace.holomorph import hol_apply
 from holobrace.kernel import HolKernel, get_kernel
@@ -347,6 +348,26 @@ def table1_pairs():
         for fam in "qd"
         for two in admissible_types(n)
     ]
+
+
+def export_by_dump(bt):
+    """The export text of `bt`, each circ row written by `_dump(row)`."""
+    payload = bt.to_json()
+    rows = payload.pop("circ")
+    return "".join(_dump_list(payload, "circ", ([_dump(row)] for row in rows)))
+
+
+def test_export_rows_match_the_json_dump_byte_for_byte():
+    # every class brace of table 1, the pairs of the `braces` benchmark
+    # workload, and the trivial brace of C3 x C8 x C11, whose indices reach 263
+    pairs = table1_pairs() + [
+        (parse_group(N), parse_kind(G)) for N, G in [("c2xc32", "q64"), ("c5xc2xc8", "d80"), ("c7xc2xc8", "d112")]
+    ]
+    braces = class_braces(pairs) + [brace_from_subgroup(translation_subgroup([3, 8, 11]))]
+    assert len(braces) == 31 + 3 * 6 + 1
+    for bt in braces:
+        text = "".join(_brace_pieces(bt))
+        assert text == export_by_dump(bt) == bt.dump()
 
 
 def test_checks_agree_with_oracles_on_table1_braces():

@@ -261,6 +261,16 @@ def test_table4_h_is_the_two_part_h_times_s(family):
     assert checked == 160
 
 
+@pytest.mark.parametrize("family", ["quaternion", "dihedral"])
+def test_two_power_census_refuses_a_group_with_an_odd_part(family):
+    # its own 2-group check: C3 x C4 is in no admissible list, which holds
+    # 2-groups only, so without the check it would count as a type-theorem zero
+    from holobrace.counts import two_power_census
+
+    with pytest.raises(InvalidInputError, match="^C_3×C_4 is not a 2-group$"):
+        two_power_census(make_group([3, 4]), family)
+
+
 def test_table4_quaternion_total_n5():
     # total abelian-type HGS on a degree-32 quaternion extension: 9*2^{n-2} = 72
     rep = table4_report(n_max=5, s_values=(1,))

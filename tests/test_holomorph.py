@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import cache
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -213,11 +214,41 @@ def test_encode_is_injective():
     assert len(codes) == 8 * enumerate_aut(g).order
 
 
-@pytest.mark.parametrize("orders", [[2, 2, 2, 2], [2, 64], [3, 8], [7, 2, 8]], ids=str)
+# odd p-groups of rank 1 to 5 with |N_p| up to 243, and mixed ones
+ADD_ROW_ORDERS = [
+    [2, 2, 2, 2], [2, 64], [3, 8], [7, 2, 8],
+    [243], [3, 81], [3, 9, 9], [3, 3, 27], [3, 3, 3, 9], [3, 3, 3, 3, 3],
+    [5, 25], [5, 5, 5], [7, 7], [11, 11], [13], [3, 5, 4],
+]
+
+
+@pytest.mark.parametrize("orders", ADD_ROW_ORDERS, ids=str)
 def test_add_rows_match_group_addition(orders):
+    # the rows are built by translating blocks of rows; the oracle adds
+    # every pair of points with `GroupSpec.add`, and negates with `neg`
     g = make_group(orders)
     spaces = get_kernel(g).spaces
     assert len(spaces) == len(g.primes)
     for sp in spaces:
         spec = sp.spec
         assert sp.add_rows == [bytes(sp.index[spec.add(a, v)] for a in sp.elems) for v in sp.elems]
+        assert sp.neg_idx == [sp.index[spec.neg(e)] for e in sp.elems]
+
+
+def images_by_sums(kern, x):
+    """x as a permutation of the combined indices, one sum per point: the
+    combined index of each product of component images."""
+    return tuple(map(sum, product(*([v * s for v in a] for a, s in zip(x, kern.strides)))))
+
+
+@pytest.mark.parametrize("orders", [[3, 5, 4], [3, 8, 11]], ids=str)
+def test_images_match_the_product_formula(orders):
+    # every element of Hol(N), three components each; C3 x C8 x C11 has
+    # n = 264, past a bytes row
+    kern = get_kernel(make_group(orders))
+    assert len(kern.spaces) == 3
+    checked = 0
+    for x in pool_elements(kern.full_pool()):
+        assert kern.images(x) == images_by_sums(kern, x)
+        checked += 1
+    assert checked == kern.hol_order()

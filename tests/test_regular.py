@@ -8,7 +8,7 @@ from holobrace.abelian import make_group, parse_group
 from holobrace.endo import aut_order, make_endo
 from holobrace.errors import CapacityError, InternalConsistencyError, InvalidInputError
 from holobrace.holomorph import HolElement
-from holobrace.kernel import Pool, PrimeSpace, get_kernel
+from holobrace.kernel import Pool, PrimeSpace, get_kernel, tile
 from holobrace.presentations import admissible_types, parse_kind
 from holobrace.presentations import aut_order as target_aut_order
 from holobrace.regular import (
@@ -480,11 +480,19 @@ def least_generator(sp, a):
     return min(pows[j - 1] for j in range(1, len(pows) + 1) if gcd(j, len(pows)) == 1)
 
 
+def orbit_off_cycles(kern, cycles, i, count):
+    """The orbit [i, x(i), ..., x^(count-1)(i)] of the combined index i read
+    off the power cycles `cycles(x, count)`: per component, the bytes of
+    x_p^j(i_p), one lookup per power x_p^j, repeated (`tile`)."""
+    return [tile(bytes([c[tab[i]] for c in cycle]), count) for cycle, tab in zip(cycles, kern.split_tabs)]
+
+
 def seen_set_x_scan(pool, mx):
     """The X scan with a seen-set, on the oracle's list thinned to the x
     whose 2-part linear part leads its <A>: each x that is a unit power of
     one kept before is dropped, and (x, sources) is kept for the others
-    whose points off the orbit of 0 are one <x>-orbit."""
+    whose points off the orbit of 0 are one <x>-orbit.  Both orbits are
+    read off the power cycles of x, not walked on points."""
     kern = get_kernel(pool.name[0])
     sp = kern.spaces[0]
     units = [k for k in range(1, mx) if gcd(k, mx) == 1]
@@ -496,10 +504,10 @@ def seen_set_x_scan(pool, mx):
         pows = kern.power_list(x, mx)
         seen.update(kern.code(pows[k]) for k in units)
         cycles = kern.cycles(x, mx)
-        at_0 = kern.orbit(cycles, 0, mx)
+        at_0 = orbit_off_cycles(kern, cycles, 0, mx)
         orb0 = set(kern.combined(at_0))
         t = next(i for i in range(kern.n) if i not in orb0)
-        at_t = kern.orbit(cycles, t, mx)
+        at_t = orbit_off_cycles(kern, cycles, t, mx)
         if lcm(*map(len, map(set, at_t))) == mx:
             frames.append((x, tuple(map(bytes.__add__, at_0, at_t))))
     return tuple(frames)
@@ -818,6 +826,23 @@ def test_x_scan_refuses_a_candidate_the_stream_should_not_yield(monkeypatch):
         _x_scan(kern.full_pool(), 8)
 
 
+def test_x_scan_refuses_a_candidate_whose_power_is_not_the_identity(monkeypatch):
+    # C16 has x of order 16 with 8 points through 0: only X^mx = 1, tested
+    # by squaring, tells it from a candidate of order mx = 8
+    kern = get_kernel(parse_group("c16"))
+    pool = kern.full_pool()
+    bad = next(
+        x for x in pool_elements(pool) if kern.order(x) == 16 and len(set(kern.combined(kern.orbit(x, 0, 8)))) == 8
+    )
+    monkeypatch.setattr(Pool, "candidates", lambda p, mx: iter([bad]))
+    _x_scan.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match="order 16 with 8 points through 0, both must be 8"):
+            _x_scan(pool, 8)
+    finally:
+        _x_scan.cache_clear()
+
+
 def test_x_scan_refuses_a_candidate_that_is_no_permutation(monkeypatch):
     # the error names what went wrong without walking to an order that a
     # map which is no permutation never reaches
@@ -875,7 +900,8 @@ def test_power_cycles_match_the_step_by_step_walk(spec):
     # every element x of the full pool: its cycles, repeated, are the powers
     # x^i s walked one compose at a time, for counts below, at and above the
     # order of x, from the identity and from another element s; the orbits
-    # read off them are the walks over images(x)
+    # walked on points are the walks over images(x) and the orbits read
+    # off the cycles; x^k by squaring is the k-th power
     kern = get_kernel(parse_group(spec))
     pool = list(pool_elements(kern.full_pool()))
     for j, x in enumerate(pool):
@@ -888,6 +914,7 @@ def test_power_cycles_match_the_step_by_step_walk(spec):
                 want.append(kern.compose(x, want[-1]))
             for count in counts:
                 assert kern.power_list(x, count, s) == want[:count]
+        assert [kern.power(x, k) for k in range(1, order + 3)] == kern.power_list(x, order + 3)[1:]
         # each component's cycle from s_p, composed until it returns to s_p,
         # has the order of x_p points, in full and cut below the order
         for sp, a, s in zip(kern.spaces, x, start):
@@ -902,25 +929,32 @@ def test_power_cycles_match_the_step_by_step_walk(spec):
         for count in counts:
             cycles = kern.cycles(x, count)
             for i in (0, kern.trans_index(start), kern.n - 1):
-                assert kern.combined(kern.orbit(cycles, i, count)) == walk(img, i, count)
+                orbit = kern.orbit(x, i, count)
+                assert orbit == orbit_off_cycles(kern, cycles, i, count)
+                assert kern.combined(orbit) == walk(img, i, count)
 
 
 def test_a_direct_census_walks_each_power_cycle_once_per_use(monkeypatch):
-    # from cleared memos: the scan walks the cycles of each kept X once, the
-    # kind pass once more for an X with a Y, and the orbit expansion none,
-    # since on the full path every conjugate is already indexed under its X
+    # from cleared memos: the scan walks no power cycle but two point orbits
+    # of each X it is streamed, those of 0 and of t; the kind pass walks the
+    # cycles of an X with a Y once, and the orbit expansion none, since on
+    # the full path every conjugate is already indexed under its X
     from collections import Counter
 
     import holobrace.regular as regular
     from holobrace.counts import census
     from holobrace.kernel import HolKernel
 
-    phase, calls, seeds = [None], [], {}
-    real_cycles = HolKernel.cycles
+    phase, calls, walks, seeds = [None], [], [], {}
+    real_cycles, real_orbit = HolKernel.cycles, HolKernel.orbit
 
     def cycles(kern, x, count, start=None):
         calls.append((phase[-1], kern.code(x), start is None))
         return real_cycles(kern, x, count, start)
+
+    def orbit(kern, x, i, count):
+        walks.append((phase[-1], kern.code(x), i))
+        return real_orbit(kern, x, i, count)
 
     def within(name, fn, keep=None):
         def wrapped(*args):
@@ -938,6 +972,7 @@ def test_a_direct_census_walks_each_power_cycle_once_per_use(monkeypatch):
     regular._search_cached.cache_clear()
     regular._x_scan.cache_clear()
     monkeypatch.setattr(HolKernel, "cycles", cycles)
+    monkeypatch.setattr(HolKernel, "orbit", orbit)
     monkeypatch.setattr(regular, "_x_scan", within("scan", regular._x_scan))
     monkeypatch.setattr(regular, "_seed_search", within("kind", regular._seed_search, seeds))
     monkeypatch.setattr(regular, "_expand_orbits", within("expand", regular._expand_orbits))
@@ -947,8 +982,10 @@ def test_a_direct_census_walks_each_power_cycle_once_per_use(monkeypatch):
     kern = get_kernel(g)
     assert (res.method, res.r) == ("full", len(seeds)) and seeds
     seed_x = {kern.code(sub.witness[0]) for sub, _ in seeds.values()}
-    assert [c for p, c, _ in calls if p == "expand"] == []
-    scan = Counter(c for p, c, _ in calls if p == "scan")
+    assert [c for p, c, _ in calls if p in ("scan", "expand")] == []
     kind = Counter(c for p, c, ident in calls if p == "kind" and ident)
-    assert set(scan.values()) == {1} and set(kind.values()) == {1}
-    assert seed_x <= set(scan) and set(kind) == seed_x
+    assert set(kind.values()) == {1} and set(kind) == seed_x
+    assert {p for p, _, _ in walks} == {"scan"}
+    scan = Counter(c for _, c, _ in walks)
+    assert set(scan.values()) == {2} and seed_x <= set(scan)
+    assert [i for _, _, i in walks[::2]] == [0] * len(scan)
