@@ -211,6 +211,14 @@ _SPEC_BRACKET = re.compile(r"^\[([0-9,\s]*)\]$")
 _SPEC_CFORM = re.compile(r"^c(\d+)(?:xc(\d+))*$")
 
 
+def _parse_decimals(tokens, text: str) -> list[int]:
+    """The spec's decimals; one past Python's int-string digit limit is an input error."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise InvalidInputError(f"spec of {len(text)} characters has a number with too many digits") from None
+
+
 def parse_group(text: str) -> GroupSpec:
     """Parse "c2xc8"-style names or bracketed lists like "[3,2,8]"."""
     squeezed = "".join(text.split()).lower()
@@ -219,9 +227,9 @@ def parse_group(text: str) -> GroupSpec:
         body = m.group(1).strip()
         if not body:
             raise InvalidInputError(f"empty group spec: {text!r}")
-        return make_group([int(tok) for tok in body.split(",") if tok])
+        return make_group(_parse_decimals(filter(None, body.split(",")), text))
     if _SPEC_CFORM.match(squeezed):
-        return make_group([int(tok) for tok in squeezed[1:].split("xc")])
+        return make_group(_parse_decimals(squeezed[1:].split("xc"), text))
     raise InvalidInputError(f"cannot parse group spec {text!r}")
 
 

@@ -12,11 +12,11 @@ the indices such as rho_a = circ[a] (b -> a o b) and tau_b (c -> b + c).
 The brace axioms are checked on generators only (see `brace_violation`):
 associativity for a in a o-generating set G, at most log2 n rows times n,
 and the brace relation for a in G and b in the additive basis, 2 |G| rows
-per factor, building only the translation rows it reads.  The braid
-relation of the YBE solution is certified from the brace (see
-`braid_certificate`): the output table is involutive, sigma_x = lambda_x,
-r preserves o, and lambda is a homomorphism on the o-generators.  That is
-n^2 lookups and at most n log2 n row compositions.
+per factor, building only the translation rows it reads.  A YBE solution
+is two families of rows, sigma and tau, certified from the brace (see
+`braid_certificate`) by four row identities: sigma_x = lambda_x, r
+involutive, r preserving o, and lambda a homomorphism on the o-generators,
+at most n (log2 n + 2) row compositions and no table of n^2 pairs.
 """
 
 from __future__ import annotations
@@ -138,8 +138,9 @@ def brace_violation(bt: BraceTable) -> Optional[tuple]:
     n = bt.size
     circ = bt.circ
     rng = range(n)
+    indices = frozenset(rng)
     for a in rng:
-        if sorted(circ[a]) != list(rng):
+        if len(circ[a]) != n or indices.difference(circ[a]):  # n entries, every index
             return ("row-not-bijective", a)
         if circ[a][0] != a or circ[0][a] != a:
             return ("identity", a)
@@ -171,45 +172,58 @@ def verify_brace(bt: BraceTable) -> bool:
 @dataclass(frozen=True)
 class YbeSolution:
     group: GroupSpec
-    table: tuple[tuple[tuple[int, int], ...], ...]  # r(x, y) as (u, v) pairs
+    sigma: tuple[Row, ...]  # sigma[x][y] = sigma_x(y), the first component of r(x, y)
+    tau: tuple[Row, ...]  # tau[x][y] = tau_y(x), the second
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
-        return self.table[x][y]
+        return self.sigma[x][y], self.tau[x][y]
+
+    @cached_property
+    def table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(map(tuple, map(zip, self.sigma, self.tau)))
 
 
-def braid_certificate(bt: BraceTable, table: tuple[tuple[tuple[int, int], ...], ...]) -> Optional[tuple]:
-    """First failure of the identities that make `table` an involutive, left
-    non-degenerate solution of the braid relation r12 r23 r12 = r23 r12 r23,
-    or None.  `bt` must pass `verify_brace`: o is then a group with identity
-    0 and every lambda_x = tau_{-x} rho_x is a permutation.
+def _inverse(p: Row) -> Row:
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
 
-    `table[x][y]` is r(x, y) = (u, v) = (sigma_x(y), tau_y(x)).  In order:
-    ("involutivity", x, y): r(u, v) != (x, y).  ("sigma-is-lambda", x, y):
-    sigma_x(y) != lambda_x(y), which also makes every sigma_x a permutation.
-    ("preserves-circ", x, y): u o v != x o y.  ("lambda-homomorphism", g, b):
-    lambda_{g o b} != lambda_g lambda_b, for g in `circ_generators(circ)`.
 
-    The set of a with lambda_{a o b} = lambda_a lambda_b for every b contains
-    0 and is closed under o, so it holds all of N once it holds the
-    generators, and its least non-member is a generator (as in
-    `brace_violation`): the failing (g, b) is the first of the full double
-    loop over N^2.  Then sigma_x sigma_y = lambda_{x o y} = lambda_{u o v} =
-    sigma_u sigma_v, which for an involutive, left non-degenerate r is the
-    braid relation on N^3 (Rump's cycle-set identity, Adv. Math. 193, 2005).
-    The checks make |G| n row compositions and no other.
-    """
-    circ = bt.circ
-    lam = bt.lam
-    for x, row in enumerate(table):
-        for y, (u, v) in enumerate(row):
-            if table[u][v] != (x, y):
-                return ("involutivity", x, y)
-    for x, row in enumerate(table):
-        if tuple(u for u, _ in row) != lam[x]:
-            return ("sigma-is-lambda", x, next(y for y, (u, _) in enumerate(row) if u != lam[x][y]))
-    for x, row in enumerate(table):
-        if tuple(circ[u][v] for u, v in row) != circ[x]:
-            return ("preserves-circ", x, next(y for y, (u, v) in enumerate(row) if circ[u][v] != circ[x][y]))
+def braid_certificate(bt: BraceTable, sigma: tuple[Row, ...], tau: tuple[Row, ...]) -> Optional[tuple]:
+    """First failure of the identities that make r(x, y) = (sigma[x][y],
+    tau[x][y]) an involutive, left non-degenerate solution of the braid
+    relation r12 r23 r12 = r23 r12 r23, or None.  `bt` must pass
+    `verify_brace`, so o is a group and every lambda_x a permutation.  With
+    u = lambda_x(y), lt_x(u) = lambda_u^-1(x) and m_x = rho_x lambda_x^-1,
+    one row identity per x, each named by its first failing (x, y), in order:
+    ("sigma-is-lambda", x, y): sigma_x != lambda_x (so sigma_x permutes N).
+    ("involutivity", x, y): tau[x] != lt_x lambda_x.  ("preserves-circ", x,
+    y): m_x(u) != m_u(x).  ("lambda-homomorphism", g, b): lambda_{g o b} !=
+    lambda_g lambda_b, g in `circ_generators(circ)`.
+
+    Each is its entrywise identity on all of N^2.  Given sigma = lambda and
+    v = tau[x][y], r(u, v) starts with lambda_u(v), which is x iff v =
+    lt_x(u); it then ends with tau[u][v] = lt_u(x) = lambda_x^-1(u) = y.
+    Given involutivity, u o v = m_u(x) and x o y = m_x(u), and u runs over N
+    as y does.  The a with lambda_{a o b} = lambda_a lambda_b for every b
+    contain 0 and are closed under o, so, as in `brace_violation`, they are
+    N once they hold G, and the first failure is that of the full loop.  Then
+    sigma_x sigma_y = lambda_{x o y} = lambda_{u o v} = sigma_u sigma_v, for
+    involutive, left non-degenerate r the braid relation on N^3 (Rump's
+    cycle-set identity, Adv. Math. 193, 2005).  (|G| + 2) n row compositions."""
+    circ, lam = bt.circ, bt.lam
+    inv = tuple(map(_inverse, lam))
+    m = tuple(map(_compose, circ, inv))
+    same = [range(bt.size)] * bt.size
+    for name, got, want, at in (
+        ("sigma-is-lambda", sigma, lam, same),
+        ("involutivity", tau, map(_compose, zip(*inv), lam), same),
+        ("preserves-circ", m, zip(*m), lam),  # entry (x, y) at u = lambda_x(y)
+    ):
+        for x, (row, want_x) in enumerate(zip(got, want)):
+            if row != want_x:
+                return (name, x, next(y for y, u in enumerate(at[x]) if row[u] != want_x[u]))
     for g in circ_generators(circ):
         lam_g, rho_g = lam[g], circ[g]
         for b, lam_b in enumerate(lam):
@@ -219,23 +233,16 @@ def braid_certificate(bt: BraceTable, table: tuple[tuple[tuple[int, int], ...], 
 
 
 def ybe_solution(bt: BraceTable) -> YbeSolution:
-    """The involutive solution r(x, y) = (lambda_x(y), lambda_x(y)^' o x o y).
-
-    (' is inverse in (N, o).)  Involutivity, left non-degeneracy and the
-    braid relation are certified by `braid_certificate`; failure raises
-    InternalConsistencyError since the brace construction guarantees them.
-    A finite involutive left non-degenerate solution is right non-degenerate
-    too (Rump, Adv. Math. 193, 2005).
-    """
+    """The involutive solution r(x, y) = (u, lambda_u^-1(x)) = (u, u' o x o y)
+    for u = lambda_x(y) (' inverse in (N, o)): tau[x] = lt_x lambda_x, lt the
+    transpose of the inverse rows, certified by `braid_certificate` (a failure
+    raises InternalConsistencyError: the brace guarantees it).  A finite
+    involutive left non-degenerate solution is right non-degenerate too (Rump,
+    Adv. Math. 193, 2005)."""
     if not verify_brace(bt):
         raise InvalidInputError("not a brace table")
-    n = bt.size
-    circ = bt.circ
-    inv = [row.index(0) for row in circ]  # a' with a o a' = 0 = a' o a
-    table = tuple(
-        tuple((u, circ[inv[u]][xy]) for u, xy in zip(bt.lam[x], circ[x])) for x in range(n)
-    )
-    bad = braid_certificate(bt, table)
+    tau = tuple(map(_compose, zip(*map(_inverse, bt.lam)), bt.lam))
+    bad = braid_certificate(bt, bt.lam, tau)
     if bad is not None:
         raise InternalConsistencyError(f"{bad[0]} fails at {bad[1:]}")
-    return YbeSolution(bt.group, table)
+    return YbeSolution(bt.group, bt.lam, tau)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .abelian import GroupSpec, _factorize, make_group
+from .abelian import GroupSpec, _factorize, make_group, _parse_decimals
 from .errors import InvalidInputError
 
 QUATERNION = "quaternion"
@@ -72,7 +72,7 @@ def parse_kind(text: str) -> TargetKind:
     t = text.strip().lower()
     if len(t) < 2 or t[0] not in "qd" or not t[1:].isdigit():
         raise InvalidInputError(f"cannot parse target kind {text!r}")
-    return _kind_of_order(QUATERNION if t[0] == "q" else DIHEDRAL, int(t[1:]))
+    return _kind_of_order(QUATERNION if t[0] == "q" else DIHEDRAL, *_parse_decimals([t[1:]], text))
 
 
 def aut_order(kind: TargetKind) -> int:

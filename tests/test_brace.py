@@ -324,12 +324,55 @@ def ybe_violation_full(table):
     return None
 
 
+def braid_certificate_by_entries(bt, table):
+    """`braid_certificate` on a table of (u, v) pairs, each identity checked
+    entry by entry, in its former order: ("involutivity", x, y): r(u, v) !=
+    (x, y).  ("sigma-is-lambda", x, y): sigma_x(y) != lambda_x(y).
+    ("preserves-circ", x, y): u o v != x o y.  ("lambda-homomorphism", g, b):
+    as in `braid_certificate`."""
+    circ = bt.circ
+    lam = bt.lam
+    for x, row in enumerate(table):
+        for y, (u, v) in enumerate(row):
+            if table[u][v] != (x, y):
+                return ("involutivity", x, y)
+    for x, row in enumerate(table):
+        if tuple(u for u, _ in row) != lam[x]:
+            return ("sigma-is-lambda", x, next(y for y, (u, _) in enumerate(row) if u != lam[x][y]))
+    for x, row in enumerate(table):
+        if tuple(circ[u][v] for u, v in row) != circ[x]:
+            return ("preserves-circ", x, next(y for y, (u, v) in enumerate(row) if circ[u][v] != circ[x][y]))
+    for g in circ_generators(circ):
+        lam_g, rho_g = lam[g], circ[g]
+        for b, lam_b in enumerate(lam):
+            if lam[rho_g[b]] != brace._compose(lam_g, lam_b):
+                return ("lambda-homomorphism", g, b)
+    return None
+
+
+def split_rows(table):
+    """(sigma, tau) rows of a table of (u, v) pairs, the arguments of
+    `braid_certificate`."""
+    return tuple(tuple(u for u, _ in row) for row in table), tuple(tuple(v for _, v in row) for row in table)
+
+
+def pair_formula_table(bt):
+    """r(x, y) = (u, u' o (x o y)) with u = lambda_x(y), one pair at a time."""
+    circ = bt.circ
+    inv = [row.index(0) for row in circ]  # a' with a o a' = 0 = a' o a
+    return tuple(
+        tuple((u, circ[inv[u]][xy]) for u, xy in zip(bt.lam[x], circ[x])) for x in range(bt.size)
+    )
+
+
 def assert_checks_agree(bt):
     """The fast checks and the oracles give the same verdicts on bt."""
     ref = brace_violation_reference(bt)
     assert brace_violation(bt) == (ref and ref[:3])
     if ref is None:
         table = ybe_solution(bt).table  # passes `braid_certificate`
+        assert table == pair_formula_table(bt)
+        assert braid_certificate_by_entries(bt, table) is None
         assert ybe_violation(table) == ybe_violation_full(table) == ybe_violation_reference(table) is None
 
 
@@ -557,7 +600,9 @@ def test_corrupted_ybe_pair_is_rejected():
     fast, ref = ybe_violation(bad), ybe_violation_reference(bad)
     assert fast is not None and ref is not None and fast[0] == ref[0]
     assert fast == ybe_violation_full(bad)
-    assert braid_certificate(d16_brace(), bad) == ("involutivity", 3, 5)
+    # sigma_3(5) changed too: the rows check sigma = lambda first
+    assert braid_certificate(d16_brace(), *split_rows(bad)) == ("sigma-is-lambda", 3, 5)
+    assert braid_certificate_by_entries(d16_brace(), bad) == ("involutivity", 3, 5)
 
 
 def involutive_table(sigma):
@@ -586,7 +631,9 @@ def test_cycle_set_identity_is_the_braid_relation_on_three_points():
 
 def test_braid_certificate_composes_rows_only_on_the_generators(monkeypatch):
     # n = 112: the check once per orbit of r made about n^2 = 12,544 row
-    # compositions per brace; the certificate makes n per o-generator
+    # compositions per brace; the certificate makes n per o-generator, and n
+    # each for involutivity and for r preserving o; the solution builds its
+    # tau rows with n more
     group, kind = parse_group("c7xc2xc8"), parse_kind("d112")
     braces = class_braces([(group, kind)])
     n = group.order
@@ -604,7 +651,10 @@ def test_braid_certificate_composes_rows_only_on_the_generators(monkeypatch):
         ok, verified = count(verify_brace, bt)
         assert ok
         sol, solved = count(ybe_solution, bt)  # verifies the brace again
-        assert 0 < solved - verified <= len(circ_generators(bt.circ)) * n
+        gens = len(circ_generators(bt.circ))
+        assert 0 < solved - verified <= (gens + 3) * n
+        cert, certified = count(braid_certificate, bt, sol.sigma, sol.tau)
+        assert cert is None and 0 < certified <= (gens + 2) * n
         assert ybe_violation_full(sol.table) is None
 
 
@@ -623,7 +673,7 @@ def d16_table():
 def assert_certificate_is_sound(table):
     """The certificate of the D16 brace passes exactly its own solution
     table, and never a table the full braid loop rejects."""
-    cert = braid_certificate(d16_brace(), table)
+    cert = braid_certificate(d16_brace(), *split_rows(table))
     assert (cert is None) == (table == d16_table())
     assert cert is not None or ybe_violation_full(table) is None
 
@@ -690,18 +740,107 @@ def test_braid_certificate_is_sound_on_transposed_sigma_rows(swap):
     assert_certificate_is_sound(involutive_table(sigma))
 
 
+@cache
+def certified_braces():
+    """The D16 brace and the 18 class braces of the `braces` benchmark pairs,
+    each with its solution table."""
+    pairs = [(parse_group(N), parse_kind(G)) for N, G in [("c2xc32", "q64"), ("c5xc2xc8", "d80"), ("c7xc2xc8", "d112")]]
+    braces = [d16_brace()] + class_braces(pairs)
+    assert len(braces) == 1 + 3 * 6
+    return tuple((bt, ybe_solution(bt).table) for bt in braces)
+
+
+def brace_and_points(k):
+    """An index into `certified_braces()` and k points of that brace."""
+    return st.integers(0, 18).flatmap(
+        lambda i: st.tuples(st.just(i), *[st.integers(0, certified_braces()[i][0].size - 1)] * k)
+    )
+
+
+def assert_verdicts_agree(bt, table):
+    """The row certificate fails iff the entrywise one does.  Past the first
+    two identities both name the same failure: given sigma = lambda and
+    involutivity, the n^2 entries of each later identity are the same."""
+    cert, by_entries = braid_certificate(bt, *split_rows(table)), braid_certificate_by_entries(bt, table)
+    assert (cert is None) == (by_entries is None)
+    if cert is not None and cert[0] in ("preserves-circ", "lambda-homomorphism"):
+        assert cert == by_entries
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(brace_and_points(4))
+def test_row_certificate_agrees_with_the_entries_on_a_changed_entry(entry):
+    i, x, y, u, v = entry
+    bt, table = certified_braces()[i]
+    bad = [list(row) for row in table]
+    bad[x][y] = (u, v)
+    assert_verdicts_agree(bt, tuple(map(tuple, bad)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(brace_and_points(3))
+def test_row_certificate_agrees_with_the_entries_on_a_transposed_sigma_row(swap):
+    i, x, a, b = swap
+    bt, table = certified_braces()[i]
+    sigma = [[u for u, _ in row] for row in table]
+    sigma[x][a], sigma[x][b] = sigma[x][b], sigma[x][a]
+    assert_verdicts_agree(bt, involutive_table(sigma))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(brace_and_points(4))
+def test_row_certificate_agrees_with_the_entries_on_two_swapped_tau_entries(swap):
+    i, x, a, y, b = swap
+    bt, table = certified_braces()[i]
+    bad = [list(row) for row in table]
+    (u, v), (u2, v2) = bad[x][a], bad[y][b]
+    bad[x][a], bad[y][b] = (u, v2), (u2, v)
+    assert_verdicts_agree(bt, tuple(map(tuple, bad)))
+
+
+def test_row_certificate_names_the_entrywise_failure_past_involutivity():
+    # a stale lambda row on each brace: sigma = lambda and r involutive by
+    # construction, so both certificates name the same first failing pair
+    for bt, table in certified_braces():
+        sigma = [list(row) for row in bt.lam]
+        x = bt.size // 2
+        sigma[x][1], sigma[x][2] = sigma[x][2], sigma[x][1]
+        stale = BraceTable(bt.group, bt.circ)
+        stale.__dict__["lam"] = tuple(map(tuple, sigma))
+        bad = involutive_table(sigma)
+        cert = braid_certificate(stale, *split_rows(bad))
+        assert cert is not None and cert[0] == "preserves-circ"
+        assert cert == braid_certificate_by_entries(stale, bad)
+
+
+def test_solution_rows_match_the_pair_formula():
+    # tau[x][y] = lambda_u^-1(x) is the v = u' o (x o y) of the pair formula
+    for bt, table in certified_braces():
+        assert table == pair_formula_table(bt)
+        sol = ybe_solution(bt)
+        assert all(sol.apply(x, y) == pair for x, row in enumerate(table) for y, pair in enumerate(row))
+
+
 def test_braid_certificate_names_each_identity():
     bt, table = d16_brace(), d16_table()
-    assert braid_certificate(bt, table) is None
+    assert braid_certificate(bt, *split_rows(table)) is None
     # sigma_3 with two entries swapped, tau rebuilt so that r stays involutive
     sigma = [[u for u, _ in row] for row in table]
     sigma[3][4], sigma[3][6] = sigma[3][6], sigma[3][4]
-    assert braid_certificate(bt, involutive_table(sigma)) == ("sigma-is-lambda", 3, 4)
+    assert braid_certificate(bt, *split_rows(involutive_table(sigma))) == ("sigma-is-lambda", 3, 4)
+    # two entries of tau swapped: sigma = lambda, but r(r(3, 4)) != (3, 4)
+    lam, tau = split_rows(table)
+    tau = [list(row) for row in tau]
+    tau[3][4], tau[3][5] = tau[3][5], tau[3][4]
+    assert tau[3][4] != tau[3][5]
+    assert braid_certificate(bt, lam, tuple(map(tuple, tau))) == ("involutivity", 3, 4)
     # the same swap in lambda_3 itself: sigma = lambda again, but r no longer
     # preserves o (lambda is derived from circ, so only a stale row can do this)
     stale = BraceTable(bt.group, bt.circ)
     stale.__dict__["lam"] = tuple(map(tuple, sigma))
-    assert braid_certificate(stale, involutive_table(sigma))[0] == "preserves-circ"
+    bad = involutive_table(sigma)
+    cert = braid_certificate(stale, *split_rows(bad))
+    assert cert[0] == "preserves-circ" and cert == braid_certificate_by_entries(stale, bad)
 
 
 def first_non_homomorphic_pair(bt):

@@ -7,7 +7,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holobrace.abelian import make_group
 from holobrace.cli import EXIT_CAPACITY, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
@@ -559,6 +559,22 @@ def test_ybe_check_right_nondegeneracy_holds_by_the_column_sort(capsys, monkeypa
     assert checked == [{"left_nondegenerate": True, "right_nondegenerate": True}] * len(solutions)
 
 
+def test_ybe_check_never_builds_the_pair_table(capsys, monkeypatch):
+    # the certificate reads the sigma and tau rows; the n^2 (u, v) pairs are
+    # built only where a test reads `table`
+    import holobrace.brace as brace
+
+    built = []
+    monkeypatch.setattr(brace.YbeSolution, "table", property(lambda sol: built.append(sol)))
+    for pair in [("c2xc32", "q64"), ("c5xc2xc8", "d80"), ("c7xc2xc8", "d112"), ("c2xc4", "d8")]:
+        code, out, _ = run(capsys, "ybe-check", "--N", pair[0], "--G", pair[1])
+        assert code == EXIT_OK and json.loads(out)["braces_checked"] > 0
+    assert built == []
+    # the spy sees a read of the table
+    brace.ybe_solution(brace.BraceTable(make_group([4]), ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)))).table
+    assert len(built) == 1
+
+
 def test_brace_export_verifies_each_brace_before_its_rows(capsys, monkeypatch):
     import holobrace.brace as brace
 
@@ -627,8 +643,18 @@ def _census_argv(draw):
     return ["census", "--N", group, "--G", target]
 
 
+# decimals past Python's 4300-digit int-string limit, in each place a spec
+# holds one
+_NINES = "9" * 5000
+_LONG_SPECS = [("c" + _NINES, "q4"), (f"[{_NINES}]", "q4"), (f"[2,{_NINES}]", "d8"), ("c4", "q" + _NINES)]
+
+
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
 @given(_census_argv(), _CAPS, _CAPS)
+@example(["census", "--N", _LONG_SPECS[0][0], "--G", _LONG_SPECS[0][1]], None, None)
+@example(["census", "--N", _LONG_SPECS[1][0], "--G", _LONG_SPECS[1][1]], None, None)
+@example(["census", "--N", _LONG_SPECS[2][0], "--G", _LONG_SPECS[2][1]], None, None)
+@example(["census", "--N", _LONG_SPECS[3][0], "--G", _LONG_SPECS[3][1]], None, None)
 def test_census_fuzz_exits_with_a_documented_code(argv, cap, hol_cap):
     """Any spec, target and cap values end in exit 0, 1 or 3; nothing escapes main."""
     with pytest.MonkeyPatch.context() as mp:
@@ -640,3 +666,11 @@ def test_census_fuzz_exits_with_a_documented_code(argv, cap, hol_cap):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAPACITY), (argv, cap, hol_cap)
+
+
+@pytest.mark.parametrize("spec", _LONG_SPECS, ids=["c-form", "bracket", "bracket-list", "target"])
+def test_a_decimal_past_the_digit_limit_is_an_input_error(capsys, spec):
+    code, out, err = run(capsys, "census", "--N", spec[0], "--G", spec[1])
+    length = max(map(len, spec))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"invalid input: spec of {length} characters has a number with too many digits\n"
