@@ -45,6 +45,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _digit_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 where Python has no limit
+
+
+def _int_flag(text: str) -> int:
+    """`int(text)`; a value longer than Python's int-string digit limit is
+    named by the limit, not echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = _digit_limit()
+        why = f"is longer than the {limit}-digit limit" if 0 < limit < len(text) else f"invalid int value: {text!r}"
+        raise argparse.ArgumentTypeError(why) from None
+
+
 def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -111,12 +126,8 @@ def _cmd_spectrum(args) -> int:
 def _report_for(which: int, n_max: int, s: int) -> CountReport:
     if which == 1:
         return table1_report()
-    svals = (1, s) if s != 1 else (1,)
-    if which == 3:
-        return table3_report(n_max, svals)
-    if which == 4:
-        return table4_report(n_max, svals)
-    raise InvalidInputError(f"no table {which}")
+    # argparse admits tables 1, 3 and 4 only
+    return (table3_report if which == 3 else table4_report)(n_max, (1, s) if s != 1 else (1,))
 
 
 def _cmd_tables(args) -> int:
@@ -129,11 +140,15 @@ def _cmd_tables(args) -> int:
         raise _UsageError(f"--n-max {n_max} leaves the table empty; it must be at least 2")
     if args.s is not None and (args.s < 1 or args.s % 2 == 0):
         raise _UsageError(f"--s {args.s} is not an odd part of |G|; it must be an odd integer at least 1")
+    s, limit = 3 if args.s is None else args.s, _digit_limit()
+    # 2^n_max * s, the largest order a row prints; past 4 * limit bits it is past 10^limit
+    if limit and (n_max + s.bit_length() > 4 * limit or s << n_max >= 10**limit):
+        raise _UsageError(f"--n-max and --s: 2^n_max * s, the largest order a row prints, has over {limit} digits")
     expected = None
     if args.golden:
         with _open(args.golden, "r") as fh:
             expected = fh.read()
-    report = _report_for(args.which, n_max, 3 if args.s is None else args.s)
+    report = _report_for(args.which, n_max, s)
     if args.format == "csv":
         text = report.to_csv()
     elif args.format == "json":
@@ -264,15 +279,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("tables", help="reproduce the counting tables")
-    p.add_argument("--which", type=int, required=True, choices=(1, 3, 4))
-    p.add_argument("--n-max", type=int, help="tables 3 and 4 only (default 5)")
-    p.add_argument("--s", type=int, help="tables 3 and 4 only (default 3)")
+    p.add_argument("--which", type=_int_flag, required=True, choices=(1, 3, 4))
+    p.add_argument("--n-max", type=_int_flag, help="tables 3 and 4 only (default 5)")
+    p.add_argument("--s", type=_int_flag, help="tables 3 and 4 only (default 3)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--golden", help="diff the text output against this file")
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("verify-conjecture", help="closed forms vs computed censuses")
-    p.add_argument("--m-max", type=int, default=8)
+    p.add_argument("--m-max", type=_int_flag, default=8)
     p.set_defaults(func=_cmd_verify_conjecture)
 
     p = sub.add_parser("brace-export", help="export class-representative braces as JSON")

@@ -12,9 +12,7 @@ from .errors import InvalidInputError
 
 # Automorphisms per prime block of Aut(N) or of its Sylow subgroup (element
 # pools, `spectrum` and its `--dump-aut`), compared with the closed-form size
-# before the block is built or looked up; also the points of N that a family
-# solver walks, 2^n per fundamental pair: 2^n for C_{2^n} and 2^(n+3) for
-# C_2 x C_{2^(n-1)}.
+# before the block is built or looked up.
 DEFAULT_AUT_CANDIDATE_CAP = 1 << 21
 
 # Above this many elements Hol(N) is not scanned in full; searches fall back

@@ -5,11 +5,11 @@ relations collapse to small congruence systems in a normal form, whose
 solutions, the fundamental pairs, are written down in closed form: one for
 C_{2^n}, eight for C_2 x C_{2^{n-1}}.  They meet every Aut(N)-orbit of
 regular subgroups without scanning Hol(N).  One memoized routine checks
-each pair regular by walking the 2^n points of N, then walks the orbits.  A
-subgroup is never closed: it is kept as one witness pair (X, Y), whose
-Aut(N)-orbit is walked by membership tests in the cyclic <X>, each read off
-X^d = τ_w (d the order of X's linear part) with one modular solve, so
-(r, c) and the class sizes are computed rather than quoted.
+each pair regular in closed form, then walks the orbits.  A subgroup is
+never closed: it is kept as one witness pair (X, Y), whose Aut(N)-orbit is
+walked by membership tests in the cyclic <X>, each read off X^d = τ_w (d
+the order of X's linear part) with one modular solve, so (r, c) and the
+class sizes are computed rather than quoted.
 
 The loops run on plain-integer affine maps in the form of `HolElement.encode()`
 (row i reduced mod the i-th factor) and build no `HolElement`.
@@ -20,10 +20,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from . import config
 from .abelian import GroupSpec, reach
 from .endo import aut_generators, aut_invert, aut_order
-from .errors import CapacityError, InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError
 from .presentations import QUATERNION, TargetKind, family_types
 from .regular import SearchResult
 
@@ -55,33 +54,6 @@ def _identity(mods: tuple[int, ...]):
     return ((1,), (0,)) if len(mods) == 1 else ((1, 0, 0, 1), (0, 0))
 
 
-def _mark_orbit(marks: bytearray, x, start: tuple[int, ...], steps: int, mods: tuple[int, ...]) -> bool:
-    """Mark the points X^i(start), i < steps; False if one was marked already.
-    C_m is walked as C_1 x C_m; the point (p0, p1) of C_2 x C_m is p0 * m + p1."""
-    if len(mods) == 1:
-        x, start, mods = ((0, 0, 0, x[0][0]), (0, x[1][0])), (0, start[0]), (1, mods[0])
-    ((a0, a1, a2, a3), (v0, v1)), (lo, hi), (p0, p1) = x, mods, start
-    for _ in range(steps):
-        if marks[p0 * hi + p1]:
-            return False
-        marks[p0 * hi + p1] = 1
-        p0, p1 = (a0 * p0 + a1 * p1 + v0) % lo, (a2 * p0 + a3 * p1 + v1) % hi
-    return True
-
-
-def _presents(x, y, k: int, quat: bool, mods: tuple[int, ...]) -> bool:
-    """X^(2^k) = 1, Y^2 = X^(2^(k-1)) (Q) or 1 (D) and XYX = Y: then
-    <X, Y> = {X^i Y^e} is a quotient of Q or D of order 2^(k+1)."""
-    z, ident = x, _identity(mods)
-    for _ in range(k - 1):
-        z = _compose(z, z, mods)
-    return (
-        _compose(z, z, mods) == ident
-        and _compose(y, y, mods) == (z if quat else ident)
-        and _compose(_compose(x, y, mods), x, mods) == y
-    )
-
-
 def _in_span(u: tuple[int, ...], w: tuple[int, ...], mods: tuple[int, ...]) -> bool:
     """Whether the point u lies in the cyclic subgroup <w> of N: j w = u is
     solved in the last factor, j = j0 mod step, and on C_2 x C_m then
@@ -103,6 +75,28 @@ def _translation_power(x, mods: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     while p[0] != ident:
         p, d = _compose(x, p, mods), d + 1
     return d, p[1]
+
+
+def _regular(x, y, k: int, quat: bool, mods: tuple[int, ...]) -> bool:
+    """Whether <X, Y> is regular on N of order 2^(k+1): the relations bound
+    |<X, Y>| by 2^(k+1), z = X^(2^(k-1)) moving 0 makes |<X>0| = 2^k, and
+    <X>Y(0), as large, misses <X>0 = {X^r(0) + <w> : r < d}, X^d = τ_w."""
+    z, ident = x, _identity(mods)
+    for _ in range(k - 1):
+        z = _compose(z, z, mods)
+    relations = (
+        _compose(z, z, mods) == ident
+        and _compose(y, y, mods) == (z if quat else ident)
+        and _compose(_compose(x, y, mods), x, mods) == y
+    )
+    if not (relations and any(z[1])):
+        return False
+    (d, w), p = _translation_power(x, mods), ident
+    for _ in range(d):
+        if _in_span(tuple((ui - pi) % m for ui, pi, m in zip(y[1], p[1], mods)), w, mods):
+            return False
+        p = _compose(x, p, mods)
+    return True
 
 
 def _member(g, x, d: int, w: tuple[int, ...], mods: tuple[int, ...]) -> bool:
@@ -192,21 +186,18 @@ def _rank2_pairs(n: int, family: str) -> tuple:
 _FAMILIES = ((_cyclic_pairs, "cyclic", 4), (_rank2_pairs, "rank-2", 5))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _solved(group: GroupSpec, family: str) -> tuple:
     """(the fundamental pairs, one (X, Y) per subgroup, orbit by orbit, the
     sorted orbit sizes) for a family group, once `solve_family` has admitted
     it, memoized on (N, family); each (X, Y) two plain-integer encodings.
 
-    Each pair must present Q or D of order 2^n, and X must walk the 2^n
-    points of N as the orbits of 0 and of Y(0), so <X, Y> is regular.
+    Each pair must pass `_regular`, in O(n + d) compositions.
     """
-    mods, n, half = group.factors, group.two_adic, group.order >> 1
+    mods, n = group.factors, group.two_adic
     pairs = _FAMILIES[len(mods) - 1][0](n, family)
     for x, y in pairs:
-        marks = bytearray(group.order)
-        walks = _mark_orbit(marks, x, (0,) * len(mods), half, mods) and _mark_orbit(marks, x, y[1], half, mods)
-        if not (walks and _presents(x, y, n - 1, family == QUATERNION, mods)):
+        if not _regular(x, y, n - 1, family == QUATERNION, mods):
             raise InternalConsistencyError(f"fundamental pair {(x, y)} is not regular")
     return pairs, *_classes(pairs, group)
 
@@ -214,20 +205,15 @@ def _solved(group: GroupSpec, family: str) -> tuple:
 def solve_family(group: GroupSpec, family: str) -> SearchResult:
     """The census of a family pair from its fundamental pairs.  Before the
     memo answers, refuses N outside the families or n below their range
-    (StructuredRangeError), an unknown family, and more points to walk, 2^n
-    per fundamental pair, than `config.aut_candidate_cap()` allows
-    (CapacityError)."""
+    (StructuredRangeError) and an unknown family."""
     n = group.two_adic
     if group.odd_order != 1:
         raise InvalidInputError(f"{group} is not a 2-group")
     types = family_types(n) if n >= 2 else ()
     if group not in types:
         raise StructuredRangeError(f"{group} is not one of the structured families")
-    pairs, name, least = _FAMILIES[types.index(group)]
+    _, name, least = _FAMILIES[types.index(group)]
     if n < least:
         raise StructuredRangeError(f"{name} solver needs n >= {least}, got {n}")
     kind = TargetKind(family, n, 1)  # an unknown family is an input error
-    needed, cap = len(pairs(n, family)) << n, config.aut_candidate_cap()
-    if needed > cap:
-        raise CapacityError(f"{name} family solver at n={n}: too many points to walk", needed=needed, cap=cap)
     return SearchResult.from_orbits(group, kind, _solved(group, family)[2], "structured")

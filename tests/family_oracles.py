@@ -4,7 +4,8 @@ solvers in `holobrace.structured` redone by closure.  `solved` reads the
 fundamental pairs and witnesses from the solvers' private memo, which
 `solve_family` reduces to a `SearchResult`.  `cyclic_normal_form_pairs` and
 `rank2_alpha_loop_pairs` are the searches that the closed-form fundamental
-pairs replaced.
+pairs replaced, and `walk_regular` the walk over the 2^n points of N that
+the closed-form regularity test replaced.
 
 The family oracles close every candidate subgroup into a frozenset of
 plain-integer encodings (the form of `HolElement.encode()`), filter the
@@ -16,6 +17,7 @@ no budget: keep n small.  `in_cyclic` is a membership test in a cyclic
 """
 
 from dataclasses import dataclass
+from math import prod
 
 from holobrace.abelian import GroupSpec, make_group, reach
 from holobrace.endo import aut_generators, aut_order, make_endo
@@ -203,6 +205,32 @@ def presents(x, y, n, family, mods):
         compose(z, z, mods) == ident
         and compose(y, y, mods) == y_squared
         and compose(compose(x, y, mods), x, mods) == y
+    )
+
+
+def mark_orbit(marks, x, start, steps, mods):
+    """Mark the points X^i(start), i < steps; False if one was marked already.
+    C_m is walked as C_1 x C_m; the point (p0, p1) of C_2 x C_m is p0 * m + p1."""
+    if len(mods) == 1:
+        x, start, mods = ((0, 0, 0, x[0][0]), (0, x[1][0])), (0, start[0]), (1, mods[0])
+    ((a0, a1, a2, a3), (v0, v1)), (lo, hi), (p0, p1) = x, mods, start
+    for _ in range(steps):
+        if marks[p0 * hi + p1]:
+            return False
+        marks[p0 * hi + p1] = 1
+        p0, p1 = (a0 * p0 + a1 * p1 + v0) % lo, (a2 * p0 + a3 * p1 + v1) % hi
+    return True
+
+
+def walk_regular(x, y, n, family, mods):
+    """The regularity test that `structured._regular` replaced: (X, Y)
+    presents Q or D of order 2^n, and X walks the 2^n points of N as the
+    orbits of 0 and of Y(0), 2^(n-1) points each."""
+    marks, half = bytearray(prod(mods)), 1 << (n - 1)
+    return (
+        mark_orbit(marks, x, (0,) * len(mods), half, mods)
+        and mark_orbit(marks, x, y[1], half, mods)
+        and presents(x, y, n, family, mods)
     )
 
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import shlex
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from math import prod
 from pathlib import Path
@@ -409,23 +410,25 @@ def test_a_cross_check_with_a_second_path_writes_no_stderr(capsys):
 
 
 def test_cyclic_family_budget_exit_code(capsys, monkeypatch):
-    # C64 D64: the solver walks 2^6 points for its one fundamental pair
-    monkeypatch.setenv("HOLOBRACE_CAP", "63")
-    code, out, err = run(capsys, "census", "--N", "c64", "--G", "d64")
-    assert code == EXIT_CAPACITY and out == ""
-    assert err.endswith("(needed 64, cap 63)\n")
-    monkeypatch.setenv("HOLOBRACE_CAP", "64")
+    # no budget bounds the family solvers: C64 D64 answers under a cap of 1,
+    # and C_{2^22}, once refused at 2^22 points, under the default cap
+    monkeypatch.setenv("HOLOBRACE_CAP", "1")
     code, out, _ = run(capsys, "census", "--N", "c64", "--G", "d64")
+    assert code == EXIT_OK and (json.loads(out)["c"], json.loads(out)["r"]) == (1, 1)
+    monkeypatch.delenv("HOLOBRACE_CAP")
+    code, out, _ = run(capsys, "census", "--N", "c4194304", "--G", "d4194304")
     assert code == EXIT_OK and (json.loads(out)["c"], json.loads(out)["r"]) == (1, 1)
 
 
 def test_cached_census_still_meets_a_lowered_budget(capsys, monkeypatch):
-    code, out, _ = run(capsys, "census", "--N", "c64", "--G", "d64")
-    assert code == EXIT_OK and json.loads(out)["c"] == 1
-    monkeypatch.setenv("HOLOBRACE_CAP", "63")
-    code, out, err = run(capsys, "census", "--N", "c64", "--G", "d64")
+    # C2 x C8 is the rank-2 family type below the solver's range, so the
+    # search answers it, over the 16 automorphisms of its block
+    code, out, _ = run(capsys, "census", "--N", "c2xc8", "--G", "d16")
+    assert code == EXIT_OK and json.loads(out)["c"] == 6
+    monkeypatch.setenv("HOLOBRACE_CAP", "15")
+    code, out, err = run(capsys, "census", "--N", "c2xc8", "--G", "d16")
     assert code == EXIT_CAPACITY and out == ""
-    assert err.endswith("(needed 64, cap 63)\n")
+    assert err.endswith("(needed 16, cap 15)\n")
 
 
 def test_warm_search_still_meets_a_lowered_block_budget(capsys, monkeypatch):
@@ -445,17 +448,15 @@ def test_warm_search_still_meets_a_lowered_block_budget(capsys, monkeypatch):
 
 
 def test_rank2_family_budget_exit_code(capsys, monkeypatch):
-    # the rank-2 solver walks 2^n points for each of its 8 fundamental
-    # pairs: 512 at n = 6
-    monkeypatch.setenv("HOLOBRACE_CAP", "511")
-    code, out, err = run(capsys, "census", "--N", "c2xc32", "--G", "q64")
-    assert code == EXIT_CAPACITY and out == ""
-    assert err.endswith("(needed 512, cap 511)\n")
-    code, out, _ = run(capsys, "census", "--N", "c2xc16", "--G", "q32")
-    assert code == EXIT_OK and json.loads(out)["c"] == 6
-    monkeypatch.setenv("HOLOBRACE_CAP", "512")
+    # no budget bounds the family solvers: C2 x C32 Q64 answers under a cap
+    # of 1, and C2 x C_{2^18}, once refused at 8 * 2^19 points, under the
+    # default cap
+    monkeypatch.setenv("HOLOBRACE_CAP", "1")
     code, out, _ = run(capsys, "census", "--N", "c2xc32", "--G", "q64")
     assert code == EXIT_OK and json.loads(out)["c"] == 6
+    monkeypatch.delenv("HOLOBRACE_CAP")
+    code, out, _ = run(capsys, "census", "--N", "c2xc262144", "--G", "q524288")
+    assert code == EXIT_OK and (json.loads(out)["c"], json.loads(out)["r"]) == (6, 16)
 
 
 @pytest.mark.parametrize(
@@ -674,3 +675,29 @@ def test_a_decimal_past_the_digit_limit_is_an_input_error(capsys, spec):
     length = max(map(len, spec))
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"invalid input: spec of {length} characters has a number with too many digits\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--n-max", "14285", "--s", "1"), ("--n-max", "14284"), ("--n-max", "1000000"), ("--n-max", _NINES[:4000])],
+)
+def test_a_table_past_the_digit_limit_is_refused_before_any_row(capsys, flags):
+    # 2^14285 has 4301 digits, and so has 3 * 2^14284 (--s defaults to 3):
+    # no row could be printed, so none is computed
+    code, out, err = run(capsys, "tables", "--which", "3", *flags)
+    assert (code, out) == (EXIT_USAGE, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"usage error: --n-max and --s: 2^n_max * s, the largest order a row prints, has over {limit} digits\n"
+
+
+@pytest.mark.parametrize("verb,flag", [("tables", "--n-max"), ("tables", "--s"), ("verify-conjecture", "--m-max")])
+def test_an_int_flag_past_the_digit_limit_names_the_limit(capsys, verb, flag):
+    # the message names the flag and the limit; it does not echo the value
+    which = ("--which", "3") if verb == "tables" else ()
+    limit = sys.get_int_max_str_digits()
+    for value in (_NINES, "-" + _NINES, "+" + _NINES):
+        code, out, err = run(capsys, verb, *which, flag, value)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: argument {flag}: is longer than the {limit}-digit limit\n"
+    code, _, err = run(capsys, verb, *which, flag, "+-5")
+    assert (code, err) == (EXIT_USAGE, f"usage error: argument {flag}: invalid int value: '+-5'\n")

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,8 @@ from family_oracles import (
 )
 from holobrace import structured
 from holobrace.abelian import make_group
-from holobrace.errors import CapacityError, InvalidInputError
+from holobrace.endo import aut_order, enumerate_aut
+from holobrace.errors import InvalidInputError
 from holobrace.holomorph import hol_apply, hol_compose, hol_identity, hol_invert
 from holobrace.presentations import DIHEDRAL, QUATERNION, TargetKind
 from holobrace.regular import SearchResult, list_regular, search_regular
@@ -253,42 +256,39 @@ def test_pruned_cyclic_search_matches_unpruned(n, family):
     assert solved_pairs(entry) == tuple(found.values())
 
 
-def cold_walks(monkeypatch, group, family):
-    """(X, start, points marked) for each orbit a cold solve of the family
-    group walks, spied at `_mark_orbit`."""
-    walks = []
-    mark = structured._mark_orbit
+def cold_compositions(monkeypatch, group, family):
+    """The compositions of a cold solve of the family group, counted at `_compose`."""
+    count, compose = [0], structured._compose
 
-    def spying(marks, x, start, steps, mods):
-        before = marks.count(0)
-        ok = mark(marks, x, start, steps, mods)
-        walks.append((x, start, before - marks.count(0)))
-        return ok
+    def counting(x, y, mods):
+        count[0] += 1
+        return compose(x, y, mods)
 
     with monkeypatch.context() as m:
-        m.setattr(structured, "_mark_orbit", spying)
+        m.setattr(structured, "_compose", counting)
         structured._solved.__wrapped__(group, family)
-    return walks
+    return count[0]
 
 
-def walked_points(monkeypatch, group, family):
-    """The points a cold solve walks, counted at `_mark_orbit`."""
-    return sum(points for *_, points in cold_walks(monkeypatch, group, family))
-
-
-def test_a_cold_solve_walks_2_to_the_n_points_per_fundamental_pair(monkeypatch):
-    # the orbits of 0 and of Y(0) under X, 2^(n-1) points each, for each
-    # fundamental pair, and nothing else
+def test_a_cold_solve_composes_linearly_in_n(monkeypatch):
+    # a walk over the points of N doubled the work at each step of n; the
+    # closed-form test and the orbit walk grow at most linearly
     for family in FAMILIES:
-        for name, ns, count in ((CYCLIC, range(4, 13), 1), (RANK2, range(5, 11), 8)):
-            for n in ns:
-                group = family_group(name, n)
-                pairs = structured._solved(group, family)[0]
-                zero, half = (0,) * len(group.factors), 1 << (n - 1)
-                assert cold_walks(monkeypatch, group, family) == [
-                    walk for x, y in pairs for walk in ((x, zero, half), (x, y[1], half))
-                ]
-                assert len(pairs) == count
+        for name in (CYCLIC, RANK2):
+            counts = [cold_compositions(monkeypatch, family_group(name, n), family) for n in (128, 256, 512)]
+            assert counts[1] <= 2 * counts[0] and counts[2] <= 2 * counts[1], (name, family, counts)
+
+
+@pytest.mark.parametrize("target", FAMILIES)
+@pytest.mark.parametrize("n", [64, 512])
+def test_both_families_answer_far_past_a_point_walk(n, target):
+    # h = |Aut(G)| r / |Aut(N)| with |Aut(G)| = 2^(2n-3) and the Hillar-Rhea
+    # |Aut(N)|: 2^(n-1) for C_{2^n}, 2^n for C_2 x C_{2^(n-1)}
+    for name, (c, r), aut_n in ((CYCLIC, (1, 1), 1 << (n - 1)), (RANK2, (6, 16), 1 << n)):
+        group = family_group(name, n)
+        res = solve_family(group, target)
+        assert aut_order(group) == aut_n
+        assert (res.c, res.r, res.h) == (c, r, (r << (2 * n - 3)) // aut_n)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -303,57 +303,75 @@ def test_the_closed_form_pairs_equal_the_searches_they_replace(family):
 def test_the_regularity_walk_refuses_a_repeated_point():
     # X = (1, 2) on C_16 walks the 8 even points; X = (1, 4) has order 4
     marks = bytearray(16)
-    assert structured._mark_orbit(marks, ((1,), (2,)), (0,), 8, (16,)) and marks == bytearray([1, 0] * 8)
-    assert not structured._mark_orbit(bytearray(16), ((1,), (4,)), (0,), 8, (16,))
+    assert oracle.mark_orbit(marks, ((1,), (2,)), (0,), 8, (16,)) and marks == bytearray([1, 0] * 8)
+    assert not oracle.mark_orbit(bytearray(16), ((1,), (4,)), (0,), 8, (16,))
     # on C_2 x C_8 the point (p0, p1) is index 8 * p0 + p1; X = (1, (1, 1))
     # reaches (1, 1), (0, 2), ... and returns to 0 after 8 steps
     marks = bytearray(16)
-    assert structured._mark_orbit(marks, ((1, 0, 0, 1), (1, 1)), (0, 0), 8, (2, 8))
+    x = ((1, 0, 0, 1), (1, 1))
+    assert oracle.mark_orbit(marks, x, (0, 0), 8, (2, 8))
     assert marks == bytearray([1, 0] * 4 + [0, 1] * 4)
-    assert not structured._mark_orbit(marks, ((1, 0, 0, 1), (1, 1)), (1, 1), 1, (2, 8))
+    assert not oracle.mark_orbit(marks, x, (1, 1), 1, (2, 8))
+    # with Y = (-1, t), XYX = Y and Y^2 = 1: <X, Y> is regular iff Y(0) = t
+    # is off the orbit of 0, and the closed-form test agrees with the walk
+    for t, regular in (((1, 1), False), ((0, 2), False), ((1, 0), True), ((0, 1), True)):
+        y = ((1, 0, 0, 7), t)
+        assert oracle.walk_regular(x, y, 4, DIHEDRAL, (2, 8)) is regular, t
+        assert structured._regular(x, y, 3, False, (2, 8)) is regular, t
+
+
+@pytest.mark.parametrize("target", FAMILIES)
+def test_every_fundamental_pair_is_regular_by_both_tests(target):
+    quat = target == QUATERNION
+    for name, pairs, least in ((CYCLIC, structured._cyclic_pairs, 4), (RANK2, structured._rank2_pairs, 5)):
+        for n in range(least, 17):
+            mods = family_group(name, n).factors
+            for x, y in pairs(n, target):
+                assert structured._regular(x, y, n - 1, quat, mods), (name, n, x, y)
+                assert oracle.walk_regular(x, y, n, target, mods), (name, n, x, y)
+
+
+def test_the_closed_form_regularity_test_refuses_what_the_walk_refuses():
+    # X = (1, 4) has order 4 < 8, so z = X^4 = 1 fixes 0; Y = (-1, 2) has
+    # Y(0) = X(0); both pass the dihedral relations
+    mods = (16,)
+    for x, y in ((((1,), (4,)), ((15,), (1,))), (((1,), (2,)), ((15,), (2,)))):
+        assert oracle.presents(x, y, 4, DIHEDRAL, mods)
+        assert not oracle.walk_regular(x, y, 4, DIHEDRAL, mods)
+        assert not structured._regular(x, y, 3, False, mods)
+    # both tests agree on every pair of Hol(C_16) and of Hol(C_2 x C_8), and
+    # on each fundamental X of C_2 x C_16 and C_2 x C_32 with every Y(0)
+    for target in FAMILIES:
+        quat = target == QUATERNION
+        for group in (make_group([16]), make_group([2, 8])):
+            mods = group.factors
+            elements = [(a.flat(), p) for (a,) in enumerate_aut(group) for p in product(*map(range, mods))]
+            for x, y in product(elements, repeat=2):
+                assert structured._regular(x, y, 3, quat, mods) is oracle.walk_regular(x, y, 4, target, mods)
+        for n in (5, 6):
+            mods = family_group(RANK2, n).factors
+            for (x, (b, _)), u in product(structured._rank2_pairs(n, target), product(*map(range, mods))):
+                y = (b, u)
+                assert structured._regular(x, y, n - 1, quat, mods) is oracle.walk_regular(x, y, n, target, mods)
 
 
 def test_cyclic_point_budget(monkeypatch):
+    # there is none: HOLOBRACE_CAP bounds automorphism blocks only, so
+    # C_{2^22}, once refused at 2^22 points > 2^21, answers under the
+    # default cap, and C_64 under a cap of 1
     monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
-    # 2^n points for its one fundamental pair: n = 21 fits the default 2^21
-    with pytest.raises(CapacityError) as err:
-        solve_family(family_group(CYCLIC, 22), DIHEDRAL)
-    assert (err.value.needed, err.value.cap) == (1 << 22, 1 << 21)
-    monkeypatch.setenv("HOLOBRACE_CAP", str(64 - 1))
-    with pytest.raises(CapacityError) as err:
-        solve_family(family_group(CYCLIC, 6), DIHEDRAL)
-    assert (err.value.needed, err.value.cap) == (64, 63)
-    monkeypatch.setenv("HOLOBRACE_CAP", str(64))
-    assert solve_family(family_group(CYCLIC, 6), DIHEDRAL).r == 1
-
-
-def test_cyclic_point_budget_is_closed_form(monkeypatch):
-    # the solver refuses from 2^n before it walks; a cold solve must walk
-    # exactly that many points
-    for n in range(4, 13):
-        for family in FAMILIES:
-            monkeypatch.setenv("HOLOBRACE_CAP", "1")
-            with pytest.raises(CapacityError) as err:
-                solve_family(family_group(CYCLIC, n), family)
-            monkeypatch.delenv("HOLOBRACE_CAP")
-            assert err.value.needed == 1 << n == walked_points(monkeypatch, family_group(CYCLIC, n), family)
+    assert family_census(CYCLIC, 22, DIHEDRAL) == (1, 1, (1,))
+    monkeypatch.setenv("HOLOBRACE_CAP", "1")
+    assert family_census(CYCLIC, 6, DIHEDRAL) == (1, 1, (1,))
 
 
 def test_rank2_point_budget(monkeypatch):
+    # there is none: C_2 x C_{2^18}, once refused at 8 * 2^19 points > 2^21,
+    # answers under the default cap, and C_2 x C_16 under a cap of 1
     monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
-    # 2^n points for each of the 8 fundamental pairs: n = 18 fits the default 2^21
-    with pytest.raises(CapacityError) as err:
-        solve_family(family_group(RANK2, 19), QUATERNION)
-    assert (err.value.needed, err.value.cap) == (1 << 22, 1 << 21)
-    monkeypatch.setenv("HOLOBRACE_CAP", str(256 - 1))
-    with pytest.raises(CapacityError) as err:
-        solve_family(family_group(RANK2, 5), DIHEDRAL)
-    assert (err.value.needed, err.value.cap) == (256, 255)
-    monkeypatch.setenv("HOLOBRACE_CAP", str(256))
-    assert solve_family(family_group(RANK2, 5), DIHEDRAL).c == 6
-    monkeypatch.delenv("HOLOBRACE_CAP")
-    for n in range(5, 11):
-        assert walked_points(monkeypatch, family_group(RANK2, n), QUATERNION) == 8 << n
+    assert family_census(RANK2, 19, QUATERNION) == (16, 6, (2, 2, 2, 2, 4, 4))
+    monkeypatch.setenv("HOLOBRACE_CAP", "1")
+    assert family_census(RANK2, 5, DIHEDRAL) == (16, 6, (2, 2, 2, 2, 4, 4))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -386,20 +404,14 @@ def test_fundamental_distinctness():
         assert len(keys) == 8
 
 
-def test_family_budgets_fire_on_a_warm_memo(monkeypatch):
-    monkeypatch.delenv("HOLOBRACE_CAP", raising=False)
-    # points walked: C32, 1 * 2^5; C2 x C16, 8 * 2^5
+def test_a_warm_family_memo_answers_under_any_cap(monkeypatch):
+    # the memo answers a repeated solve; no budget is checked in front of it
     memo = structured._solved
-    for group, needed in ((make_group([32]), 32), (make_group([2, 16]), 256)):
+    for group in (make_group([32]), make_group([2, 16])):
         warm = solve_family(group, QUATERNION)
         hits = memo.cache_info().hits
         assert solve_family(group, QUATERNION) == warm and memo.cache_info().hits == hits + 1
-        monkeypatch.setenv("HOLOBRACE_CAP", str(needed - 1))
-        with pytest.raises(CapacityError) as err:
-            solve_family(group, QUATERNION)
-        assert (err.value.needed, err.value.cap) == (needed, needed - 1)
-        assert memo.cache_info().hits == hits + 1  # refused before the memo was asked
-        monkeypatch.setenv("HOLOBRACE_CAP", str(needed))
+        monkeypatch.setenv("HOLOBRACE_CAP", "1")
         assert solve_family(group, QUATERNION) == warm and memo.cache_info().hits == hits + 2
         monkeypatch.delenv("HOLOBRACE_CAP")
 
