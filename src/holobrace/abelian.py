@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _product
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterator
 
 from .errors import CapacityError, InvalidInputError
@@ -36,18 +36,36 @@ def reach(start, moves, step, bound: int) -> frozenset:
     return frozenset(seen)
 
 
+TRIAL_DIVISOR_BITS = 20  # the widest divisor `_factorize` tries
+_ODD_DIVISORS = range(3, 1 << TRIAL_DIVISOR_BITS, 2)
+
+
 def _factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n as (p, multiplicity) pairs, p ascending."""
+    """Prime factorization of n as (p, multiplicity) pairs, p ascending.
+
+    Trial division tries no divisor past `TRIAL_DIVISOR_BITS` bits: a
+    cofactor left past them whose square root has more bits raises
+    CapacityError, needed those bits, and no message echoes the number."""
     out = []
-    d = 2
-    while d * d <= n:
+    twos = (n & -n).bit_length() - 1  # the exponent of 2 in n
+    if twos > 0:
+        out.append((2, twos))
+        n >>= twos
+    for d in _ODD_DIVISORS:
+        if d * d > n:
+            break
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             out.append((d, e))
-        d += 1 if d == 2 else 2
+    else:
+        needed = isqrt(n).bit_length()
+        if needed > TRIAL_DIVISOR_BITS:
+            raise CapacityError(
+                f"trial division stops at divisors of {TRIAL_DIVISOR_BITS} bits", needed=needed, cap=TRIAL_DIVISOR_BITS
+            )
     if n > 1:
         out.append((n, 1))
     return out

@@ -4,15 +4,15 @@ A regular subgroup S of Hol(N) has exactly one element g_a with translation
 part a for each a in N; setting a o b = g_a(b) makes (N, +, o) a brace whose
 lambda map is lambda_a(b) = -a + a o b.  Elements are handled by their
 lexicographic index in N throughout.  A brace is its o-table `circ`; the
-lambda rows are derived from it on first read, and only the YBE solution
-reads them.
+lambda rows, their inverses and the o-generators are derived from it on
+first read, each once, and both checks read them from there.
 
 Every axiom is checked as one identity between whole rows, permutations of
 the indices such as rho_a = circ[a] (b -> a o b) and tau_b (c -> b + c).
 The brace axioms are checked on generators only (see `brace_violation`):
 associativity for a in a o-generating set G, at most log2 n rows times n,
 and the brace relation for a in G and b in the additive basis, 2 |G| rows
-per factor, building only the translation rows it reads.  A YBE solution
+per factor, read from lambda and the group's addition table.  A YBE solution
 is two families of rows, sigma and tau, certified from the brace (see
 `braid_certificate`) by four row identities: sigma_x = lambda_x, r
 involutive, r preserving o, and lambda a homomorphism on the o-generators,
@@ -29,7 +29,7 @@ from typing import Optional
 
 from .abelian import GroupSpec, reach
 from .errors import InternalConsistencyError, InvalidInputError
-from .kernel import HolKernel, get_kernel
+from .kernel import get_kernel
 from .regular import RegularSubgroup
 
 Row = tuple[int, ...]
@@ -50,6 +50,16 @@ class BraceTable:
         add = _add_table(self.group)
         return tuple(_compose(add[tau.index(0)], rho) for tau, rho in zip(add, self.circ))
 
+    @cached_property
+    def lam_inverse(self) -> tuple[Row, ...]:
+        """lam_inverse[a] = lambda_a^-1, read by the YBE solution and its certificate."""
+        return tuple(map(_inverse, self.lam))
+
+    @cached_property
+    def gens(self) -> tuple[int, ...]:
+        """`circ_generators(circ)`, read by both checks; needs circ[a][0] = a."""
+        return tuple(circ_generators(self.circ))
+
     def to_json(self) -> dict:
         return {
             "schema": "v1",
@@ -66,17 +76,13 @@ def _compose(p: Row, q: Row) -> Row:
     return itemgetter(*q)(p)
 
 
-def _translation(kern: HolKernel, a: int) -> Row:
-    """tau_a: b -> a + b, the kernel's translation by a."""
-    return kern.images(tuple(sp.add_rows[tab[a]] for sp, tab in zip(kern.spaces, kern.split_tabs)))
-
-
 @lru_cache(maxsize=1)
 def _add_table(group: GroupSpec) -> tuple[Row, ...]:
-    """add[a] is tau_a for every a; the braces of one op share their group,
-    so the table of the last group is kept."""
+    """add[a] is tau_a: b -> a + b for every a; the braces of one op share
+    their group, so the table of the last group is kept."""
     kern = get_kernel(group)
-    return tuple(_translation(kern, a) for a in range(group.order))
+    rows = (tuple(sp.add_rows[tab[a]] for sp, tab in zip(kern.spaces, kern.split_tabs)) for a in range(group.order))
+    return tuple(map(kern.images, rows))
 
 
 def brace_from_subgroup(sub: RegularSubgroup) -> BraceTable:
@@ -144,21 +150,16 @@ def brace_violation(bt: BraceTable) -> Optional[tuple]:
             return ("row-not-bijective", a)
         if circ[a][0] != a or circ[0][a] != a:
             return ("identity", a)
-    gens = circ_generators(circ)
-    for g in gens:
+    for g in bt.gens:
         rho_g = circ[g]
         for b in rng:
             if circ[rho_g[b]] != _compose(rho_g, circ[b]):
                 return ("associativity", g, b)
-    group = bt.group
-    kern = get_kernel(group)
-    basis = sorted(group.strides)  # the unit vectors' indices
-    tau = [_translation(kern, e) for e in basis]
-    for g in gens:
-        minus_g = group.index(group.neg(group.element_at(g)))
-        lam_g = _compose(_translation(kern, minus_g), circ[g])
-        for e, tau_e in zip(basis, tau):
-            if _compose(lam_g, tau_e) != _compose(_translation(kern, lam_g[e]), lam_g):
+    add, basis = _add_table(bt.group), sorted(bt.group.strides)  # basis: the unit vectors' indices
+    for g in bt.gens:
+        lam_g = bt.lam[g]
+        for e in basis:
+            if _compose(lam_g, add[e]) != _compose(add[lam_g[e]], lam_g):
                 return ("brace-relation", g, e)
     return None
 
@@ -200,7 +201,9 @@ def braid_certificate(bt: BraceTable, sigma: tuple[Row, ...], tau: tuple[Row, ..
     ("sigma-is-lambda", x, y): sigma_x != lambda_x (so sigma_x permutes N).
     ("involutivity", x, y): tau[x] != lt_x lambda_x.  ("preserves-circ", x,
     y): m_x(u) != m_u(x).  ("lambda-homomorphism", g, b): lambda_{g o b} !=
-    lambda_g lambda_b, g in `circ_generators(circ)`.
+    lambda_g lambda_b, g in `circ_generators(circ)`.  A family of other than n
+    rows, or a row that is no tuple of n entries, fails at its first bad x:
+    at its first missing entry, else at y = 0 (an extra row is x = n).
 
     Each is its entrywise identity on all of N^2.  Given sigma = lambda and
     v = tau[x][y], r(u, v) starts with lambda_u(v), which is x iff v =
@@ -212,19 +215,23 @@ def braid_certificate(bt: BraceTable, sigma: tuple[Row, ...], tau: tuple[Row, ..
     sigma_x sigma_y = lambda_{x o y} = lambda_{u o v} = sigma_u sigma_v, for
     involutive, left non-degenerate r the braid relation on N^3 (Rump's
     cycle-set identity, Adv. Math. 193, 2005).  (|G| + 2) n row compositions."""
-    circ, lam = bt.circ, bt.lam
-    inv = tuple(map(_inverse, lam))
+    circ, lam, inv = bt.circ, bt.lam, bt.lam_inverse
     m = tuple(map(_compose, circ, inv))
-    same = [range(bt.size)] * bt.size
+    n = bt.size
+    same = [range(n)] * n
     for name, got, want, at in (
         ("sigma-is-lambda", sigma, lam, same),
         ("involutivity", tau, map(_compose, zip(*inv), lam), same),
         ("preserves-circ", m, zip(*m), lam),  # entry (x, y) at u = lambda_x(y)
     ):
-        for x, (row, want_x) in enumerate(zip(got, want)):
+        for x, want_x in enumerate(want):
+            row = got[x] if x < len(got) else ()  # a missing row
             if row != want_x:
-                return (name, x, next(y for y, u in enumerate(at[x]) if row[u] != want_x[u]))
-    for g in circ_generators(circ):
+                bad = (y for y, u in enumerate(at[x]) if u >= len(row) or row[u] != want_x[u])
+                return (name, x, next(bad, 0))  # y = 0 if only the length or type differs
+        if len(got) > n:
+            return (name, n, 0)
+    for g in bt.gens:
         lam_g, rho_g = lam[g], circ[g]
         for b, lam_b in enumerate(lam):
             if lam[rho_g[b]] != _compose(lam_g, lam_b):
@@ -241,7 +248,7 @@ def ybe_solution(bt: BraceTable) -> YbeSolution:
     Adv. Math. 193, 2005)."""
     if not verify_brace(bt):
         raise InvalidInputError("not a brace table")
-    tau = tuple(map(_compose, zip(*map(_inverse, bt.lam)), bt.lam))
+    tau = tuple(map(_compose, zip(*bt.lam_inverse), bt.lam))
     bad = braid_certificate(bt, bt.lam, tau)
     if bad is not None:
         raise InternalConsistencyError(f"{bad[0]} fails at {bad[1:]}")

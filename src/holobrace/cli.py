@@ -49,15 +49,33 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 where Python has no limit
 
 
+_ECHO = 40  # the longest flag value a usage message repeats
+
+
+def _echo(value) -> str:
+    """`repr(value)` for a usage message, or its length when it is long."""
+    text = repr(value)
+    return text if len(text) <= _ECHO else f"<{len(str(value))} characters>"
+
+
 def _int_flag(text: str) -> int:
     """`int(text)`; a value longer than Python's int-string digit limit is
-    named by the limit, not echoed."""
+    named by the limit, and a long one by its length, not echoed."""
     try:
         return int(text)
     except ValueError:
         limit = _digit_limit()
-        why = f"is longer than the {limit}-digit limit" if 0 < limit < len(text) else f"invalid int value: {text!r}"
+        long = 0 < limit < len(text)
+        why = f"is longer than the {limit}-digit limit" if long else f"invalid int value: {_echo(text)}"
         raise argparse.ArgumentTypeError(why) from None
+
+
+def _table_flag(text: str) -> int:
+    """`--which`: table 1, 3 or 4, a long value not echoed."""
+    which = _int_flag(text)
+    if which not in (1, 3, 4):
+        raise argparse.ArgumentTypeError(f"invalid choice: {_echo(which)} (choose from 1, 3, 4)")
+    return which
 
 
 def _dump(payload: dict) -> str:
@@ -134,12 +152,12 @@ def _cmd_tables(args) -> int:
     if args.which == 1:
         for flag, value in (("--n-max", args.n_max), ("--s", args.s)):
             if value is not None:
-                raise _UsageError(f"{flag} {value} does not apply to table 1, whose rows are fixed")
+                raise _UsageError(f"{flag} {_echo(value)} does not apply to table 1, whose rows are fixed")
     n_max = 5 if args.n_max is None else args.n_max
     if n_max < 2:
-        raise _UsageError(f"--n-max {n_max} leaves the table empty; it must be at least 2")
+        raise _UsageError(f"--n-max {_echo(n_max)} leaves the table empty; it must be at least 2")
     if args.s is not None and (args.s < 1 or args.s % 2 == 0):
-        raise _UsageError(f"--s {args.s} is not an odd part of |G|; it must be an odd integer at least 1")
+        raise _UsageError(f"--s {_echo(args.s)} is not an odd part of |G|; it must be an odd integer at least 1")
     s, limit = 3 if args.s is None else args.s, _digit_limit()
     # 2^n_max * s, the largest order a row prints; past 4 * limit bits it is past 10^limit
     if limit and (n_max + s.bit_length() > 4 * limit or s << n_max >= 10**limit):
@@ -164,7 +182,7 @@ def _cmd_tables(args) -> int:
 
 def _cmd_verify_conjecture(args) -> int:
     if args.m_max < 3:
-        raise _UsageError(f"--m-max {args.m_max} leaves nothing to verify; it must be at least 3")
+        raise _UsageError(f"--m-max {_echo(args.m_max)} leaves nothing to verify; it must be at least 3")
     report = conjecture_report(args.m_max)
     _emit(report.to_text())
     ok = all(row[4] and row[7] for row in report.rows)
@@ -279,7 +297,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("tables", help="reproduce the counting tables")
-    p.add_argument("--which", type=_int_flag, required=True, choices=(1, 3, 4))
+    p.add_argument("--which", type=_table_flag, required=True, metavar="{1,3,4}")
     p.add_argument("--n-max", type=_int_flag, help="tables 3 and 4 only (default 5)")
     p.add_argument("--s", type=_int_flag, help="tables 3 and 4 only (default 3)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")

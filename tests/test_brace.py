@@ -567,12 +567,13 @@ def test_circ_generators_are_few_and_generate():
 
 
 def test_each_brace_builds_only_the_rows_it_reads(monkeypatch):
-    # n = 112 and k = 3 factors: circ is n rows, the brace check about
-    # k + 1 translation rows per o-generator (at most floor(log2 n) of them)
-    # and the addition table only when the YBE solution reads lambda
+    # n = 112: circ is n rows; the brace check reads lambda and the addition
+    # table, which the braces of one group share, so the first check builds
+    # its n rows and no later check, lambda or YBE solution builds a row
     group, kind = parse_group("c7xc2xc8"), parse_kind("d112")
     reps = [cls.representative for cls in list_regular(group, kind)[1]]
-    n, k = group.order, len(group.factors)
+    n = group.order
+    _add_table.cache_clear()
     calls = []
     images = HolKernel.images
     monkeypatch.setattr(HolKernel, "images", lambda kern, x: calls.append(x) or images(kern, x))
@@ -583,13 +584,12 @@ def test_each_brace_builds_only_the_rows_it_reads(monkeypatch):
 
     assert [f.name for f in fields(BraceTable)] == ["group", "circ"]
     assert len(reps) == 6
-    for rep in reps:
+    for i, rep in enumerate(reps):
         bt, built = count(brace_from_subgroup, rep)
         assert built == n
         ok, verified = count(verify_brace, bt)
-        assert ok and verified <= (2 * k + 2) * (n.bit_length() - 1) + k
-        _, solved = count(ybe_solution, bt)
-        assert solved <= verified + n
+        assert ok and verified == (n if i == 0 else 0)
+        assert count(ybe_solution, bt)[1] == 0
         assert count(lambda: bt.lam)[1] == 0
 
 
@@ -841,6 +841,35 @@ def test_braid_certificate_names_each_identity():
     bad = involutive_table(sigma)
     cert = braid_certificate(stale, *split_rows(bad))
     assert cert[0] == "preserves-circ" and cert == braid_certificate_by_entries(stale, bad)
+
+
+def test_braid_certificate_names_malformed_rows():
+    # rows that are not n tuples of n entries fail at their first bad x under
+    # the identity of their family, instead of passing where zip truncates
+    # or raising where an entry is missing
+    bt, table = d16_brace(), d16_table()
+    sigma, tau = split_rows(table)
+    n = bt.size
+    for name, i in (("sigma-is-lambda", 0), ("involutivity", 1)):
+
+        def fails(family, i=i):
+            rows = [sigma, tau]
+            rows[i] = family
+            return braid_certificate(bt, *rows)
+
+        good = (sigma, tau)[i]
+        assert fails(good) is None
+        assert fails(good[:-1]) == (name, n - 1, 0)  # the last row missing
+        assert fails(good + (good[0],)) == (name, n, 0)  # an extra row
+        assert fails(good[:3] + (good[3][:-1],) + good[4:]) == (name, 3, n - 1)  # a short row
+        assert fails(good[:3] + (good[3] + (0,),) + good[4:]) == (name, 3, 0)  # a long row
+        assert fails(good[:3] + (list(good[3]),) + good[4:]) == (name, 3, 0)  # a list row
+        # a list row with a changed entry is named at that entry
+        changed = list(good[3])
+        changed[5], changed[6] = changed[6], changed[5]
+        assert fails(good[:3] + (changed,) + good[4:]) == (name, 3, 5)
+        # the first bad x, however the later rows are malformed
+        assert fails(good[:3] + (good[3][:-2],) + good[4:-1]) == (name, 3, n - 2)
 
 
 def first_non_homomorphic_pair(bt):

@@ -3,6 +3,7 @@ import io
 import json
 import shlex
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import prod
 from pathlib import Path
@@ -514,33 +515,56 @@ def test_ybe_check_verifies_each_brace_once(capsys, monkeypatch):
 
 
 def test_one_ybe_check_builds_one_addition_table(capsys, monkeypatch):
-    # the braces of one op share their group, so `BraceTable.lam` reads one
-    # table of the n translations instead of building it per brace;
-    # `brace_violation` makes the few translations it reads and is not counted
+    # the braces of one op share their group, so the brace check and
+    # `BraceTable.lam` read one table of the n translations instead of
+    # building rows per brace: outside `brace_from_subgroup`, which builds
+    # each brace's n rows of circ, each op makes n rows in all
+    import holobrace.brace as brace
+    import holobrace.cli as cli
+    from holobrace.kernel import HolKernel
+
+    calls, building = [], []
+    real_images, real_build = HolKernel.images, cli.brace_from_subgroup
+
+    def images(kern, x):
+        if not building:
+            calls.append(x)
+        return real_images(kern, x)
+
+    def build(rep):
+        building.append(rep)
+        try:
+            return real_build(rep)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(HolKernel, "images", images)
+    monkeypatch.setattr(cli, "brace_from_subgroup", build)
+    for verb, key in (("ybe-check", "nondegeneracy"), ("brace-export", "braces")):
+        brace._add_table.cache_clear()
+        calls.clear()
+        code, out, _ = run(capsys, verb, "--N", "c7xc2xc8", "--G", "d112")
+        assert code == EXIT_OK
+        assert len(json.loads(out)[key]) == 6
+        assert len(calls) == len(set(calls)) == 112
+
+
+def test_one_ybe_check_derives_each_brace_fact_once(capsys, monkeypatch):
+    # the brace check and the certificate read one `BraceTable.gens`, and
+    # the solution and the certificate one `BraceTable.lam_inverse`: one
+    # greedy generator pass and n inverted rows per brace, where each check
+    # once derived its own
     import holobrace.brace as brace
 
-    calls, checking = [], []
-    real_translation, real_violation = brace._translation, brace.brace_violation
-
-    def translation(kern, a):
-        if not checking:
-            calls.append(a)
-        return real_translation(kern, a)
-
-    def violation(bt):
-        checking.append(bt)
-        try:
-            return real_violation(bt)
-        finally:
-            checking.pop()
-
-    brace._add_table.cache_clear()
-    monkeypatch.setattr(brace, "_translation", translation)
-    monkeypatch.setattr(brace, "brace_violation", violation)
+    gens, inverses = [], []
+    real_gens, real_inverse = brace.circ_generators, brace._inverse
+    monkeypatch.setattr(brace, "circ_generators", lambda circ: gens.append(circ) or real_gens(circ))
+    monkeypatch.setattr(brace, "_inverse", lambda p: inverses.append(p) or real_inverse(p))
     code, out, _ = run(capsys, "ybe-check", "--N", "c7xc2xc8", "--G", "d112")
     assert code == EXIT_OK
     assert json.loads(out)["braces_checked"] == 6
-    assert sorted(calls) == list(range(112))
+    assert len(gens) == len(set(gens)) == 6
+    assert len(inverses) == 6 * 112
 
 
 @pytest.mark.parametrize("pair", [("c2xc32", "q64"), ("c5xc2xc8", "d80"), ("c7xc2xc8", "d112"), ("c2xc4", "d8")])
@@ -648,6 +672,14 @@ def _census_argv(draw):
 # holds one
 _NINES = "9" * 5000
 _LONG_SPECS = [("c" + _NINES, "q4"), (f"[{_NINES}]", "q4"), (f"[2,{_NINES}]", "d8"), ("c4", "q" + _NINES)]
+# orders whose factoring trial division refuses (2^61 - 1 and 10^9 + 7 times
+# 10^9 + 9 have no divisor below 2^20), and the prime 999999999989, whose
+# square root has 20 bits, which it factors
+_BIG_PRIME_SPECS = [
+    ("c4xc2305843009213693951", "q9223372036854775804"),
+    ("c4xc1000000007xc1000000009", "q4000000064000000252"),
+    ("c4xc999999999989", "q3999999999956"),
+]
 
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
@@ -656,6 +688,9 @@ _LONG_SPECS = [("c" + _NINES, "q4"), (f"[{_NINES}]", "q4"), (f"[2,{_NINES}]", "d
 @example(["census", "--N", _LONG_SPECS[1][0], "--G", _LONG_SPECS[1][1]], None, None)
 @example(["census", "--N", _LONG_SPECS[2][0], "--G", _LONG_SPECS[2][1]], None, None)
 @example(["census", "--N", _LONG_SPECS[3][0], "--G", _LONG_SPECS[3][1]], None, None)
+@example(["census", "--N", _BIG_PRIME_SPECS[0][0], "--G", _BIG_PRIME_SPECS[0][1]], None, None)
+@example(["census", "--N", _BIG_PRIME_SPECS[1][0], "--G", _BIG_PRIME_SPECS[1][1]], None, None)
+@example(["census", "--N", _BIG_PRIME_SPECS[2][0], "--G", _BIG_PRIME_SPECS[2][1]], None, None)
 def test_census_fuzz_exits_with_a_documented_code(argv, cap, hol_cap):
     """Any spec, target and cap values end in exit 0, 1 or 3; nothing escapes main."""
     with pytest.MonkeyPatch.context() as mp:
@@ -701,3 +736,52 @@ def test_an_int_flag_past_the_digit_limit_names_the_limit(capsys, verb, flag):
         assert err == f"usage error: argument {flag}: is longer than the {limit}-digit limit\n"
     code, _, err = run(capsys, verb, *which, flag, "+-5")
     assert (code, err) == (EXIT_USAGE, f"usage error: argument {flag}: invalid int value: '+-5'\n")
+
+
+@pytest.mark.parametrize(
+    "argv,needed",
+    [
+        (["tables", "--which", "3", "--n-max", "2", "--s", "2305843009213693951"], 31),
+        (["census", "--N", _BIG_PRIME_SPECS[0][0], "--G", _BIG_PRIME_SPECS[0][1]], 31),
+        (["census", "--N", _BIG_PRIME_SPECS[1][0], "--G", _BIG_PRIME_SPECS[1][1]], 30),
+    ],
+)
+def test_trial_division_is_bounded(capsys, argv, needed):
+    # every order is factored by `abelian._factorize`, whose trial division
+    # stops at divisors of 20 bits: these exit 3 at once instead of running on
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err == f"capacity exceeded: trial division stops at divisors of 20 bits (needed {needed}, cap 20)\n"
+
+
+def test_a_prime_within_the_trial_division_bound_still_answers(capsys):
+    code, out, err = run(capsys, "census", "--N", _BIG_PRIME_SPECS[2][0], "--G", _BIG_PRIME_SPECS[2][1])
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert (payload["c"], payload["r"], payload["h"], payload["method"]) == (1, 1, 999999999989, "reduction")
+
+
+_EIGHTS = "8" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "--which", "3", "--s", _EIGHTS],
+        ["tables", "--which", "3", "--s", "-" + _EIGHTS],
+        ["tables", "--which", "3", "--n-max", "-" + _EIGHTS],
+        ["tables", "--which", "1", "--s", _EIGHTS],
+        ["tables", "--which", "1", "--n-max", _EIGHTS],
+        ["tables", "--which", _EIGHTS],
+        ["tables", "--which", "3", "--s", "x" + _EIGHTS],
+        ["verify-conjecture", "--m-max", "-" + _EIGHTS],
+    ],
+)
+def test_usage_errors_do_not_echo_a_long_value(capsys, argv):
+    # the message names the flag and the value's length, not the value
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert len(err.encode()) < 200
+    assert argv[-2] in err and f"<{len(argv[-1])} characters>" in err
